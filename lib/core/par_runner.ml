@@ -17,14 +17,13 @@
      indirection table, the stop flag) that exist for termination
      detection and routing.
 
-   Handoff batching (PR 9): cross-shard packets are not pushed one by
-   one.  Each shard buffers outbound envelopes per destination shard
-   and flushes each buffer as one ring element at its step/park
-   boundary (or earlier, when a buffer reaches
-   [handoff_batch_max]) — so one ring push, one [g_inflight]
-   increment and one consumer pop amortize over the whole batch,
-   mirroring the deterministic engine's [Fbatch] coalescing one layer
-   down.  Quiescence accounting stays exact without per-packet
+   Handoff batching: each shard buffers outbound envelopes per
+   destination shard and flushes each buffer as one ring element at
+   every event boundary (or earlier, when a buffer reaches
+   [handoff_batch_max]) — so a packet waits for at most the rest of
+   the event that sent it, while one ring push, one [g_inflight]
+   increment and one consumer pop amortize over everything that event
+   sent to that shard.  Quiescence accounting stays exact without per-packet
    atomics: a buffer's first envelope counts one unit on the owning
    shard's [pending] (the pending flush is a scheduled obligation
    like any heap event); the flush moves that unit onto [g_inflight]
@@ -239,9 +238,9 @@ let sched sh ~delay f =
 
 let shard_of_ip g ip = Atomic.get (Array.unsafe_get g.g_shard_map ip)
 
-(* Flush threshold: a buffer reaching this many envelopes is flushed
-   immediately rather than waiting for the step boundary, bounding
-   both handoff latency and the allocation size of one batch. *)
+(* Flush threshold: a buffer reaching this many envelopes within one
+   event is flushed immediately rather than waiting for the event
+   boundary, bounding the allocation size of one batch. *)
 let handoff_batch_max = 64
 
 (* ------------------------------------------------------------------ *)
@@ -345,18 +344,19 @@ and flush_handoff sh ~dst_shard ub =
   push_element sh ~dst_shard (Batch batch);
   Atomic.decr sh.pending
 
-(* Flush every non-empty buffer; called at the shard loop's step/park
-   boundary.  Returns the number of batches pushed so the loop can
-   tell an idle pass from one that produced work for a sibling. *)
+(* Flush every non-empty buffer; called at every event boundary, so
+   it allocates nothing when the buffers are empty.  Returns the number
+   of batches pushed so the loop can tell an idle pass from one that
+   produced work for a sibling. *)
 and flush_handoffs sh =
   let flushed = ref 0 in
-  Array.iteri
-    (fun dst_shard ub ->
-      if ub.hb_count > 0 then begin
-        flush_handoff sh ~dst_shard ub;
-        incr flushed
-      end)
-    sh.out_bufs;
+  for dst_shard = 0 to Array.length sh.out_bufs - 1 do
+    let ub = Array.unsafe_get sh.out_bufs dst_shard in
+    if ub.hb_count > 0 then begin
+      flush_handoff sh ~dst_shard ub;
+      incr flushed
+    end
+  done;
   !flushed
 
 and push_element sh ~dst_shard el =
@@ -506,17 +506,17 @@ and absorb_element sh = function
 
 and drain_rings sh =
   let got = ref 0 in
-  Array.iter
-    (function
-      | None -> ()
-      | Some ring ->
-          let draining = ref true in
-          while !draining do
-            match Spsc.pop_exn ring with
-            | el -> got := !got + absorb_element sh el
-            | exception Spsc.Empty -> draining := false
-          done)
-    sh.in_rings;
+  for src = 0 to Array.length sh.in_rings - 1 do
+    match Array.unsafe_get sh.in_rings src with
+    | None -> ()
+    | Some ring ->
+        let draining = ref true in
+        while !draining do
+          match Spsc.pop_exn ring with
+          | el -> got := !got + absorb_element sh el
+          | exception Spsc.Empty -> draining := false
+        done
+  done;
   !got
 
 and deliver sh ~at_ip ?(ctx = Trace.null_span) ?(same_node = false)
@@ -646,49 +646,47 @@ and deliver_to_site sh site_id ~ctx ~same_node p =
 let park_min = 2e-5 (* 20 us *)
 let park_max = 1e-3 (* 1 ms *)
 
+(* One pass per event: drain the inbound rings, run at most one
+   [Simnet.step], flush what that event sent to siblings, consume a
+   posted migration command.  A packet reaches its ring as soon as the
+   event that sent it returns, so a sibling never waits on a long run
+   of local events. *)
 let shard_loop sh ~max_events =
   let backoff = ref park_min in
+  (* the event budget is global — the sum over shards must respect
+     [max_events] exactly as [Simnet.run]'s livelock guard does at
+     --domains 1, not [domains * max_events].  The sum is folded every
+     256 local events, on going idle and on stopping *)
+  let unchecked = ref 0 in
+  let check_budget () =
+    unchecked := 0;
+    if Array.fold_left (fun acc c -> acc + Atomic.get c) 0 sh.g.g_executed
+       > max_events
+    then
+      failwith
+        (Printf.sprintf "Par_runner: exceeded %d events (livelock?)"
+           max_events)
+  in
   (try
      while not (Atomic.get sh.g.g_stop) do
        let drained = drain_rings sh in
-       (* bounded local batch so inbound rings are polled regularly *)
-       let steps = ref 0 in
-       while
-         !steps < 256
-         && (not (Atomic.get sh.g.g_stop))
-         && Simnet.step sh.sim
-       do
+       let stepped = Simnet.step sh.sim in
+       if stepped then begin
          Atomic.decr sh.pending;
          Atomic.incr sh.executed;
-         incr steps
-       done;
-       (* step/park boundary: everything the local batch produced for
-          siblings leaves as one ring push per destination *)
+         incr unchecked
+       end;
        let flushed = flush_handoffs sh in
-       (* a coordinator-posted migration command is consumed here, once
-          the local batch's own handoffs are out *)
-       let shipped =
+       (* the exchange is paid only when a command is posted *)
+       let shipped = Atomic.get sh.mig_cmd >= 0 in
+       if shipped then begin
          let cmd = Atomic.exchange sh.mig_cmd (-1) in
-         if cmd >= 0 then begin
-           ship_node sh ~ip:(cmd / sh.g.g_domains)
-             ~dst:(cmd mod sh.g.g_domains);
-           1
-         end
-         else 0
-       in
-       (* the event budget is global — the sum over shards must respect
-          [max_events] exactly as [Simnet.run]'s livelock guard does at
-          --domains 1, not [domains * max_events] *)
-       let executed_total =
-         Array.fold_left
-           (fun acc c -> acc + Atomic.get c)
-           0 sh.g.g_executed
-       in
-       if executed_total > max_events then
-         failwith
-           (Printf.sprintf "Par_runner: exceeded %d events (livelock?)"
-              max_events);
-       if drained = 0 && !steps = 0 && flushed = 0 && shipped = 0 then begin
+         ship_node sh ~ip:(cmd / sh.g.g_domains)
+           ~dst:(cmd mod sh.g.g_domains)
+       end;
+       let idle = (not stepped) && drained = 0 && flushed = 0 && not shipped in
+       if !unchecked >= 256 || (idle && !unchecked > 0) then check_budget ();
+       if idle then begin
          (* idle: exponential-backoff parking.  The sleep is what lets
             sibling domains (and the coordinator) run when there are
             more domains than cores. *)
@@ -697,7 +695,8 @@ let shard_loop sh ~max_events =
          backoff := Float.min park_max (!backoff *. 2.)
        end
        else backoff := park_min
-     done
+     done;
+     if !unchecked > 0 then check_budget ()
    with exn ->
      sh.error <- Some exn;
      Atomic.set sh.g.g_stop true)

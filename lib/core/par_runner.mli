@@ -10,9 +10,9 @@
     travel as envelope {e batches} through one bounded lock-free
     {!Tyco_support.Spsc_ring} per ordered shard pair: each shard
     coalesces same-destination envelopes and flushes each buffer as
-    one ring element at its step/park boundary (or when it reaches the
+    one ring element at every event boundary (or when it reaches the
     batch cap), so one ring push, one in-flight increment and one
-    consumer pop amortize over the whole batch.  The PR 2 same-node
+    consumer pop amortize over what one event sent.  The same-node
     fast path is preserved intact inside each shard.  A handed-off
     packet sent at sender-virtual time [s] with wire delay [d] is
     delivered at receiver-virtual time [max (receiver now) (s + d)],

@@ -349,12 +349,23 @@ let node_loop shared node () =
 (* ------------------------------------------------------------------ *)
 (* Setup and coordination.                                             *)
 
+(* The default listening ports [base, base + nodes) stay in
+   [20000, 32768): a per-process offset spreads concurrent runs, and
+   no port reaches Linux's ephemeral range (32768 and up), where a
+   listener can collide with an outgoing connection's local port and
+   fail with EADDRINUSE. *)
+let default_base_port ~pid ~nodes =
+  let span = 32768 - 20000 - nodes in
+  if span < 1 then
+    invalid_arg "Tcp_runner: too many nodes for the default port range";
+  20000 + (pid mod span)
+
 let run ?(nodes = 4) ?base_port ?(inputs = fun _ -> [])
     ?(timeout_ms = 10_000) ?(metrics = false) units =
   let base_port =
     match base_port with
     | Some p -> p
-    | None -> 20000 + (Unix.getpid () mod 20000)
+    | None -> default_base_port ~pid:(Unix.getpid ()) ~nodes
   in
   let shared =
     { base_port;

@@ -38,6 +38,12 @@ type result = {
           singleton unless [run ~metrics:true] *)
 }
 
+val default_base_port : pid:int -> nodes:int -> int
+(** The listening base port {!run} derives from the process id when
+    [base_port] is not given: node ports [base, base + nodes) all lie
+    in [20000, 32768), below Linux's ephemeral range.  Raises
+    [Invalid_argument] when [nodes] cannot fit. *)
+
 val run :
   ?nodes:int ->
   ?base_port:int ->

@@ -484,6 +484,48 @@ let handoff_batching_invariants () =
   check Alcotest.bool "node weights key" true (has json "\"node_weights\":[");
   check Alcotest.bool "per-shard weight key" true (has json "\"weight\":")
 
+(* Handoff latency: a shard flushes its outbound buffers at every event
+   boundary, so a packet leaves as soon as the event that sent it
+   returns instead of waiting out a run of local events.  The sender
+   (node 1, shard 1 under Mod) crunches for longer than one
+   512-instruction quantum between sends, so no single event emits two
+   cross-shard packets: every ring element must carry one envelope. *)
+let handoff_per_event () =
+  let prog =
+    Api.parse
+      {| site recv {
+           export new inbox
+           def Sink(self, n) =
+             self?(v) = (if n == 1 then io!printi[v] else Sink[self, n - 1])
+           in Sink[inbox, 40] }
+         site send {
+           import inbox from recv in
+           def Crunch(n, k) = if n == 0 then k![1] else Crunch[n - 1, k]
+           and Loop(i) =
+             if i == 0 then nil
+             else (inbox![i] | new d (Crunch[500, d] | d?(x) = Loop[i - 1]))
+           in Loop[40] } |}
+  in
+  let placement name = if name = "recv" then 0 else 1 in
+  let det = Api.run_program ~config ~placement prog in
+  let par =
+    Api.run_parallel ~config ~placement ~policy:Placement.Mod ~domains:2 prog
+  in
+  check Alcotest.bool "clean quiescence" true par.Par_runner.clean;
+  check
+    Alcotest.(list string)
+    "multiset preserved"
+    (event_multiset det.Api.outputs)
+    (event_multiset par.Par_runner.outputs);
+  check Alcotest.bool "every send crossed a ring" true
+    (par.Par_runner.handoffs >= 40);
+  check
+    Alcotest.(float 1e-9)
+    "one envelope per ring element" 1.0
+    par.Par_runner.ring_batch_fill_mean;
+  check Alcotest.int "ring pushes = handoffs" par.Par_runner.handoffs
+    par.Par_runner.ring_pushed
+
 (* ------------------------------------------------------------------ *)
 (* Dynamic rebalancing (PR 10)                                         *)
 
@@ -721,6 +763,7 @@ let tests =
     ("policy equivalence sweeps", `Slow, policy_equivalence);
     ("sharding smoke at 4 domains", `Quick, sharding_smoke);
     ("handoff batching invariants", `Quick, handoff_batching_invariants);
+    ("handoff flushed per event", `Quick, handoff_per_event);
     ("shard stats and metrics merge", `Quick, shard_stats_and_metrics);
     ("rejects deterministic-only modes", `Quick,
      rejects_deterministic_only_modes);

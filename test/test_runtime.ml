@@ -758,8 +758,26 @@ let tcp_runner_single_node () =
   check Alcotest.bool "same outputs" true
     (Output.same_multiset sim_outs r.Tcp_runner.outputs)
 
+let tcp_runner_default_port_range () =
+  (* every pid up to Linux's pid_max ceiling (2^22): the whole port
+     block stays in [20000, 32768), below the ephemeral range *)
+  List.iter
+    (fun nodes ->
+      for pid = 0 to 1 lsl 22 do
+        let base = Tcp_runner.default_base_port ~pid ~nodes in
+        if base < 20000 || base + nodes >= 32768 then
+          Alcotest.failf "pid %d, %d nodes: ports %d..%d" pid nodes base
+            (base + nodes - 1)
+      done)
+    [ 1; 2; 4; 64 ];
+  match Tcp_runner.default_base_port ~pid:1 ~nodes:20000 with
+  | _ -> Alcotest.fail "a port block past 32768 accepted"
+  | exception Invalid_argument _ -> ()
+
 let tcp_tests =
   [ ("tcp transport: paper programs", `Slow, tcp_runner_paper_programs);
+    ("tcp transport: default port range", `Quick,
+     tcp_runner_default_port_range);
     ("tcp transport: packets flow", `Quick, tcp_runner_packets_flow);
     ("tcp transport: single node", `Quick, tcp_runner_single_node) ]
 

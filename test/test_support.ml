@@ -5,53 +5,6 @@ open Tyco_support
 let check = Alcotest.check
 
 (* ------------------------------------------------------------------ *)
-(* Fqueue                                                              *)
-
-let fqueue_fifo () =
-  let q = List.fold_left (fun q x -> Fqueue.push x q) Fqueue.empty [ 1; 2; 3 ] in
-  check (Alcotest.list Alcotest.int) "order" [ 1; 2; 3 ] (Fqueue.to_list q);
-  match Fqueue.pop q with
-  | Some (1, q') ->
-      check (Alcotest.list Alcotest.int) "tail" [ 2; 3 ] (Fqueue.to_list q')
-  | _ -> Alcotest.fail "expected pop of 1"
-
-let fqueue_empty () =
-  check Alcotest.bool "is_empty" true (Fqueue.is_empty Fqueue.empty);
-  check Alcotest.bool "pop" true (Fqueue.pop Fqueue.empty = None);
-  check Alcotest.bool "peek" true (Fqueue.peek Fqueue.empty = None)
-
-let fqueue_snapshot () =
-  (* pushing onto a snapshot must not disturb the original *)
-  let q = Fqueue.of_list [ 1; 2 ] in
-  let q2 = Fqueue.push 3 q in
-  check (Alcotest.list Alcotest.int) "orig" [ 1; 2 ] (Fqueue.to_list q);
-  check (Alcotest.list Alcotest.int) "new" [ 1; 2; 3 ] (Fqueue.to_list q2)
-
-let fqueue_model_test =
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name:"fqueue = list model" ~count:500
-       QCheck2.Gen.(list (pair bool small_nat))
-       (fun ops ->
-         let q = ref Fqueue.empty and model = ref [] in
-         List.for_all
-           (fun (is_push, x) ->
-             if is_push then begin
-               q := Fqueue.push x !q;
-               model := !model @ [ x ];
-               true
-             end
-             else
-               match (Fqueue.pop !q, !model) with
-               | None, [] -> true
-               | Some (v, q'), m :: rest ->
-                   q := q';
-                   model := rest;
-                   v = m
-               | _ -> false)
-           ops
-         && Fqueue.to_list !q = !model))
-
-(* ------------------------------------------------------------------ *)
 (* Dq                                                                  *)
 
 let dq_ring_wrap () =
@@ -434,16 +387,7 @@ let vec_basic () =
     (match Vec.get v 5 with exception Invalid_argument _ -> true | _ -> false)
 
 (* ------------------------------------------------------------------ *)
-(* Ids / Netref                                                        *)
-
-module SiteId = Ids.Make (struct let name = "site" end)
-
-let ids_fresh () =
-  let g = SiteId.generator () in
-  let a = SiteId.fresh g and b = SiteId.fresh g in
-  check Alcotest.bool "distinct" false (SiteId.equal a b);
-  check Alcotest.int "roundtrip" (SiteId.to_int a)
-    (SiteId.to_int (SiteId.of_int (SiteId.to_int a)))
+(* Netref                                                              *)
 
 let netref_roundtrip =
   QCheck_alcotest.to_alcotest
@@ -460,11 +404,7 @@ let netref_roundtrip =
          Netref.equal r (Netref.decode (Wire.decoder (Wire.to_string enc)))))
 
 let tests =
-  [ ("fqueue fifo", `Quick, fqueue_fifo);
-    ("fqueue empty", `Quick, fqueue_empty);
-    ("fqueue snapshot", `Quick, fqueue_snapshot);
-    fqueue_model_test;
-    ("dq ring wrap+grow", `Quick, dq_ring_wrap);
+  [ ("dq ring wrap+grow", `Quick, dq_ring_wrap);
     ("dq clear", `Quick, dq_clear);
     dq_model_test;
     wire_roundtrip_ints;
@@ -489,5 +429,4 @@ let tests =
     heap_sorted_drain;
     ("heap fifo ties", `Quick, heap_fifo_ties);
     ("vec basic", `Quick, vec_basic);
-    ("ids fresh/roundtrip", `Quick, ids_fresh);
     netref_roundtrip ]
