@@ -167,54 +167,14 @@ let write_trace_file out tr =
        Tyco_support.Trace.to_chrome_json tr
      else Tyco_support.Trace.serialize tr)
 
-(* --placement VALUE: the node-to-shard map for --domains N > 1.
-   profile:FILE reads per-node weights from FILE — either a bare JSON
-   array of numbers, or a --json report, whose "node_weights" field is
-   extracted textually (the field is a flat number array, so a full
-   JSON parser would be overkill and the image ships none). *)
-let parse_profile_file path =
-  let s = read_file path in
-  let start =
-    let key = "\"node_weights\":" in
-    let klen = String.length key in
-    let rec find i =
-      if i + klen > String.length s then 0
-      else if String.sub s i klen = key then i + klen
-      else find (i + 1)
-    in
-    find 0
-  in
-  match String.index_from_opt s start '[' with
-  | None -> failwith (path ^ ": no weight array found")
-  | Some lb -> (
-      match String.index_from_opt s lb ']' with
-      | None -> failwith (path ^ ": unterminated weight array")
-      | Some rb ->
-          let parts =
-            String.split_on_char ',' (String.sub s (lb + 1) (rb - lb - 1))
-            |> List.map String.trim
-            |> List.filter (fun x -> x <> "")
-          in
-          if parts = [] then failwith (path ^ ": empty weight array");
-          Array.of_list
-            (List.map
-               (fun x ->
-                 match float_of_string_opt x with
-                 | Some f -> f
-                 | None -> failwith (path ^ ": bad weight " ^ x))
-               parts))
-
+(* --placement VALUE: the node-to-shard map for --domains N > 1. *)
 let policy_of_string s =
   match s with
   | "mod" -> Dityco.Placement.Mod
   | "greedy" -> Dityco.Placement.Greedy
-  | _ when String.length s > 8 && String.sub s 0 8 = "profile:" ->
-      Dityco.Placement.Profile
-        (parse_profile_file (String.sub s 8 (String.length s - 8)))
   | _ ->
       failwith
-        (Printf.sprintf
-           "unknown placement %S (expected mod, greedy, or profile:FILE)" s)
+        (Printf.sprintf "unknown placement %S (expected mod or greedy)" s)
 
 (* --rebalance KEY:VAL[,KEY:VAL]: dynamic node migration between
    domains.  Keys: interval (wall ms between coordinator load
@@ -342,13 +302,13 @@ let run_domains config domains policy rebalance json trace_out metrics_out prog 
 
 let run path nodes cores quantum topo until verbose seed replicated_ns trace trace_out metrics_out interactive_mode tcp domains placement rebalance json =
   (* Parse the sharding knobs up front: a typo in --placement or
-     --rebalance (or an unreadable profile file) is a usage error, not
-     a runtime one — one line on stderr and exit 2, no backtrace. *)
+     --rebalance is a usage error, not a runtime one — one line on
+     stderr and exit 2, no backtrace. *)
   let policy, rebalance =
     if domains > 1 then
       try
         (policy_of_string placement, Option.map rebalance_of_string rebalance)
-      with Sys_error m | Failure m ->
+      with Failure m ->
         Format.eprintf "tycosh: %s@." m;
         exit 2
     else (Dityco.Placement.Mod, None)
@@ -473,11 +433,8 @@ let domains_arg =
 let placement_arg =
   Arg.(value & opt string "mod" & info [ "placement" ] ~docv:"POLICY"
        ~doc:"Node-to-domain placement for --domains N > 1: 'mod' \
-             (ip mod N, the default), 'greedy' (bin-pack nodes onto \
-             domains by site count), or 'profile:FILE' (bin-pack by \
-             measured per-node weights; FILE is a prior run's --json \
-             report or a bare JSON array of numbers, one per node).  \
-             Ignored at --domains 1.")
+             (ip mod N, the default) or 'greedy' (bin-pack nodes onto \
+             domains by site count).  Ignored at --domains 1.")
 
 let rebalance_arg =
   Arg.(value & opt (some string) None & info [ "rebalance" ] ~docv:"SPEC"

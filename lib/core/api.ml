@@ -132,8 +132,8 @@ let run_parallel ?config ?placement ?policy ?(inputs = []) ?max_events
         0 (Cluster.sites c)
     in
     let node_weights =
-      (* per-node instruction counts, same signal the sharded engine
-         reports: lets a single-domain run seed --placement profile *)
+      (* per-node instruction counts, the same signal the sharded
+         engine reports *)
       let nnodes =
         List.fold_left
           (fun acc s -> max acc (Site.ip s + 1))

@@ -1,8 +1,6 @@
 module Simnet = Tyco_net.Simnet
 module Packet = Tyco_net.Packet
 module Latency = Tyco_net.Latency
-module Nameservice = Tyco_net.Nameservice
-module Netref = Tyco_support.Netref
 module Stats = Tyco_support.Stats
 module Prng = Tyco_support.Prng
 module Trace = Tyco_support.Trace
@@ -88,12 +86,6 @@ let default_config =
     lease_hold_ns = 0;
     code_cache_capacity = Site.default_lifecycle.Site.lc_code_cache }
 
-type wrapper = {
-  site : Site.t;
-  node : Node.t;
-  mutable pump_scheduled : bool;
-}
-
 (* Per-(src, dst) transmit coalescing: packets headed for the same
    node wait here until a flush — by packet-count threshold, byte
    threshold, or deadline — turns them into one [Fbatch] frame. *)
@@ -140,19 +132,18 @@ type ack_state = { mutable ak_need : bool; mutable ak_armed : bool }
 type t = {
   cfg : config;
   sim : Simnet.t;
-  replicas : Nameservice.t array;  (* one in Centralized mode *)
-  ns_ip : int;
+  (* the books and transport every node's daemon shares *)
+  host : Node.host;
+  (* name-service replicas: node ips [0, replicas) serve one each (the
+     centralized service is replica 0) *)
+  replicas : int;
   node_arr : Node.t array;
-  by_name : (string, wrapper) Hashtbl.t;
-  by_id : (int, wrapper) Hashtbl.t;
-  mutable wrappers : wrapper list; (* reversed creation order *)
+  by_name : (string, Site.t) Hashtbl.t;
+  mutable site_list : Site.t list; (* reversed creation order *)
   mutable next_site_id : int;
-  mutable outs : (int * Output.event) list; (* newest first *)
   mutable packets : int;
   mutable bytes : int;
   mutable in_flight : int;
-  mutable suspected : (int * string) list;
-  mutable busy_until : int;  (* completion time of the latest quantum *)
   (* send-time packet log: a bounded ring (oldest dropped past
      [packet_log_capacity] — the unbounded list it replaces grew with
      every packet of a long run) *)
@@ -166,7 +157,6 @@ type t = {
   m_packets : Metrics.counter;
   m_bytes : Metrics.counter;
   m_same_node : Metrics.counter;
-  m_deliveries : Metrics.counter;
   m_wire_ns : Metrics.histogram;
   (* Same-node delivery latency (shared memory, zero payload bytes):
      constant for the whole run, precomputed so the same-node fast path
@@ -192,7 +182,6 @@ type t = {
   c_dupes_suppressed : Stats.Counter.t;
   c_timeouts : Stats.Counter.t;
   c_acks : Stats.Counter.t;
-  c_dead_letters : Stats.Counter.t;
   c_same_node : Stats.Counter.t;
   c_frames : Stats.Counter.t;
   c_acks_piggybacked : Stats.Counter.t;
@@ -202,104 +191,20 @@ type t = {
   d_flush_wait : Stats.Dist.t;
 }
 
-(* Cost of a name-service transaction at the service itself. *)
-let ns_processing_cost = 1_000
-
-(* Scheduling overhead added after each quantum (context switch). *)
-let context_switch_cost = 200
-
-let create ?(config = default_config) () =
-  let sim =
-    Simnet.create ~topology:config.topology ~faults:config.faults
-      ~seed:config.seed ()
-  in
-  let stats = Stats.create () in
-  let tracer =
-    Trace.create ~capacity:config.trace_capacity ~enabled:config.tracing ()
-  in
-  Trace.register_track tracer ~id:Trace.fabric_track ~name:"fabric" ();
-  let mx = if config.metrics then Metrics.create ~enabled:true () else Metrics.disabled in
-  { cfg = config;
-    sim;
-    replicas =
-      (match config.ns_mode with
-      | Centralized -> [| Nameservice.create () |]
-      | Replicated ->
-          (* replica [r] is hosted by node ip [r]; fewer replicas than
-             nodes is allowed — nodes without one consult ip mod r *)
-          let n =
-            if config.ns_replicas <= 0 then config.nodes
-            else min config.nodes config.ns_replicas
-          in
-          Array.init n (fun _ -> Nameservice.create ()));
-    (* in centralized mode the service lives on node 0's address, as a
-       well-known location every site knows in advance (paper §5) *)
-    ns_ip = 0;
-    node_arr =
-      Array.init config.nodes (fun i ->
-          Node.create ~node_id:i ~ip:i ~cores:config.cores_per_node);
-    by_name = Hashtbl.create 16;
-    by_id = Hashtbl.create 16;
-    wrappers = [];
-    next_site_id = 0;
-    outs = [];
-    packets = 0;
-    bytes = 0;
-    in_flight = 0;
-    suspected = [];
-    busy_until = 0;
-    plog = Dq.create ();
-    plog_dropped = 0;
-    tracer;
-    tr_on = Trace.enabled tracer;
-    mx;
-    m_packets = Metrics.counter mx "packets";
-    m_bytes = Metrics.counter mx "bytes";
-    m_same_node = Metrics.counter mx "same_node_fast";
-    m_deliveries = Metrics.counter mx "deliveries";
-    m_wire_ns = Metrics.histogram mx "wire_ns";
-    loopback_delay = Simnet.packet_delay sim ~src_ip:0 ~dst_ip:0 ~bytes:0;
-    outboxes = Hashtbl.create 16;
-    pending_batches = Hashtbl.create 16;
-    ack_states = Hashtbl.create 16;
-    stats;
-    c_drops = Stats.counter stats "drops";
-    c_dupes = Stats.counter stats "dupes";
-    c_reorders = Stats.counter stats "reorders";
-    c_retries = Stats.counter stats "retries";
-    c_dupes_suppressed = Stats.counter stats "dupes_suppressed";
-    c_timeouts = Stats.counter stats "timeouts";
-    c_acks = Stats.counter stats "acks";
-    c_dead_letters = Stats.counter stats "dead_letters";
-    c_same_node = Stats.counter stats "same_node_fast";
-    c_frames = Stats.counter stats "frames";
-    c_acks_piggybacked = Stats.counter stats "acks_piggybacked";
-    d_lat_wire = Stats.dist stats "lat_wire";
-    d_lat_retransmit = Stats.dist stats "lat_retransmit";
-    d_batch_fill = Stats.dist stats "batch_fill";
-    d_flush_wait = Stats.dist stats "lat_flush_wait";
-  }
-
 let sim t = t.sim
 let config t = t.cfg
-let virtual_time t = max (Simnet.now t.sim) t.busy_until
-let site t name = (Hashtbl.find t.by_name name).site
-let sites t = List.rev_map (fun w -> w.site) t.wrappers
+let virtual_time t = max (Simnet.now t.sim) (Node.busy_until t.host)
+let site t name = Hashtbl.find t.by_name name
+let sites t = List.rev t.site_list
 let nodes t = Array.to_list t.node_arr
-let outputs t = List.rev t.outs
-let output_events t = List.rev_map snd t.outs
+let outputs t = Node.outputs t.host
+let output_events t = List.map snd (Node.outputs t.host)
 let packets_sent t = t.packets
 let bytes_sent t = t.bytes
 let in_flight t = t.in_flight
 let name_service_pending t =
-  Array.fold_left (fun acc ns -> acc + Nameservice.pending ns) 0 t.replicas
-
-(* The replica a node consults: its own in Replicated mode. *)
-let replica_of t ip =
-  match t.cfg.ns_mode with
-  | Centralized -> t.replicas.(0)
-  | Replicated -> t.replicas.(ip mod Array.length t.replicas)
-let suspected_failures t = List.rev t.suspected
+  Array.fold_left (fun acc n -> acc + Node.names_pending n) 0 t.node_arr
+let suspected_failures t = Node.suspected t.host
 
 let log_packet t p =
   (* capacity 0 disables the log: no ring churn and no virtual-clock
@@ -321,7 +226,7 @@ let packet_trace_dropped t = t.plog_dropped
 let tracer t = t.tracer
 let metrics t = t.mx
 let stats t = t.stats
-let dead_letters t = Stats.Counter.value t.c_dead_letters
+let dead_letters t = Node.dead_letters t.host
 let same_node_fast t = Stats.Counter.value t.c_same_node
 let frames_sent t = Stats.Counter.value t.c_frames
 let acks_piggybacked t = Stats.Counter.value t.c_acks_piggybacked
@@ -374,37 +279,11 @@ type xmit = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Scheduling.                                                         *)
-
-let rec request_pump t w ~delay =
-  if (not w.pump_scheduled) && Site.alive w.site then begin
-    w.pump_scheduled <- true;
-    Simnet.schedule t.sim ~delay (fun () -> pump_event t w)
-  end
-
-and pump_event t w =
-  w.pump_scheduled <- false;
-  if Site.alive w.site then begin
-    let now = Simnet.now t.sim in
-    let core, free = Node.earliest_core w.node in
-    if free > now then
-      (* all processors busy: wait for one (Fig. 1's dual-CPU nodes) *)
-      request_pump t w ~delay:(free - now)
-    else begin
-      let cost = Site.pump ~now w.site ~quantum:t.cfg.quantum in
-      let duration = cost + context_switch_cost in
-      Node.occupy w.node ~core ~until:(now + duration);
-      t.busy_until <- max t.busy_until (now + duration);
-      if Site.busy w.site then request_pump t w ~delay:duration
-    end
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Packet transport (the TyCOd role).                                  *)
+(* The links between the node daemons.                                 *)
 
 (* One physical transmission over the fabric: rolls the fault dice and
    schedules [action] once per surviving copy. *)
-and transmit t ~src_ip ~dst_ip ~bytes action =
+let rec transmit t ~src_ip ~dst_ip ~bytes action =
   let base = Simnet.packet_delay t.sim ~src_ip ~dst_ip ~bytes in
   Stats.Dist.add_int t.d_lat_wire base;
   Metrics.observe_int t.m_wire_ns base;
@@ -439,8 +318,8 @@ and route_ip t ~src_ip (p : Packet.t) =
      [r], which is only every node when there are as many replicas as
      nodes. *)
   | Replicated, (Packet.Pns_register _ | Packet.Pns_lookup _) ->
-      src_ip mod Array.length t.replicas
-  | _ -> Packet.dst_ip p ~ns_ip:t.ns_ip
+      src_ip mod t.replicas
+  | _ -> Packet.dst_ip p ~ns_ip:0
 
 and send_packet t ~src_ip ?(ctx = Trace.null_span) (p : Packet.t) =
   let dst_ip = route_ip t ~src_ip p in
@@ -668,19 +547,9 @@ and attempt_batch t (bx : bxmit) =
           if t.tr_on then
             Trace.emit t.tracer ~ts:(Simnet.now t.sim)
               ~track:Trace.fabric_track ~span:bx.bx_span Trace.Timeout;
-          t.suspected <-
-            (Simnet.now t.sim, Printf.sprintf "ip#%d" bx.bx_dst_ip)
-            :: t.suspected;
+          Node.suspect t.host (Printf.sprintf "ip#%d" bx.bx_dst_ip);
           for i = bx.bx_lo to Array.length bx.bx_pkts - 1 do
-            t.outs <-
-              ( Simnet.now t.sim,
-                { Output.site = "daemon";
-                  label = "undeliverable";
-                  args =
-                    [ Output.Ostr
-                        (Format.asprintf "%a" Packet.pp bx.bx_pkts.(i)) ]
-                } )
-              :: t.outs
+            undeliverable t bx.bx_pkts.(i)
           done
         end
         else begin
@@ -818,17 +687,8 @@ and attempt_xmit t (x : xmit) =
           if t.tr_on then
             Trace.emit t.tracer ~ts:(Simnet.now t.sim)
               ~track:Trace.fabric_track ~span:x.x_span Trace.Timeout;
-          t.suspected <-
-            (Simnet.now t.sim, Printf.sprintf "ip#%d" x.x_dst_ip)
-            :: t.suspected;
-          t.outs <-
-            ( Simnet.now t.sim,
-              { Output.site = "daemon";
-                label = "undeliverable";
-                args =
-                  [ Output.Ostr (Format.asprintf "%a" Packet.pp x.x_packet) ]
-              } )
-            :: t.outs
+          Node.suspect t.host (Printf.sprintf "ip#%d" x.x_dst_ip);
+          undeliverable t x.x_packet
         end
         else begin
           (* the whole wait was retransmission overhead: the packet sat
@@ -858,178 +718,149 @@ and send_ack t (x : xmit) =
           ~span:x.x_span Trace.Ack;
       x.x_acked <- true)
 
+and undeliverable t p =
+  Node.record_output t.host
+    { Output.site = "daemon";
+      label = "undeliverable";
+      args = [ Output.Ostr (Format.asprintf "%a" Packet.pp p) ] }
+
+(* A packet arrives at node [at_ip]: its daemon takes it.  A
+   registration at a replicated name service also propagates from the
+   replica that took it to every other one. *)
 and deliver t ~at_ip ?(ctx = Trace.null_span) ?(same_node = false) (p : Packet.t) =
-  match p with
-  | Packet.Pns_register { site_name; id_name; nref; rtti } ->
-      if t.tr_on then
-        Trace.emit t.tracer ~ts:(Simnet.now t.sim) ~track:Trace.fabric_track
-          ~span:ctx Trace.Ns_serve;
-      register_at t ~replica_ip:at_ip ~site_name ~id_name ~rtti ~ctx nref;
-      (* replicated mode: propagate to every other replica *)
-      if t.cfg.ns_mode = Replicated then begin
-        let nrep = Array.length t.replicas in
-        let home = at_ip mod nrep in
-        let bytes = Packet.byte_size p in
-        Array.iteri
-          (fun other _ ->
-            if other <> home then begin
-              (* replica [other] is hosted by node ip [other]; each copy
-                 is a packet in its own right — logged and counted like
-                 any other, so the packet accounting invariant
-                 (packets + same_node = log entries) holds in
-                 replicated mode too *)
-              t.packets <- t.packets + 1;
-              t.bytes <- t.bytes + bytes;
-              Stats.Counter.incr t.c_frames;
-              log_packet t p;
-              transmit t ~src_ip:at_ip ~dst_ip:other ~bytes (fun () ->
-                  register_at t ~replica_ip:other ~site_name ~id_name ~rtti
-                    ~ctx nref)
-            end)
-          t.replicas
-      end
-  | Packet.Pns_lookup { site_name; id_name; req_id; requester_site; requester_ip; _ } -> (
-      if t.tr_on then
-        Trace.emit t.tracer ~ts:(Simnet.now t.sim) ~track:Trace.fabric_track
-          ~span:ctx Trace.Ns_serve;
-      let waiter =
-        { Nameservice.w_req_id = req_id; w_site = requester_site;
-          w_ip = requester_ip }
-      in
-      let ns = replica_of t at_ip in
-      match Nameservice.lookup_id ns ~site:site_name ~name:id_name waiter with
-      | Some (nref, rtti) ->
-          reply_ns t ~from_ip:at_ip ~ctx
-            (Packet.Pns_reply
-               { req_id; dst_site = requester_site; dst_ip = requester_ip;
-                 result = Some nref; rtti })
-      | None -> (* parked until the registration arrives *) ())
-  | Packet.Pmsg { dst; _ } | Packet.Pobj { dst; _ } ->
-      deliver_to_site t dst.Netref.site_id ~ctx ~same_node p
-  | Packet.Pfetch_req { cls; _ } ->
-      deliver_to_site t cls.Netref.site_id ~ctx ~same_node p
-  | Packet.Pfetch_rep { dst_site; _ } | Packet.Pns_reply { dst_site; _ } ->
-      deliver_to_site t dst_site ~ctx ~same_node p
-  | Packet.Prelease { origin_site; _ } ->
-      deliver_to_site t origin_site ~ctx ~same_node p
-
-and register_at t ~replica_ip ~site_name ~id_name ~rtti ~ctx nref =
-  let ns = replica_of t replica_ip in
-  let waiters =
-    Nameservice.register_id ns ~site:site_name ~name:id_name ~rtti nref
-  in
-  List.iter
-    (fun (wtr : Nameservice.waiter) ->
-      reply_ns t ~from_ip:replica_ip ~ctx
-        (Packet.Pns_reply
-           { req_id = wtr.Nameservice.w_req_id;
-             dst_site = wtr.Nameservice.w_site;
-             dst_ip = wtr.Nameservice.w_ip;
-             result = Some nref;
-             rtti }))
-    waiters
-
-and reply_ns t ~from_ip ~ctx p =
-  (* name-service processing cost, then the reply travels as a packet —
-     under a span of its own, a child of the request (or registration)
-     that triggered it *)
-  let ctx' =
-    if t.tr_on then Trace.fresh_span t.tracer ~parent:ctx
-    else Trace.null_span
-  in
-  Simnet.schedule t.sim ~delay:ns_processing_cost (fun () ->
-      (* the name service is not a site, so the reply's [Send] lands on
-         the fabric track — every packet span must have one for the
-         causal tree (and the Perfetto flow arrow) to be complete *)
-      if t.tr_on then
-        Trace.emit t.tracer ~ts:(Simnet.now t.sim) ~track:Trace.fabric_track
-          ~span:ctx'
-          (Trace.Send { pk = Packet.trace_pk p; bytes = Packet.byte_size p });
-      send_packet t ~src_ip:from_ip ~ctx:ctx' p)
-
-and deliver_to_site t site_id ~ctx ~same_node p =
-  match Hashtbl.find_opt t.by_id site_id with
-  | None ->
-      (* a packet addressed to a site this cluster never loaded: count
-         it as a dead letter and record the phantom destination rather
-         than dropping it silently *)
-      Stats.Counter.incr t.c_dead_letters;
-      t.suspected <-
-        (Simnet.now t.sim, Printf.sprintf "site#%d" site_id) :: t.suspected
-  | Some w ->
-      if Site.alive w.site then begin
-        let now = Simnet.now t.sim in
-        Metrics.incr t.m_deliveries;
-        if t.tr_on then
-          Trace.emit t.tracer ~ts:now ~track:site_id ~span:ctx
-            (Trace.Deliver { pk = Packet.trace_pk p; same_node });
-        Site.deliver ~ctx ~now w.site p;
-        request_pump t w ~delay:0
-      end
-      else
-        t.suspected <- (Simnet.now t.sim, Site.name w.site) :: t.suspected
+  Node.deliver (node_of_ip t at_ip) ~ctx ~same_node p;
+  match (t.cfg.ns_mode, p) with
+  | Replicated, Packet.Pns_register { site_name; id_name; nref; rtti } ->
+      let home = at_ip mod t.replicas in
+      let bytes = Packet.byte_size p in
+      for other = 0 to t.replicas - 1 do
+        if other <> home then begin
+          (* replica [other] is hosted by node ip [other]; each copy is
+             a packet in its own right — logged and counted like any
+             other, so the packet accounting invariant (packets +
+             same_node = log entries) holds in replicated mode too *)
+          t.packets <- t.packets + 1;
+          t.bytes <- t.bytes + bytes;
+          Stats.Counter.incr t.c_frames;
+          log_packet t p;
+          transmit t ~src_ip:at_ip ~dst_ip:other ~bytes (fun () ->
+              Node.register (node_of_ip t other) ~site_name ~id_name ~rtti
+                ~ctx nref)
+        end
+      done
+  | _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Program loading.                                                    *)
+(* Construction and program loading.                                  *)
+
+(* The lifecycle every site of the cluster is created with. *)
+let site_lifecycle cfg =
+  { Site.lc_lease_ns = cfg.lease_ns;
+    lc_refresh_ns = cfg.lease_refresh_ns;
+    lc_hold_ns = cfg.lease_hold_ns;
+    lc_code_cache = cfg.code_cache_capacity;
+    lc_done_horizon_ns = Site.default_lifecycle.Site.lc_done_horizon_ns }
+
+let create ?(config = default_config) () =
+  let sim =
+    Simnet.create ~topology:config.topology ~faults:config.faults
+      ~seed:config.seed ()
+  in
+  let stats = Stats.create () in
+  let tracer =
+    Trace.create ~capacity:config.trace_capacity ~enabled:config.tracing ()
+  in
+  Trace.register_track tracer ~id:Trace.fabric_track ~name:"fabric" ();
+  let mx = if config.metrics then Metrics.create ~enabled:true () else Metrics.disabled in
+  let host =
+    (* request deadlines need virtual timers; only armed in reliable
+       mode so the seed's park-forever semantics (and its tests) are
+       untouched by default *)
+    Node.host ~quantum:config.quantum ~retry:config.site_retry
+      ~lifecycle:(site_lifecycle config) ~timers:config.reliable ~tracer
+      ~metrics:mx ~stats ()
+  in
+  let t =
+    { cfg = config;
+      sim;
+      host;
+      replicas =
+        (match config.ns_mode with
+        (* in centralized mode the service lives on node 0's address, as a
+           well-known location every site knows in advance (paper §5) *)
+        | Centralized -> 1
+        (* replica [r] is hosted by node ip [r]; fewer replicas than nodes
+           is allowed — nodes without one consult ip mod r *)
+        | Replicated ->
+            if config.ns_replicas <= 0 then config.nodes
+            else min config.nodes config.ns_replicas);
+      node_arr =
+        Array.init config.nodes (fun i ->
+            Node.create ~node_id:i ~ip:i ~cores:config.cores_per_node);
+      by_name = Hashtbl.create 16;
+      site_list = [];
+      next_site_id = 0;
+      packets = 0;
+      bytes = 0;
+      in_flight = 0;
+      plog = Dq.create ();
+      plog_dropped = 0;
+      tracer;
+      tr_on = Trace.enabled tracer;
+      mx;
+      m_packets = Metrics.counter mx "packets";
+      m_bytes = Metrics.counter mx "bytes";
+      m_same_node = Metrics.counter mx "same_node_fast";
+      m_wire_ns = Metrics.histogram mx "wire_ns";
+      loopback_delay = Simnet.packet_delay sim ~src_ip:0 ~dst_ip:0 ~bytes:0;
+      outboxes = Hashtbl.create 16;
+      pending_batches = Hashtbl.create 16;
+      ack_states = Hashtbl.create 16;
+      stats;
+      c_drops = Stats.counter stats "drops";
+      c_dupes = Stats.counter stats "dupes";
+      c_reorders = Stats.counter stats "reorders";
+      c_retries = Stats.counter stats "retries";
+      c_dupes_suppressed = Stats.counter stats "dupes_suppressed";
+      c_timeouts = Stats.counter stats "timeouts";
+      c_acks = Stats.counter stats "acks";
+      c_same_node = Stats.counter stats "same_node_fast";
+      c_frames = Stats.counter stats "frames";
+      c_acks_piggybacked = Stats.counter stats "acks_piggybacked";
+      d_lat_wire = Stats.dist stats "lat_wire";
+      d_lat_retransmit = Stats.dist stats "lat_retransmit";
+      d_batch_fill = Stats.dist stats "batch_fill";
+      d_flush_wait = Stats.dist stats "lat_flush_wait";
+    }
+  in
+  Node.connect host
+    { Node.send = (fun ~src_ip ~ctx p -> send_packet t ~src_ip ~ctx p);
+      schedule = (fun ~delay f -> Simnet.schedule sim ~delay f);
+      now = (fun () -> Simnet.now sim) };
+  Array.iteri
+    (fun ip n ->
+      Node.attach n host;
+      if ip < t.replicas then Node.serve_names n)
+    t.node_arr;
+  t
 
 let load ?placement ?(annotations = fun _ -> None) ?(inputs = fun _ -> [])
     t (units : (string * Tyco_compiler.Block.unit_) list) =
-  List.iteri
-    (fun i (name, unit_) ->
-      if Hashtbl.mem t.by_name name then
-        invalid_arg (Printf.sprintf "Cluster.load: duplicate site '%s'" name);
-      let node_idx =
-        match placement with
-        | Some f ->
-            let n = f name in
-            if n < 0 || n >= Array.length t.node_arr then
-              invalid_arg
-                (Printf.sprintf "Cluster.load: site '%s' placed on node %d" name n)
-            else n
-        | None -> i mod Array.length t.node_arr
-      in
-      let node = t.node_arr.(node_idx) in
+  let placed =
+    Node.place ~who:"Cluster.load" ~nodes:(Array.length t.node_arr) ?placement
+      ~taken:(Hashtbl.mem t.by_name) units
+  in
+  List.iter2
+    (fun (name, unit_) node_idx ->
       let site_id = t.next_site_id in
       t.next_site_id <- site_id + 1;
-      let schedule =
-        (* request deadlines need virtual timers; only armed in
-           reliable mode so the seed's park-forever semantics (and its
-           tests) are untouched by default *)
-        if t.cfg.reliable then
-          Some (fun ~delay f -> Simnet.schedule t.sim ~delay f)
-        else None
+      let site =
+        Node.load_site t.node_arr.(node_idx) ?annotations:(annotations name)
+          ~inputs:(inputs name) ~name ~site_id unit_
       in
-      let lifecycle =
-        { Site.lc_lease_ns = t.cfg.lease_ns;
-          lc_refresh_ns = t.cfg.lease_refresh_ns;
-          lc_hold_ns = t.cfg.lease_hold_ns;
-          lc_code_cache = t.cfg.code_cache_capacity;
-          lc_done_horizon_ns = Site.default_lifecycle.Site.lc_done_horizon_ns }
-      in
-      let w =
-        { site =
-            Site.create
-              ?annotations:(annotations name)
-              ~inputs:(inputs name)
-              ~retry:t.cfg.site_retry
-              ~lifecycle
-              ?schedule
-              ~on_suspect:(fun who ->
-                t.suspected <- (Simnet.now t.sim, who) :: t.suspected)
-              ~trace:t.tracer ~name ~site_id ~ip:(Node.ip node)
-              ~send:(fun ctx p -> send_packet t ~src_ip:(Node.ip node) ~ctx p)
-              ~on_output:(fun e -> t.outs <- (Simnet.now t.sim, e) :: t.outs)
-              ~unit_ ();
-          node;
-          pump_scheduled = false }
-      in
-      Node.add_site node w.site;
-      Hashtbl.replace t.by_name name w;
-      Hashtbl.replace t.by_id site_id w;
-      t.wrappers <- w :: t.wrappers;
-      Site.start w.site;
-      request_pump t w ~delay:0)
-    units
+      Hashtbl.replace t.by_name name site;
+      t.site_list <- site :: t.site_list)
+    units placed
 
 (* ------------------------------------------------------------------ *)
 (* Execution.                                                          *)
@@ -1049,9 +880,9 @@ let run_until t ~time =
 let quiescent t = Option.is_none (Simnet.next_time t.sim)
 
 let kill_site t name ~at =
-  let w = Hashtbl.find t.by_name name in
+  let site = Hashtbl.find t.by_name name in
   let delay = max 0 (at - Simnet.now t.sim) in
-  Simnet.schedule t.sim ~delay (fun () -> Site.kill w.site)
+  Simnet.schedule t.sim ~delay (fun () -> Site.kill site)
 
 (* Test/experiment hook: push a raw packet into the fabric as if a
    site on [src_ip] had sent it. *)

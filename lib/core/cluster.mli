@@ -3,10 +3,15 @@
     location every site knows in advance, and the discrete-event engine
     that multiplexes everything onto one deterministic virtual clock.
 
-    Packet routing plays the role of the TyCOd daemons: a packet leaves
-    the sending site's node, crosses the link chosen by the topology
-    (shared memory when both sites share a node — the paper's same-node
-    optimization), and lands in the destination site's incoming queue. *)
+    Each node runs the {!Node} daemon (TyCOd); this module supplies the
+    links between the daemons.  A packet leaves the sending site's
+    node, crosses the link chosen by the topology (shared memory when
+    both sites share a node — the paper's same-node optimization, which
+    skips framing), is batched per destination, survives the fault
+    model under the reliable-delivery layer when that is on, and lands
+    at the destination node's daemon.  A registration at a replicated
+    name service is broadcast from the replica that took it to every
+    other one. *)
 
 type t
 
@@ -111,6 +116,10 @@ type config = {
 }
 
 val default_config : config
+
+val site_lifecycle : config -> Site.lifecycle
+(** The resource lifecycle every site of a cluster built from [config]
+    is created with (leases and code-cache bound from the config). *)
 
 val create : ?config:config -> unit -> t
 

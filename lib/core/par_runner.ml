@@ -1,13 +1,15 @@
 (* The parallel execution engine: the cluster sharded over OCaml 5
    domains.
 
-   Each shard owns a disjoint set of nodes and everything beneath
-   them — sites, VMs, export tables, intern areas, statistics
-   reservoirs — plus its own discrete-event simulator, so a shard's
-   virtual clock advances independently.  Which nodes a shard owns is
-   decided by a placement map ({!Placement}): [ip mod domains] by
-   default, or greedy bin-packing over static site counts / profiled
-   node weights when the caller wants load-aware sharding.  No mutable
+   Each shard runs the {!Node} daemons of a disjoint set of nodes, and
+   owns everything beneath them — sites, VMs, export tables, intern
+   areas, statistics reservoirs — plus its own discrete-event
+   simulator, so a shard's virtual clock advances independently.  The
+   shard supplies the daemons' links: intra-shard Simnet links (with
+   the same-node fast path) and SPSC rings to the other shards.  Which
+   nodes a shard owns is decided by a placement map ({!Placement}):
+   [ip mod domains] by default, or greedy bin-packing over static site
+   counts when the caller wants load-aware sharding.  No mutable
    state is shared between shards: the only cross-domain traffic is
 
    - envelope {e batches} and node {e migrations} through one
@@ -42,15 +44,17 @@
    node: it flushes its outbound buffers, takes one [g_inflight] unit
    (the node-in-transit obligation, held until the receiver finishes
    installing — quiescence cannot fire with a node inside a ring),
-   publishes the new owner in the indirection table, retires its
-   wrappers, and pushes a [Mig] element through the ordinary ring.
-   The receiver re-points each site's owner cell (the one ref its
-   send/output callbacks dereference), builds fresh wrappers, drains
-   any packets that raced ahead of the envelope (parked in [limbo]
-   under the same in-flight unit), and only then releases the unit.
-   A shard that receives a packet for a site it no longer owns
-   {e forwards} it along the current table instead of dead-lettering,
-   so stale senders lose nothing.
+   publishes the new owner in the indirection table, detaches the
+   node's daemon (quanta still queued here become no-ops), and pushes
+   the daemon whole — sites included — as a [Mig] element through the
+   ordinary ring.  The receiver schedules any packets that raced ahead
+   of the envelope (parked in [limbo] under the same in-flight unit),
+   attaches the daemon to its own host — the sites' callbacks follow,
+   since they reach the engine through the node's host — and only then
+   releases the unit.  A packet for a node the shard does not run
+   takes the not-here path: {e forwarded} along the current table when
+   the node lives elsewhere, parked in limbo when it is still in
+   transit here, so stale senders lose nothing.
 
    Clock merge rule: a handed-off packet sent at sender-virtual time
    [s] with wire delay [d] is delivered at receiver-virtual time
@@ -78,16 +82,11 @@
 
 module Simnet = Tyco_net.Simnet
 module Packet = Tyco_net.Packet
-module Nameservice = Tyco_net.Nameservice
-module Netref = Tyco_support.Netref
 module Stats = Tyco_support.Stats
 module Prng = Tyco_support.Prng
 module Trace = Tyco_support.Trace
 module Metrics = Tyco_support.Metrics
 module Spsc = Tyco_support.Spsc_ring
-
-let ns_processing_cost = 1_000
-let context_switch_cost = 200
 
 exception Shard_failure of int * string
 (* An exception that escaped one shard's domain, re-raised at join
@@ -118,7 +117,6 @@ type global = {
      migration's publication is a release/acquire edge — a stale
      sender reads an old owner at worst, and the old owner forwards *)
   g_shard_map : int Atomic.t array;
-  g_site_ip : int array; (* site id -> node ip; immutable after load *)
   (* ring elements pushed (or buffered for push) whose consequences
      have not all been scheduled yet: > 0 whenever cross-shard work
      (a batch, or a node in transit) is outside any heap *)
@@ -128,37 +126,19 @@ type global = {
      [max_events] bounds the run globally (the Simnet.run livelock
      guard), not per shard *)
   g_executed : int Atomic.t array;
-  (* rebalancing signal: per-node executed pump cost, bumped by the
-     owning domain only when [g_rb_on] (zero hot-path cost otherwise);
-     the coordinator reads deltas to estimate recent load *)
-  g_node_load : int Atomic.t array;
-  g_rb_on : bool;
   g_migrations : int Atomic.t; (* installs completed, coordinator-read *)
 }
 
-type wrapper = {
-  w_site : Site.t;
-  w_node : Node.t;
-  (* the owner cell: shared with the site's send/output/suspect
-     closures, re-pointed by the installing shard.  Only the domain
-     that currently owns the site ever touches it; ring push/pop
-     orders the handover *)
-  w_owner : shard ref;
-  mutable w_pump_scheduled : bool;
-  (* set by the shipping shard: pump events already in its heap for
-     this wrapper become no-ops (the site now lives elsewhere) *)
-  mutable w_stale : bool;
-}
-
-and shard = {
+type shard = {
   sh_id : int;
   g : global;
   sim : Simnet.t;
-  quantum : int;
   loopback_delay : int;
-  ns : Nameservice.t option; (* the centralized service, shard 0 only *)
-  by_id : (int, wrapper) Hashtbl.t;
-  mutable wrappers : wrapper list;
+  (* the books and transport of the daemons this shard runs *)
+  host : Node.host;
+  (* the nodes installed here, by ip.  Only the owning domain touches
+     a node; ring push/pop orders the handover of a migrating one *)
+  nodes : (int, Node.t) Hashtbl.t;
   in_rings : element Spsc.t option array; (* index = source shard *)
   out_rings : element Spsc.t option array; (* index = destination shard *)
   out_bufs : outbuf array; (* index = destination shard; self unused *)
@@ -172,7 +152,6 @@ and shard = {
      -1 for none; consumed at the step boundary *)
   mig_cmd : int Atomic.t;
   (* shard-confined accumulators, merged after join *)
-  mutable outs : (int * Output.event) list;
   mutable packets : int;
   mutable bytes : int;
   mutable same_node : int;
@@ -181,7 +160,6 @@ and shard = {
   mutable envelopes_out : int; (* envelopes those flushes carried *)
   mutable parks : int;
   mutable drains : int; (* backpressure drain passes while pushing *)
-  mutable dead_letters : int;
   mutable forwarded : int; (* envelopes re-sent along the table *)
   mutable migrations_out : int; (* nodes this shard shipped *)
   mutable migrations_in : int; (* nodes this shard installed *)
@@ -189,13 +167,10 @@ and shard = {
   (* migrations dropped at teardown (g_stop while pushing): kept so
      the post-join merge still sees their sites' stats *)
   mutable lost_migs : migration list;
-  mutable suspected : (int * string) list;
-  mutable busy_until : int;
   mutable error : exn option;
   (* shard-local observability: nothing here is shared while the
      domain runs; merged after join *)
   tr : Trace.t;
-  tr_on : bool;
   mx : Metrics.t;
   m_packets : Metrics.counter;
   m_bytes : Metrics.counter;
@@ -217,7 +192,7 @@ and shard = {
 (* What actually travels through a ring: one flush's worth of
    same-destination envelopes (the array is freshly sized at flush;
    ownership passes to the consumer with the push), or one migrating
-   node — its [Node.t] plus every site with its owner cell. *)
+   node — its whole daemon, sites included. *)
 and element =
   | Batch of envelope array
   | Mig of migration
@@ -225,7 +200,6 @@ and element =
 and migration = {
   mg_ip : int;
   mg_node : Node.t;
-  mg_sites : (Site.t * shard ref) list;
   mg_sent_wall : float; (* host clock at ship, for [migration_ns] *)
 }
 
@@ -244,67 +218,34 @@ let shard_of_ip g ip = Atomic.get (Array.unsafe_get g.g_shard_map ip)
 let handoff_batch_max = 64
 
 (* ------------------------------------------------------------------ *)
-(* The event graph: scheduling, transport, delivery.  Mirrors
-   [Cluster]'s batched path minus faults/reliability.                  *)
+(* The shard's links: intra-shard Simnet links and the cross-shard
+   rings between the daemons of its nodes.                             *)
 
-let rec request_pump sh w ~delay =
-  if (not w.w_pump_scheduled) && (not w.w_stale) && Site.alive w.w_site
-  then begin
-    w.w_pump_scheduled <- true;
-    sched sh ~delay (fun () -> pump_event sh w)
-  end
-
-and pump_event sh w =
-  w.w_pump_scheduled <- false;
-  if (not w.w_stale) && Site.alive w.w_site then begin
-    let now = Simnet.now sh.sim in
-    let core, free = Node.earliest_core w.w_node in
-    if free > now then request_pump sh w ~delay:(free - now)
-    else begin
-      let cost = Site.pump ~now w.w_site ~quantum:sh.quantum in
-      if sh.g.g_rb_on then
-        ignore
-          (Atomic.fetch_and_add
-             (Array.unsafe_get sh.g.g_node_load (Node.ip w.w_node))
-             cost);
-      let duration = cost + context_switch_cost in
-      Node.occupy w.w_node ~core ~until:(now + duration);
-      sh.busy_until <- max sh.busy_until (now + duration);
-      if Site.busy w.w_site then request_pump sh w ~delay:duration
-    end
-  end
-
-and send_packet sh ~src_ip ?(ctx = Trace.null_span) (p : Packet.t) =
+let rec send_packet sh ~src_ip ?(ctx = Trace.null_span) (p : Packet.t) =
   let dst_ip = Packet.dst_ip p ~ns_ip:0 in
   let dst_shard = shard_of_ip sh.g dst_ip in
-  if dst_shard = sh.sh_id then
-    if dst_ip = src_ip then begin
-      (* same-node fast path, intact inside the shard: shared memory,
-         no size accounting, loopback latency only *)
-      sh.same_node <- sh.same_node + 1;
-      Metrics.incr sh.m_same_node;
-      sched sh ~delay:sh.loopback_delay (fun () ->
-          deliver sh ~at_ip:dst_ip ~ctx ~same_node:true p)
-    end
-    else begin
-      let bytes = Packet.byte_size p in
-      sh.packets <- sh.packets + 1;
-      sh.bytes <- sh.bytes + bytes;
-      Metrics.incr sh.m_packets;
-      Metrics.add sh.m_bytes bytes;
-      let delay = Simnet.packet_delay sh.sim ~src_ip ~dst_ip ~bytes in
-      sched sh ~delay (fun () -> deliver sh ~at_ip:dst_ip ~ctx p)
-    end
+  if dst_ip = src_ip && dst_shard = sh.sh_id then begin
+    (* same-node fast path, intact inside the shard: shared memory, no
+       size accounting, loopback latency only *)
+    sh.same_node <- sh.same_node + 1;
+    Metrics.incr sh.m_same_node;
+    sched sh ~delay:sh.loopback_delay (fun () ->
+        deliver sh ~at_ip:dst_ip ~ctx ~same_node:true p)
+  end
   else begin
     let bytes = Packet.byte_size p in
     sh.packets <- sh.packets + 1;
     sh.bytes <- sh.bytes + bytes;
     Metrics.incr sh.m_packets;
     Metrics.add sh.m_bytes bytes;
-    enqueue_handoff sh ~dst_shard
-      { env_pkt = p; env_src_ip = src_ip; env_dst_ip = dst_ip;
-        env_send_ts = Simnet.now sh.sim; env_bytes = bytes;
-        env_span = ctx }
+    if dst_shard = sh.sh_id then
+      let delay = Simnet.packet_delay sh.sim ~src_ip ~dst_ip ~bytes in
+      sched sh ~delay (fun () -> deliver sh ~at_ip:dst_ip ~ctx p)
+    else
+      enqueue_handoff sh ~dst_shard
+        { env_pkt = p; env_src_ip = src_ip; env_dst_ip = dst_ip;
+          env_send_ts = Simnet.now sh.sim; env_bytes = bytes;
+          env_span = ctx }
   end
 
 (* Buffer an outbound envelope.  The buffer's first envelope counts
@@ -420,31 +361,15 @@ and absorb_batch sh (batch : envelope array) =
   Atomic.decr sh.g.g_inflight;
   n
 
-(* Install a migrated node: re-point every site's owner cell, build
-   fresh wrappers (the shipper's old ones are stale and stay behind so
-   its leftover pump events no-op without cross-domain writes), reset
-   the node's core clock, drain the packets that raced ahead, wake the
-   busy sites — and only then release the in-transit [g_inflight]
-   unit (children counted before the parent is uncounted). *)
+(* Install a migrated node: schedule the packets that raced ahead of
+   it (parked in limbo), run its daemon here, and only then release the
+   in-transit [g_inflight] unit (children counted before the parent is
+   uncounted). *)
 and install_migration sh (m : migration) =
   sh.migrations_in <- sh.migrations_in + 1;
   sh.migration_ns <-
     sh.migration_ns
     + int_of_float ((Unix.gettimeofday () -. m.mg_sent_wall) *. 1e9);
-  Node.reset_cores m.mg_node;
-  let ws =
-    List.map
-      (fun (site, owner) ->
-        owner := sh;
-        let w =
-          { w_site = site; w_node = m.mg_node; w_owner = owner;
-            w_pump_scheduled = false; w_stale = false }
-        in
-        Hashtbl.replace sh.by_id (Site.site_id site) w;
-        sh.wrappers <- w :: sh.wrappers;
-        w)
-      m.mg_sites
-  in
   (match Hashtbl.find_opt sh.limbo m.mg_ip with
   | Some q ->
       Hashtbl.remove sh.limbo m.mg_ip;
@@ -453,50 +378,33 @@ and install_migration sh (m : migration) =
           sched sh ~delay:0 (fun () -> deliver sh ~at_ip:m.mg_ip ~ctx p))
         (List.rev !q)
   | None -> ());
-  List.iter
-    (fun w -> if Site.busy w.w_site then request_pump sh w ~delay:0)
-    ws;
+  Hashtbl.replace sh.nodes m.mg_ip m.mg_node;
+  Node.attach m.mg_node sh.host;
   Atomic.incr sh.g.g_migrations;
   Atomic.decr sh.g.g_inflight
 
 (* Ship one node to [dst]: the source half of a migration, run at the
    step boundary so no event is mid-flight on this shard.  Publishing
    the new owner *after* taking the in-flight unit and *before*
-   retiring the wrappers keeps every window covered: packets arriving
-   here afterwards miss [by_id] and forward; packets arriving at the
+   retiring the node keeps every window covered: packets arriving here
+   afterwards find no node and forward; packets arriving at the
    destination early park in its limbo under the unit we hold. *)
 and ship_node sh ~ip ~dst =
-  if
-    dst <> sh.sh_id && dst >= 0
-    && dst < sh.g.g_domains
-    && Atomic.get sh.g.g_shard_map.(ip) = sh.sh_id
-  then begin
-    let mine =
-      List.filter
-        (fun w -> (not w.w_stale) && Site.ip w.w_site = ip)
-        sh.wrappers
-    in
-    if mine <> [] then begin
+  match Hashtbl.find_opt sh.nodes ip with
+  | Some node
+    when dst <> sh.sh_id && dst >= 0 && dst < sh.g.g_domains
+         && Node.sites node <> [] ->
       (* buffered envelopes leave first so per-destination order is
          preserved across the ownership change *)
       ignore (flush_handoffs sh);
       Atomic.incr sh.g.g_inflight;
       Atomic.set sh.g.g_shard_map.(ip) dst;
-      List.iter
-        (fun w ->
-          w.w_stale <- true;
-          Hashtbl.remove sh.by_id (Site.site_id w.w_site))
-        mine;
-      sh.wrappers <- List.filter (fun w -> not w.w_stale) sh.wrappers;
+      Node.detach node;
+      Hashtbl.remove sh.nodes ip;
       sh.migrations_out <- sh.migrations_out + 1;
       push_element sh ~dst_shard:dst
-        (Mig
-           { mg_ip = ip;
-             mg_node = (List.hd mine).w_node;
-             mg_sites = List.map (fun w -> (w.w_site, w.w_owner)) mine;
-             mg_sent_wall = Unix.gettimeofday () })
-    end
-  end
+        (Mig { mg_ip = ip; mg_node = node; mg_sent_wall = Unix.gettimeofday () })
+  | _ -> ()
 
 and absorb_element sh = function
   | Batch batch -> absorb_batch sh batch
@@ -521,124 +429,39 @@ and drain_rings sh =
 
 and deliver sh ~at_ip ?(ctx = Trace.null_span) ?(same_node = false)
     (p : Packet.t) =
-  match p with
-  | Packet.Pns_register { site_name; id_name; nref; rtti } ->
-      let ns =
-        match sh.ns with
-        | Some ns -> ns
-        | None -> assert false (* ns traffic routes to shard 0 *)
-      in
-      if sh.tr_on then
-        Trace.emit sh.tr ~ts:(Simnet.now sh.sim) ~track:Trace.fabric_track
-          ~span:ctx Trace.Ns_serve;
-      let waiters =
-        Nameservice.register_id ns ~site:site_name ~name:id_name ~rtti nref
-      in
-      List.iter
-        (fun (wtr : Nameservice.waiter) ->
-          reply_ns sh ~from_ip:at_ip ~ctx
-            (Packet.Pns_reply
-               { req_id = wtr.Nameservice.w_req_id;
-                 dst_site = wtr.Nameservice.w_site;
-                 dst_ip = wtr.Nameservice.w_ip;
-                 result = Some nref;
-                 rtti }))
-        waiters
-  | Packet.Pns_lookup { site_name; id_name; req_id; requester_site;
-                        requester_ip; _ } -> (
-      let ns =
-        match sh.ns with Some ns -> ns | None -> assert false
-      in
-      if sh.tr_on then
-        Trace.emit sh.tr ~ts:(Simnet.now sh.sim) ~track:Trace.fabric_track
-          ~span:ctx Trace.Ns_serve;
-      let waiter =
-        { Nameservice.w_req_id = req_id; w_site = requester_site;
-          w_ip = requester_ip }
-      in
-      match Nameservice.lookup_id ns ~site:site_name ~name:id_name waiter with
-      | Some (nref, rtti) ->
-          reply_ns sh ~from_ip:at_ip ~ctx
-            (Packet.Pns_reply
-               { req_id; dst_site = requester_site; dst_ip = requester_ip;
-                 result = Some nref; rtti })
-      | None -> (* parked until the registration arrives *) ())
-  | Packet.Pmsg { dst; _ } | Packet.Pobj { dst; _ } ->
-      deliver_to_site sh dst.Netref.site_id ~ctx ~same_node p
-  | Packet.Pfetch_req { cls; _ } ->
-      deliver_to_site sh cls.Netref.site_id ~ctx ~same_node p
-  | Packet.Pfetch_rep { dst_site; _ } | Packet.Pns_reply { dst_site; _ } ->
-      deliver_to_site sh dst_site ~ctx ~same_node p
-  | Packet.Prelease { origin_site; _ } ->
-      deliver_to_site sh origin_site ~ctx ~same_node p
+  match Hashtbl.find_opt sh.nodes at_ip with
+  | Some node -> Node.deliver node ~ctx ~same_node p
+  | None -> not_here sh ~ip:at_ip ~ctx p
 
-and reply_ns sh ~from_ip ~ctx p =
-  (* mirror of [Cluster.reply_ns]: the reply travels under a child span
-     of the request; the name service is not a site, so its [Send]
-     lands on the fabric track (shard 0 owns the service, hence the
-     fabric events all originate there) *)
-  let ctx' =
-    if sh.tr_on then Trace.fresh_span sh.tr ~parent:ctx else Trace.null_span
-  in
-  sched sh ~delay:ns_processing_cost (fun () ->
-      if sh.tr_on then
-        Trace.emit sh.tr ~ts:(Simnet.now sh.sim) ~track:Trace.fabric_track
-          ~span:ctx'
-          (Trace.Send { pk = Packet.trace_pk p; bytes = Packet.byte_size p });
-      send_packet sh ~src_ip:from_ip ~ctx:ctx' p)
-
-and deliver_to_site sh site_id ~ctx ~same_node p =
-  match Hashtbl.find_opt sh.by_id site_id with
-  | Some w ->
-      if Site.alive w.w_site then begin
-        let now = Simnet.now sh.sim in
-        if sh.tr_on then
-          Trace.emit sh.tr ~ts:now ~track:site_id ~span:ctx
-            (Trace.Deliver { pk = Packet.trace_pk p; same_node });
-        Site.deliver ~ctx ~now w.w_site p;
-        request_pump sh w ~delay:0
-      end
-      else
-        sh.suspected <-
-          (Simnet.now sh.sim, Site.name w.w_site) :: sh.suspected
-  | None ->
-      let ips = sh.g.g_site_ip in
-      if site_id < 0 || site_id >= Array.length ips then begin
-        sh.dead_letters <- sh.dead_letters + 1;
-        sh.suspected <-
-          (Simnet.now sh.sim, Printf.sprintf "site#%d" site_id)
-          :: sh.suspected
-      end
-      else begin
-        let ip = Array.unsafe_get ips site_id in
-        let owner = shard_of_ip sh.g ip in
-        if owner <> sh.sh_id then begin
-          (* the node migrated away: forward along the current table
-             (no packet/byte re-count — the original hop was already
-             charged; the hop is zero-distance on the wire model) *)
-          sh.forwarded <- sh.forwarded + 1;
-          enqueue_handoff sh ~dst_shard:owner
-            { env_pkt = p; env_src_ip = ip; env_dst_ip = ip;
-              env_send_ts = Simnet.now sh.sim;
-              env_bytes = Packet.byte_size p; env_span = ctx }
-        end
-        else begin
-          (* the table says this shard owns the node, but its migration
-             envelope has not been popped yet: park the packet in
-             limbo.  The envelope's [g_inflight] unit (held until the
-             install finishes draining this queue) keeps quiescence
-             from firing with the packet parked here *)
-          let q =
-            match Hashtbl.find_opt sh.limbo ip with
-            | Some q -> q
-            | None ->
-                let q = ref [] in
-                Hashtbl.add sh.limbo ip q;
-                q
-          in
-          q := (ctx, p) :: !q
-        end
-      end
+(* A packet for a node this shard does not run. *)
+and not_here sh ~ip ~ctx p =
+  let owner = shard_of_ip sh.g ip in
+  if owner <> sh.sh_id then begin
+    (* the node migrated away: forward along the current table (no
+       packet/byte re-count — the original hop was already charged; the
+       hop is zero-distance on the wire model) *)
+    sh.forwarded <- sh.forwarded + 1;
+    enqueue_handoff sh ~dst_shard:owner
+      { env_pkt = p; env_src_ip = ip; env_dst_ip = ip;
+        env_send_ts = Simnet.now sh.sim; env_bytes = Packet.byte_size p;
+        env_span = ctx }
+  end
+  else begin
+    (* the table says this shard owns the node, but its migration
+       envelope has not been popped yet: park the packet in limbo.  The
+       envelope's [g_inflight] unit (held until the install finishes
+       draining this queue) keeps quiescence from firing with the
+       packet parked here *)
+    let q =
+      match Hashtbl.find_opt sh.limbo ip with
+      | Some q -> q
+      | None ->
+          let q = ref [] in
+          Hashtbl.add sh.limbo ip q;
+          q
+    in
+    q := (ctx, p) :: !q
+  end
 
 (* ------------------------------------------------------------------ *)
 (* The per-domain driver loop.                                         *)
@@ -766,9 +589,7 @@ type result = {
   suspected : (int * string) list;
   sites_per_shard : int array;
   placement_weights : float array; (* per-shard assigned weight *)
-  node_weights : float array;
-      (* measured per-node instruction counts — feed these back as
-         [Placement.Profile] for the next run of the same workload *)
+  node_weights : float array; (* measured per-node instruction counts *)
   events : int; (* simulation events across all shards *)
   clean : bool; (* quiesced with rings drained, heaps and limbo empty *)
   timed_out : bool;
@@ -817,48 +638,24 @@ let run ?(config = Cluster.default_config) ?placement
     force_migrations;
   (* resolve every site's node first: the placement policy needs the
      per-node site counts before any shard exists *)
-  let seen = Hashtbl.create 16 in
   let site_nodes =
-    List.mapi
-      (fun i (name, _) ->
-        if Hashtbl.mem seen name then
-          invalid_arg
-            (Printf.sprintf "Par_runner.run: duplicate site '%s'" name);
-        Hashtbl.add seen name ();
-        match placement with
-        | Some f ->
-            let n = f name in
-            if n < 0 || n >= nnodes then
-              invalid_arg
-                (Printf.sprintf "Par_runner.run: site '%s' placed on node %d"
-                   name n)
-            else n
-        | None -> i mod nnodes)
-      units
+    Node.place ~who:"Par_runner.run" ~nodes:nnodes ?placement units
   in
   let site_counts = Array.make nnodes 0 in
   List.iter (fun n -> site_counts.(n) <- site_counts.(n) + 1) site_nodes;
   let shard_map = Placement.assign ~domains ~site_counts policy in
   assert (Array.length shard_map = nnodes);
   assert (nnodes = 0 || shard_map.(0) = 0) (* NS host pinned to shard 0 *);
-  let weights =
-    match policy with
-    | Placement.Profile w -> w
-    | Placement.Mod | Placement.Greedy -> Array.map float_of_int site_counts
-  in
   let placement_weights =
-    Placement.shard_weights ~domains ~map:shard_map weights
+    Placement.shard_weights ~domains ~map:shard_map
+      (Array.map float_of_int site_counts)
   in
   let g =
     { g_domains = domains;
       g_shard_map = Array.map Atomic.make shard_map;
-      g_site_ip =
-        Array.of_list site_nodes (* site ids follow unit order below *);
       g_inflight = Atomic.make 0;
       g_stop = Atomic.make false;
       g_executed = Array.init domains (fun _ -> Atomic.make 0);
-      g_node_load = Array.init nnodes (fun _ -> Atomic.make 0);
-      g_rb_on = rebalance <> None;
       g_migrations = Atomic.make 0 }
   in
   (* ring matrix: rings.(src).(dst) carries src -> dst *)
@@ -905,12 +702,14 @@ let run ?(config = Cluster.default_config) ?placement
         { sh_id = s;
           g;
           sim;
-          quantum = config.Cluster.quantum;
           loopback_delay =
             Simnet.packet_delay sim ~src_ip:0 ~dst_ip:0 ~bytes:0;
-          ns = (if s = 0 then Some (Nameservice.create ()) else None);
-          by_id = Hashtbl.create 16;
-          wrappers = [];
+          host =
+            Node.host ~quantum:config.Cluster.quantum
+              ~retry:config.Cluster.site_retry
+              ~lifecycle:(Cluster.site_lifecycle config)
+              ~count_load:(rebalance <> None) ~tracer:tr ~metrics:mx ();
+          nodes = Hashtbl.create 16;
           in_rings = Array.init domains (fun src -> rings.(src).(s));
           out_rings = rings.(s);
           out_bufs =
@@ -918,7 +717,6 @@ let run ?(config = Cluster.default_config) ?placement
           weight = placement_weights.(s);
           limbo = Hashtbl.create 4;
           mig_cmd = Atomic.make (-1);
-          outs = [];
           packets = 0;
           bytes = 0;
           same_node = 0;
@@ -927,17 +725,13 @@ let run ?(config = Cluster.default_config) ?placement
           envelopes_out = 0;
           parks = 0;
           drains = 0;
-          dead_letters = 0;
           forwarded = 0;
           migrations_out = 0;
           migrations_in = 0;
           migration_ns = 0;
           lost_migs = [];
-          suspected = [];
-          busy_until = 0;
           error = None;
           tr;
-          tr_on = Trace.enabled tr;
           mx;
           m_packets = Metrics.counter mx "packets";
           m_bytes = Metrics.counter mx "bytes";
@@ -948,57 +742,31 @@ let run ?(config = Cluster.default_config) ?placement
           pending = Atomic.make 0;
           executed = g.g_executed.(s) })
   in
-  (* load sites (on the coordinating domain, before any shard domain
-     exists — construction is the last moment state is shared).  Any
-     packets sites emit while starting are buffered in the owning
-     shard's out_bufs; its domain flushes them on its first loop
-     iteration. *)
-  let next_site_id = ref (-1) in
-  List.iter2
-    (fun (name, unit_) node_idx ->
-      let node = nodes.(node_idx) in
+  Array.iter
+    (fun sh ->
+      Node.connect sh.host
+        { Node.send = (fun ~src_ip ~ctx p -> send_packet sh ~src_ip ~ctx p);
+          schedule = (fun ~delay f -> sched sh ~delay f);
+          now = (fun () -> Simnet.now sh.sim) })
+    shards;
+  Array.iter
+    (fun node ->
       let sh = shards.(shard_of_ip g (Node.ip node)) in
-      (* site ids follow unit order, as before *)
-      incr next_site_id;
-      let site_id = !next_site_id in
-      let lifecycle =
-        { Site.lc_lease_ns = config.Cluster.lease_ns;
-          lc_refresh_ns = config.Cluster.lease_refresh_ns;
-          lc_hold_ns = config.Cluster.lease_hold_ns;
-          lc_code_cache = config.Cluster.code_cache_capacity;
-          lc_done_horizon_ns =
-            Site.default_lifecycle.Site.lc_done_horizon_ns }
-      in
-      (* the owner cell: the site's callbacks route through whichever
-         shard currently owns the node, so a migration only has to
-         re-point this one ref *)
-      let owner = ref sh in
-      let w =
-        { w_site =
-            Site.create ~inputs:(inputs name)
-              ~retry:config.Cluster.site_retry ~lifecycle
-              ~on_suspect:(fun who ->
-                let sh = !owner in
-                sh.suspected <- (Simnet.now sh.sim, who) :: sh.suspected)
-              ~trace:sh.tr ~name ~site_id ~ip:(Node.ip node)
-              ~send:(fun ctx p ->
-                let sh = !owner in
-                send_packet sh ~src_ip:(Node.ip node) ~ctx p)
-              ~on_output:(fun e ->
-                let sh = !owner in
-                sh.outs <- (Simnet.now sh.sim, e) :: sh.outs)
-              ~unit_ ();
-          w_node = node;
-          w_owner = owner;
-          w_pump_scheduled = false;
-          w_stale = false }
-      in
-      Node.add_site node w.w_site;
-      Hashtbl.replace sh.by_id site_id w;
-      sh.wrappers <- w :: sh.wrappers;
-      Site.start w.w_site;
-      request_pump sh w ~delay:0)
-    units site_nodes;
+      Hashtbl.replace sh.nodes (Node.ip node) node;
+      Node.attach node sh.host)
+    nodes;
+  if nnodes > 0 then Node.serve_names nodes.(0);
+  (* load sites (on the coordinating domain, before any shard domain
+     exists — construction is the last moment state is shared), site
+     ids in unit order.  Any packets sites emit while starting are
+     buffered in the owning shard's out_bufs; its domain flushes them
+     on its first loop iteration. *)
+  List.iteri
+    (fun site_id ((name, unit_), node_idx) ->
+      ignore
+        (Node.load_site nodes.(node_idx) ~inputs:(inputs name) ~name ~site_id
+           unit_))
+    (List.combine units site_nodes);
   (* forced migrations (the deterministic test hook): posted before the
      domains spawn, so each is consumed at the owning shard's first
      step boundary and is guaranteed installed in a clean run.
@@ -1100,12 +868,12 @@ let run ?(config = Cluster.default_config) ?placement
             last_rb := now;
             let loads =
               Array.mapi
-                (fun ip c ->
-                  let v = Atomic.get c in
+                (fun ip node ->
+                  let v = Node.load node in
                   let d = v - last_loads.(ip) in
                   last_loads.(ip) <- v;
                   float_of_int d)
-                g.g_node_load
+                nodes
             in
             if !issued = Atomic.get g.g_migrations then begin
               let map = Array.map Atomic.get g.g_shard_map in
@@ -1170,9 +938,7 @@ let run ?(config = Cluster.default_config) ?placement
         match compare ts1 ts2 with
         | 0 -> compare e1.Output.site e2.Output.site
         | c -> c)
-      (Array.fold_left
-         (fun acc sh -> List.rev_append sh.outs acc)
-         [] shards)
+      (List.concat_map (fun sh -> Node.outputs sh.host) (Array.to_list shards))
   in
   let sum (f : shard -> int) =
     Array.fold_left (fun acc sh -> acc + f sh) 0 shards
@@ -1192,13 +958,16 @@ let run ?(config = Cluster.default_config) ?placement
     && Array.for_all (fun sh -> Atomic.get sh.pending = 0) shards
     && Array.for_all (fun sh -> Hashtbl.length sh.limbo = 0) shards
   in
-  (* every site this shard can account for: its live wrappers plus any
-     migration it had to drop at teardown *)
+  (* every site this shard can account for: those of its nodes plus
+     those of any migration it had to drop at teardown *)
+  let sites_here (sh : shard) =
+    Hashtbl.fold (fun _ n acc -> Node.sites n @ acc) sh.nodes []
+  in
   let shard_sites (sh : shard) =
-    List.rev_map (fun w -> w.w_site) sh.wrappers
-    @ List.concat_map
-        (fun m -> List.map fst m.mg_sites)
-        sh.lost_migs
+    List.sort
+      (fun a b -> compare (Site.site_id a) (Site.site_id b))
+      (sites_here sh)
+    @ List.concat_map (fun m -> Node.sites m.mg_node) sh.lost_migs
   in
   let instructions =
     sum (fun sh ->
@@ -1241,9 +1010,9 @@ let run ?(config = Cluster.default_config) ?placement
             | None -> () | Some r -> popped := !popped + Spsc.popped r)
           sh.in_rings;
         { ss_shard = sh.sh_id;
-          ss_sites = Hashtbl.length sh.by_id;
+          ss_sites = List.length (sites_here sh);
           ss_events = Atomic.get sh.executed;
-          ss_virtual_ns = max (Simnet.now sh.sim) sh.busy_until;
+          ss_virtual_ns = max (Simnet.now sh.sim) (Node.busy_until sh.host);
           ss_packets = sh.packets;
           ss_same_node = sh.same_node;
           ss_handoffs_in = sh.handoffs_in;
@@ -1300,7 +1069,7 @@ let run ?(config = Cluster.default_config) ?placement
   { outputs;
     virtual_ns =
       Array.fold_left
-        (fun acc sh -> max acc (max (Simnet.now sh.sim) sh.busy_until))
+        (fun acc sh -> max acc (max (Simnet.now sh.sim) (Node.busy_until sh.host)))
         0 shards;
     packets = sum (fun sh -> sh.packets);
     bytes = sum (fun sh -> sh.bytes);
@@ -1313,15 +1082,15 @@ let run ?(config = Cluster.default_config) ?placement
     domains;
     instructions;
     wall_ns;
-    dead_letters = sum (fun sh -> sh.dead_letters);
+    dead_letters = sum (fun sh -> Node.dead_letters sh.host);
     migrations = sum (fun sh -> sh.migrations_in);
     migration_ns = sum (fun sh -> sh.migration_ns);
     forwarded_envelopes = sum (fun sh -> sh.forwarded);
     suspected =
       List.concat_map
-        (fun (sh : shard) -> List.rev sh.suspected)
+        (fun (sh : shard) -> Node.suspected sh.host)
         (Array.to_list shards);
-    sites_per_shard = Array.map (fun sh -> Hashtbl.length sh.by_id) shards;
+    sites_per_shard = Array.map (fun sh -> List.length (sites_here sh)) shards;
     placement_weights;
     node_weights;
     events = sum (fun sh -> Atomic.get sh.executed);

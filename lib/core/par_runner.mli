@@ -1,12 +1,14 @@
 (** Parallel execution engine: the simulated cluster sharded over
     OCaml 5 domains.
 
-    Which nodes a shard owns is decided by a {!Placement} policy
-    ([ip mod domains] by default; greedy bin-packing over site counts
-    or profiled node weights when the caller opts in) — plus
-    everything beneath them: sites, VMs, export tables, intern areas,
-    statistics, and the shard's own {!Tyco_net.Simnet} (clock, heap,
-    PRNG, derived from the run seed per owner).  Cross-shard packets
+    Each shard runs the {!Node} daemons (TyCOd) of the nodes it owns —
+    the same daemon {!Cluster} and {!Tcp_runner} run — over its own
+    links.  Which nodes a shard owns is decided by a {!Placement}
+    policy ([ip mod domains] by default; greedy bin-packing over site
+    counts when the caller opts in); the shard owns everything beneath
+    them too: sites, VMs, export tables, intern areas, statistics, and
+    the shard's own {!Tyco_net.Simnet} (clock, heap, PRNG, derived from
+    the run seed per owner).  Cross-shard packets
     travel as envelope {e batches} through one bounded lock-free
     {!Tyco_support.Spsc_ring} per ordered shard pair: each shard
     coalesces same-destination envelopes and flushes each buffer as
@@ -37,12 +39,14 @@
     Dynamic rebalancing (PR 10): node ownership can change mid-run.
     The node-to-shard map is an indirection table of atomics; the
     coordinator watches per-node load and, past a threshold, has the
-    owning shard {e ship} the node through the ordinary rings as a
-    migration element.  One [g_inflight] unit is held from ship to
-    install (quiescence stays exact with a node in transit), packets
-    that arrive at the old owner are {e forwarded} along the table,
-    and packets that race ahead of the envelope park in the receiving
-    shard's limbo until the install drains them.  Totals are exported
+    owning shard {e ship} the node's daemon, sites included, through
+    the ordinary rings as a migration element; the receiving shard
+    attaches it to its own host.  One [g_inflight] unit is held from
+    ship to install (quiescence stays exact with a node in transit), a
+    packet for a node the shard does not run is {e forwarded} along
+    the table when the node lives elsewhere, and packets that race
+    ahead of the envelope park in the receiving shard's limbo until
+    the install drains them.  Totals are exported
     as [migrations] / [migration_ns] / [forwarded_envelopes].
 
     Configs requesting machinery the rings make redundant (reliable
@@ -132,12 +136,10 @@ type result = {
   suspected : (int * string) list;
   sites_per_shard : int array;
   placement_weights : float array;
-      (** per-shard static weight the placement assigned (site counts
-          under [Mod]/[Greedy], profile weights under [Profile]) *)
+      (** per-shard static weight the placement assigned (site
+          counts) *)
   node_weights : float array;
-      (** measured per-node VM instruction counts — feed back as
-          [Placement.Profile] (via [--placement profile:FILE]) for the
-          next run of the same workload *)
+      (** measured per-node VM instruction counts, for reports *)
   events : int;  (** simulation events across all shards *)
   clean : bool;
       (** quiesced with every ring drained, no in-flight elements,

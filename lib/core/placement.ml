@@ -14,26 +14,18 @@
      baseline the E20 gate compares against;
    - [Greedy]: greedy bin-packing (longest-processing-time order)
      seeded from static per-node weights — the runner passes site
-     counts, the only load signal available without a prior run;
-   - [Profile]: the same bin-packing seeded from measured per-node
-     weights (a prior run's per-node instruction counts, exported as
-     [node_weights] in the parallel report), closing the loop for
-     workloads whose skew static site counts cannot see.
+     counts, the only load signal available without a prior run.
 
    Every policy yields a total map (each node gets exactly one shard
    in [0, domains)), is deterministic for fixed inputs, and pins node
    0 — the name-service host — to shard 0, which the engine requires
    for NS routing. *)
 
-type policy =
-  | Mod
-  | Greedy
-  | Profile of float array (* per-node weights from a prior run *)
+type policy = Mod | Greedy
 
 let pp_policy ppf = function
   | Mod -> Format.fprintf ppf "mod"
   | Greedy -> Format.fprintf ppf "greedy"
-  | Profile w -> Format.fprintf ppf "profile(%d nodes)" (Array.length w)
 
 (* Greedy bin-packing, LPT order: heaviest node first, each into the
    currently lightest shard.  Ties break on the lowest index on both
@@ -76,14 +68,6 @@ let assign ~domains ~site_counts policy =
   match policy with
   | Mod -> Array.init nodes (fun ip -> ip mod domains)
   | Greedy -> greedy_map ~domains (Array.map float_of_int site_counts)
-  | Profile weights ->
-      if Array.length weights <> nodes then
-        invalid_arg
-          (Printf.sprintf
-             "Placement.assign: profile has %d node weights, cluster has %d \
-              nodes"
-             (Array.length weights) nodes);
-      greedy_map ~domains weights
 
 (* Per-shard weight totals under [map] — what the report exposes so a
    dashboard can see the imbalance a placement produced. *)

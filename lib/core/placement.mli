@@ -12,21 +12,15 @@ type policy =
   | Greedy
       (** Greedy bin-packing (heaviest node into the lightest shard)
           seeded from static per-node site counts. *)
-  | Profile of float array
-      (** The same bin-packing seeded from measured per-node weights —
-          e.g. a prior run's per-node instruction counts, exported as
-          [node_weights] by {!Report.par_json}.  Length must equal the
-          node count. *)
 
 val pp_policy : Format.formatter -> policy -> unit
 
 val assign : domains:int -> site_counts:int array -> policy -> int array
 (** [assign ~domains ~site_counts policy] maps node ip [i] to shard
     [(assign ...).(i)].  [site_counts.(i)] is the number of sites
-    placed on node [i] (the static weight [Greedy] packs by;
-    [Mod]/[Profile] use only its length).  Raises [Invalid_argument]
-    when [domains < 1] or a [Profile]'s length mismatches the node
-    count. *)
+    placed on node [i] (the static weight [Greedy] packs by; [Mod]
+    uses only its length).  Raises [Invalid_argument] when
+    [domains < 1]. *)
 
 val greedy_map : domains:int -> float array -> int array
 (** The bare bin-packing: deterministic, total, node 0 pinned to

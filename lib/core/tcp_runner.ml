@@ -1,9 +1,9 @@
 module Packet = Tyco_net.Packet
-module Nameservice = Tyco_net.Nameservice
-module Netref = Tyco_support.Netref
 module Trace = Tyco_support.Trace
 module Wire = Tyco_support.Wire
 module Metrics = Tyco_support.Metrics
+
+exception Node_failure of int * string
 
 type result = {
   outputs : Output.event list;
@@ -11,6 +11,7 @@ type result = {
   wall_ns : int;
   timed_out : bool;
   parks : int;
+  dead_letters : int;
   metrics : Metrics.t;
 }
 
@@ -37,6 +38,11 @@ let buf_append cb src n =
   Bytes.blit src 0 cb.data cb.len n;
   cb.len <- cb.len + n
 
+(* The longest frame a peer may announce.  A longer length prefix is a
+   protocol violation: the node fails instead of growing its reassembly
+   buffer to whatever the prefix claims. *)
+let max_frame_bytes = 1 lsl 24
+
 (* Extract complete frames. *)
 let buf_drain cb =
   let frames = ref [] in
@@ -50,6 +56,10 @@ let buf_drain cb =
         lor (Bytes.get_uint8 cb.data (!pos + 2) lsl 8)
         lor Bytes.get_uint8 cb.data (!pos + 3)
       in
+      if n > max_frame_bytes then
+        failwith
+          (Printf.sprintf "frame of %d bytes exceeds the %d-byte cap" n
+             max_frame_bytes);
       if cb.len - !pos - 4 >= n then begin
         frames := Bytes.sub_string cb.data (!pos + 4) n :: !frames;
         pos := !pos + 4 + n
@@ -69,7 +79,6 @@ let buf_drain cb =
 
 type node = {
   node_id : int;
-  port : int;
   listen : Unix.file_descr;
   (* outgoing connections, by peer node id *)
   peers : (int, Unix.file_descr) Hashtbl.t;
@@ -79,17 +88,21 @@ type node = {
   enc : Wire.enc;
   (* accepted incoming connections with reassembly buffers *)
   mutable accepted : (Unix.file_descr * conn_buf) list;
-  mutable sites : Site.t list;
-  (* only touched by this node's thread; packets keep their causal
-     span, exactly as they do over the TCP links (trailer) *)
-  inbox : (Packet.t * Trace.span) Queue.t;
-  ns : Nameservice.t;            (* used by node 0 only *)
+  (* this node's daemon: its sites and, on node 0, the name service *)
+  daemon : Node.t;
+  host : Node.host;
+  mutable sites : Site.t list; (* pumped by the loop itself *)
+  (* daemon work scheduled on this node — packets it addressed to
+     itself, name-service replies — run by the loop; only touched by
+     this node's domain *)
+  deferred : (unit -> unit) Queue.t;
   idle : bool Atomic.t;
   (* read buffer, reused across iterations (was a per-iteration 8 KB
      allocation) *)
   scratch : Bytes.t;
   (* idle parks taken by this node's domain, read after join *)
   mutable parks : int;
+  mutable error : exn option; (* what stopped this node, read after join *)
   (* node-confined metrics registry (the ad-hoc park/retry counters,
      folded): only this node's domain bumps it; merged after join *)
   mx : Metrics.t;
@@ -104,9 +117,6 @@ type shared = {
   in_flight : int Atomic.t;
   stop : bool Atomic.t;
   total_packets : int Atomic.t;
-  outputs_mu : Mutex.t;
-  mutable outputs : Output.event list; (* newest first *)
-  by_site_id : (int, int) Hashtbl.t;   (* site id -> node id, read-only *)
 }
 
 let connect_with_retry shared node peer =
@@ -193,72 +203,20 @@ let flush_tx shared node =
 (* ------------------------------------------------------------------ *)
 (* Per-node event loop.                                                *)
 
-let route shared node ~ctx (p : Packet.t) =
-  let dst_node =
-    match p with
-    | Packet.Pns_register _ | Packet.Pns_lookup _ -> 0
-    | Packet.Pmsg { dst; _ } | Packet.Pobj { dst; _ } -> dst.Netref.ip
-    | Packet.Pfetch_req { cls; _ } -> cls.Netref.ip
-    | Packet.Pfetch_rep { dst_ip; _ } | Packet.Pns_reply { dst_ip; _ } ->
-        dst_ip
-    | Packet.Prelease { origin_ip; _ } -> origin_ip
-  in
-  if dst_node = node.node_id then Queue.push (p, ctx) node.inbox
-  else send_to shared node dst_node ~ctx p
-
-let handle_ns shared node ~ctx (p : Packet.t) =
-  match p with
-  | Packet.Pns_register { site_name; id_name; nref; rtti } ->
-      let waiters =
-        Nameservice.register_id node.ns ~site:site_name ~name:id_name ~rtti
-          nref
-      in
-      List.iter
-        (fun (w : Nameservice.waiter) ->
-          route shared node ~ctx
-            (Packet.Pns_reply
-               { req_id = w.Nameservice.w_req_id;
-                 dst_site = w.Nameservice.w_site;
-                 dst_ip = w.Nameservice.w_ip;
-                 result = Some nref;
-                 rtti }))
-        waiters
-  | Packet.Pns_lookup
-      { site_name; id_name; req_id; requester_site; requester_ip; _ } -> (
-      let w =
-        { Nameservice.w_req_id = req_id; w_site = requester_site;
-          w_ip = requester_ip }
-      in
-      match Nameservice.lookup_id node.ns ~site:site_name ~name:id_name w with
-      | Some (nref, rtti) ->
-          route shared node ~ctx
-            (Packet.Pns_reply
-               { req_id; dst_site = requester_site; dst_ip = requester_ip;
-                 result = Some nref; rtti })
-      | None -> ())
-  | _ -> ()
-
-let deliver shared node ~ctx (p : Packet.t) =
-  match p with
-  | Packet.Pns_register _ | Packet.Pns_lookup _ -> handle_ns shared node ~ctx p
-  | Packet.Pmsg { dst; _ } | Packet.Pobj { dst; _ } ->
-      List.iter
-        (fun s ->
-          if Site.site_id s = dst.Netref.site_id then Site.deliver ~ctx s p)
-        node.sites
-  | Packet.Pfetch_req { cls; _ } ->
-      List.iter
-        (fun s ->
-          if Site.site_id s = cls.Netref.site_id then Site.deliver ~ctx s p)
-        node.sites
-  | Packet.Pfetch_rep { dst_site; _ } | Packet.Pns_reply { dst_site; _ } ->
-      List.iter
-        (fun s -> if Site.site_id s = dst_site then Site.deliver ~ctx s p)
-        node.sites
-  | Packet.Prelease { origin_site; _ } ->
-      List.iter
-        (fun s -> if Site.site_id s = origin_site then Site.deliver ~ctx s p)
-        node.sites
+(* The daemon's transport: a packet for this node stays in memory, any
+   other leaves over its peer's socket.  There is no virtual clock, so
+   scheduled work runs on the next pass of the loop. *)
+let transport shared node =
+  { Node.send =
+      (fun ~src_ip:_ ~ctx p ->
+        let dst = Packet.dst_ip p ~ns_ip:0 in
+        if dst = node.node_id then
+          Queue.push
+            (fun () -> Node.deliver node.daemon ~ctx ~same_node:false p)
+            node.deferred
+        else send_to shared node dst ~ctx p);
+    schedule = (fun ~delay:_ f -> Queue.push f node.deferred);
+    now = (fun () -> 0) }
 
 (* Idle parking: instead of a fixed 0.5 ms sleep per quiet iteration,
    the loop blocks in [select] on everything that can make work appear
@@ -279,7 +237,7 @@ let park node ~timeout =
   | _ -> ()
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
 
-let node_loop shared node () =
+let serve shared node =
   let backoff = ref park_min in
   while not (Atomic.get shared.stop) do
     let worked = ref false in
@@ -298,23 +256,30 @@ let node_loop shared node () =
         | 0 -> () (* peer closed; keep buffer for leftovers *)
         | n ->
             buf_append cb scratch n;
+            let frames = buf_drain cb in
+            if frames <> [] then begin
+              (* busy before the frames leave [in_flight], so no
+                 coordinator scan sees this node idle while it holds
+                 delivered but unprocessed work *)
+              Atomic.set node.idle false;
+              worked := true
+            end;
             List.iter
               (fun payload ->
                 Atomic.decr shared.in_flight;
-                worked := true;
                 let p, sp = Packet.of_string_traced payload in
-                deliver shared node
+                Node.deliver node.daemon
                   ~ctx:(Option.value ~default:Trace.null_span sp)
-                  p)
-              (buf_drain cb)
+                  ~same_node:false p)
+              frames
         | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
             ())
       node.accepted;
-    (* locally queued packets (self-routed name-service traffic) *)
-    while not (Queue.is_empty node.inbox) do
+    (* the daemon's deferred work (self-addressed packets, name-service
+       replies) *)
+    while not (Queue.is_empty node.deferred) do
       worked := true;
-      let p, ctx = Queue.pop node.inbox in
-      deliver shared node ~ctx p
+      (Queue.pop node.deferred) ()
     done;
     (* run the sites *)
     List.iter
@@ -324,12 +289,12 @@ let node_loop shared node () =
           ignore (Site.pump s ~quantum:2048)
         end)
       node.sites;
-    (* everything the sites and the NS queued this iteration leaves
+    (* everything the sites and the daemon queued this iteration leaves
        now, one write per peer *)
     flush_tx shared node;
     let busy =
       List.exists (fun s -> Site.busy s || Site.outstanding s > 0) node.sites
-      || not (Queue.is_empty node.inbox)
+      || not (Queue.is_empty node.deferred)
       || Hashtbl.fold (fun _ tx acc -> acc || tx.len > 0) node.tx false
     in
     Atomic.set node.idle (not busy);
@@ -338,7 +303,15 @@ let node_loop shared node () =
       park node ~timeout:!backoff;
       backoff := Float.min park_max (!backoff *. 2.)
     end
-  done;
+  done
+
+(* The node's domain: whatever escapes the loop stops the whole run and
+   is kept for the coordinator to re-raise at join. *)
+let node_loop shared node () =
+  (try serve shared node
+   with exn ->
+     node.error <- Some exn;
+     Atomic.set shared.stop true);
   (* teardown *)
   Hashtbl.iter (fun _ fd -> try Unix.close fd with Unix.Unix_error _ -> ()) node.peers;
   List.iter
@@ -371,10 +344,7 @@ let run ?(nodes = 4) ?base_port ?(inputs = fun _ -> [])
     { base_port;
       in_flight = Atomic.make 0;
       stop = Atomic.make false;
-      total_packets = Atomic.make 0;
-      outputs_mu = Mutex.create ();
-      outputs = [];
-      by_site_id = Hashtbl.create 16 }
+      total_packets = Atomic.make 0 }
   in
   let mk_node node_id =
     let listen = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -388,46 +358,45 @@ let run ?(nodes = 4) ?base_port ?(inputs = fun _ -> [])
         Metrics.create ~label:(Printf.sprintf "node%d" node_id) ~enabled:true ()
       else Metrics.disabled
     in
-    { node_id;
-      port = base_port + node_id;
-      listen;
-      peers = Hashtbl.create 8;
-      tx = Hashtbl.create 8;
-      enc = Wire.encoder ~size:256 ();
-      accepted = [];
-      sites = [];
-      inbox = Queue.create ();
-      ns = Nameservice.create ();
-      idle = Atomic.make true;
-      scratch = Bytes.create 8192;
-      parks = 0;
-      mx;
+    let daemon = Node.create ~node_id ~ip:node_id ~cores:1 in
+    let host = Node.host ~metrics:mx () in
+    let node =
+      { node_id;
+        listen;
+        peers = Hashtbl.create 8;
+        tx = Hashtbl.create 8;
+        enc = Wire.encoder ~size:256 ();
+        accepted = [];
+        daemon;
+        host;
+        sites = [];
+        deferred = Queue.create ();
+        idle = Atomic.make true;
+        scratch = Bytes.create 8192;
+        parks = 0;
+        error = None;
+        mx;
       m_parks = Metrics.counter mx "parks";
       m_packets = Metrics.counter mx "packets";
       m_bytes = Metrics.counter mx "bytes";
       m_retries = Metrics.counter mx "connect_retries" }
+    in
+    Node.connect host (transport shared node);
+    Node.attach daemon host;
+    if node_id = 0 then Node.serve_names daemon;
+    node
   in
   let node_arr = Array.init nodes mk_node in
   (* place sites round-robin, as the simulated cluster does *)
   List.iteri
-    (fun i (name, unit_) ->
-      let node = node_arr.(i mod nodes) in
-      let site_id = i in
-      Hashtbl.replace shared.by_site_id site_id node.node_id;
+    (fun site_id ((name, unit_), i) ->
+      let node = node_arr.(i) in
       let site =
-        Site.create ~name ~site_id ~ip:node.node_id
-          ~inputs:(inputs name)
-          ~send:(fun ctx p -> route shared node ~ctx p)
-          ~on_output:(fun e ->
-            Mutex.lock shared.outputs_mu;
-            shared.outputs <- e :: shared.outputs;
-            Mutex.unlock shared.outputs_mu)
-          ~unit_ ();
+        Node.load_site node.daemon ~inputs:(inputs name) ~name ~site_id unit_
       in
       node.sites <- site :: node.sites;
-      Site.start site;
       Atomic.set node.idle false)
-    units;
+    (List.combine units (Node.place ~who:"Tcp_runner.run" ~nodes units));
   let started = Unix.gettimeofday () in
   (* one OCaml domain per node: with more cores than nodes the node
      loops run truly in parallel (the systhread version they replace
@@ -458,6 +427,18 @@ let run ?(nodes = 4) ?base_port ?(inputs = fun _ -> [])
   let wall_ns =
     int_of_float ((Unix.gettimeofday () -. started) *. 1e9)
   in
+  Array.iter
+    (fun n ->
+      match n.error with
+      | Some exn ->
+          let msg =
+            match exn with
+            | Failure m | Site.Protocol_error m -> m
+            | e -> Printexc.to_string e
+          in
+          raise (Node_failure (n.node_id, msg))
+      | None -> ())
+    node_arr;
   let merged =
     (* Domain.join above is the happens-before edge for the node-
        confined registries *)
@@ -468,13 +449,20 @@ let run ?(nodes = 4) ?base_port ?(inputs = fun _ -> [])
     end
     else Metrics.disabled
   in
-  { outputs = List.rev shared.outputs;
+  let sum f = Array.fold_left (fun acc n -> acc + f n) 0 node_arr in
+  { outputs =
+      List.concat_map
+        (fun n -> List.map snd (Node.outputs n.host))
+        (Array.to_list node_arr);
     packets = Atomic.get shared.total_packets;
     wall_ns;
     timed_out = !timed_out;
-    parks = Array.fold_left (fun acc n -> acc + n.parks) 0 node_arr;
+    parks = sum (fun n -> n.parks);
+    dead_letters = sum (fun n -> Node.dead_letters n.host);
     metrics = merged }
 
 let run_program ?nodes ?base_port ?timeout_ms ?metrics prog =
   ignore (Api.typecheck prog);
-  run ?nodes ?base_port ?timeout_ms ?metrics (Api.compile prog)
+  try run ?nodes ?base_port ?timeout_ms ?metrics (Api.compile prog)
+  with Node_failure (id, m) ->
+    raise (Api.Error (Api.Runtime_error (Printf.sprintf "node %d failed: %s" id m)))

@@ -4,12 +4,15 @@
     discrete-event simulation (see DESIGN.md).  This module instead
     realizes the paper's §5 deployment literally, on the loopback
     network: every node is an OCaml 5 domain owning a TCP listening
-    socket (its "IP address" is a port), sites run inside their node's
-    domain — so nodes execute truly in parallel on a multicore host —
-    the TyCOd role — framing packets, routing them to peer nodes,
-    delivering to local site queues — is played by each node's event
-    loop, and the centralized name service lives on node 0.  The same
-    {!Site} machinery runs unchanged; only the transport differs.
+    socket (its "IP address" is a port) and running the {!Node} daemon
+    (TyCOd) — the same daemon the simulated engines run — over those
+    sockets.  Sites run inside their node's domain, so nodes execute
+    truly in parallel on a multicore host, and the centralized name
+    service lives on node 0.  Each node's loop accepts connections,
+    reads length-prefixed frames and hands them to the daemon, runs the
+    daemon's deferred work (self-addressed packets, name-service
+    replies), pumps its own busy sites, and writes what they sent in one
+    write per peer.
 
     A quiet node does not spin: it parks in [select] on its sockets
     under an exponentially growing timeout (50 us doubling to 5 ms,
@@ -20,22 +23,36 @@
     Execution is {e not} deterministic (the OS schedules the domains),
     so tests compare output multisets against the simulated runtime.
     Termination uses a coordinator scan: all nodes idle and no packets
-    in flight for two consecutive scans.
+    in flight for consecutive scans; a node marks itself busy before
+    the frames it reads leave the in-flight count.
+
+    Failures are loud: a frame that does not decode, a length prefix
+    above a fixed cap, or a site's runtime error stops every node, and
+    {!run} re-raises it at join as {!Node_failure}.
 
     Limitations (documented, by design): no virtual clock (wall time
     only), no failure injection, and perpetual programs must be
     bounded with [timeout_ms]. *)
 
+exception Node_failure of int * string
+(** An exception that stopped one node's domain, re-raised at join as
+    [(node id, message)].  {!run_program} maps it to
+    [Api.Error (Runtime_error "node N failed: ...")]. *)
+
 type result = {
-  outputs : Output.event list;   (** arrival order; racy across sites *)
+  outputs : Output.event list;
+      (** node by node, each in arrival order (racy across sites) *)
   packets : int;                 (** TCP packets exchanged *)
   wall_ns : int;                 (** elapsed wall-clock time *)
   timed_out : bool;
   parks : int;                   (** idle [select] parks across nodes *)
+  dead_letters : int;
+      (** packets for a site the receiving node does not host *)
   metrics : Tyco_support.Metrics.t;
       (** per-node registries (parks, packets, bytes, connect
-          retries) merged after the domains join; the disabled
-          singleton unless [run ~metrics:true] *)
+          retries, and the daemon's deliveries and dead letters)
+          merged after the domains join; the disabled singleton unless
+          [run ~metrics:true] *)
 }
 
 val default_base_port : pid:int -> nodes:int -> int

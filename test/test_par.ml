@@ -10,7 +10,7 @@
      and the end-of-run merge — observable as [clean = true] with
      [ring_pushed = ring_popped] and per-shard site ownership by the
      placement map ([ip mod domains] under the default [Mod] policy;
-     [Greedy]/[Profile] sweeps pinned below).
+     [Greedy] sweeps pinned below).
 
    TYCO_TEST_DOMAINS=N overrides the domain counts the equivalence
    tests sweep (CI runs the suite a second time with it set to 4). *)
@@ -255,11 +255,7 @@ let placement_map_properties () =
             Alcotest.(array int)
             (label ^ ": deterministic") map
             (Placement.assign ~domains ~site_counts policy))
-        [ ("mod", Placement.Mod);
-          ("greedy", Placement.Greedy);
-          ( "profile",
-            Placement.Profile
-              (Array.init nnodes (fun i -> float_of_int (1 + (i mod 3)))) ) ])
+        [ ("mod", Placement.Mod); ("greedy", Placement.Greedy) ])
     [ (2, 8); (4, 4); (8, 4); (32, 4); (64, 2) ];
   (* greedy actually balances a skew that mod packs badly: heavy nodes
      0 and 4 collide at ip mod 4 *)
@@ -272,18 +268,11 @@ let placement_map_properties () =
   if imb Placement.Greedy >= imb Placement.Mod then
     Alcotest.failf "greedy imbalance %.3f not below mod %.3f"
       (imb Placement.Greedy) (imb Placement.Mod);
-  (* profile length mismatch is loud *)
-  (match
-     Placement.assign ~domains:2 ~site_counts:[| 1; 1 |]
-       (Placement.Profile [| 1.0 |])
-   with
-  | _ -> Alcotest.fail "short profile accepted"
-  | exception Invalid_argument _ -> ());
   match Placement.assign ~domains:0 ~site_counts:[| 1 |] Placement.Mod with
   | _ -> Alcotest.fail "domains=0 accepted"
   | exception Invalid_argument _ -> ()
 
-(* Output-multiset equivalence under the load-aware policies, across
+(* Output-multiset equivalence under the load-aware policy, across
    node counts below, equal to, and far above the domain count. *)
 let policy_equivalence () =
   List.iter
@@ -294,7 +283,6 @@ let policy_equivalence () =
            sites stay on distinct nodes whenever nnodes >= 4 *)
         placement_spread name * max 1 (nnodes / 4) mod nnodes
       in
-      let profile = Array.init nnodes (fun i -> float_of_int (1 + (i mod 7))) in
       List.iter
         (fun (name, src) ->
           let prog = Api.parse src in
@@ -319,8 +307,7 @@ let policy_equivalence () =
                     Alcotest.failf "%s: timed out" label;
                   check Alcotest.bool (label ^ " clean") true
                     par.Par_runner.clean)
-                [ ("greedy", Placement.Greedy);
-                  ("profile", Placement.Profile profile) ])
+                [ ("greedy", Placement.Greedy) ])
             ds)
         corpus)
     [ ("nodes=8", 8, [ 2; 4; 8 ]);
@@ -419,6 +406,28 @@ let shard_stats_and_metrics () =
   check Alcotest.bool "latency breakdown" true
     (has json "\"latency_breakdown\"");
   check Alcotest.bool "p999 key" true (has json "\"p999\":")
+
+(* One metric schema: every engine runs the same node daemon, so the
+   merged registry of a two-domain run counts the daemon's site
+   deliveries, and on these programs — whose packets do not depend on
+   interleaving — exactly as many as the deterministic engine. *)
+let deliveries_counted_at_two_domains () =
+  let config = { config with Cluster.metrics = true } in
+  List.iter
+    (fun (name, src) ->
+      let prog = Api.parse src in
+      let det = Api.run_program ~config ~placement:placement_spread prog in
+      let want =
+        Tyco_support.Metrics.value (Cluster.metrics det.Api.cluster)
+          "deliveries"
+      in
+      let par =
+        Api.run_parallel ~config ~placement:placement_spread ~domains:2 prog
+      in
+      check Alcotest.bool (name ^ ": deterministic run delivers") true (want > 0);
+      check Alcotest.int (name ^ ": deliveries at 2 domains") want
+        (Tyco_support.Metrics.value par.Par_runner.metrics "deliveries"))
+    corpus
 
 (* Handoff batching: ring counters count batches, handoffs count the
    envelopes they carried, and the reported fill mean ties the two
@@ -765,6 +774,8 @@ let tests =
     ("handoff batching invariants", `Quick, handoff_batching_invariants);
     ("handoff flushed per event", `Quick, handoff_per_event);
     ("shard stats and metrics merge", `Quick, shard_stats_and_metrics);
+    ("deliveries counted at 2 domains", `Quick,
+     deliveries_counted_at_two_domains);
     ("rejects deterministic-only modes", `Quick,
      rejects_deterministic_only_modes);
     ("choose migration properties", `Quick, choose_migration_properties);

@@ -774,8 +774,106 @@ let tcp_runner_default_port_range () =
   | _ -> Alcotest.fail "a port block past 32768 accepted"
   | exception Invalid_argument _ -> ()
 
+(* A 2-node program an import nobody exports keeps busy forever, and a
+   peer that connects to node 1 and writes [bytes] to it. *)
+let never_quiescent =
+  lazy
+    (Api.compile
+       (Api.parse
+          {| site a { import ghost from b in ghost![1] }
+             site b { io!printi[7] } |}))
+
+let inject_into_node_1 ~base_port bytes =
+  Domain.spawn (fun () ->
+      let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, base_port + 1) in
+      let rec connect tries =
+        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        match Unix.connect fd addr with
+        | () -> fd
+        | exception Unix.Unix_error _ when tries > 0 ->
+            Unix.close fd;
+            Unix.sleepf 0.005;
+            connect (tries - 1)
+      in
+      let fd = connect 1000 in
+      ignore (Unix.write_substring fd bytes 0 (String.length bytes));
+      Unix.sleepf 0.05;
+      Unix.close fd)
+
+let length_prefixed payload =
+  let n = String.length payload in
+  String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xff)) ^ payload
+
+(* Fail loudly: bytes a node cannot accept stop the run with a failure
+   naming the node, instead of killing the node's domain silently and
+   leaving the coordinator to wait out the timeout.  The program never
+   quiesces, so only the failure can end the run early. *)
+let tcp_garbage_input_fails_fast () =
+  let base_port = Tcp_runner.default_base_port ~pid:(Unix.getpid ()) ~nodes:2 in
+  List.iter
+    (fun (what, bytes) ->
+      let injector = inject_into_node_1 ~base_port bytes in
+      let t0 = Unix.gettimeofday () in
+      (match
+         Tcp_runner.run ~nodes:2 ~base_port ~timeout_ms:20_000
+           (Lazy.force never_quiescent)
+       with
+      | _ -> Alcotest.failf "%s: run finished without failing" what
+      | exception Tcp_runner.Node_failure (id, _) ->
+          check Alcotest.int (what ^ ": names node 1") 1 id);
+      Domain.join injector;
+      let elapsed = Unix.gettimeofday () -. t0 in
+      if elapsed > 5. then
+        Alcotest.failf "%s: failure took %.1f s against a 20 s timeout" what
+          elapsed)
+    [ ("garbage frame", length_prefixed "\255\254\253");
+      ("oversized length prefix", "\255\255\255\255") ]
+
+(* A well-formed packet for a site node 1 does not host is a dead
+   letter, as in the simulated engines, not a silent drop. *)
+let tcp_dead_letter_counted () =
+  let base_port = Tcp_runner.default_base_port ~pid:(Unix.getpid ()) ~nodes:2 in
+  let dst =
+    Tyco_support.Netref.make ~kind:Tyco_support.Netref.Channel ~heap_id:0
+      ~site_id:99 ~ip:1
+  in
+  let injector =
+    inject_into_node_1 ~base_port
+      (length_prefixed
+         (Tyco_net.Packet.to_string
+            (Tyco_net.Packet.Pmsg { dst; label = "x"; args = [] })))
+  in
+  let r =
+    Tcp_runner.run ~nodes:2 ~base_port ~timeout_ms:1_000
+      (Lazy.force never_quiescent)
+  in
+  Domain.join injector;
+  check Alcotest.bool "ran to the timeout" true r.Tcp_runner.timed_out;
+  check Alcotest.int "dead letter counted" 1 r.Tcp_runner.dead_letters
+
+(* A site's runtime error ends the run the same way, and run_program
+   reports it as an Api runtime error naming the node. *)
+let tcp_site_error_fails_fast () =
+  let prog =
+    Api.parse
+      {| site a { def Spin() = Spin[] in Spin[] }
+         site b { io!printi[1 / 0] } |}
+  in
+  let t0 = Unix.gettimeofday () in
+  (match Tcp_runner.run_program ~nodes:2 ~timeout_ms:20_000 prog with
+  | _ -> Alcotest.fail "run finished without failing"
+  | exception Api.Error (Api.Runtime_error m) ->
+      check Alcotest.bool ("names node 1: " ^ m) true
+        (String.length m > 14 && String.sub m 0 14 = "node 1 failed:"));
+  if Unix.gettimeofday () -. t0 > 5. then
+    Alcotest.fail "site failure waited out the timeout"
+
 let tcp_tests =
   [ ("tcp transport: paper programs", `Slow, tcp_runner_paper_programs);
+    ("tcp transport: garbage input fails fast", `Quick,
+     tcp_garbage_input_fails_fast);
+    ("tcp transport: site error fails fast", `Quick, tcp_site_error_fails_fast);
+    ("tcp transport: dead letter counted", `Quick, tcp_dead_letter_counted);
     ("tcp transport: default port range", `Quick,
      tcp_runner_default_port_range);
     ("tcp transport: packets flow", `Quick, tcp_runner_packets_flow);
