@@ -26,14 +26,14 @@ let row fmt = Format.printf fmt
 
    --smoke   reduced iteration counts (CI-friendly wall clock)
    --json    additionally write the recorded measurements as a flat
-             JSON object (default BENCH_PR10.json; override with --out)
+             JSON object (default BENCH_PR15.json; override with --out)
 
    Keys are flat ("e1_vm_ns_per_reduction") so shell pipelines can
    extract them without a JSON parser. *)
 
 let smoke = ref false
 let json_mode = ref false
-let json_path = ref "BENCH_PR10.json"
+let json_path = ref "BENCH_PR15.json"
 let json_kvs : (string * string) list ref = ref [] (* newest first *)
 
 let record k v = json_kvs := (k, v) :: !json_kvs
@@ -713,8 +713,11 @@ let e16 () =
       1 + (int_of_string (String.sub name 4 (String.length name - 4)) mod 3)
     else 0
   in
-  let cfg ~batching ~reliable =
-    { Cluster.default_config with Cluster.batching; reliable }
+  (* [cap = 1] is the per-packet baseline: one frame per packet, sent
+     at enqueue with no flush event *)
+  let cfg ?(cap = Cluster.default_config.Cluster.flush_max_packets) ~reliable
+      () =
+    { Cluster.default_config with Cluster.flush_max_packets = cap; reliable }
   in
   let messages ~fanout = rounds * fanout * (burst + 2) in
   (* one trial: run the burst program, return the per-message stats *)
@@ -738,14 +741,14 @@ let e16 () =
     row "  %-26s %9d %9d %8.2f %8.2f %8.1f %12d@." name r.Api.packets
       (Cluster.frames_sent r.Api.cluster) fpp app fill r.Api.virtual_ns
   in
-  let b_unrel = trial (cfg ~batching:true ~reliable:false) in
-  let u_unrel = trial (cfg ~batching:false ~reliable:false) in
-  let b_rel = trial (cfg ~batching:true ~reliable:true) in
-  let u_rel = trial (cfg ~batching:false ~reliable:true) in
+  let b_unrel = trial (cfg ~reliable:false ()) in
+  let u_unrel = trial (cfg ~cap:1 ~reliable:false ()) in
+  let b_rel = trial (cfg ~reliable:true ()) in
+  let u_rel = trial (cfg ~cap:1 ~reliable:true ()) in
   show "batched" b_unrel;
-  show "unbatched" u_unrel;
+  show "flush cap 1" u_unrel;
   show "batched + reliable" b_rel;
-  show "unbatched + reliable" u_rel;
+  show "flush cap 1 + reliable" u_rel;
   let (rb, fpp_b, _, fill_b, _) = b_unrel in
   let (_, fpp_u, _, _, _) = u_unrel in
   let (rbr, fpp_br, app_br, _, piggy_br) = b_rel in
@@ -779,41 +782,40 @@ let e16 () =
     Cluster.load ~placement cluster units;
     Cluster.run cluster
   in
-  let b_ns = bench_ns "e16-batched" (thunk placement (cfg ~batching:true ~reliable:true)) in
-  let u_ns = bench_ns "e16-unbatched" (thunk placement (cfg ~batching:false ~reliable:true)) in
-  let b_words = minor_words_per_run (thunk placement (cfg ~batching:true ~reliable:true)) in
-  let u_words = minor_words_per_run (thunk placement (cfg ~batching:false ~reliable:true)) in
-  let base_words =
-    minor_words_per_run (thunk (fun _ -> 0) (cfg ~batching:true ~reliable:true))
-  in
+  let batched = cfg ~reliable:true () and cap1 = cfg ~cap:1 ~reliable:true () in
+  let b_ns = bench_ns "e16-batched" (thunk placement batched) in
+  let u_ns = bench_ns "e16-cap1" (thunk placement cap1) in
+  let b_words = minor_words_per_run (thunk placement batched) in
+  let u_words = minor_words_per_run (thunk placement cap1) in
+  let base_words = minor_words_per_run (thunk (fun _ -> 0) batched) in
   let b_net = (b_words -. base_words) /. msgs in
   let u_net = (u_words -. base_words) /. msgs in
   let words_red = 100. *. (1. -. (b_net /. u_net)) in
   row "  host cost/message (reliable): %.0f ns, %.1f minor-words batched; \
-       %.0f ns, %.1f minor-words unbatched@."
+       %.0f ns, %.1f minor-words at flush cap 1@."
     (b_ns /. msgs) (b_words /. msgs) (u_ns /. msgs) (u_words /. msgs);
   row "  transport minor-words/message (net of %.1f same-node baseline): \
-       %.1f batched vs %.1f unbatched (%.0f%% fewer)@."
+       %.1f batched vs %.1f at flush cap 1 (%.0f%% fewer)@."
     (base_words /. msgs) b_net u_net words_red;
   record_f "e16_frames_per_packet" fpp_b;
-  record_f "e16_unbatched_frames_per_packet" fpp_u;
+  record_f "e16_cap1_frames_per_packet" fpp_u;
   record_f "e16_frames_reduction" red_unrel;
   record_f "e16_reliable_frames_per_packet" fpp_br;
-  record_f "e16_reliable_unbatched_frames_per_packet" fpp_ur;
+  record_f "e16_reliable_cap1_frames_per_packet" fpp_ur;
   record_f "e16_reliable_frames_reduction" red_rel;
   record_f "e16_acks_per_packet" app_br;
-  record_f "e16_unbatched_acks_per_packet" app_ur;
+  record_f "e16_cap1_acks_per_packet" app_ur;
   record_i "e16_acks_piggybacked" piggy_br;
   record_f "e16_batch_fill_mean" fill_b;
   record_i "e16_batched_virtual_ns" rb.Api.virtual_ns;
   record_i "e16_reliable_batched_virtual_ns" rbr.Api.virtual_ns;
   record_f "e16_batched_ns_per_msg" (b_ns /. msgs);
-  record_f "e16_unbatched_ns_per_msg" (u_ns /. msgs);
+  record_f "e16_cap1_ns_per_msg" (u_ns /. msgs);
   record_f "e16_batched_minor_words_per_msg" (b_words /. msgs);
-  record_f "e16_unbatched_minor_words_per_msg" (u_words /. msgs);
+  record_f "e16_cap1_minor_words_per_msg" (u_words /. msgs);
   record_f "e16_baseline_minor_words_per_msg" (base_words /. msgs);
   record_f "e16_transport_minor_words_per_msg_batched" b_net;
-  record_f "e16_transport_minor_words_per_msg_unbatched" u_net;
+  record_f "e16_transport_minor_words_per_msg_cap1" u_net;
   record_f "e16_minor_words_reduction_pct" words_red;
   if not !smoke then begin
     (* the sweep: flush thresholds x fan-out x payload *)
@@ -828,27 +830,25 @@ let e16 () =
       (fun n ->
         sweep
           (Printf.sprintf "flush_max_packets=%d" n)
-          { (cfg ~batching:true ~reliable:false) with
-            Cluster.flush_max_packets = n })
+          (cfg ~cap:n ~reliable:false ()))
       [ 2; 4; 8; 16; 32 ];
     List.iter
       (fun d ->
         sweep
           (Printf.sprintf "flush_deadline_ns=%d" d)
-          { (cfg ~batching:true ~reliable:false) with
-            Cluster.flush_deadline_ns = d })
+          { (cfg ~reliable:false ()) with Cluster.flush_deadline_ns = d })
       [ 0; 1_000; 10_000 ];
     List.iter
       (fun fanout ->
         sweep
           (Printf.sprintf "fanout=%d" fanout)
-          ~fanout (cfg ~batching:true ~reliable:false))
+          ~fanout (cfg ~reliable:false ()))
       [ 1; 2; 3 ];
     List.iter
       (fun payload ->
         sweep
           (Printf.sprintf "payload=%d args" payload)
-          ~payload (cfg ~batching:true ~reliable:false))
+          ~payload (cfg ~reliable:false ()))
       [ 1; 8; 32 ]
   end
 
@@ -959,7 +959,7 @@ let e18 () =
     { base with
       Cluster.lease_ns = 200_000; lease_refresh_ns = 50_000 }
   in
-  let unbatched = { base with Cluster.batching = false } in
+  let cap1 = { base with Cluster.flush_max_packets = 1 } in
   let metered = { base with Cluster.metrics = true } in
   let pct over baseline =
     if baseline > 0. then (over -. baseline) /. baseline *. 100. else nan
@@ -986,9 +986,9 @@ let e18 () =
   report "local" local
     [ ("trace", traced); ("lease", leased); ("metrics", metered) ];
   (* cross-node: what the same subsystems cost when actually exercised,
-     plus the batching delta (frames vs per-packet transmission) *)
+     plus the batching delta (one frame per packet at flush cap 1) *)
   report "xnode" xnode
-    [ ("trace", traced); ("lease", leased); ("nobatch", unbatched);
+    [ ("trace", traced); ("lease", leased); ("cap1", cap1);
       ("metrics", metered) ]
 
 (* ------------------------------------------------------------------ *)

@@ -112,17 +112,15 @@ let run_source ?config ?placement ?max_events ?until src =
    suite pins this), and it remains the only mode with timestamps
    deterministic enough for the differential tests.  More than one
    domain goes to the sharded engine. *)
-let run_parallel ?config ?placement ?policy ?(inputs = []) ?max_events
-    ?(typecheck = true) ?on_snapshot ?snapshot_every_ms ?rebalance
-    ?force_migrations ~domains prog : Par_runner.result =
+let run_parallel ?config ?placement ?policy ?max_events ?on_snapshot
+    ?snapshot_every_ms ?rebalance ?force_migrations ~domains prog :
+    Par_runner.result =
   if domains <= 1 then begin
     ignore policy (* one shard: every placement map is the identity *);
     ignore rebalance (* one shard: nowhere to migrate to *);
     ignore force_migrations;
     let t0 = Unix.gettimeofday () in
-    let r =
-      run_program ?config ?placement ?max_events ~inputs ~typecheck prog
-    in
+    let r = run_program ?config ?placement ?max_events prog in
     let wall_ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
     let c = r.cluster in
     let instructions =
@@ -193,19 +191,11 @@ let run_parallel ?config ?placement ?policy ?(inputs = []) ?max_events
       sites = Cluster.sites c }
   end
   else begin
-    if typecheck then
-      ignore (
-        try Infer.check_program prog
-        with Infer.Error e ->
-          raise (Error (Type_error (Format.asprintf "%a" Infer.pp_error e))));
+    ignore (typecheck prog);
     let units = compile prog in
-    let site_inputs name =
-      Option.value ~default:[] (List.assoc_opt name inputs)
-    in
     try
-      Par_runner.run ?config ?placement ?policy ~inputs:site_inputs
-        ?max_events ?on_snapshot ?snapshot_every_ms ?rebalance
-        ?force_migrations ~domains units
+      Par_runner.run ?config ?placement ?policy ?max_events ?on_snapshot
+        ?snapshot_every_ms ?rebalance ?force_migrations ~domains units
     with
     | Par_runner.Shard_failure (id, m) ->
         raise (Error (Runtime_error (Printf.sprintf "shard %d failed: %s" id m)))

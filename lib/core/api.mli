@@ -61,9 +61,7 @@ val run_parallel :
   ?config:Cluster.config ->
   ?placement:(string -> int) ->
   ?policy:Placement.policy ->
-  ?inputs:(string * int list) list ->
   ?max_events:int ->
-  ?typecheck:bool ->
   ?on_snapshot:(Par_runner.snapshot -> unit) ->
   ?snapshot_every_ms:int ->
   ?rebalance:Par_runner.rebalance ->

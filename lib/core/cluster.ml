@@ -1,11 +1,11 @@
 module Simnet = Tyco_net.Simnet
 module Packet = Tyco_net.Packet
-module Latency = Tyco_net.Latency
 module Stats = Tyco_support.Stats
 module Prng = Tyco_support.Prng
 module Trace = Tyco_support.Trace
 module Metrics = Tyco_support.Metrics
 module Dq = Tyco_support.Dq
+module Netref = Tyco_support.Netref
 
 (* The paper's first implementation uses a centralized name service;
    its stated future work is a distributed one "for reasons of both
@@ -43,11 +43,8 @@ type config = {
   trace_capacity : int;
   metrics : bool;
   packet_log_capacity : int;
-  batching : bool;
   flush_max_packets : int;
-  flush_max_bytes : int;
   flush_deadline_ns : int;
-  ack_delay_ns : int;
   lease_ns : int;
   lease_refresh_ns : int;
   lease_hold_ns : int;
@@ -58,8 +55,7 @@ type config = {
    coalesces everything a site emits within one scheduling event (the
    flush runs as a separate event at the same timestamp, after the
    current pump), so bursts batch fully while a lone packet is never
-   delayed.  The ack delay is well under the retransmission timeout so
-   delayed acks cannot cause spurious retransmits. *)
+   delayed. *)
 let default_config =
   { nodes = 4;
     cores_per_node = 2;
@@ -76,15 +72,19 @@ let default_config =
     trace_capacity = 65536;
     metrics = false;
     packet_log_capacity = 4096;
-    batching = true;
     flush_max_packets = 16;
-    flush_max_bytes = 8192;
     flush_deadline_ns = 0;
-    ack_delay_ns = 30_000;
     lease_ns = 0;
     lease_refresh_ns = 0;
     lease_hold_ns = 0;
     code_cache_capacity = Site.default_lifecycle.Site.lc_code_cache }
+
+(* An outbox also flushes once it holds this many payload bytes.  A
+   receiver holds a cumulative ack up to [ack_delay_ns] hoping to
+   piggyback it on reverse traffic — well under [retry.rto_ns], so
+   delaying acks never causes spurious retransmits. *)
+let flush_max_bytes = 8192
+let ack_delay_ns = 30_000
 
 (* Per-(src, dst) transmit coalescing: packets headed for the same
    node wait here until a flush — by packet-count threshold, byte
@@ -104,9 +104,9 @@ type outbox = {
   mutable ob_flush_scheduled : bool;
 }
 
-(* One reliable batch transmission: retransmitted whole (minus the
-   cumulatively-acked prefix) until the peer's ack floor passes its
-   last sequence number. *)
+(* One flushed batch: sent as one [Fbatch] frame and, in reliable
+   mode, retransmitted whole (minus the cumulatively-acked prefix)
+   until the peer's ack floor passes its last sequence number. *)
 type bxmit = {
   bx_src_ip : int;
   bx_dst_ip : int;
@@ -115,7 +115,7 @@ type bxmit = {
      acked prefixes advance [bx_lo] instead of rebuilding a list *)
   bx_pkts : Packet.t array;
   bx_ctxs : Trace.span array;
-  bx_sizes : int array;
+  bx_sizes : int array; (* payload bytes; [||] unless reliable *)
   mutable bx_lo : int;
   mutable bx_payload_bytes : int; (* of the unacked suffix *)
   bx_span : Trace.span; (* the batch's fabric span, kept across retries *)
@@ -265,19 +265,6 @@ let pending_of t ~src_ip ~dst_ip =
       Hashtbl.add t.pending_batches (src_ip, dst_ip) q;
       q
 
-(* One reliable transmission: a frame retransmitted until the peer
-   daemon acknowledges it (or attempts are exhausted). *)
-type xmit = {
-  x_src_ip : int;
-  x_dst_ip : int;
-  x_seq : int;
-  x_packet : Packet.t;
-  x_span : Trace.span; (* the packet's causal span, kept across retries *)
-  x_bytes : int;
-  mutable x_attempts : int;
-  mutable x_acked : bool;
-}
-
 (* ------------------------------------------------------------------ *)
 (* The links between the node daemons.                                 *)
 
@@ -321,8 +308,10 @@ and route_ip t ~src_ip (p : Packet.t) =
       src_ip mod t.replicas
   | _ -> Packet.dst_ip p ~ns_ip:0
 
-and send_packet t ~src_ip ?(ctx = Trace.null_span) (p : Packet.t) =
-  let dst_ip = route_ip t ~src_ip p in
+(* Every packet a daemon sends: it either stays on its node or waits
+   in the outbox towards [dst_ip] — the only way a packet leaves its
+   node. *)
+and send_packet t ~src_ip ~dst_ip ~ctx (p : Packet.t) =
   if dst_ip = src_ip then begin
     (* Same-node fast path (the paper's same-node optimization): both
        endpoints share the node's memory, so the packet is handed to the
@@ -340,24 +329,10 @@ and send_packet t ~src_ip ?(ctx = Trace.null_span) (p : Packet.t) =
         t.in_flight <- t.in_flight - 1;
         deliver t ~at_ip:dst_ip ~ctx ~same_node:true p)
   end
-  else begin
-    Metrics.incr t.m_packets;
-    if t.cfg.batching then enqueue_outbox t ~src_ip ~dst_ip ~ctx p
-    else if t.cfg.reliable then send_reliable t ~src_ip ~dst_ip ~ctx p
-    else begin
-      let bytes = Packet.byte_size p in
-      t.packets <- t.packets + 1;
-      t.bytes <- t.bytes + bytes;
-      Metrics.add t.m_bytes bytes;
-      Stats.Counter.incr t.c_frames;
-      log_packet t p;
-      transmit t ~src_ip ~dst_ip ~bytes (fun () ->
-          deliver t ~at_ip:dst_ip ~ctx p)
-    end
-  end
+  else enqueue_outbox t ~src_ip ~dst_ip ~ctx p
 
 (* ------------------------------------------------------------------ *)
-(* Batched transmit path.
+(* The outbox path.
 
    Every cross-node packet is counted ([packets], [bytes] of its
    payload contribution, packet log) exactly once, here at enqueue;
@@ -369,6 +344,7 @@ and enqueue_outbox t ~src_ip ~dst_ip ~ctx (p : Packet.t) =
   let ob = outbox_of t ~src_ip ~dst_ip in
   let bytes = Packet.byte_size p in
   t.packets <- t.packets + 1;
+  Metrics.incr t.m_packets;
   Metrics.add t.m_bytes bytes;
   log_packet t p;
   t.in_flight <- t.in_flight + 1;
@@ -393,7 +369,7 @@ and enqueue_outbox t ~src_ip ~dst_ip ~ctx (p : Packet.t) =
   ob.ob_bytes <- ob.ob_bytes + bytes;
   if
     ob.ob_count >= t.cfg.flush_max_packets
-    || ob.ob_bytes >= t.cfg.flush_max_bytes
+    || ob.ob_bytes >= flush_max_bytes
   then flush_outbox t ob
   else if not ob.ob_flush_scheduled then begin
     ob.ob_flush_scheduled <- true;
@@ -405,20 +381,22 @@ and enqueue_outbox t ~src_ip ~dst_ip ~ctx (p : Packet.t) =
 and flush_outbox t ob =
   if ob.ob_count > 0 then begin
     let count = ob.ob_count in
-    let payload_bytes = ob.ob_bytes in
+    let reliable = t.cfg.reliable in
     (* snapshot the buffers (the outbox refills while the frame is in
-       flight) — two small arrays, the only per-flush allocation *)
+       flight) — small arrays, the only per-flush allocation besides
+       the batch record; only a partial ack needs the sizes *)
     let pkts = Array.sub ob.ob_pkts 0 count in
     let ctxs = Array.sub ob.ob_ctxs 0 count in
+    let sizes = if reliable then Array.sub ob.ob_sizes 0 count else [||] in
+    let payload_bytes = ob.ob_bytes in
     ob.ob_count <- 0;
     ob.ob_bytes <- 0;
     t.in_flight <- t.in_flight - count;
     let now = Simnet.now t.sim in
-    let traced = t.tr_on in
     for i = 0 to count - 1 do
       let wait = now - ob.ob_enq_ts.(i) in
       Stats.Dist.add_int t.d_flush_wait wait;
-      if traced && wait > 0 then
+      if t.tr_on && wait > 0 then
         Trace.emit t.tracer ~ts:now ~track:Trace.fabric_track
           ~span:ctxs.(i)
           (Trace.Flush_wait { ns = wait })
@@ -431,48 +409,16 @@ and flush_outbox t ob =
     for _ = 2 to count do
       ignore (Node.fresh_seq src ~dst_ip:ob.ob_dst_ip)
     done;
-    if t.cfg.reliable then begin
-      let bx =
-        { bx_src_ip = ob.ob_src_ip; bx_dst_ip = ob.ob_dst_ip;
-          bx_base_seq = base_seq; bx_pkts = pkts; bx_ctxs = ctxs;
-          bx_sizes = Array.sub ob.ob_sizes 0 count; bx_lo = 0;
-          bx_payload_bytes = payload_bytes;
-          bx_span = Trace.fresh_span t.tracer ~parent:Trace.null_span;
-          bx_attempts = 0; bx_done = false }
-      in
-      let pending = pending_of t ~src_ip:ob.ob_src_ip ~dst_ip:ob.ob_dst_ip in
-      Dq.push_back pending bx;
-      attempt_batch t bx
-    end
-    else begin
-      (* unreliable: one fire-and-forget frame; the fault dice roll once
-         for the frame, so a dropped frame loses the whole batch — the
-         per-packet path had the same per-transmission loss semantics *)
-      let fbytes =
-        Packet.batch_byte_size ~src_ip:ob.ob_src_ip ~base_seq ~ack_floor:0
-          ~count ~payload_bytes
-      in
-      t.bytes <- t.bytes + fbytes;
-      Stats.Counter.incr t.c_frames;
-      let span =
-        if traced then begin
-          let sp = Trace.fresh_span t.tracer ~parent:Trace.null_span in
-          Trace.emit t.tracer ~ts:now ~track:Trace.fabric_track ~span:sp
-            (Trace.Send { pk = Trace.Kbatch; bytes = fbytes });
-          sp
-        end
-        else Trace.null_span
-      in
-      let dst_ip = ob.ob_dst_ip in
-      transmit t ~src_ip:ob.ob_src_ip ~dst_ip ~bytes:fbytes (fun () ->
-          if t.tr_on then
-            Trace.emit t.tracer ~ts:(Simnet.now t.sim)
-              ~track:Trace.fabric_track ~span
-              (Trace.Deliver { pk = Trace.Kbatch; same_node = false });
-          for i = 0 to count - 1 do
-            deliver t ~at_ip:dst_ip ~ctx:ctxs.(i) pkts.(i)
-          done)
-    end
+    let bx =
+      { bx_src_ip = ob.ob_src_ip; bx_dst_ip = ob.ob_dst_ip;
+        bx_base_seq = base_seq; bx_pkts = pkts; bx_ctxs = ctxs;
+        bx_sizes = sizes; bx_lo = 0; bx_payload_bytes = payload_bytes;
+        bx_span = Trace.fresh_span t.tracer ~parent:Trace.null_span;
+        bx_attempts = 0; bx_done = false }
+    in
+    if reliable then
+      Dq.push_back (pending_of t ~src_ip:ob.ob_src_ip ~dst_ip:ob.ob_dst_ip) bx;
+    send_batch t bx
   end
 
 (* The cumulative-ack floor a batch from [at_ip] to [peer_ip] carries:
@@ -488,7 +434,12 @@ and piggyback_floor t ~at_ip ~peer_ip =
   end;
   Node.rx_floor (node_of_ip t at_ip) ~src_ip:peer_ip
 
-and attempt_batch t (bx : bxmit) =
+(* Put a batch on the fabric as one [Fbatch] frame: the one place a
+   data frame is charged and transmitted.  An unreliable frame goes
+   once — the fault dice roll once for it, so a dropped frame loses the
+   whole batch.  A reliable one piggybacks the ack floor and arms its
+   retransmission. *)
+and send_batch t (bx : bxmit) =
   bx.bx_attempts <- bx.bx_attempts + 1;
   if bx.bx_attempts > 1 then begin
     Stats.Counter.incr t.c_retries;
@@ -502,12 +453,14 @@ and attempt_batch t (bx : bxmit) =
      of this frame are in flight *)
   let base_seq = bx.bx_base_seq in
   let lo = bx.bx_lo in
-  let count = Array.length bx.bx_pkts - lo in
   let ack_floor =
-    piggyback_floor t ~at_ip:bx.bx_src_ip ~peer_ip:bx.bx_dst_ip
+    if t.cfg.reliable then
+      piggyback_floor t ~at_ip:bx.bx_src_ip ~peer_ip:bx.bx_dst_ip
+    else 0
   in
   let fbytes =
-    Packet.batch_byte_size ~src_ip:bx.bx_src_ip ~base_seq ~ack_floor ~count
+    Packet.batch_byte_size ~src_ip:bx.bx_src_ip ~base_seq ~ack_floor
+      ~count:(Array.length bx.bx_pkts - lo)
       ~payload_bytes:bx.bx_payload_bytes
   in
   t.bytes <- t.bytes + fbytes;
@@ -517,9 +470,12 @@ and attempt_batch t (bx : bxmit) =
       ~span:bx.bx_span
       (Trace.Send { pk = Trace.Kbatch; bytes = fbytes });
   transmit t ~src_ip:bx.bx_src_ip ~dst_ip:bx.bx_dst_ip ~bytes:fbytes
-    (fun () ->
-      receive_batch t ~src_ip:bx.bx_src_ip ~dst_ip:bx.bx_dst_ip ~base_seq
-        ~ack_floor ~span:bx.bx_span ~pkts:bx.bx_pkts ~ctxs:bx.bx_ctxs ~lo);
+    (fun () -> receive_batch t bx ~base_seq ~ack_floor ~lo);
+  if t.cfg.reliable then arm_retransmit t bx
+
+(* Reliable mode: send [bx] again after an exponential, jittered
+   backoff unless the peer's cumulative ack retires it first. *)
+and arm_retransmit t (bx : bxmit) =
   let r = t.cfg.retry in
   let backoff =
     int_of_float
@@ -554,36 +510,43 @@ and attempt_batch t (bx : bxmit) =
         end
         else begin
           Stats.Dist.add_int t.d_lat_retransmit (backoff + jitter);
-          attempt_batch t bx
+          send_batch t bx
         end)
 
-and receive_batch t ~src_ip ~dst_ip ~base_seq ~ack_floor ~span ~pkts ~ctxs
-    ~lo =
-  (* the piggybacked floor acknowledges this receiver's own outbound
-     stream towards the sender *)
-  apply_cum_ack t ~at_ip:dst_ip ~peer_ip:src_ip ~floor:ack_floor;
+(* A batch frame lands at the destination daemon.  In reliable mode it
+   first takes the piggybacked floor (which acknowledges its own
+   outbound stream towards the sender), admits each packet through the
+   dedup window, and arms the delayed ack. *)
+and receive_batch t (bx : bxmit) ~base_seq ~ack_floor ~lo =
+  let src_ip = bx.bx_src_ip and dst_ip = bx.bx_dst_ip in
+  let reliable = t.cfg.reliable in
+  if reliable then
+    apply_cum_ack t ~at_ip:dst_ip ~peer_ip:src_ip ~floor:ack_floor;
   if t.tr_on then
     Trace.emit t.tracer ~ts:(Simnet.now t.sim) ~track:Trace.fabric_track
-      ~span
+      ~span:bx.bx_span
       (Trace.Deliver { pk = Trace.Kbatch; same_node = false });
   let dst = node_of_ip t dst_ip in
-  for i = lo to Array.length pkts - 1 do
-    if Node.admit dst ~src_ip ~seq:(base_seq + i - lo) then
-      deliver t ~at_ip:dst_ip ~ctx:ctxs.(i) pkts.(i)
+  for i = lo to Array.length bx.bx_pkts - 1 do
+    if (not reliable) || Node.admit dst ~src_ip ~seq:(base_seq + i - lo) then
+      deliver t ~at_ip:dst_ip ~ctx:bx.bx_ctxs.(i) bx.bx_pkts.(i)
     else Stats.Counter.incr t.c_dupes_suppressed
   done;
-  (* always (re)arm the delayed ack — even a frame of pure duplicates
-     must be re-acked, since the sender evidently missed the last ack *)
-  let st = ack_state_of t ~at_ip:dst_ip ~peer_ip:src_ip in
-  st.ak_need <- true;
-  if not st.ak_armed then begin
-    st.ak_armed <- true;
-    Simnet.schedule t.sim ~delay:t.cfg.ack_delay_ns (fun () ->
-        st.ak_armed <- false;
-        if st.ak_need then begin
-          st.ak_need <- false;
-          send_cum_ack t ~src_ip:dst_ip ~dst_ip:src_ip
-        end)
+  if reliable then begin
+    (* always (re)arm the delayed ack — even a frame of pure duplicates
+       must be re-acked, since the sender evidently missed the last
+       ack *)
+    let st = ack_state_of t ~at_ip:dst_ip ~peer_ip:src_ip in
+    st.ak_need <- true;
+    if not st.ak_armed then begin
+      st.ak_armed <- true;
+      Simnet.schedule t.sim ~delay:ack_delay_ns (fun () ->
+          st.ak_armed <- false;
+          if st.ak_need then begin
+            st.ak_need <- false;
+            send_cum_ack t ~src_ip:dst_ip ~dst_ip:src_ip
+          end)
+    end
   end
 
 and send_cum_ack t ~src_ip ~dst_ip =
@@ -642,111 +605,23 @@ and apply_cum_ack t ~at_ip ~peer_ip ~floor =
               end
         done
 
-(* ------------------------------------------------------------------ *)
-(* Unbatched reliable path (config.batching = false): one Fdata frame
-   and one Fack per packet.                                            *)
-
-and send_reliable t ~src_ip ~dst_ip ~ctx (p : Packet.t) =
-  let seq = Node.fresh_seq (node_of_ip t src_ip) ~dst_ip in
-  let bytes =
-    Packet.frame_byte_size (Packet.Fdata { src_ip; seq; payload = p })
-  in
-  (* the logical packet is counted once; each physical attempt below
-     adds only frame bytes and a frame count *)
-  t.packets <- t.packets + 1;
-  Metrics.add t.m_bytes bytes;
-  log_packet t p;
-  attempt_xmit t
-    { x_src_ip = src_ip; x_dst_ip = dst_ip; x_seq = seq; x_packet = p;
-      x_span = ctx; x_bytes = bytes; x_attempts = 0; x_acked = false }
-
-and attempt_xmit t (x : xmit) =
-  x.x_attempts <- x.x_attempts + 1;
-  if x.x_attempts > 1 then begin
-    Stats.Counter.incr t.c_retries;
-    if t.tr_on then
-      Trace.emit t.tracer ~ts:(Simnet.now t.sim) ~track:Trace.fabric_track
-        ~span:x.x_span
-        (Trace.Retransmit { attempt = x.x_attempts })
-  end;
-  t.bytes <- t.bytes + x.x_bytes;
-  Stats.Counter.incr t.c_frames;
-  transmit t ~src_ip:x.x_src_ip ~dst_ip:x.x_dst_ip ~bytes:x.x_bytes (fun () ->
-      receive_frame t x);
-  let r = t.cfg.retry in
-  let backoff =
-    int_of_float
-      (float_of_int r.rto_ns
-      *. (r.rto_backoff ** float_of_int (x.x_attempts - 1)))
-  in
-  let jitter = Prng.int (Simnet.prng t.sim) ((r.rto_ns / 4) + 1) in
-  Simnet.schedule t.sim ~delay:(backoff + jitter) (fun () ->
-      if not x.x_acked then
-        if x.x_attempts >= r.max_attempts then begin
-          Stats.Counter.incr t.c_timeouts;
-          if t.tr_on then
-            Trace.emit t.tracer ~ts:(Simnet.now t.sim)
-              ~track:Trace.fabric_track ~span:x.x_span Trace.Timeout;
-          Node.suspect t.host (Printf.sprintf "ip#%d" x.x_dst_ip);
-          undeliverable t x.x_packet
-        end
-        else begin
-          (* the whole wait was retransmission overhead: the packet sat
-             unacknowledged for [backoff + jitter] virtual ns *)
-          Stats.Dist.add t.d_lat_retransmit
-            (float_of_int (backoff + jitter));
-          attempt_xmit t x
-        end)
-
-and receive_frame t (x : xmit) =
-  (* the receiving daemon suppresses replayed (src, seq) pairs, then
-     acknowledges — whether or not the addressed site is still alive:
-     dead-peer detection is the request-deadline layer's concern *)
-  if Node.admit (node_of_ip t x.x_dst_ip) ~src_ip:x.x_src_ip ~seq:x.x_seq then
-    deliver t ~at_ip:x.x_dst_ip ~ctx:x.x_span x.x_packet
-  else Stats.Counter.incr t.c_dupes_suppressed;
-  send_ack t x
-
-and send_ack t (x : xmit) =
-  Stats.Counter.incr t.c_acks;
-  Stats.Counter.incr t.c_frames;
-  t.bytes <- t.bytes + Latency.ack_bytes;
-  transmit t ~src_ip:x.x_dst_ip ~dst_ip:x.x_src_ip ~bytes:Latency.ack_bytes
-    (fun () ->
-      if t.tr_on then
-        Trace.emit t.tracer ~ts:(Simnet.now t.sim) ~track:Trace.fabric_track
-          ~span:x.x_span Trace.Ack;
-      x.x_acked <- true)
-
 and undeliverable t p =
   Node.record_output t.host
     { Output.site = "daemon";
       label = "undeliverable";
       args = [ Output.Ostr (Format.asprintf "%a" Packet.pp p) ] }
 
-(* A packet arrives at node [at_ip]: its daemon takes it.  A
-   registration at a replicated name service also propagates from the
-   replica that took it to every other one. *)
+(* A packet arrives at node [at_ip]: its daemon takes it.  At a
+   replicated name service, the exporter's home replica — the one its
+   registration routes to — also sends a copy to every other replica
+   (replica [r] is hosted by node ip [r]); a copy is not sent on. *)
 and deliver t ~at_ip ?(ctx = Trace.null_span) ?(same_node = false) (p : Packet.t) =
   Node.deliver (node_of_ip t at_ip) ~ctx ~same_node p;
   match (t.cfg.ns_mode, p) with
-  | Replicated, Packet.Pns_register { site_name; id_name; nref; rtti } ->
-      let home = at_ip mod t.replicas in
-      let bytes = Packet.byte_size p in
+  | Replicated, Packet.Pns_register { nref; _ }
+    when at_ip = nref.Netref.ip mod t.replicas ->
       for other = 0 to t.replicas - 1 do
-        if other <> home then begin
-          (* replica [other] is hosted by node ip [other]; each copy is
-             a packet in its own right — logged and counted like any
-             other, so the packet accounting invariant (packets +
-             same_node = log entries) holds in replicated mode too *)
-          t.packets <- t.packets + 1;
-          t.bytes <- t.bytes + bytes;
-          Stats.Counter.incr t.c_frames;
-          log_packet t p;
-          transmit t ~src_ip:at_ip ~dst_ip:other ~bytes (fun () ->
-              Node.register (node_of_ip t other) ~site_name ~id_name ~rtti
-                ~ctx nref)
-        end
+        if other <> at_ip then send_packet t ~src_ip:at_ip ~dst_ip:other ~ctx p
       done
   | _ -> ()
 
@@ -834,7 +709,9 @@ let create ?(config = default_config) () =
     }
   in
   Node.connect host
-    { Node.send = (fun ~src_ip ~ctx p -> send_packet t ~src_ip ~ctx p);
+    { Node.send =
+        (fun ~src_ip ~ctx p ->
+          send_packet t ~src_ip ~dst_ip:(route_ip t ~src_ip p) ~ctx p);
       schedule = (fun ~delay f -> Simnet.schedule sim ~delay f);
       now = (fun () -> Simnet.now sim) };
   Array.iteri
@@ -886,4 +763,5 @@ let kill_site t name ~at =
 
 (* Test/experiment hook: push a raw packet into the fabric as if a
    site on [src_ip] had sent it. *)
-let inject_packet t ~src_ip p = send_packet t ~src_ip p
+let inject_packet t ~src_ip p =
+  send_packet t ~src_ip ~dst_ip:(route_ip t ~src_ip p) ~ctx:Trace.null_span p

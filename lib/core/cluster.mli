@@ -4,14 +4,17 @@
     that multiplexes everything onto one deterministic virtual clock.
 
     Each node runs the {!Node} daemon (TyCOd); this module supplies the
-    links between the daemons.  A packet leaves the sending site's
-    node, crosses the link chosen by the topology (shared memory when
-    both sites share a node — the paper's same-node optimization, which
-    skips framing), is batched per destination, survives the fault
-    model under the reliable-delivery layer when that is on, and lands
-    at the destination node's daemon.  A registration at a replicated
-    name service is broadcast from the replica that took it to every
-    other one. *)
+    links between the daemons.  A packet for a site on the same node
+    takes shared memory (the paper's same-node optimization, which
+    skips framing).  Every other packet leaves its node one way: it
+    waits in the per-destination outbox until a flush sends the batch
+    as one [Fbatch] frame over the link the topology chooses.  With
+    [reliable] on, that frame also carries a piggybacked cumulative
+    ack, the receiver drops replays by sequence number, and the frame
+    is retransmitted until acked, so every cross-node packet survives
+    the fault model.  A registration
+    at a replicated name service is copied, along the same path, from
+    the exporter's home replica to every other one. *)
 
 type t
 
@@ -51,10 +54,12 @@ type config = {
   faults : Tyco_net.Simnet.fault_model;
       (** Link-fault injection (default [Simnet.no_faults]). *)
   reliable : bool;
-      (** Turn on at-least-once delivery: sequence-numbered frames,
-          receiver-side dedup, ack-driven retransmission per [retry],
-          and per-request deadlines at the sites per [site_retry].
-          Default [false]: the seed's fire-and-forget transport. *)
+      (** Turn on at-least-once delivery for every cross-node packet:
+          receiver-side dedup by sequence number, cumulative acks
+          (delayed 30 µs to piggyback on reverse traffic),
+          retransmission per [retry], and per-request deadlines at the
+          sites per [site_retry].  Default [false]: each frame is sent
+          once, fire-and-forget. *)
   retry : retry_params;
   site_retry : Site.retry;
   tracing : bool;
@@ -76,27 +81,15 @@ type config = {
       (** Bound on the {!packet_trace} ring (default 4096); the oldest
           entries are dropped beyond it — see
           {!packet_trace_dropped}. *)
-  batching : bool;
-      (** Coalesce cross-node packets per destination into [Fbatch]
-          frames (default [true]): a burst to one node costs one frame,
-          one latency sample and — in reliable mode — one cumulative
-          ack instead of N of each.  [false] restores the exact
-          per-packet Fdata/Fack transmit path. *)
   flush_max_packets : int;
       (** Flush an outbox once it holds this many packets (default
-          16). *)
-  flush_max_bytes : int;
-      (** ... or this many payload bytes (default 8192). *)
+          16; [1] sends one frame per packet, at enqueue), or 8192
+          payload bytes, ... *)
   flush_deadline_ns : int;
       (** ... or this many virtual ns after its first packet (default
           0: the flush still runs as a separate event after the current
           one, so all packets emitted at one virtual instant coalesce
           while a lone packet is never delayed). *)
-  ack_delay_ns : int;
-      (** Reliable batching: how long a receiver may hold a cumulative
-          ack hoping to piggyback it on reverse traffic (default
-          30_000 — well under [retry.rto_ns], so delaying acks never
-          causes spurious retransmits). *)
   lease_ns : int;
       (** Resource lifecycle: exported channels/classes are reclaimed
           this many virtual ns after their last use, with importers
@@ -172,10 +165,10 @@ val same_node_fast : t -> int
     {!bytes_sent} — nothing crossed the fabric. *)
 
 val frames_sent : t -> int
-(** Physical frames that crossed the fabric: batch flushes,
-    per-packet data frames, retransmissions and ack frames.  With
-    batching on, [frames_sent / packets_sent] is the framing overhead
-    the coalescing saves (E16's gated metric). *)
+(** Physical frames that crossed the fabric: batch frames (first sends
+    and retransmissions) and standalone cumulative acks.
+    [frames_sent / packets_sent] is the framing overhead the
+    coalescing saves (E16's gated metric). *)
 
 val batch_fill_mean : t -> float
 (** Mean packets per flushed batch ([0.] before any flush). *)

@@ -40,21 +40,22 @@
    {e indirection table}); the coordinator watches per-node executed
    pump cost and, when the imbalance crosses a threshold
    ({!Placement.choose_migration}), posts a migration command to the
-   owning shard.  At its next step boundary the owner {e ships} the
-   node: it flushes its outbound buffers, takes one [g_inflight] unit
-   (the node-in-transit obligation, held until the receiver finishes
-   installing — quiescence cannot fire with a node inside a ring),
-   publishes the new owner in the indirection table, detaches the
-   node's daemon (quanta still queued here become no-ops), and pushes
-   the daemon whole — sites included — as a [Mig] element through the
-   ordinary ring.  The receiver schedules any packets that raced ahead
-   of the envelope (parked in [limbo] under the same in-flight unit),
-   attaches the daemon to its own host — the sites' callbacks follow,
-   since they reach the engine through the node's host — and only then
-   releases the unit.  A packet for a node the shard does not run
-   takes the not-here path: {e forwarded} along the current table when
-   the node lives elsewhere, parked in limbo when it is still in
-   transit here, so stale senders lose nothing.
+   owning shard; the command holds a [g_inflight] unit of its own until
+   the owner has acted on it.  At its next step boundary the owner
+   {e ships} the node: it flushes its outbound buffers, takes one
+   [g_inflight] unit (the node-in-transit obligation, held until the
+   receiver finishes installing — quiescence cannot fire with a node
+   inside a ring), publishes the new owner in the indirection table,
+   detaches the node's daemon (quanta still queued here become no-ops),
+   and pushes the daemon whole — sites included — as a [Mig] element
+   through the ordinary ring.  The receiver schedules any packets that
+   raced ahead of the envelope (parked in [limbo] under the same
+   in-flight unit), attaches the daemon to its own host — the sites'
+   callbacks follow, since they reach the engine through the node's host
+   — and only then releases the unit.  A packet for a node the shard
+   does not run takes the not-here path: {e forwarded} along the current
+   table when the node lives elsewhere, parked in limbo when it is still
+   in transit here, so stale senders lose nothing.
 
    Clock merge rule: a handed-off packet sent at sender-virtual time
    [s] with wire delay [d] is delivered at receiver-virtual time
@@ -149,7 +150,9 @@ type shard = {
      install, keyed by node ip *)
   limbo : (int, (Trace.span * Packet.t) list ref) Hashtbl.t;
   (* coordinator-posted migration command: [ip * domains + dst], or
-     -1 for none; consumed at the step boundary *)
+     -1 for none; consumed at the step boundary.  A posted command
+     holds one [g_inflight] unit, so quiescence cannot be declared
+     while a shard may still act on it *)
   mig_cmd : int Atomic.t;
   (* shard-confined accumulators, merged after join *)
   mutable packets : int;
@@ -505,7 +508,10 @@ let shard_loop sh ~max_events =
        if shipped then begin
          let cmd = Atomic.exchange sh.mig_cmd (-1) in
          ship_node sh ~ip:(cmd / sh.g.g_domains)
-           ~dst:(cmd mod sh.g.g_domains)
+           ~dst:(cmd mod sh.g.g_domains);
+         (* release the command's unit only now that a shipped node
+            holds its own *)
+         Atomic.decr sh.g.g_inflight
        end;
        let idle = (not stepped) && drained = 0 && flushed = 0 && not shipped in
        if !unchecked >= 256 || (idle && !unchecked > 0) then check_budget ();
@@ -610,10 +616,10 @@ let validate (cfg : Cluster.config) =
 let ring_capacity = 4096
 
 let run ?(config = Cluster.default_config) ?placement
-    ?(policy = Placement.Mod) ?(inputs = fun _ -> [])
-    ?(max_events = 10_000_000) ?(max_wall_ms = 120_000) ?on_snapshot
-    ?(snapshot_every_ms = 100) ?rebalance ?(force_migrations = [])
-    ~domains (units : (string * Tyco_compiler.Block.unit_) list) =
+    ?(policy = Placement.Mod) ?(max_events = 10_000_000)
+    ?(max_wall_ms = 120_000) ?on_snapshot ?(snapshot_every_ms = 100)
+    ?rebalance ?(force_migrations = []) ~domains
+    (units : (string * Tyco_compiler.Block.unit_) list) =
   if domains < 1 then invalid_arg "Par_runner.run: domains must be >= 1";
   validate config;
   let rb_requested = rebalance <> None || force_migrations <> [] in
@@ -764,9 +770,17 @@ let run ?(config = Cluster.default_config) ?placement
   List.iteri
     (fun site_id ((name, unit_), node_idx) ->
       ignore
-        (Node.load_site nodes.(node_idx) ~inputs:(inputs name) ~name ~site_id
-           unit_))
+        (Node.load_site nodes.(node_idx) ~name ~site_id unit_))
     (List.combine units site_nodes);
+  (* Post a migration command to shard [src] if its slot is free.  The
+     command's [g_inflight] unit is taken before the CAS (and given back
+     if the CAS fails), so the termination sum covers it from the
+     moment the shard can see it. *)
+  let post ~src ~ip ~dst =
+    Atomic.incr g.g_inflight;
+    Atomic.compare_and_set shards.(src).mig_cmd (-1) ((ip * domains) + dst)
+    || (Atomic.decr g.g_inflight; false)
+  in
   (* forced migrations (the deterministic test hook): posted before the
      domains spawn, so each is consumed at the owning shard's first
      step boundary and is guaranteed installed in a clean run.
@@ -777,11 +791,7 @@ let run ?(config = Cluster.default_config) ?placement
       List.filter
         (fun (ip, dst) ->
           let src = Atomic.get g.g_shard_map.(ip) in
-          if src = dst then false (* already there *)
-          else
-            not
-              (Atomic.compare_and_set shards.(src).mig_cmd (-1)
-                 ((ip * domains) + dst)))
+          src <> dst (* else already there *) && not (post ~src ~ip ~dst))
         !forced
   in
   try_post_forced ();
@@ -883,11 +893,7 @@ let run ?(config = Cluster.default_config) ?placement
               with
               | None -> ()
               | Some (ip, dst) ->
-                  let src = map.(ip) in
-                  if
-                    Atomic.compare_and_set shards.(src).mig_cmd (-1)
-                      ((ip * domains) + dst)
-                  then incr issued
+                  if post ~src:map.(ip) ~ip ~dst then incr issued
             end
           end
   in

@@ -163,7 +163,6 @@ val run :
   ?config:Cluster.config ->
   ?placement:(string -> int) ->
   ?policy:Placement.policy ->
-  ?inputs:(string -> int list) ->
   ?max_events:int ->
   ?max_wall_ms:int ->
   ?on_snapshot:(snapshot -> unit) ->

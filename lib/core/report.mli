@@ -76,12 +76,12 @@ type t = {
       (** deliveries that used the same-node shared-memory fast path
           (no serialization; excluded from [packets]/[bytes]) *)
   frames_sent : int;
-      (** physical frames across the fabric (batches, data frames,
-          retransmissions, acks); [frames_sent /. packets] is the
-          framing overhead batching amortizes *)
+      (** physical frames across the fabric (batch frames, their
+          retransmissions, standalone acks); [frames_sent /. packets]
+          is the framing overhead batching amortizes *)
   batch_fill_mean : float;
-      (** mean packets per flushed batch ([0.] when batching is off or
-          nothing crossed nodes) *)
+      (** mean packets per flushed batch ([0.] when nothing crossed
+          nodes) *)
   acks_piggybacked : int;
       (** cumulative acks carried by reverse-direction batches instead
           of standalone ack frames *)

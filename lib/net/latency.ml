@@ -25,10 +25,6 @@ let wan =
   { name = "wan-10m"; latency_ns = 5_000_000; bytes_per_ns = 0.00125;
     per_packet_ns = 10_000 }
 
-(* Transport-level acknowledgement frames carry no payload; their cost
-   is one header. *)
-let ack_bytes = 16
-
 let custom ~name ~latency_ns ~bytes_per_ns ~per_packet_ns =
   { name; latency_ns; bytes_per_ns; per_packet_ns }
 

@@ -26,9 +26,6 @@ val wan : t
 (** ≈5 ms one-way, 10 Mb/s: a long-haul link for the chaos/fault
     scenarios, far outside the paper's cluster fabric. *)
 
-val ack_bytes : int
-(** Wire size charged for a transport-level acknowledgement frame. *)
-
 val custom : name:string -> latency_ns:int -> bytes_per_ns:float ->
   per_packet_ns:int -> t
 

@@ -353,11 +353,9 @@ let byte_size = function
       + ids_size chans + ids_size classes
 
 (* ------------------------------------------------------------------ *)
-(* Transport frames: the at-least-once layer under the protocols.      *)
+(* Transport frames: how packets cross between nodes.                 *)
 
 type frame =
-  | Fdata of { src_ip : int; seq : int; payload : t }
-  | Fack of { src_ip : int; seq : int }
   | Fbatch of {
       src_ip : int;
       base_seq : int;
@@ -373,15 +371,6 @@ type frame =
 let batch_version = 1
 
 let encode_frame enc = function
-  | Fdata { src_ip; seq; payload } ->
-      Wire.u8 enc 0;
-      Wire.varint enc src_ip;
-      Wire.varint enc seq;
-      encode enc payload
-  | Fack { src_ip; seq } ->
-      Wire.u8 enc 1;
-      Wire.varint enc src_ip;
-      Wire.varint enc seq
   | Fbatch { src_ip; base_seq; ack_floor; payloads } ->
       Wire.u8 enc 2;
       Wire.u8 enc batch_version;
@@ -396,15 +385,6 @@ let encode_frame enc = function
 
 let decode_frame dec =
   match Wire.read_u8 dec with
-  | 0 ->
-      let src_ip = Wire.read_varint dec in
-      let seq = Wire.read_varint dec in
-      let payload = decode dec in
-      Fdata { src_ip; seq; payload }
-  | 1 ->
-      let src_ip = Wire.read_varint dec in
-      let seq = Wire.read_varint dec in
-      Fack { src_ip; seq }
   | 2 ->
       (match Wire.read_u8 dec with
       | v when v = batch_version ->
@@ -424,23 +404,7 @@ let frame_to_string f = Wire.with_encoder (fun enc -> encode_frame enc f)
 
 let frame_of_string s = decode_frame (Wire.decoder s)
 
-let frame_to_string_traced ?ctx f =
-  Wire.with_encoder (fun enc ->
-      encode_frame enc f;
-      match ctx with
-      | Some sp when not (Trace.is_null sp) -> encode_ctx enc sp
-      | _ -> ())
-
-let frame_of_string_traced s =
-  let dec = Wire.decoder s in
-  let f = decode_frame dec in
-  (f, decode_ctx dec)
-
 let frame_byte_size = function
-  | Fdata { src_ip; seq; payload } ->
-      1 + Wire.varint_size src_ip + Wire.varint_size seq + byte_size payload
-  | Fack { src_ip; seq } ->
-      1 + Wire.varint_size src_ip + Wire.varint_size seq
   | Fbatch { src_ip; base_seq; ack_floor; payloads } ->
       2 (* tag + version *)
       + Wire.varint_size src_ip + Wire.varint_size base_seq
@@ -461,8 +425,6 @@ let pp_wvalue ppf = function
   | Wref r -> Netref.pp ppf r
 
 let pp_frame ppf = function
-  | Fdata { src_ip; seq; _ } -> Format.fprintf ppf "data %d#%d" src_ip seq
-  | Fack { src_ip; seq } -> Format.fprintf ppf "ack %d#%d" src_ip seq
   | Fbatch { src_ip; base_seq; ack_floor; payloads } ->
       Format.fprintf ppf "batch %d#%d+%d ack<%d" src_ip base_seq
         (List.length payloads) ack_floor

@@ -121,20 +121,18 @@ val of_string_traced : string -> t * Tyco_support.Trace.span option
 
 (** {1 Transport frames}
 
-    The at-least-once layer under the protocols: a daemon wraps each
-    outgoing packet in an [Fdata] frame stamped with its node address
-    and a per-destination sequence number, and acknowledges each frame
-    it receives with an [Fack].  Unacknowledged frames are
-    retransmitted; the receiver recognizes replayed [(src_ip, seq)]
-    pairs and suppresses the duplicate delivery, so every packet
-    reaches its site exactly once even over a lossy, duplicating
-    link. *)
+    How packets cross between nodes: a daemon sends the packets queued
+    for one destination as an [Fbatch] frame stamped with its node
+    address and the per-destination sequence number of the first
+    packet.  Under at-least-once delivery the frame also carries a
+    cumulative ack of the reverse stream; an unacknowledged frame is
+    retransmitted, and the receiver recognizes replayed
+    [(src_ip, seq)] pairs and suppresses the duplicate delivery, so
+    every packet reaches its site exactly once even over a lossy,
+    duplicating link.  When no reverse frame comes along to carry the
+    ack, an [Fcum_ack] does. *)
 
 type frame =
-  | Fdata of { src_ip : int; seq : int; payload : t }
-  | Fack of { src_ip : int; seq : int }
-      (** acknowledges the [Fdata] with the same [(src_ip, seq)];
-          routed back to [src_ip] *)
   | Fbatch of {
       src_ip : int;
       base_seq : int;
@@ -149,7 +147,8 @@ type frame =
       (** N packets to one destination in one frame.  Versioned: the
           tag is followed by a format-version byte, so decoders predating
           the frame reject it cleanly ([Malformed "frame tag 2"]) and
-          aware decoders reject future layout changes explicitly. *)
+          aware decoders reject future layout changes explicitly.  The
+          unreliable transport sends [ack_floor = 0]. *)
   | Fcum_ack of { src_ip : int; ack_floor : int }
       (** standalone cumulative ack (delayed-ack timer fired with no
           reverse traffic to piggyback on): acknowledges every seq
@@ -161,10 +160,6 @@ val encode_frame : Tyco_support.Wire.enc -> frame -> unit
 val decode_frame : Tyco_support.Wire.dec -> frame
 val frame_to_string : frame -> string
 val frame_of_string : string -> frame
-
-val frame_to_string_traced : ?ctx:Tyco_support.Trace.span -> frame -> string
-val frame_of_string_traced : string -> frame * Tyco_support.Trace.span option
-(** Same trailer scheme as {!to_string_traced}, at the frame layer. *)
 
 val frame_byte_size : frame -> int
 

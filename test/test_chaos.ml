@@ -12,6 +12,7 @@ module Simnet = Tyco_net.Simnet
 module Packet = Tyco_net.Packet
 module Netref = Tyco_support.Netref
 module Stats = Tyco_support.Stats
+module Metrics = Tyco_support.Metrics
 
 let check = Alcotest.check
 let ev_testable = Alcotest.testable Output.pp_event Output.equal_event
@@ -166,31 +167,32 @@ let dedup_window () =
 (* ------------------------------------------------------------------ *)
 (* Batched transport under chaos                                       *)
 
-(* The chaos suite above already runs the batched path — batching is
-   on in [default_config] — so these pin down the batching-specific
-   semantics explicitly. *)
+(* Every cross-node packet travels in a batch frame, so the chaos
+   suite above already runs the batched path; these pin down the
+   batching-specific semantics explicitly. *)
 
 (* Cumulative-ack retransmission recovers batches under drop, dup and
-   reorder, with batching on and off producing the same outputs. *)
+   reorder, both at the default flush cap and at one packet per
+   frame. *)
 let batched_chaos_recovers () =
   let src = List.assoc "rpc" chaos_programs in
   let clean = events (run src) in
   List.iter
     (fun seed ->
-      let on = run ~config:(chaos_config seed) src in
-      let off =
+      let batched = run ~config:(chaos_config seed) src in
+      let single =
         run
-          ~config:{ (chaos_config seed) with Cluster.batching = false }
+          ~config:{ (chaos_config seed) with Cluster.flush_max_packets = 1 }
           src
       in
       check Alcotest.bool
         (Printf.sprintf "batched outputs intact (seed %d)" seed)
         true
-        (Output.same_multiset clean (events on));
+        (Output.same_multiset clean (events batched));
       check Alcotest.bool
-        (Printf.sprintf "unbatched outputs intact (seed %d)" seed)
+        (Printf.sprintf "one-packet frames: outputs intact (seed %d)" seed)
         true
-        (Output.same_multiset clean (events off)))
+        (Output.same_multiset clean (events single)))
     seeds;
   (* and the cumulative-ack machinery actually bit: losses recovered
      by batch retransmission, replays suppressed by the dedup window *)
@@ -237,8 +239,10 @@ let flush_deadline_deterministic () =
 (* Counting regression: with sites mixed across same-node and
    cross-node placement, every logical packet is counted exactly once —
    as a fabric packet or as a same-node delivery, never both, never
-   twice — in every transport mode.  (The packet log records both
-   kinds, so packets + same_node = log kept + log dropped.) *)
+   twice — in every transport mode, and the metrics registry counts
+   the same fabric packets as the cluster's own book.  (The packet log
+   records both kinds, so packets + same_node = log kept + log
+   dropped.) *)
 let mixed_placement_counting () =
   let src =
     {| site a { export new p
@@ -259,6 +263,7 @@ let mixed_placement_counting () =
   let packet_counts = ref [] in
   List.iter
     (fun (name, config) ->
+      let config = { config with Cluster.metrics = true } in
       let r =
         Api.run_program ~config ~placement:(fun n -> placement n)
           (Api.parse src)
@@ -272,23 +277,26 @@ let mixed_placement_counting () =
         (Printf.sprintf "%s: packets + same_node = logged" name)
         logged
         (Cluster.packets_sent cl + Cluster.same_node_fast cl);
+      check Alcotest.int
+        (Printf.sprintf "%s: metrics packets = packets_sent" name)
+        (Cluster.packets_sent cl)
+        (Metrics.value (Cluster.metrics cl) "packets");
       check Alcotest.bool (Printf.sprintf "%s: same_node > 0" name) true
         (Cluster.same_node_fast cl > 0);
       check Alcotest.bool (Printf.sprintf "%s: packets > 0" name) true
         (Cluster.packets_sent cl > 0);
       check Alcotest.bool (Printf.sprintf "%s: outputs intact" name) true
         (Output.same_multiset clean (events r));
-      packet_counts := (name, Cluster.packets_sent cl) :: !packet_counts)
-    [ ("batched", Cluster.default_config);
-      ("unbatched", { Cluster.default_config with Cluster.batching = false });
-      ( "batched reliable",
-        { Cluster.default_config with Cluster.reliable = true } );
-      ( "unbatched reliable",
-        { Cluster.default_config with
-          Cluster.batching = false;
-          reliable = true } ) ];
-  (* the logical packet count is a property of the program, not of the
-     transport mode: any disagreement means a mode double-counts *)
+      if config.Cluster.ns_mode = Cluster.Centralized then
+        packet_counts := (name, Cluster.packets_sent cl) :: !packet_counts)
+    [ ("unreliable", Cluster.default_config);
+      ("reliable", { Cluster.default_config with Cluster.reliable = true });
+      ( "replicated NS",
+        { Cluster.default_config with Cluster.ns_mode = Cluster.Replicated } )
+    ];
+  (* the logical packet count is a property of the program and its
+     name-service deployment, not of the transport mode: any
+     disagreement means a mode double-counts *)
   match !packet_counts with
   | (_, n) :: rest ->
       List.iter
@@ -298,6 +306,28 @@ let mixed_placement_counting () =
             n m)
         rest
   | [] -> ()
+
+(* The replicated name service under reliable delivery: a registration
+   copy for another replica takes the same retransmitted path as every
+   other cross-node packet, so a lossy fabric cannot leave a lookup
+   parked at a replica the copy never reached. *)
+let replicated_ns_reliable () =
+  let src = Test_runtime.importers_src in
+  let central = events (run src) in
+  let faults = { Simnet.no_faults with Simnet.drop = 0.3 } in
+  for seed = 1 to 20 do
+    let config =
+      { Cluster.default_config with
+        Cluster.seed; faults; reliable = true; ns_mode = Cluster.Replicated }
+    in
+    let r = run ~config src in
+    if not (Output.same_multiset central (events r)) then
+      Alcotest.failf "seed %d: outputs differ from the centralized run" seed;
+    check Alcotest.int
+      (Printf.sprintf "seed %d: no pending lookups" seed)
+      0
+      (Cluster.name_service_pending r.Api.cluster)
+  done
 
 let tests =
   [ ("chaos: outputs preserved (3 seeds)", `Quick, chaos_preserves_outputs);
@@ -313,4 +343,6 @@ let tests =
     ("flush deadline: deterministic per seed", `Quick,
      flush_deadline_deterministic);
     ("mixed placement: packets counted once", `Quick,
-     mixed_placement_counting) ]
+     mixed_placement_counting);
+    ("replicated NS: reliable under 30% drop", `Quick,
+     replicated_ns_reliable) ]

@@ -32,7 +32,7 @@ let counter_src n =
        in new c (Counter[c, 0] | Driver[c, %d]) |}
     n
 
-(* Minor words per E1 reduction with trace/lease/batching all off.
+(* Minor words per E1 reduction with tracing and leases off.
    The budget is calibrated against the PR 6 hot path (~69 words per
    reduction, compile + cluster setup included) with headroom for
    compiler/runtime variation; the pre-fix loop burned ~131 words per
@@ -45,8 +45,7 @@ let e1_minor_words_capped () =
   let reductions = float_of_int (2 * n) in
   let prog = Api.parse (counter_src n) in
   let config =
-    { Cluster.default_config with
-      Cluster.tracing = false; lease_ns = 0; batching = false }
+    { Cluster.default_config with Cluster.tracing = false; lease_ns = 0 }
   in
   let run () = ignore (Api.run_program ~typecheck:false ~config prog) in
   run ();

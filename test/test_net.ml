@@ -162,9 +162,7 @@ let packet_size_every_constructor () =
         (Format.asprintf "frame_byte_size %a" Packet.pp_frame f)
         (String.length (Packet.frame_to_string f))
         (Packet.frame_byte_size f))
-    [ Packet.Fdata { src_ip = 129; seq = 1000; payload = List.hd samples };
-      Packet.Fack { src_ip = 0; seq = 130 };
-      Packet.Fbatch
+    [ Packet.Fbatch
         { src_ip = 2; base_seq = 129; ack_floor = 1000; payloads = samples };
       Packet.Fbatch
         { src_ip = 0; base_seq = 0; ack_floor = 0;
@@ -480,12 +478,6 @@ let gen_frame =
   QCheck2.Gen.(
     oneof
       [ map3
-          (fun src_ip seq payload ->
-            Packet.Fdata { src_ip; seq; payload })
-          small_nat small_nat gen_packet;
-        map2 (fun src_ip seq -> Packet.Fack { src_ip; seq }) small_nat
-          small_nat;
-        map3
           (fun src_ip (base_seq, ack_floor) payloads ->
             Packet.Fbatch { src_ip; base_seq; ack_floor; payloads })
           small_nat

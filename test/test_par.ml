@@ -154,6 +154,8 @@ let event_multiset outputs =
   List.sort compare
     (List.map (fun (_ts, e) -> Format.asprintf "%a" Output.pp_event e) outputs)
 
+let site_names sites = List.sort compare (List.map Site.name sites)
+
 let domains1_bit_identical () =
   List.iter
     (fun (name, src) ->
@@ -604,7 +606,12 @@ let rebalance_equivalence () =
           check Alcotest.int (label ^ " rings drained")
             par.Par_runner.ring_pushed par.Par_runner.ring_popped;
           check Alcotest.int (label ^ " no dead letters") 0
-            par.Par_runner.dead_letters)
+            par.Par_runner.dead_letters;
+          check
+            Alcotest.(list string)
+            (label ^ " every site reported")
+            (site_names (Cluster.sites det.Api.cluster))
+            (site_names par.Par_runner.sites))
         ds)
     corpus
 
@@ -635,6 +642,11 @@ let forced_migration_accounting () =
         par.Par_runner.ring_pushed par.Par_runner.ring_popped;
       check Alcotest.int (label ^ ": no dead letters") 0
         par.Par_runner.dead_letters;
+      check
+        Alcotest.(list string)
+        (label ^ ": every site reported")
+        (site_names (Cluster.sites det.Api.cluster))
+        (site_names par.Par_runner.sites);
       check Alcotest.bool (label ^ ": migration time measured") true
         (par.Par_runner.migration_ns > 0);
       check Alcotest.bool (label ^ ": forwarded counter sane") true

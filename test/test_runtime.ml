@@ -458,16 +458,18 @@ let replicated_ns_same_outputs () =
         Alcotest.failf "%s: outputs differ under replicated NS" name)
     paper_programs
 
+(* One exporter and three importers, one site per node. *)
+let importers_src =
+  {| site server { export new p
+       def L(x) = p?(v) = (io!printi[v] | L[x]) in L[0] }
+     site c1 { import p from server in p![1] }
+     site c2 { import p from server in p![2] }
+     site c3 { import p from server in p![3] } |}
+
 let replicated_ns_faster_lookups () =
   (* many importers on different nodes: local lookups beat the
      centralized round trip *)
-  let src =
-    {| site server { export new p
-         def L(x) = p?(v) = (io!printi[v] | L[x]) in L[0] }
-       site c1 { import p from server in p![1] }
-       site c2 { import p from server in p![2] }
-       site c3 { import p from server in p![3] } |}
-  in
+  let src = importers_src in
   let central = run src in
   let repl = run ~config:replicated_cfg src in
   check Alcotest.bool "same outputs" true
