@@ -26,14 +26,14 @@ let row fmt = Format.printf fmt
 
    --smoke   reduced iteration counts (CI-friendly wall clock)
    --json    additionally write the recorded measurements as a flat
-             JSON object (default BENCH_PR15.json; override with --out)
+             JSON object (default BENCH_PR18.json; override with --out)
 
    Keys are flat ("e1_vm_ns_per_reduction") so shell pipelines can
    extract them without a JSON parser. *)
 
 let smoke = ref false
 let json_mode = ref false
-let json_path = ref "BENCH_PR15.json"
+let json_path = ref "BENCH_PR18.json"
 let json_kvs : (string * string) list ref = ref [] (* newest first *)
 
 let record k v = json_kvs := (k, v) :: !json_kvs

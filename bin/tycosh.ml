@@ -301,13 +301,32 @@ let run_domains config domains policy rebalance json trace_out metrics_out prog 
   end
 
 let run path nodes cores quantum topo until verbose seed replicated_ns trace trace_out metrics_out interactive_mode tcp domains placement rebalance json =
+  (* The TCP runner reads only the program, --nodes and --metrics-out:
+     any other engine flag is a usage error, reported before a socket
+     opens rather than silently ignored. *)
+  (if tcp then
+     match
+       List.filter_map
+         (fun (given, flag) -> if given then Some flag else None)
+         [ (json, "--json"); (trace_out <> None, "--trace-out");
+           (domains > 1, "--domains"); (placement <> None, "--placement");
+           (rebalance <> None, "--rebalance");
+           (replicated_ns, "--replicated-ns"); (trace, "--trace");
+           (until <> None, "--until"); (verbose, "--verbose") ]
+     with
+     | [] -> ()
+     | flags ->
+         Format.eprintf "tycosh: --tcp does not support %s@."
+           (String.concat ", " flags);
+         exit 2);
   (* Parse the sharding knobs up front: a typo in --placement or
      --rebalance is a usage error, not a runtime one — one line on
      stderr and exit 2, no backtrace. *)
   let policy, rebalance =
     if domains > 1 then
       try
-        (policy_of_string placement, Option.map rebalance_of_string rebalance)
+        ( policy_of_string (Option.value placement ~default:"mod"),
+          Option.map rebalance_of_string rebalance )
       with Failure m ->
         Format.eprintf "tycosh: %s@." m;
         exit 2
@@ -420,7 +439,10 @@ let json_flag =
 let tcp_flag =
   Arg.(value & flag & info [ "tcp" ]
        ~doc:"Run over real loopback TCP sockets (one OCaml domain per \
-             node) instead of the deterministic simulation.")
+             node) instead of the deterministic simulation.  Takes only \
+             --nodes and --metrics-out; --json, --trace-out, --domains \
+             N > 1, --placement, --rebalance, --replicated-ns, --trace, \
+             --until and --verbose are usage errors (exit 2).")
 
 let domains_arg =
   Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N"
@@ -431,7 +453,7 @@ let domains_arg =
              bit-identical to not passing the flag at all.")
 
 let placement_arg =
-  Arg.(value & opt string "mod" & info [ "placement" ] ~docv:"POLICY"
+  Arg.(value & opt (some string) None & info [ "placement" ] ~docv:"POLICY"
        ~doc:"Node-to-domain placement for --domains N > 1: 'mod' \
              (ip mod N, the default) or 'greedy' (bin-pack nodes onto \
              domains by site count).  Ignored at --domains 1.")

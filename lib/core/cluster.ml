@@ -47,7 +47,6 @@ type config = {
   flush_deadline_ns : int;
   lease_ns : int;
   lease_refresh_ns : int;
-  lease_hold_ns : int;
   code_cache_capacity : int;
 }
 
@@ -76,7 +75,6 @@ let default_config =
     flush_deadline_ns = 0;
     lease_ns = 0;
     lease_refresh_ns = 0;
-    lease_hold_ns = 0;
     code_cache_capacity = Site.default_lifecycle.Site.lc_code_cache }
 
 (* An outbox also flushes once it holds this many payload bytes.  A
@@ -632,7 +630,6 @@ and deliver t ~at_ip ?(ctx = Trace.null_span) ?(same_node = false) (p : Packet.t
 let site_lifecycle cfg =
   { Site.lc_lease_ns = cfg.lease_ns;
     lc_refresh_ns = cfg.lease_refresh_ns;
-    lc_hold_ns = cfg.lease_hold_ns;
     lc_code_cache = cfg.code_cache_capacity;
     lc_done_horizon_ns = Site.default_lifecycle.Site.lc_done_horizon_ns }
 

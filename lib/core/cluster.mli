@@ -91,17 +91,16 @@ type config = {
           one, so all packets emitted at one virtual instant coalesce
           while a lone packet is never delayed). *)
   lease_ns : int;
-      (** Resource lifecycle: exported channels/classes are reclaimed
-          this many virtual ns after their last use, with importers
-          refreshing the references they still hold via [Prelease]
-          packets.  Default [0]: leases off, exports live forever (the
-          seed behaviour).  See {!Site.lifecycle}. *)
+      (** Resource lifecycle: an exported channel/class is reclaimed
+          once [2 * lease_ns] virtual ns pass with no use its exporter
+          sees (an inbound packet resolving it, or a [Prelease]
+          refresh an importer sends after passing the reference on or
+          instantiating a cached class).  Default [0]: leases off,
+          exports live forever (the seed behaviour).  See
+          {!Site.lifecycle}. *)
   lease_refresh_ns : int;
-      (** Refresh/sweep cadence; [0] (default) derives a quarter of
-          [lease_ns]. *)
-  lease_hold_ns : int;
-      (** How long an importer keeps refreshing an unused foreign
-          reference; [0] (default) derives [lease_ns]. *)
+      (** Cadence of the lifecycle tick (reclamation and refreshes);
+          [0] (default) derives a quarter of [lease_ns]. *)
   code_cache_capacity : int;
       (** Per-site bound on each receiver-side linking cache (LRU,
           default 256); evicted entries re-link from the shipped code

@@ -41,8 +41,11 @@ type breakdown = {
 }
 
 (** Resident protocol state summed over sites (live export-table and
-    cache occupancy, duplicate-suppression entries, tracked foreign
-    references) plus lifetime reclamation counters.  A bounded run
+    cache occupancy, duplicate-suppression entries, and
+    [mem_held_imports]: foreign references marked for the next lease
+    refresh plus fetched classes whose last use is tracked) plus
+    lifetime reclamation counters ([mem_held_dropped] counts fetched
+    classes dropped after a lease period unused).  A bounded run
     shows flat [*_live] numbers against growing [*_allocated] /
     [mem_ids_reclaimed] ones.  The [mem_gc_*] fields are the host
     process's {!Gc.quick_stat}, meaningful for wall-clock runs. *)

@@ -3,6 +3,7 @@ module Stats = Tyco_support.Stats
 module Netref = Tyco_support.Netref
 module Trace = Tyco_support.Trace
 module Lru = Tyco_support.Lru
+module Heap = Tyco_support.Heap
 module Block = Tyco_compiler.Block
 module Bytecode = Tyco_compiler.Bytecode
 module Link = Tyco_compiler.Link
@@ -54,13 +55,12 @@ let default_retry = { r_timeout_ns = 4_000_000; r_backoff = 2.0; r_max_tries = 6
 type lifecycle = {
   lc_lease_ns : int;
   lc_refresh_ns : int;
-  lc_hold_ns : int;
   lc_code_cache : int;
   lc_done_horizon_ns : int;
 }
 
 let default_lifecycle =
-  { lc_lease_ns = 0; lc_refresh_ns = 0; lc_hold_ns = 0; lc_code_cache = 256;
+  { lc_lease_ns = 0; lc_refresh_ns = 0; lc_code_cache = 256;
     lc_done_horizon_ns = 0 }
 
 type fetch_req = {
@@ -77,14 +77,8 @@ type import_req = {
   mutable ir_tries : int;
 }
 
-(* Foreign references this site currently holds, grouped by their
-   exporter; values are the last virtual time the reference was used.
-   The lifecycle tick refreshes recently-used entries with the exporter
-   and forgets the rest. *)
-type held = {
-  hd_chans : (int, int) Hashtbl.t;   (* heap id -> last touch *)
-  hd_classes : (int, int) Hashtbl.t;
-}
+(* A fetched class and the last virtual time this site used it. *)
+type cached = { cc_cls : Value.cls; mutable cc_used : int }
 
 type t = {
   name : string;
@@ -102,29 +96,31 @@ type t = {
      queue-wait half of the latency breakdown *)
   inbox : (Packet.t * Trace.span * int) Dq.t;
   (* export tables (paper: one per site, mapping local heap pointers to
-     network references and back) *)
+     network references and back); each entry's lease expiry lives in
+     its slot *)
   chan_exports : Value.chan Export_table.t;
+  class_exports : Value.cls Export_table.t;
   (* (cls_group, cls_index) -> exported instances; a bucket holds one
      entry per distinct captured environment (compared physically) *)
-  class_exports : (int * int, (Value.cls * int) list) Hashtbl.t;
-  class_by_heap : (int, Value.cls) Hashtbl.t;
-  class_keys : (int, int * int) Hashtbl.t; (* heap id -> bucket key *)
-  mutable next_class_heap : int;
-  (* lease state: expiry per exported heap id; pinned ids (registered
-     with the name service, which remembers them forever) never expire *)
+  class_buckets : (int * int, (Value.cls * int) list) Hashtbl.t;
   lifecycle : lifecycle;
   (* cached [lc_lease_ns > 0] (the lifecycle is fixed at creation):
      every resolve/send-path lease hook branches on this one load and
      falls straight through when leases are disabled *)
   leases : bool;
-  chan_leases : (int, int) Hashtbl.t;
-  class_leases : (int, int) Hashtbl.t;
-  pinned_chans : (int, unit) Hashtbl.t;
-  pinned_classes : (int, unit) Hashtbl.t;
-  held : (int * int, held) Hashtbl.t; (* (site, ip) -> refs we hold *)
+  grant : int; (* lease an exporter grants per use: 2 x [lc_lease_ns] *)
+  tick_period : int;
+  done_horizon : int;
   mutable next_lifecycle : int; (* virtual time of the next tick *)
+  (* foreign references used since the last tick where their exporter
+     cannot see it (passed to another site, or instantiated from the
+     fetch cache); the tick names them in [Prelease]s *)
+  mutable marked : Netref.t list;
   (* FETCH protocol state *)
-  fetch_cache : Value.cls Netref.Tbl.t;
+  fetch_cache : cached Netref.Tbl.t;
+  (* with leases on, one entry per cached class, due when it would have
+     gone [lc_lease_ns] unused *)
+  cache_due : Netref.t Heap.t;
   fetch_pending : Value.t array list Netref.Tbl.t;
   fetch_reqs : (int, fetch_req) Hashtbl.t;
   (* import (name service) state *)
@@ -176,6 +172,26 @@ let alive t = t.alive
 let outputs t = List.rev t.outputs
 let stats t = t.stats
 
+(* How long an answered request's id stays in the dedup set: past every
+   deadline the sender's retry schedule can produce (backoff deadlines
+   plus the jitter bound, doubled for slack), a duplicate can no longer
+   arrive as a first delivery. *)
+let done_horizon_of lifecycle (r : retry) =
+  if lifecycle.lc_done_horizon_ns > 0 then lifecycle.lc_done_horizon_ns
+  else begin
+    let jitter_max = (r.r_timeout_ns / 4) + 1 in
+    let total = ref 0 in
+    for tries = 1 to r.r_max_tries do
+      total :=
+        !total
+        + int_of_float
+            (float_of_int r.r_timeout_ns
+            *. (r.r_backoff ** float_of_int (tries - 1)))
+        + jitter_max
+    done;
+    2 * !total
+  end
+
 let create ?(annotations = no_annotations) ?(inputs = [])
     ?(retry = default_retry) ?(lifecycle = default_lifecycle) ?schedule
     ?(on_suspect = fun _ -> ()) ?(trace = Trace.disabled) ~name ~site_id ~ip
@@ -185,6 +201,8 @@ let create ?(annotations = no_annotations) ?(inputs = [])
   Trace.register_track trace ~id:site_id ~name ();
   let stats = Machine.stats vm in
   let cache_cap = max 1 lifecycle.lc_code_cache in
+  let leases = lifecycle.lc_lease_ns > 0 in
+  let done_horizon = done_horizon_of lifecycle retry in
   { name;
     site_id;
     ip;
@@ -197,19 +215,22 @@ let create ?(annotations = no_annotations) ?(inputs = [])
     entry;
     inbox = Dq.create ();
     chan_exports = Export_table.create ();
-    class_exports = Hashtbl.create 8;
-    class_by_heap = Hashtbl.create 8;
-    class_keys = Hashtbl.create 8;
-    next_class_heap = 0;
+    class_exports = Export_table.create ();
+    class_buckets = Hashtbl.create 8;
     lifecycle;
-    leases = lifecycle.lc_lease_ns > 0;
-    chan_leases = Hashtbl.create 8;
-    class_leases = Hashtbl.create 8;
-    pinned_chans = Hashtbl.create 4;
-    pinned_classes = Hashtbl.create 4;
-    held = Hashtbl.create 4;
+    leases;
+    grant = 2 * lifecycle.lc_lease_ns;
+    (* the tick also sends refreshes, so it must run well within a
+       lease period *)
+    tick_period =
+      (if not leases then max 1 (done_horizon / 4)
+       else if lifecycle.lc_refresh_ns > 0 then lifecycle.lc_refresh_ns
+       else max 1 (lifecycle.lc_lease_ns / 4));
+    done_horizon;
     next_lifecycle = 0;
+    marked = [];
     fetch_cache = Netref.Tbl.create 8;
+    cache_due = Heap.create ();
     fetch_pending = Netref.Tbl.create 8;
     fetch_reqs = Hashtbl.create 8;
     import_reqs = Hashtbl.create 8;
@@ -267,82 +288,25 @@ let packet_span t ~parent =
 (* ------------------------------------------------------------------ *)
 (* Lease bookkeeping.                                                  *)
 
-let leases_on t = t.leases
-
-(* How often the lifecycle tick runs while leases are on; also the
-   cadence of outgoing refreshes, so it must stay well under the
-   exporters' lease period. *)
-let refresh_period t =
-  if t.lifecycle.lc_refresh_ns > 0 then t.lifecycle.lc_refresh_ns
-  else max 1 (t.lifecycle.lc_lease_ns / 4)
-
-(* How long an unused foreign reference keeps being refreshed. *)
-let hold_ns t =
-  if t.lifecycle.lc_hold_ns > 0 then t.lifecycle.lc_hold_ns
-  else t.lifecycle.lc_lease_ns
-
-(* How long an answered request's id stays in the dedup set: past every
-   deadline the sender's retry schedule can produce (backoff deadlines
-   plus the jitter bound, doubled for slack), a duplicate can no longer
-   arrive as a first delivery. *)
-let done_horizon t =
-  if t.lifecycle.lc_done_horizon_ns > 0 then t.lifecycle.lc_done_horizon_ns
-  else begin
-    let r = t.retry in
-    let jitter_max = (r.r_timeout_ns / 4) + 1 in
-    let total = ref 0 in
-    for tries = 1 to r.r_max_tries do
-      total :=
-        !total
-        + int_of_float
-            (float_of_int r.r_timeout_ns
-            *. (r.r_backoff ** float_of_int (tries - 1)))
-        + jitter_max
-    done;
-    2 * !total
-  end
+(* A reference is renewed by the uses its exporter sees: the export
+   itself, every inbound packet that resolves it, and every [Prelease]
+   naming it.  Each sets the expiry to the exporter's clock plus
+   [grant]. *)
 
 let now_of t = Machine.clock t.vm
 
-let renew_chan_lease t heap_id =
-  if leases_on t && not (Hashtbl.mem t.pinned_chans heap_id) then
-    Hashtbl.replace t.chan_leases heap_id (now_of t + t.lifecycle.lc_lease_ns)
+let renew_chan t heap_id =
+  if t.leases then
+    Export_table.renew t.chan_exports heap_id ~until:(now_of t + t.grant)
 
-let renew_class_lease t heap_id =
-  if leases_on t && not (Hashtbl.mem t.pinned_classes heap_id) then
-    Hashtbl.replace t.class_leases heap_id (now_of t + t.lifecycle.lc_lease_ns)
+let renew_class t heap_id =
+  if t.leases then
+    Export_table.renew t.class_exports heap_id ~until:(now_of t + t.grant)
 
-(* Name-service registrations are pinned: the service hands the
-   reference out indefinitely, so its exporter must keep honouring it. *)
-let pin_chan t heap_id =
-  Hashtbl.replace t.pinned_chans heap_id ();
-  Hashtbl.remove t.chan_leases heap_id
-
-let pin_class t heap_id =
-  Hashtbl.replace t.pinned_classes heap_id ();
-  Hashtbl.remove t.class_leases heap_id
-
-(* Record a use of a foreign reference, so the next lifecycle tick
-   refreshes its lease with the exporter. *)
-let touch_held t (r : Netref.t) =
-  if leases_on t && (r.Netref.site_id <> t.site_id || r.Netref.ip <> t.ip)
-  then begin
-    let key = (r.Netref.site_id, r.Netref.ip) in
-    let h =
-      match Hashtbl.find_opt t.held key with
-      | Some h -> h
-      | None ->
-          let h = { hd_chans = Hashtbl.create 8; hd_classes = Hashtbl.create 8 } in
-          Hashtbl.add t.held key h;
-          h
-    in
-    let tbl =
-      match r.Netref.kind with
-      | Netref.Channel -> h.hd_chans
-      | Netref.Class -> h.hd_classes
-    in
-    Hashtbl.replace tbl r.Netref.heap_id (now_of t)
-  end
+(* A use of a foreign reference its exporter cannot see: the next tick
+   refreshes it.  Receiving a reference, sending to it and importing it
+   mark nothing — the exporter either sees those or pinned the id. *)
+let mark t (r : Netref.t) = if t.leases then t.marked <- r :: t.marked
 
 let mark_done t req_id =
   Hashtbl.replace t.done_reqs req_id ();
@@ -353,13 +317,13 @@ let mark_done t req_id =
 
 let export_chan t (c : Value.chan) : Netref.t =
   let heap_id = Export_table.export t.chan_exports ~uid:c.Value.ch_uid c in
-  renew_chan_lease t heap_id;
+  renew_chan t heap_id;
   Netref.make ~kind:Netref.Channel ~heap_id ~site_id:t.site_id ~ip:t.ip
 
 let export_class t (c : Value.cls) : Netref.t =
   let key = (c.Value.cls_group, c.Value.cls_index) in
   let bucket =
-    Option.value ~default:[] (Hashtbl.find_opt t.class_exports key)
+    Option.value ~default:[] (Hashtbl.find_opt t.class_buckets key)
   in
   let heap_id =
     match
@@ -369,14 +333,16 @@ let export_class t (c : Value.cls) : Netref.t =
     with
     | Some (_, heap_id) -> heap_id
     | None ->
-        let heap_id = t.next_class_heap in
-        t.next_class_heap <- heap_id + 1;
-        Hashtbl.replace t.class_exports key ((c, heap_id) :: bucket);
-        Hashtbl.add t.class_by_heap heap_id c;
-        Hashtbl.add t.class_keys heap_id key;
+        (* the bucket dedups class exports; the allocation count is a
+           uid no live entry shares *)
+        let heap_id =
+          Export_table.export t.class_exports
+            ~uid:(Export_table.allocated t.class_exports) c
+        in
+        Hashtbl.replace t.class_buckets key ((c, heap_id) :: bucket);
         heap_id
   in
-  renew_class_lease t heap_id;
+  renew_class t heap_id;
   Netref.make ~kind:Netref.Class ~heap_id ~site_id:t.site_id ~ip:t.ip
 
 (* Outgoing: local heap values become network references (step one of
@@ -388,12 +354,34 @@ let to_wire t (v : Value.t) : Packet.wvalue =
   | Value.Vstr s -> Packet.Wstr s
   | Value.Vchan c -> Packet.Wref (export_chan t c)
   | Value.Vnetref r ->
-      touch_held t r;
+      mark t r;
       Packet.Wref r
   | Value.Vclass c -> Packet.Wref (export_class t c)
   | Value.Vclassref r ->
-      touch_held t r;
+      mark t r;
       Packet.Wref r
+
+(* A reference to this site resolves through its export table, which
+   renews the lease: the exporter sees this use. *)
+let resolve_chan t heap_id =
+  match Export_table.resolve t.chan_exports heap_id with
+  | Some c ->
+      renew_chan t heap_id;
+      c
+  | None ->
+      if Export_table.was_allocated t.chan_exports heap_id then
+        stale "reclaimed channel heap id %d" heap_id
+      else perr "unknown local channel heap id %d" heap_id
+
+let resolve_class t heap_id =
+  match Export_table.resolve t.class_exports heap_id with
+  | Some c ->
+      renew_class t heap_id;
+      c
+  | None ->
+      if Export_table.was_allocated t.class_exports heap_id then
+        stale "reclaimed class heap id %d" heap_id
+      else perr "unknown local class heap id %d" heap_id
 
 (* Incoming: references bound to this site are resolved to heap
    pointers (step two, performed by the receiver).  A reference to an
@@ -407,27 +395,10 @@ let of_wire t (w : Packet.wvalue) : Value.t =
   | Packet.Wstr s -> Value.Vstr s
   | Packet.Wref r when r.Netref.site_id = t.site_id && r.Netref.ip = t.ip -> (
       match r.Netref.kind with
-      | Netref.Channel -> (
-          match Export_table.resolve t.chan_exports r.Netref.heap_id with
-          | Some c ->
-              renew_chan_lease t r.Netref.heap_id;
-              Value.Vchan c
-          | None ->
-              if Export_table.was_allocated t.chan_exports r.Netref.heap_id
-              then stale "reclaimed channel heap id %d" r.Netref.heap_id
-              else perr "unknown local channel heap id %d" r.Netref.heap_id)
-      | Netref.Class -> (
-          match Hashtbl.find_opt t.class_by_heap r.Netref.heap_id with
-          | Some c ->
-              renew_class_lease t r.Netref.heap_id;
-              Value.Vclass c
-          | None ->
-              if r.Netref.heap_id < t.next_class_heap then
-                stale "reclaimed class heap id %d" r.Netref.heap_id
-              else perr "unknown local class heap id %d" r.Netref.heap_id))
-  | Packet.Wref r ->
-      touch_held t r;
-      (match r.Netref.kind with
+      | Netref.Channel -> Value.Vchan (resolve_chan t r.Netref.heap_id)
+      | Netref.Class -> Value.Vclass (resolve_class t r.Netref.heap_id))
+  | Packet.Wref r -> (
+      match r.Netref.kind with
       | Netref.Channel -> Value.Vnetref r
       | Netref.Class -> Value.Vclassref r)
 
@@ -536,11 +507,13 @@ and import_deadline t req_id ~is_class =
 
 (* [sp] is the span of the thread that requested the instantiation. *)
 let start_fetch t ~sp (r : Netref.t) (args : Value.t array) =
-  touch_held t r;
   match Netref.Tbl.find_opt t.fetch_cache r with
-  | Some cls ->
+  | Some cc ->
+      (* a local instantiation: the exporter cannot see this use *)
+      mark t r;
+      cc.cc_used <- now_of t;
       Machine.set_current_span t.vm sp;
-      Machine.instantiate_args t.vm cls args
+      Machine.instantiate_args t.vm cc.cc_cls args
   | None ->
       let pending =
         Option.value ~default:[] (Netref.Tbl.find_opt t.fetch_pending r)
@@ -561,12 +534,10 @@ let start_fetch t ~sp (r : Netref.t) (args : Value.t array) =
 let handle_remote_op t (op : Machine.remote_op) (sp : Trace.span) =
   match op with
   | Machine.Rmsg (dst, label, args) ->
-      touch_held t dst;
       send t ~ctx:(packet_span t ~parent:sp)
         (Packet.Pmsg
            { dst; label; args = List.map (to_wire t) (Array.to_list args) })
   | Machine.Robj (dst, obj) ->
-      touch_held t dst;
       let unit_ = Link.snapshot (Machine.area t.vm) in
       let code_unit, mtable = Bytecode.extract_mtable unit_ obj.Value.obj_mtable in
       send t ~ctx:(packet_span t ~parent:sp)
@@ -578,15 +549,18 @@ let handle_remote_op t (op : Machine.remote_op) (sp : Trace.span) =
              env = List.map (to_wire t) (Array.to_list obj.Value.obj_env) })
   | Machine.Rfetch (r, args) -> start_fetch t ~sp r args
   | Machine.Rexport_name (x, chan) ->
+      (* name-service registrations are pinned: the service hands the
+         reference out indefinitely, so this site must keep honouring
+         it *)
       let nref = export_chan t chan in
-      pin_chan t nref.Netref.heap_id;
+      Export_table.pin t.chan_exports nref.Netref.heap_id;
       send t ~ctx:(packet_span t ~parent:sp)
         (Packet.Pns_register
            { site_name = t.name; id_name = x; nref;
              rtti = rtti_of_export t x })
   | Machine.Rexport_class (x, cls) ->
       let nref = export_class t cls in
-      pin_class t nref.Netref.heap_id;
+      Export_table.pin t.class_exports nref.Netref.heap_id;
       send t ~ctx:(packet_span t ~parent:sp)
         (Packet.Pns_register
            { site_name = t.name; id_name = x; nref;
@@ -606,14 +580,7 @@ let handle_remote_op t (op : Machine.remote_op) (sp : Trace.span) =
 let resolve_local_chan t (r : Netref.t) : Value.chan =
   if r.Netref.site_id <> t.site_id || r.Netref.ip <> t.ip then
     perr "packet for site %d delivered to site %d" r.Netref.site_id t.site_id;
-  match Export_table.resolve t.chan_exports r.Netref.heap_id with
-  | Some c ->
-      renew_chan_lease t r.Netref.heap_id;
-      c
-  | None ->
-      if Export_table.was_allocated t.chan_exports r.Netref.heap_id then
-        stale "reclaimed channel heap id %d" r.Netref.heap_id
-      else perr "unknown channel heap id %d" r.Netref.heap_id
+  resolve_chan t r.Netref.heap_id
 
 let link_once t ~ctx cache counter key code root_of =
   match Lru.find cache key with
@@ -665,16 +632,7 @@ let handle_packet_inner t ~ctx (p : Packet.t) =
       Machine.inject_obj t.vm chan obj
   | Packet.Pfetch_req { cls; req_id; requester_site; requester_ip } ->
       if cls.Netref.kind <> Netref.Class then perr "fetch of a channel reference";
-      let c =
-        match Hashtbl.find_opt t.class_by_heap cls.Netref.heap_id with
-        | Some c ->
-            renew_class_lease t cls.Netref.heap_id;
-            c
-        | None ->
-            if cls.Netref.heap_id < t.next_class_heap then
-              stale "reclaimed class heap id %d" cls.Netref.heap_id
-            else perr "unknown class heap id %d" cls.Netref.heap_id
-      in
+      let c = resolve_class t cls.Netref.heap_id in
       let unit_ = Link.snapshot (Machine.area t.vm) in
       let code_unit, group = Bytecode.extract_group unit_ c.Value.cls_group in
       let g = Link.group (Machine.area t.vm) c.Value.cls_group in
@@ -729,7 +687,9 @@ let handle_packet_inner t ~ctx (p : Packet.t) =
         | Value.Vclass c -> c
         | _ -> assert false
       in
-      Netref.Tbl.replace t.fetch_cache nref cls;
+      Netref.Tbl.replace t.fetch_cache nref { cc_cls = cls; cc_used = now_of t };
+      if t.leases then
+        Heap.push t.cache_due (now_of t + t.lifecycle.lc_lease_ns) nref;
       let pending =
         Option.value ~default:[] (Netref.Tbl.find_opt t.fetch_pending nref)
       in
@@ -769,18 +729,12 @@ let handle_packet_inner t ~ctx (p : Packet.t) =
               let v = of_wire t (Packet.Wref r) in
               Machine.spawn t.vm ~block:cont ~env:(v :: captured)))
   | Packet.Prelease { chans; classes; _ } ->
-      (* an importer still holds these: renew whatever is still live
-         (a refresh racing the reclamation sweep loses — the importer
-         sees a stale-ref on next use, the documented failure mode) *)
-      List.iter
-        (fun id ->
-          match Export_table.resolve t.chan_exports id with
-          | Some _ -> renew_chan_lease t id
-          | None -> ())
-        chans;
-      List.iter
-        (fun id -> if Hashtbl.mem t.class_by_heap id then renew_class_lease t id)
-        classes
+      (* an importer used these where this site could not see it: renew
+         whatever is still live (a refresh racing the reclamation sweep
+         loses — the next use is a stale-ref, the documented failure
+         mode) *)
+      List.iter (renew_chan t) chans;
+      List.iter (renew_class t) classes
   | Packet.Pns_register _ | Packet.Pns_lookup _ ->
       perr "name-service packet delivered to an ordinary site"
 
@@ -802,113 +756,107 @@ let trace_reclaim t ~now rc n =
     Trace.emit t.tr ~ts:now ~track:t.site_id ~span:Trace.null_span
       (Trace.Reclaim { rc; n })
 
-(* Expired ids are removed in sorted order so the free list — and with
-   it every later id allocation — is deterministic regardless of
-   hash-table iteration order. *)
-let expired_ids leases ~now =
-  List.sort compare
-    (Hashtbl.fold (fun id exp acc -> if exp <= now then id :: acc else acc)
-       leases [])
+(* Account for [n] exports whose leases ran out. *)
+let reclaimed t ~now rc n =
+  if n > 0 then begin
+    Stats.Counter.add t.c_leases_expired n;
+    Stats.Counter.add t.c_ids_reclaimed n;
+    trace_reclaim t ~now rc n
+  end
+
+let unbucket t id (c : Value.cls) =
+  let key = (c.Value.cls_group, c.Value.cls_index) in
+  match
+    List.filter (fun (_, hid) -> hid <> id)
+      (Option.value ~default:[] (Hashtbl.find_opt t.class_buckets key))
+  with
+  | [] -> Hashtbl.remove t.class_buckets key
+  | rest -> Hashtbl.replace t.class_buckets key rest
+
+(* Grouping order of marked references: exporter, then kind, then id. *)
+let by_origin (a : Netref.t) (b : Netref.t) =
+  compare
+    (a.Netref.site_id, a.Netref.ip, a.Netref.kind, a.Netref.heap_id)
+    (b.Netref.site_id, b.Netref.ip, b.Netref.kind, b.Netref.heap_id)
+
+(* One [Prelease] per exporter, naming the (sorted, distinct) marked
+   references it exported. *)
+let rec send_refreshes t ~now = function
+  | [] -> ()
+  | (first : Netref.t) :: _ as refs ->
+      let rec split chans classes = function
+        | (r : Netref.t) :: rest
+          when r.Netref.site_id = first.Netref.site_id
+               && r.Netref.ip = first.Netref.ip -> (
+            match r.Netref.kind with
+            | Netref.Channel -> split (r.Netref.heap_id :: chans) classes rest
+            | Netref.Class -> split chans (r.Netref.heap_id :: classes) rest)
+        | rest -> (List.rev chans, List.rev classes, rest)
+      in
+      let chans, classes, rest = split [] [] refs in
+      Stats.Counter.incr t.c_lease_refreshes;
+      if t.tr_on then
+        Trace.emit t.tr ~ts:now ~track:t.site_id ~span:Trace.null_span
+          (Trace.Lease_refresh
+             { chans = List.length chans; classes = List.length classes });
+      send t ~ctx:(packet_span t ~parent:Trace.null_span)
+        (Packet.Prelease
+           { origin_site = first.Netref.site_id;
+             origin_ip = first.Netref.ip; chans; classes });
+      send_refreshes t ~now rest
+
+(* Fetched classes unused for a lease period leave the fetch cache; the
+   next instantiation fetches again. *)
+let drop_unused_classes t ~now =
+  let lease = t.lifecycle.lc_lease_ns in
+  let dropped = ref 0 and scanning = ref true in
+  while !scanning do
+    match Heap.peek_key t.cache_due with
+    | Some due when due <= now -> (
+        match Heap.pop t.cache_due with
+        | Some (_, r) -> (
+            match Netref.Tbl.find_opt t.fetch_cache r with
+            | Some cc when cc.cc_used + lease > now ->
+                Heap.push t.cache_due (cc.cc_used + lease) r
+            | _ ->
+                Netref.Tbl.remove t.fetch_cache r;
+                incr dropped)
+        | None -> ())
+    | _ -> scanning := false
+  done;
+  if !dropped > 0 then begin
+    Stats.Counter.add t.c_held_dropped !dropped;
+    trace_reclaim t ~now Trace.Rc_import_hold !dropped
+  end
 
 let lifecycle_tick t ~now =
   (* dedup records past the sender's retry horizon *)
-  let horizon = done_horizon t in
-  let pruned = ref 0 in
-  let rec prune () =
+  let pruned = ref 0 and scanning = ref true in
+  while !scanning do
     match Dq.peek_front t.done_order with
-    | Some (req_id, done_at) when done_at + horizon <= now ->
+    | Some (req_id, done_at) when done_at + t.done_horizon <= now ->
         ignore (Dq.pop_front t.done_order);
         Hashtbl.remove t.done_reqs req_id;
-        incr pruned;
-        prune ()
-    | _ -> ()
-  in
-  prune ();
+        incr pruned
+    | _ -> scanning := false
+  done;
   if !pruned > 0 then begin
     Stats.Counter.add t.c_done_pruned !pruned;
     trace_reclaim t ~now Trace.Rc_done_req !pruned
   end;
-  if leases_on t then begin
-    (* exporter side: drop exports whose leases expired *)
-    let dead_chans = expired_ids t.chan_leases ~now in
-    List.iter
-      (fun id ->
-        Hashtbl.remove t.chan_leases id;
-        ignore (Export_table.remove t.chan_exports id))
-      dead_chans;
-    let n_chans = List.length dead_chans in
-    if n_chans > 0 then begin
-      Stats.Counter.add t.c_leases_expired n_chans;
-      Stats.Counter.add t.c_ids_reclaimed n_chans;
-      trace_reclaim t ~now Trace.Rc_chan_export n_chans
-    end;
-    let dead_classes = expired_ids t.class_leases ~now in
-    List.iter
-      (fun id ->
-        Hashtbl.remove t.class_leases id;
-        Hashtbl.remove t.class_by_heap id;
-        match Hashtbl.find_opt t.class_keys id with
-        | None -> ()
-        | Some key ->
-            Hashtbl.remove t.class_keys id;
-            let bucket =
-              Option.value ~default:[] (Hashtbl.find_opt t.class_exports key)
-            in
-            (match List.filter (fun (_, hid) -> hid <> id) bucket with
-            | [] -> Hashtbl.remove t.class_exports key
-            | rest -> Hashtbl.replace t.class_exports key rest))
-      dead_classes;
-    let n_classes = List.length dead_classes in
-    if n_classes > 0 then begin
-      Stats.Counter.add t.c_leases_expired n_classes;
-      Stats.Counter.add t.c_ids_reclaimed n_classes;
-      trace_reclaim t ~now Trace.Rc_class_export n_classes
-    end;
-    (* importer side: refresh refs used within the hold period, forget
-       the rest (for classes, together with their fetch-cache entry) *)
-    let hold = hold_ns t in
-    let dropped = ref 0 in
-    let origins =
-      List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.held [])
-    in
-    List.iter
-      (fun ((origin_site, origin_ip) as key) ->
-        let h = Hashtbl.find t.held key in
-        let split tbl =
-          Hashtbl.fold
-            (fun id last (keep, drop) ->
-              if last + hold <= now then (keep, id :: drop)
-              else (id :: keep, drop))
-            tbl ([], [])
-        in
-        let keep_chans, drop_chans = split h.hd_chans in
-        let keep_classes, drop_classes = split h.hd_classes in
-        List.iter (Hashtbl.remove h.hd_chans) drop_chans;
-        List.iter
-          (fun id ->
-            Hashtbl.remove h.hd_classes id;
-            Netref.Tbl.remove t.fetch_cache
-              (Netref.make ~kind:Netref.Class ~heap_id:id ~site_id:origin_site
-                 ~ip:origin_ip))
-          drop_classes;
-        dropped := !dropped + List.length drop_chans + List.length drop_classes;
-        if keep_chans = [] && keep_classes = [] then Hashtbl.remove t.held key
-        else begin
-          let chans = List.sort compare keep_chans in
-          let classes = List.sort compare keep_classes in
-          Stats.Counter.incr t.c_lease_refreshes;
-          if t.tr_on then
-            Trace.emit t.tr ~ts:now ~track:t.site_id ~span:Trace.null_span
-              (Trace.Lease_refresh
-                 { chans = List.length chans; classes = List.length classes });
-          send t ~ctx:(packet_span t ~parent:Trace.null_span)
-            (Packet.Prelease { origin_site; origin_ip; chans; classes })
-        end)
-      origins;
-    if !dropped > 0 then begin
-      Stats.Counter.add t.c_held_dropped !dropped;
-      trace_reclaim t ~now Trace.Rc_import_hold !dropped
-    end
+  if t.leases then begin
+    (* exporter side: only the entries that fell due are visited *)
+    reclaimed t ~now Trace.Rc_chan_export
+      (Export_table.expire t.chan_exports ~now (fun _ _ -> ()));
+    reclaimed t ~now Trace.Rc_class_export
+      (Export_table.expire t.class_exports ~now (unbucket t));
+    (* importer side: the references marked since the previous tick *)
+    (match t.marked with
+    | [] -> ()
+    | marked ->
+        t.marked <- [];
+        send_refreshes t ~now (List.sort_uniq by_origin marked));
+    drop_unused_classes t ~now
   end
 
 (* ------------------------------------------------------------------ *)
@@ -987,10 +935,7 @@ let pump ?(now = 0) t ~quantum =
        Machine.set_clock t.vm lnow;
        lifecycle_tick t ~now:lnow;
        cost := !cost + lifecycle_tick_cost;
-       let period =
-         if leases_on t then refresh_period t else max 1 (done_horizon t / 4)
-       in
-       t.next_lifecycle <- lnow + period
+       t.next_lifecycle <- lnow + t.tick_period
      end);
     !cost
   end
@@ -1017,21 +962,16 @@ type mem_stats = {
 }
 
 let memory t =
-  let class_live = Hashtbl.length t.class_by_heap in
-  let held =
-    Hashtbl.fold
-      (fun _ h acc ->
-        acc + Hashtbl.length h.hd_chans + Hashtbl.length h.hd_classes)
-      t.held 0
-  in
   { m_chan_live = Export_table.live t.chan_exports;
     m_chan_allocated = Export_table.allocated t.chan_exports;
     m_chan_reclaimed = Export_table.reclaimed t.chan_exports;
-    m_class_live = class_live;
-    m_class_allocated = t.next_class_heap;
-    m_class_reclaimed = t.next_class_heap - class_live;
+    m_class_live = Export_table.live t.class_exports;
+    m_class_allocated = Export_table.allocated t.class_exports;
+    m_class_reclaimed = Export_table.reclaimed t.class_exports;
     m_done_reqs = Hashtbl.length t.done_reqs;
     m_obj_cache = Lru.length t.obj_code_cache;
     m_grp_cache = Lru.length t.grp_code_cache;
     m_fetch_cache = Netref.Tbl.length t.fetch_cache;
-    m_held = held }
+    m_held =
+      List.length (List.sort_uniq by_origin t.marked)
+      + Heap.length t.cache_due }

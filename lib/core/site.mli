@@ -51,18 +51,24 @@ val default_retry : retry
     its peers, so the resident set tracks the live working set instead
     of growing with traffic.
 
-    - [lc_lease_ns]: exported channels/classes live this long past
-      their last use (export, resolve, or lease refresh) and are then
-      reclaimed — their heap identifiers retired, the slots reused
-      under a fresh generation.  [0] (default) disables leases
-      entirely: exports, held-import tracking and refresh traffic all
-      behave as in the seed.  Name-service registrations are pinned
-      and never expire.
-    - [lc_refresh_ns]: cadence of the lifecycle tick and of the
-      [Prelease] refreshes an importer sends for foreign references it
-      still holds; defaults to a quarter of the lease period.
-    - [lc_hold_ns]: how long an importer keeps refreshing a foreign
-      reference it has not used; defaults to the lease period.
+    - [lc_lease_ns]: leases on exported channels/classes.  An exporter
+      renews an entry on every use it sees — the export itself, every
+      inbound message, object or FETCH that resolves it, every
+      [Prelease] naming it — to its own clock plus [2 * lc_lease_ns],
+      and reclaims entries past their expiry: their heap identifiers
+      retired, the slots reused under a fresh generation.  An importer
+      refreshes only the uses its exporter cannot see — passing a
+      foreign reference to another site, instantiating a fetched class
+      from its cache — with one [Prelease] per exporter per tick; and
+      drops fetched classes unused for [lc_lease_ns].  Receiving a
+      reference, sending to it and importing it send nothing.  The
+      protocol assumes a use or refresh reaches the exporter within
+      [lc_lease_ns] of being made.  [0] (default) disables leases
+      entirely: exports live forever and no refresh is ever sent.
+      Name-service registrations are pinned and never expire.
+    - [lc_refresh_ns]: cadence of the lifecycle tick, which reclaims
+      expired exports and sends the refreshes; defaults to a quarter of
+      the lease period.
     - [lc_code_cache]: capacity of each receiver-side linking cache
       (LRU; a miss re-links from the shipped code).
     - [lc_done_horizon_ns]: how long answered-request ids stay in the
@@ -71,7 +77,6 @@ val default_retry : retry
 type lifecycle = {
   lc_lease_ns : int;
   lc_refresh_ns : int;
-  lc_hold_ns : int;
   lc_code_cache : int;
   lc_done_horizon_ns : int;
 }
@@ -164,7 +169,9 @@ type mem_stats = {
   m_obj_cache : int;       (** object-shipment linking cache occupancy *)
   m_grp_cache : int;       (** class-fetch linking cache occupancy *)
   m_fetch_cache : int;     (** fetched classes resident *)
-  m_held : int;            (** foreign references tracked for refresh *)
+  m_held : int;
+      (** foreign references marked for the next refresh, plus fetched
+          classes whose last use is tracked (leases on) *)
 }
 
 val memory : t -> mem_stats

@@ -16,7 +16,12 @@
     {!was_allocated} tells a stale identifier (allocated once, since
     reclaimed) from one that was never issued, so the protocol layer
     can fail the former visibly as a ["stale-ref"] and treat only the
-    latter as a protocol error. *)
+    latter as a protocol error.
+
+    Entries can also carry a lease ({!renew}, {!pin}, {!expire}): the
+    expiry lives in the entry's slot, and a due-time queue finds the
+    expired ones, so neither a renewal nor a sweep touches the entries
+    that are not due. *)
 
 type 'a t
 
@@ -48,3 +53,19 @@ val was_allocated : 'a t -> int -> bool
 (** Whether the identifier's slot was ever issued: [true] for every
     live or reclaimed identifier, [false] for identifiers this table
     never produced. *)
+
+val renew : 'a t -> int -> until:int -> unit
+(** Set a live entry's lease to expire at virtual time [until].  The
+    first renewal queues the entry; later ones only move its expiry.
+    No effect on pinned or dead identifiers.  Entries never renewed
+    carry no lease and never expire. *)
+
+val pin : 'a t -> int -> unit
+(** Exempt a live entry from expiry for good. *)
+
+val expire : 'a t -> now:int -> (int -> 'a -> unit) -> int
+(** [expire t ~now f] removes every leased entry whose expiry is at or
+    before [now], in identifier order (so the free list, and with it
+    every later identifier, is deterministic), calling [f id v] before
+    each removal; returns how many it removed.  Its cost grows with the
+    number of queue entries that fell due, not with the table. *)

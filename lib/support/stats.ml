@@ -45,7 +45,8 @@ module Dist = struct
 
   let name t = t.name
 
-  let add t x =
+  (* Inlined, so [add_int]'s float never leaves a register. *)
+  let[@inline] add t x =
     if t.filled < reservoir_cap then begin
       if t.filled = Array.length t.reservoir then begin
         let cap =
@@ -74,8 +75,8 @@ module Dist = struct
     if x > Array.unsafe_get acc 2 then Array.unsafe_set acc 2 x
 
   (* Integer entry point: the conversion happens inside the call, so
-     hot loops recording counts/depths pass an unboxed int instead of
-     allocating a boxed float argument per sample. *)
+     hot loops recording counts/depths pass an unboxed int, and with
+     [add] inlined here no float is boxed at all. *)
   let add_int t n = add t (float_of_int n)
 
   let count t = t.n

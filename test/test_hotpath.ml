@@ -143,7 +143,7 @@ let lease_off_bit_identical_report () =
   let prog = Api.parse src in
   let leases_off =
     { Cluster.default_config with
-      Cluster.lease_ns = 0; lease_refresh_ns = 0; lease_hold_ns = 0 }
+      Cluster.lease_ns = 0; lease_refresh_ns = 0 }
   in
   let ra = Api.run_program ~config:leases_off prog in
   let rb = Api.run_program prog in
@@ -187,6 +187,40 @@ let ring_push_pop_zero_alloc () =
       "Spsc_ring allocated %.0f words over 100k push/pop pairs (must be 0)"
       words
 
+(* The per-thread sample [Machine.run] records: [Dist.add_int] passes
+   its sample unboxed, and past the reservoir cap the replacement draw
+   ([Prng.int]) keeps its int64 state unboxed too — neither allocates. *)
+let dist_and_prng_zero_alloc () =
+  let d = Tyco_support.Stats.Dist.create "pin" in
+  (* fill the reservoir past its cap: growth is one-time allocation *)
+  for i = 1 to 9_000 do
+    Tyco_support.Stats.Dist.add_int d i
+  done;
+  let before = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    Tyco_support.Stats.Dist.add_int d i
+  done;
+  let words = Gc.minor_words () -. before in
+  if words > 0. then
+    Alcotest.failf "Dist.add_int allocated %.0f words over 10k samples" words;
+  check Alcotest.int "count includes every sample" 19_000
+    (Tyco_support.Stats.Dist.count d);
+  let g = Tyco_support.Prng.create 7 in
+  (* the stream every seeded run depends on, as drawn before the state
+     was unboxed *)
+  check
+    Alcotest.(list int)
+    "stream unchanged"
+    [ 986583; 955804; 445634; 696395; 335770 ]
+    (List.init 5 (fun _ -> Tyco_support.Prng.int g 1_000_000));
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    ignore (Tyco_support.Prng.int g 1000)
+  done;
+  let words = Gc.minor_words () -. before in
+  if words > 0. then
+    Alcotest.failf "Prng.int allocated %.0f words over 10k draws" words
+
 let tests =
   [ Alcotest.test_case "e1 minor words per reduction capped" `Quick
       e1_minor_words_capped;
@@ -197,4 +231,6 @@ let tests =
     Alcotest.test_case "disabled metrics cost nothing" `Quick
       disabled_metrics_cost_nothing;
     Alcotest.test_case "lease_ns=0 report identical to seed semantics"
-      `Quick lease_off_bit_identical_report ]
+      `Quick lease_off_bit_identical_report;
+    Alcotest.test_case "dist add_int and prng int allocate zero words"
+      `Quick dist_and_prng_zero_alloc ]

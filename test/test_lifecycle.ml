@@ -102,8 +102,13 @@ let leases_bound_live_exports () =
   (* reclamation never bit an in-use reference *)
   check Alcotest.int "no stale refs" 0
     (counter_total leased.Api.cluster "stale_refs");
-  check Alcotest.bool "refreshes flowed" true
-    (counter_total leased.Api.cluster "lease_refreshes" > 0)
+  (* the server only receives reply channels and sends to them, both
+     uses the exporter sees: no refresh is needed, so leases add no
+     packet *)
+  check Alcotest.int "reply channels need no refresh" 0
+    (counter_total leased.Api.cluster "lease_refreshes");
+  check Alcotest.int "no packets beyond the lease-off run" base.Api.packets
+    leased.Api.packets
 
 let leases_deterministic () =
   let src = churn_src 120 in
@@ -128,6 +133,50 @@ let pinned_exports_survive () =
   check (Alcotest.list ev_testable) "run completed"
     [ { Output.site = "client"; label = "printi"; args = [ Output.Oint 0 ] } ]
     (events r)
+
+(* A reference its exporter never sees used: [ex] hands its channel [r]
+   to [pa], and [pa] and [pb] pass it back and forth [hops] times before
+   the last holder sends to it.  Each pass pokes [ex]'s pinned channel so
+   [ex] keeps running its lifecycle tick, which would reclaim [r] unless
+   the passes are refreshed. *)
+let handoff_src hops =
+  let hopper self other =
+    Printf.sprintf
+      {| site p%s {
+           def Hop(self, other, poke) =
+             self?(n, r) = ((if n == 0 then r![42]
+                             else (other![n - 1, r] | poke![0]))
+                            | Hop[self, other, poke])
+           in export new c%s (import c%s from p%s in import poke from ex in
+                              Hop[c%s, c%s, poke]) } |}
+      self self other other self other
+  in
+  Printf.sprintf
+    {| site ex {
+         def Sink(s) = s?(z) = Sink[s]
+         in export new poke (Sink[poke] |
+              import ca from pa in new r ((r?(x) = io!printi[x]) | ca![%d, r])) }
+       %s %s |}
+    hops (hopper "a" "b") (hopper "b" "a")
+
+let passed_reference_stays_live () =
+  let lease_ns = 50_000 in
+  let cfg =
+    { Cluster.default_config with
+      Cluster.lease_ns; lease_refresh_ns = lease_ns / 4 }
+  in
+  let r = run ~config:cfg (handoff_src 40) in
+  check (Alcotest.list ev_testable) "printed, no stale-ref"
+    [ { Output.site = "ex"; label = "printi"; args = [ Output.Oint 42 ] } ]
+    (events r);
+  check Alcotest.int "no stale refs" 0 (counter_total r.Api.cluster "stale_refs");
+  (match r.Api.outputs with
+  | [ (ts, _) ] ->
+      check Alcotest.bool "the hand-off outlasts two grants" true
+        (ts > 2 * 2 * lease_ns)
+  | _ -> Alcotest.fail "expected one output");
+  check Alcotest.bool "the passes were refreshed" true
+    (counter_total r.Api.cluster "lease_refreshes" > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Stale references fail visibly and deterministically                 *)
@@ -301,6 +350,7 @@ let tests =
     ("leases bound live exports", `Quick, leases_bound_live_exports);
     ("lease reclamation deterministic", `Quick, leases_deterministic);
     ("pinned exports survive", `Quick, pinned_exports_survive);
+    ("passed reference stays live", `Quick, passed_reference_stays_live);
     ("stale ref fails visibly", `Quick, stale_ref_is_visible);
     ("never-issued id still raises", `Quick, never_issued_still_raises);
     ("chaos + leases preserve outputs", `Quick, chaos_with_leases_preserves_outputs);

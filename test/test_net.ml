@@ -292,6 +292,51 @@ let export_table_reclaim () =
     (Export_table.export t ~uid:10 "chan-a2" <> a);
   ignore b
 
+(* Leases: an entry expires once its expiry passes, unless renewed or
+   pinned; unleased entries never expire, and expired ids leave in id
+   order whatever order they fell due in. *)
+let export_table_leases () =
+  let t = Export_table.create () in
+  let ids = List.map (fun uid -> Export_table.export t ~uid uid) [ 0; 1; 2; 3; 4 ] in
+  let id n = List.nth ids n in
+  (* due out of id order: 3 first, then 1, then 0 *)
+  Export_table.renew t (id 3) ~until:10;
+  Export_table.renew t (id 1) ~until:20;
+  Export_table.renew t (id 0) ~until:20;
+  Export_table.renew t (id 2) ~until:20;
+  Export_table.pin t (id 2);
+  (* id 4 is never leased *)
+  let removed = ref [] in
+  let expire now = Export_table.expire t ~now (fun i v -> removed := (i, v) :: !removed) in
+  check Alcotest.int "nothing due yet" 0 (expire 9);
+  check Alcotest.int "one due" 1 (expire 10);
+  check Alcotest.bool "gone" true (Export_table.resolve t (id 3) = None);
+  (* a renewal after queueing postpones without touching the queue *)
+  Export_table.renew t (id 1) ~until:40;
+  check Alcotest.int "the unrenewed one expires" 1 (expire 25);
+  check Alcotest.bool "the renewed one survives" true
+    (Export_table.resolve t (id 1) = Some 1);
+  check Alcotest.int "then expires" 1 (expire 40);
+  check
+    Alcotest.(list (pair int int))
+    "removals reported with their values, newest first"
+    [ (id 1, 1); (id 0, 0); (id 3, 3) ]
+    !removed;
+  check Alcotest.int "pinned and unleased stay" 2 (Export_table.live t);
+  check Alcotest.int "nothing left to expire" 0 (expire max_int);
+  (* several due in one sweep leave in id order: the last removed slot
+     is the first reused *)
+  let t = Export_table.create () in
+  let a = Export_table.export t ~uid:0 "a" and b = Export_table.export t ~uid:1 "b" in
+  Export_table.renew t b ~until:5;
+  Export_table.renew t a ~until:6;
+  check Alcotest.int "both" 2 (Export_table.expire t ~now:6 (fun _ _ -> ()));
+  let c = Export_table.export t ~uid:2 "c" in
+  check Alcotest.int "reuses the higher id's slot" (b land 0xFFFFF) (c land 0xFFFFF);
+  check Alcotest.int "allocated = live + reclaimed"
+    (Export_table.live t + Export_table.reclaimed t)
+    (Export_table.allocated t)
+
 (* ------------------------------------------------------------------ *)
 (* Name service                                                        *)
 
@@ -534,6 +579,7 @@ let tests =
     ("packet malformed", `Quick, packet_malformed);
     ("export table", `Quick, export_table_stable);
     ("export table reclamation", `Quick, export_table_reclaim);
+    ("export table leases", `Quick, export_table_leases);
     ("nameservice register/lookup", `Quick, ns_register_lookup);
     ("nameservice parks waiters", `Quick, ns_parks_and_releases);
     ("simnet event order", `Quick, simnet_event_order);

@@ -772,6 +772,48 @@ let rejects_deterministic_only_modes () =
           Cluster.faults =
             { Tyco_net.Simnet.no_faults with Tyco_net.Simnet.drop = 0.1 } } ) ]
 
+(* Leases on the sharded engine, on the E17 churn shape: four clients
+   each make [rounds] synchronous calls, and every call exports a fresh
+   reply channel.  Shard clocks are not synchronized, so a packet from a
+   shard whose clock runs ahead can move an exporter's clock past a
+   lease it has not yet seen renewed; the lease must still never bite a
+   reply channel whose reply is on its way (DESIGN.md §11). *)
+let churn_src ~clients ~rounds =
+  let client i =
+    Printf.sprintf
+      {| site c%d { import svc from server in
+                    def Ping(n) = if n == 0 then io!printi[%d]
+                                  else let v = svc!ping[n] in Ping[n - 1]
+                    in Ping[%d] } |}
+      i i rounds
+  in
+  Printf.sprintf
+    {| site server {
+         def Serve(svc) = svc?{ ping(v, k) = (k![v] | Serve[svc]) }
+         in export new svc Serve[svc] }
+       %s |}
+    (String.concat "" (List.init clients client))
+
+let leases_at_two_domains () =
+  let config =
+    { Cluster.default_config with
+      Cluster.lease_ns = 200_000; lease_refresh_ns = 50_000 }
+  in
+  let prog = Api.parse (churn_src ~clients:4 ~rounds:1_000) in
+  let want = event_multiset (Api.run_program ~config prog).Api.outputs in
+  for run = 1 to 30 do
+    let r = Api.run_parallel ~config ~domains:2 prog in
+    let name what = Printf.sprintf "run %d: %s" run what in
+    check Alcotest.(list string) (name "outputs") want
+      (event_multiset r.Par_runner.outputs);
+    check Alcotest.bool (name "clean") true r.Par_runner.clean;
+    check Alcotest.int (name "stale refs") 0
+      (List.fold_left
+         (fun acc s ->
+           acc + Tyco_support.Stats.counter_value (Site.stats s) "stale_refs")
+         0 r.Par_runner.sites)
+  done
+
 let tests =
   [ ("spsc ring fifo", `Quick, ring_fifo);
     ("spsc ring bounded", `Quick, ring_bounded);
@@ -794,4 +836,5 @@ let tests =
     ("rebalance equivalence", `Quick, rebalance_equivalence);
     ("forced migration accounting", `Quick, forced_migration_accounting);
     ("global event budget", `Quick, global_event_budget);
-    ("rebalance rejects tracing", `Quick, rebalance_rejects_tracing) ]
+    ("rebalance rejects tracing", `Quick, rebalance_rejects_tracing);
+    ("leases at 2 domains", `Quick, leases_at_two_domains) ]
