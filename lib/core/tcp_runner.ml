@@ -77,17 +77,25 @@ let buf_drain cb =
 (* ------------------------------------------------------------------ *)
 (* Node state.                                                         *)
 
+(* An accepted connection.  [from_node]: its far end is another node
+   of this run, whose frames were counted as work when queued. *)
+type inbound = { in_fd : Unix.file_descr; rx : conn_buf; from_node : bool }
+
+(* The connection towards one peer node, with its coalesced outgoing
+   frames; flushed once per pass. *)
+type outbound = { out_fd : Unix.file_descr; tx : conn_buf }
+
 type node = {
   node_id : int;
   listen : Unix.file_descr;
-  (* outgoing connections, by peer node id *)
-  peers : (int, Unix.file_descr) Hashtbl.t;
-  (* coalesced outgoing frames, by peer node id; flushed once per loop *)
-  tx : (int, conn_buf) Hashtbl.t;
+  (* by peer node id, connected during set-up; [None] at this node *)
+  peers : outbound option array;
+  (* the local addresses of the peers' connections towards this node,
+     which is how an accepted end is told from an outside one *)
+  mutable peer_addrs : Unix.sockaddr list;
   (* node-local encoder, reused across every outgoing packet *)
   enc : Wire.enc;
-  (* accepted incoming connections with reassembly buffers *)
-  mutable accepted : (Unix.file_descr * conn_buf) list;
+  mutable inbound : inbound list;
   (* this node's daemon: its sites and, on node 0, the name service *)
   daemon : Node.t;
   host : Node.host;
@@ -96,74 +104,54 @@ type node = {
      itself, name-service replies — run by the loop; only touched by
      this node's domain *)
   deferred : (unit -> unit) Queue.t;
-  idle : bool Atomic.t;
+  (* whether this node holds its unit of [shared.work] *)
+  mutable counted : bool;
   (* read buffer, reused across iterations (was a per-iteration 8 KB
      allocation) *)
   scratch : Bytes.t;
-  (* idle parks taken by this node's domain, read after join *)
+  (* blocking parks taken by this node's domain, read after join *)
   mutable parks : int;
   mutable error : exn option; (* what stopped this node, read after join *)
-  (* node-confined metrics registry (the ad-hoc park/retry counters,
-     folded): only this node's domain bumps it; merged after join *)
+  (* node-confined metrics registry: only this node's domain bumps it;
+     merged after join *)
   mx : Metrics.t;
   m_parks : Metrics.counter;
   m_packets : Metrics.counter;
   m_bytes : Metrics.counter;
-  m_retries : Metrics.counter; (* connect_with_retry backoff rounds *)
 }
 
+(* Termination is counted, after Mattern: [work] holds one unit per
+   node that has work plus one per frame a node queued for a peer that
+   the peer has not read yet.  A node counts itself before it uncounts
+   the frames it read, so the sum is zero only when no work exists
+   anywhere; the update that makes it zero writes [wake_w], which the
+   coordinator blocks on.  [stop_r] becomes readable, for good, when
+   the run ends: every node's blocking park waits on it. *)
 type shared = {
-  base_port : int;
-  in_flight : int Atomic.t;
+  work : int Atomic.t;
   stop : bool Atomic.t;
   total_packets : int Atomic.t;
+  wake_w : Unix.file_descr;
+  stop_r : Unix.file_descr;
 }
 
-let connect_with_retry shared node peer =
-  let addr =
-    Unix.ADDR_INET (Unix.inet_addr_loopback, shared.base_port + peer)
-  in
-  (* exponential backoff on refused connections (the peer's listener
-     may not be up yet): 1 ms doubling to 50 ms, same ~5 s budget as
-     the fixed-sleep loop it replaces but with far fewer wakeups *)
-  let rec go tries delay =
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    match Unix.connect fd addr with
-    | () ->
-        Unix.set_nonblock fd;
-        fd
-    | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _)
-      when tries > 0 ->
-        Unix.close fd;
-        Metrics.incr node.m_retries;
-        Unix.sleepf delay;
-        go (tries - 1) (Float.min 0.05 (delay *. 2.))
-  in
-  go 200 0.001
+let wake shared = ignore (Unix.write_substring shared.wake_w "w" 0 1)
 
-let peer_fd shared node peer =
-  match Hashtbl.find_opt node.peers peer with
-  | Some fd -> fd
-  | None ->
-      let fd = connect_with_retry shared node peer in
-      Hashtbl.add node.peers peer fd;
-      fd
+let count shared node =
+  if not node.counted then begin
+    node.counted <- true;
+    Atomic.incr shared.work
+  end
 
-let tx_buf_of node peer =
-  match Hashtbl.find_opt node.tx peer with
-  | Some tx -> tx
-  | None ->
-      let tx = buf_create () in
-      Hashtbl.add node.tx peer tx;
-      tx
+let uncount shared n = if Atomic.fetch_and_add shared.work (-n) = n then wake shared
 
 (* Queue one packet for [peer]: encode (into the node's reused
    encoder — no per-packet buffer churn) straight into the peer's tx
    buffer behind its length prefix.  The bytes leave in [flush_tx]. *)
 let send_to shared node peer ~ctx (p : Packet.t) =
-  Atomic.incr shared.in_flight;
+  Atomic.incr shared.work;
   Atomic.incr shared.total_packets;
-  let tx = tx_buf_of node peer in
+  let tx = (Option.get node.peers.(peer)).tx in
   (* the trace span rides the versioned trailer — an untraced run
      produces bytes identical to [Packet.to_string] *)
   Wire.reset node.enc;
@@ -179,26 +167,25 @@ let send_to shared node peer ~ctx (p : Packet.t) =
   Metrics.incr node.m_packets;
   Metrics.add node.m_bytes n
 
-let flush_tx shared node =
-  Hashtbl.iter
-    (fun peer tx ->
-      if tx.len > 0 then begin
-        let fd = peer_fd shared node peer in
-        (* loopback writes of small buffers complete immediately; loop
-           for completeness *)
-        let rec write_all off =
-          if off < tx.len then begin
-            match Unix.write fd tx.data off (tx.len - off) with
-            | n -> write_all (off + n)
-            | exception Unix.Unix_error (Unix.EAGAIN, _, _) ->
-                Domain.cpu_relax ();
-                write_all off
-          end
-        in
-        write_all 0;
-        tx.len <- 0
-      end)
-    node.tx
+let flush_tx node =
+  Array.iter
+    (function
+      | Some { out_fd; tx } when tx.len > 0 ->
+          (* loopback writes of small buffers complete immediately; loop
+             for completeness *)
+          let rec write_all off =
+            if off < tx.len then begin
+              match Unix.write out_fd tx.data off (tx.len - off) with
+              | n -> write_all (off + n)
+              | exception Unix.Unix_error (Unix.EAGAIN, _, _) ->
+                  Domain.cpu_relax ();
+                  write_all off
+            end
+          in
+          write_all 0;
+          tx.len <- 0
+      | _ -> ())
+    node.peers
 
 (* ------------------------------------------------------------------ *)
 (* Per-node event loop.                                                *)
@@ -218,106 +205,105 @@ let transport shared node =
     schedule = (fun ~delay:_ f -> Queue.push f node.deferred);
     now = (fun () -> 0) }
 
-(* Idle parking: instead of a fixed 0.5 ms sleep per quiet iteration,
-   the loop blocks in [select] on everything that can make work appear
-   from outside — the listener (new connections) and the accepted
-   sockets (data).  The timeout doubles from [park_min] to [park_max]
-   across consecutive quiet iterations and resets on any work, so a
-   busy node never parks and a quiet one converges to a few wakeups
-   per second; inbound bytes end the park immediately (the wakeup
-   half), where the fixed sleep always paid its full latency. *)
-let park_min = 5e-5 (* 50 us *)
-let park_max = 5e-3 (* 5 ms *)
-
-let park node ~timeout =
-  node.parks <- node.parks + 1;
-  Metrics.incr node.m_parks;
-  let fds = node.listen :: List.map fst node.accepted in
-  match Unix.select fds [] [] timeout with
-  | _ -> ()
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-
-let serve shared node =
-  let backoff = ref park_min in
-  while not (Atomic.get shared.stop) do
-    let worked = ref false in
-    (* accept new connections *)
-    (match Unix.accept node.listen with
-    | fd, _ ->
-        Unix.set_nonblock fd;
-        node.accepted <- (fd, buf_create ()) :: node.accepted;
-        worked := true
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
-    (* read from peers *)
-    let scratch = node.scratch in
-    List.iter
-      (fun (fd, cb) ->
-        match Unix.read fd scratch 0 (Bytes.length scratch) with
-        | 0 -> () (* peer closed; keep buffer for leftovers *)
-        | n ->
-            buf_append cb scratch n;
-            let frames = buf_drain cb in
-            if frames <> [] then begin
-              (* busy before the frames leave [in_flight], so no
-                 coordinator scan sees this node idle while it holds
-                 delivered but unprocessed work *)
-              Atomic.set node.idle false;
-              worked := true
-            end;
+(* One busy pass: accept one connection, read every socket once, run
+   the deferred work and the busy sites, write what they sent.  Returns
+   whether it found anything to do. *)
+let pass shared node =
+  let worked = ref false in
+  (match Unix.accept node.listen with
+  | fd, addr ->
+      Unix.set_nonblock fd;
+      let from_node = List.mem addr node.peer_addrs in
+      node.inbound <- { in_fd = fd; rx = buf_create (); from_node } :: node.inbound;
+      worked := true
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
+  let scratch = node.scratch in
+  List.iter
+    (fun c ->
+      match Unix.read c.in_fd scratch 0 (Bytes.length scratch) with
+      | 0 ->
+          (* the peer closed: it leaves the poll set, or a blocking park
+             would return on its end-of-file at once, forever *)
+          Unix.close c.in_fd;
+          node.inbound <- List.filter (fun c' -> c' != c) node.inbound
+      | n ->
+          buf_append c.rx scratch n;
+          let frames = buf_drain c.rx in
+          if frames <> [] then begin
+            worked := true;
+            count shared node;
             List.iter
               (fun payload ->
-                Atomic.decr shared.in_flight;
                 let p, sp = Packet.of_string_traced payload in
                 Node.deliver node.daemon
                   ~ctx:(Option.value ~default:Trace.null_span sp)
                   ~same_node:false p)
-              frames
-        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-            ())
-      node.accepted;
-    (* the daemon's deferred work (self-addressed packets, name-service
-       replies) *)
-    while not (Queue.is_empty node.deferred) do
-      worked := true;
-      (Queue.pop node.deferred) ()
-    done;
-    (* run the sites *)
-    List.iter
-      (fun s ->
-        if Site.busy s then begin
-          worked := true;
-          ignore (Site.pump s ~quantum:2048)
-        end)
-      node.sites;
-    (* everything the sites and the daemon queued this iteration leaves
-       now, one write per peer *)
-    flush_tx shared node;
-    let busy =
-      List.exists (fun s -> Site.busy s || Site.outstanding s > 0) node.sites
-      || not (Queue.is_empty node.deferred)
-      || Hashtbl.fold (fun _ tx acc -> acc || tx.len > 0) node.tx false
-    in
-    Atomic.set node.idle (not busy);
-    if !worked then backoff := park_min
+              frames;
+            if c.from_node then uncount shared (List.length frames)
+          end
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ())
+    node.inbound;
+  while not (Queue.is_empty node.deferred) do
+    worked := true;
+    (Queue.pop node.deferred) ()
+  done;
+  List.iter
+    (fun s ->
+      if Site.busy s then begin
+        worked := true;
+        ignore (Site.pump s ~quantum:2048)
+      end)
+    node.sites;
+  (* everything the sites and the daemon queued this pass leaves now,
+     one write per peer *)
+  flush_tx node;
+  if
+    List.exists (fun s -> Site.busy s || Site.outstanding s > 0) node.sites
+    || not (Queue.is_empty node.deferred)
+  then count shared node
+  else if node.counted then begin
+    node.counted <- false;
+    uncount shared 1
+  end;
+  !worked
+
+(* How long a node with nothing to do keeps polling before it blocks:
+   a reply that arrives within it finds the node awake. *)
+let spin_s = 5e-5
+
+(* Block until a socket is readable, a peer connects or the run stops. *)
+let park shared node =
+  node.parks <- node.parks + 1;
+  Metrics.incr node.m_parks;
+  let fds = shared.stop_r :: node.listen :: List.map (fun c -> c.in_fd) node.inbound in
+  match Unix.select fds [] [] (-1.) with
+  | _ -> ()
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+
+let serve shared node =
+  let idle_since = ref Float.infinity in
+  while not (Atomic.get shared.stop) do
+    if pass shared node then idle_since := Float.infinity
     else begin
-      park node ~timeout:!backoff;
-      backoff := Float.min park_max (!backoff *. 2.)
+      let now = Unix.gettimeofday () in
+      if now -. !idle_since >= spin_s then begin
+        park shared node;
+        idle_since := Float.infinity
+      end
+      else if !idle_since = Float.infinity then idle_since := now
     end
   done
 
 (* The node's domain: whatever escapes the loop stops the whole run and
-   is kept for the coordinator to re-raise at join. *)
+   is kept for the coordinator to re-raise at join.  The coordinator
+   closes the sockets after the join, so no node loses a peer's end
+   while it may still write to it. *)
 let node_loop shared node () =
-  (try serve shared node
-   with exn ->
-     node.error <- Some exn;
-     Atomic.set shared.stop true);
-  (* teardown *)
-  Hashtbl.iter (fun _ fd -> try Unix.close fd with Unix.Unix_error _ -> ()) node.peers;
-  List.iter
-    (fun (fd, _) -> try Unix.close fd with Unix.Unix_error _ -> ())
-    node.accepted;
-  (try Unix.close node.listen with Unix.Unix_error _ -> ())
+  try serve shared node
+  with exn ->
+    node.error <- Some exn;
+    Atomic.set shared.stop true;
+    wake shared
 
 (* ------------------------------------------------------------------ *)
 (* Setup and coordination.                                             *)
@@ -340,18 +326,27 @@ let run ?(nodes = 4) ?base_port ?(inputs = fun _ -> [])
     | Some p -> p
     | None -> default_base_port ~pid:(Unix.getpid ()) ~nodes
   in
+  (* round-robin, as the simulated cluster does; checked before any
+     socket exists *)
+  let placement = Node.place ~who:"Tcp_runner.run" ~nodes units in
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  let stop_r, stop_w = Unix.pipe ~cloexec:true () in
   let shared =
-    { base_port;
-      in_flight = Atomic.make 0;
+    { work = Atomic.make 0;
       stop = Atomic.make false;
-      total_packets = Atomic.make 0 }
+      total_packets = Atomic.make 0;
+      wake_w;
+      stop_r }
+  in
+  let addr node_id =
+    Unix.ADDR_INET (Unix.inet_addr_loopback, base_port + node_id)
   in
   let mk_node node_id =
     let listen = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
     Unix.setsockopt listen Unix.SO_REUSEADDR true;
-    Unix.bind listen
-      (Unix.ADDR_INET (Unix.inet_addr_loopback, base_port + node_id));
-    Unix.listen listen 16;
+    Unix.bind listen (addr node_id);
+    (* room for every peer's set-up connection besides outside ones *)
+    Unix.listen listen (nodes + 16);
     Unix.set_nonblock listen;
     let mx =
       if metrics then
@@ -363,23 +358,22 @@ let run ?(nodes = 4) ?base_port ?(inputs = fun _ -> [])
     let node =
       { node_id;
         listen;
-        peers = Hashtbl.create 8;
-        tx = Hashtbl.create 8;
+        peers = Array.make nodes None;
+        peer_addrs = [];
         enc = Wire.encoder ~size:256 ();
-        accepted = [];
+        inbound = [];
         daemon;
         host;
         sites = [];
         deferred = Queue.create ();
-        idle = Atomic.make true;
+        counted = false;
         scratch = Bytes.create 8192;
         parks = 0;
         error = None;
         mx;
-      m_parks = Metrics.counter mx "parks";
-      m_packets = Metrics.counter mx "packets";
-      m_bytes = Metrics.counter mx "bytes";
-      m_retries = Metrics.counter mx "connect_retries" }
+        m_parks = Metrics.counter mx "parks";
+        m_packets = Metrics.counter mx "packets";
+        m_bytes = Metrics.counter mx "bytes" }
     in
     Node.connect host (transport shared node);
     Node.attach daemon host;
@@ -387,7 +381,21 @@ let run ?(nodes = 4) ?base_port ?(inputs = fun _ -> [])
     node
   in
   let node_arr = Array.init nodes mk_node in
-  (* place sites round-robin, as the simulated cluster does *)
+  (* every ordered pair, while no node runs: each connection completes
+     into its listener's backlog, and the node accepts it in its loop *)
+  Array.iter
+    (fun src ->
+      Array.iter
+        (fun dst ->
+          if dst.node_id <> src.node_id then begin
+            let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+            Unix.connect fd (addr dst.node_id);
+            Unix.set_nonblock fd;
+            dst.peer_addrs <- Unix.getsockname fd :: dst.peer_addrs;
+            src.peers.(dst.node_id) <- Some { out_fd = fd; tx = buf_create () }
+          end)
+        node_arr)
+    node_arr;
   List.iteri
     (fun site_id ((name, unit_), i) ->
       let node = node_arr.(i) in
@@ -395,8 +403,8 @@ let run ?(nodes = 4) ?base_port ?(inputs = fun _ -> [])
         Node.load_site node.daemon ~inputs:(inputs name) ~name ~site_id unit_
       in
       node.sites <- site :: node.sites;
-      Atomic.set node.idle false)
-    (List.combine units (Node.place ~who:"Tcp_runner.run" ~nodes units));
+      count shared node)
+    (List.combine units placement);
   let started = Unix.gettimeofday () in
   (* one OCaml domain per node: with more cores than nodes the node
      loops run truly in parallel (the systhread version they replace
@@ -406,24 +414,35 @@ let run ?(nodes = 4) ?base_port ?(inputs = fun _ -> [])
     Array.to_list
       (Array.map (fun n -> Domain.spawn (node_loop shared n)) node_arr)
   in
-  (* coordinator: two consecutive all-idle scans with nothing in flight *)
+  (* coordinator: blocks until the work count reaches zero, a node
+     fails or the timeout passes *)
+  let deadline = started +. (float_of_int timeout_ms /. 1000.) in
   let timed_out = ref false in
-  let idle_streak = ref 0 in
-  while not (Atomic.get shared.stop) do
-    Unix.sleepf 0.005;
-    let all_idle =
-      Array.for_all (fun n -> Atomic.get n.idle) node_arr
-      && Atomic.get shared.in_flight = 0
-    in
-    if all_idle then incr idle_streak else idle_streak := 0;
-    if !idle_streak >= 3 then Atomic.set shared.stop true;
-    if (Unix.gettimeofday () -. started) *. 1000. > float_of_int timeout_ms
-    then begin
-      timed_out := true;
-      Atomic.set shared.stop true
+  let drain = Bytes.create 64 in
+  let rec wait () =
+    if Atomic.get shared.work > 0 && not (Atomic.get shared.stop) then begin
+      let left = deadline -. Unix.gettimeofday () in
+      if left <= 0. then timed_out := true
+      else begin
+        (match Unix.select [ wake_r ] [] [] left with
+        | [], _, _ -> ()
+        | _ -> ignore (Unix.read wake_r drain 0 (Bytes.length drain))
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
+        wait ()
+      end
     end
-  done;
+  in
+  wait ();
+  Atomic.set shared.stop true;
+  ignore (Unix.write_substring stop_w "s" 0 1);
   List.iter Domain.join doms;
+  Array.iter
+    (fun n ->
+      Array.iter (Option.iter (fun o -> Unix.close o.out_fd)) n.peers;
+      List.iter (fun c -> Unix.close c.in_fd) n.inbound;
+      Unix.close n.listen)
+    node_arr;
+  List.iter Unix.close [ wake_r; wake_w; stop_r; stop_w ];
   let wall_ns =
     int_of_float ((Unix.gettimeofday () -. started) *. 1e9)
   in

@@ -14,17 +14,27 @@
     replies), pumps its own busy sites, and writes what they sent in one
     write per peer.
 
-    A quiet node does not spin: it parks in [select] on its sockets
-    under an exponentially growing timeout (50 us doubling to 5 ms,
-    reset by any work), so inbound traffic wakes it immediately
-    instead of waiting out a fixed sleep.  Parks are counted per node
-    and reported in [result.parks].
+    Every ordered pair of nodes is connected during set-up; a node
+    tells a peer's connection from an outside one by its address.  A
+    node with nothing to do keeps polling for a fixed 50 us, so a reply
+    that arrives within that finds it awake, and then parks: it blocks
+    in [select], with no timeout, on its sockets and on a pipe the
+    coordinator writes once when the run ends.  A peer that closes its
+    socket leaves the poll set.  Parks are counted per node and
+    reported in [result.parks].
 
     Execution is {e not} deterministic (the OS schedules the domains),
     so tests compare output multisets against the simulated runtime.
-    Termination uses a coordinator scan: all nodes idle and no packets
-    in flight for consecutive scans; a node marks itself busy before
-    the frames it reads leave the in-flight count.
+    Termination is counted, in Mattern's style: one atomic holds the
+    nodes that have work (busy sites, unanswered imports and fetches,
+    deferred daemon work) plus the frames a node queued for a peer that
+    the peer has not read yet.  A node counts itself before it uncounts
+    the frames it read, so the count is zero only at global quiescence.
+    The node whose update brings it to zero, or a node that fails,
+    wakes the coordinator, which blocks on a pipe until then or until
+    the timeout; a run therefore stops at its last event.  Frames from
+    a connection that is not a peer node's are delivered but were never
+    counted.
 
     Failures are loud: a frame that does not decode, a length prefix
     above a fixed cap, or a site's runtime error stops every node, and
@@ -45,13 +55,13 @@ type result = {
   packets : int;                 (** TCP packets exchanged *)
   wall_ns : int;                 (** elapsed wall-clock time *)
   timed_out : bool;
-  parks : int;                   (** idle [select] parks across nodes *)
+  parks : int;                   (** blocking [select] parks across nodes *)
   dead_letters : int;
       (** packets for a site the receiving node does not host *)
   metrics : Tyco_support.Metrics.t;
-      (** per-node registries (parks, packets, bytes, connect
-          retries, and the daemon's deliveries and dead letters)
-          merged after the domains join; the disabled singleton unless
+      (** per-node registries (parks, packets, bytes, and the
+          daemon's deliveries and dead letters) merged after the
+          domains join; the disabled singleton unless
           [run ~metrics:true] *)
 }
 

@@ -240,10 +240,52 @@ let packet_dst_routing () =
        ~ns_ip:5)
 
 let packet_malformed () =
-  check Alcotest.bool "garbage" true
-    (match Packet.of_string "\x63zz" with
-    | exception Wire.Malformed _ -> true
-    | _ -> false)
+  let malformed what s =
+    check Alcotest.bool what true
+      (match Packet.of_string s with
+      | exception Wire.Malformed _ -> true
+      | _ -> false)
+  in
+  malformed "garbage" "\x63zz";
+  (* a nine-byte varint can set the sign bit: a length that reads
+     negative is malformed, not an argument error from the stdlib *)
+  let negative = "\xff\xff\xff\xff\xff\xff\xff\xff\x7f" in
+  malformed "negative string length" ("\x00\x00\x01\x02\x03" ^ negative);
+  malformed "negative list length" ("\x00\x00\x01\x02\x03\x01a" ^ negative)
+
+(* Whatever a peer sends, the TCP node's decoder decodes it or raises
+   [Wire.Malformed]: byte-flipped, truncated and extended encodings of
+   generated packets, with and without the trace trailer. *)
+let gen_mangled =
+  QCheck2.Gen.(
+    let* p = gen_packet in
+    let* traced = bool in
+    let s =
+      if traced then
+        Packet.to_string_traced
+          ~ctx:{ Tyco_support.Trace.trace_id = 3; span_id = 5; parent_id = 1 } p
+      else Packet.to_string p
+    in
+    let n = String.length s in
+    oneof
+      [ map
+          (fun flips ->
+            let b = Bytes.of_string s in
+            List.iter
+              (fun (i, x) ->
+                Bytes.set_uint8 b (i mod n) (Bytes.get_uint8 b (i mod n) lxor x))
+              flips;
+            Bytes.to_string b)
+          (list_size (int_range 1 3) (pair nat (int_range 1 255)));
+        map (fun k -> String.sub s 0 (k mod n)) nat;
+        map (fun extra -> s ^ extra) (string_size ~gen:char (int_range 1 16)) ])
+
+let packet_malformed_only =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"mangled packets raise only Malformed" ~count:2000
+       gen_mangled (fun s ->
+         (try ignore (Packet.of_string_traced s) with Wire.Malformed _ -> ());
+         true))
 
 (* ------------------------------------------------------------------ *)
 (* Export table                                                        *)
@@ -577,6 +619,7 @@ let tests =
     ("prelease version byte rejected", `Quick, prelease_version_rejected);
     ("packet routing", `Quick, packet_dst_routing);
     ("packet malformed", `Quick, packet_malformed);
+    packet_malformed_only;
     ("export table", `Quick, export_table_stable);
     ("export table reclamation", `Quick, export_table_reclaim);
     ("export table leases", `Quick, export_table_leases);

@@ -851,7 +851,12 @@ let tcp_dead_letter_counted () =
   in
   Domain.join injector;
   check Alcotest.bool "ran to the timeout" true r.Tcp_runner.timed_out;
-  check Alcotest.int "dead letter counted" 1 r.Tcp_runner.dead_letters
+  check Alcotest.int "dead letter counted" 1 r.Tcp_runner.dead_letters;
+  (* the injector's socket closes after 50 ms; a node that kept its
+     end-of-file in the poll set would wake on it for the rest of the
+     second *)
+  if r.Tcp_runner.parks >= 1000 then
+    Alcotest.failf "%d parks in a 1 s run" r.Tcp_runner.parks
 
 (* A site's runtime error ends the run the same way, and run_program
    reports it as an Api runtime error naming the node. *)
@@ -870,8 +875,70 @@ let tcp_site_error_fails_fast () =
   if Unix.gettimeofday () -. t0 > 5. then
     Alcotest.fail "site failure waited out the timeout"
 
+(* A run ends at its last event, not at a later scan: the median of 11
+   runs of a trivial two-site program stays far below any polling
+   period a coordinator could use. *)
+let tcp_stops_at_quiescence () =
+  let units =
+    Api.compile
+      (Api.parse
+         {| site a { export new x x?(v) = io!printi[v] }
+            site b { import x from a in x![1] } |})
+  in
+  let walls =
+    List.sort compare
+      (List.init 11 (fun _ ->
+           let r = Tcp_runner.run ~nodes:2 units in
+           if r.Tcp_runner.timed_out then Alcotest.fail "timed out";
+           r.Tcp_runner.wall_ns))
+  in
+  let median_ms = float_of_int (List.nth walls 5) /. 1e6 in
+  if median_ms >= 10. then
+    Alcotest.failf "median wall time %.2f ms, not under 10 ms" median_ms
+
+(* No early stop: three clients on two nodes each print as soon as
+   their own calls return, so a run that stops while a reply is still
+   on its way, or still being handled, loses a line. *)
+let tcp_no_early_stop () =
+  let program ~rounds =
+    let client i =
+      Printf.sprintf
+        {| site c%d { import svc from server in
+             def Ping(n, acc) = if n == 0 then io!printi[acc]
+                                else let v = svc!ping[n] in Ping[n - 1, acc + v]
+             in Ping[%d, %d] } |}
+        i rounds (i * 1_000_000)
+    in
+    Api.compile
+      (Api.parse
+         ({| site server {
+               def Serve(svc) = svc?{ ping(v, k) = (k![v + 1] | Serve[svc]) }
+               in export new svc Serve[svc] } |}
+         ^ String.concat "" (List.init 3 client)))
+  in
+  List.iter
+    (fun (runs, rounds) ->
+      let units = program ~rounds in
+      let expected =
+        List.init 3 (fun i ->
+            { Output.site = Printf.sprintf "c%d" i;
+              label = "printi";
+              args = [ Output.Oint ((i * 1_000_000) + (rounds * (rounds + 3) / 2)) ] })
+      in
+      for run = 1 to runs do
+        let r = Tcp_runner.run ~nodes:2 ~timeout_ms:20_000 units in
+        if r.Tcp_runner.timed_out then
+          Alcotest.failf "%d rounds, run %d: timed out" rounds run;
+        if not (Output.same_multiset expected r.Tcp_runner.outputs) then
+          Alcotest.failf "%d rounds, run %d: %d lines, not the 3 expected"
+            rounds run (List.length r.Tcp_runner.outputs)
+      done)
+    [ (300, 10); (3, 2000) ]
+
 let tcp_tests =
   [ ("tcp transport: paper programs", `Slow, tcp_runner_paper_programs);
+    ("tcp transport: stops at quiescence", `Quick, tcp_stops_at_quiescence);
+    ("tcp transport: no early stop", `Quick, tcp_no_early_stop);
     ("tcp transport: garbage input fails fast", `Quick,
      tcp_garbage_input_fails_fast);
     ("tcp transport: site error fails fast", `Quick, tcp_site_error_fails_fast);
