@@ -227,9 +227,9 @@ let rebalance_of_string s =
     (String.split_on_char ',' s);
   !rb
 
-(* --domains N, N > 1: the sharded multi-domain engine.  Output
-   timestamps depend on domain interleaving; the deterministic single-
-   domain path stays the default (and what --domains 1 means). *)
+(* --domains N, N > 1: the cluster sharded over N domains.  Output
+   timestamps depend on domain interleaving.  One domain is one shard,
+   the deterministic engine, which the plain path runs directly. *)
 let run_domains config domains policy rebalance json trace_out metrics_out prog =
   let prom =
     match metrics_out with
@@ -446,11 +446,13 @@ let tcp_flag =
 
 let domains_arg =
   Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N"
-       ~doc:"Run the cluster sharded over N OCaml domains (nodes are \
-             assigned to domains by --placement; cross-domain packets \
-             travel in batches through lock-free SPSC rings).  1 (the \
-             default) is the deterministic single-domain scheduler, \
-             bit-identical to not passing the flag at all.")
+       ~doc:"Run the cluster sharded over N OCaml domains: each domain \
+             runs the nodes --placement assigns it as a simulated \
+             cluster of its own, and a frame for a node on another \
+             domain travels in a batch through a lock-free SPSC ring.  \
+             1 (the default) is one shard, the deterministic engine, \
+             bit-identical to not passing the flag at all.  Combines \
+             with --replicated-ns at any N.")
 
 let placement_arg =
   Arg.(value & opt (some string) None & info [ "placement" ] ~docv:"POLICY"

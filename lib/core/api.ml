@@ -106,103 +106,22 @@ let run_program ?config ?placement ?max_events ?until ?(inputs = [])
 let run_source ?config ?placement ?max_events ?until src =
   run_program ?config ?placement ?max_events ?until (parse src)
 
-(* The --domains dispatch: one or fewer domains means the deterministic
-   single-domain scheduler, taken verbatim through [run_program] — the
-   result is bit-identical to a plain run by construction (the test
-   suite pins this), and it remains the only mode with timestamps
-   deterministic enough for the differential tests.  More than one
-   domain goes to the sharded engine. *)
+(* The --domains engine: one domain is one shard, the deterministic
+   engine under [Par_runner]'s shard loop. *)
 let run_parallel ?config ?placement ?policy ?max_events ?on_snapshot
     ?snapshot_every_ms ?rebalance ?force_migrations ~domains prog :
     Par_runner.result =
-  if domains <= 1 then begin
-    ignore policy (* one shard: every placement map is the identity *);
-    ignore rebalance (* one shard: nowhere to migrate to *);
-    ignore force_migrations;
-    let t0 = Unix.gettimeofday () in
-    let r = run_program ?config ?placement ?max_events prog in
-    let wall_ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
-    let c = r.cluster in
-    let instructions =
-      List.fold_left
-        (fun acc s ->
-          acc + Tyco_support.Stats.counter_value (Site.stats s) "instructions")
-        0 (Cluster.sites c)
-    in
-    let node_weights =
-      (* per-node instruction counts, the same signal the sharded
-         engine reports *)
-      let nnodes =
-        List.fold_left
-          (fun acc s -> max acc (Site.ip s + 1))
-          0 (Cluster.sites c)
-      in
-      let w = Array.make nnodes 0. in
-      List.iter
-        (fun s ->
-          w.(Site.ip s) <-
-            w.(Site.ip s)
-            +. float_of_int
-                 (Tyco_support.Stats.counter_value (Site.stats s)
-                    "instructions"))
-        (Cluster.sites c);
-      w
-    in
-    { Par_runner.outputs = r.outputs;
-      virtual_ns = r.virtual_ns;
-      packets = r.packets;
-      bytes = r.bytes;
-      same_node_fast = Cluster.same_node_fast c;
-      handoffs = 0;
-      ring_pushed = 0;
-      ring_popped = 0;
-      ring_batch_fill_mean = 0.;
-      parks = 0;
-      domains = 1;
-      instructions;
-      wall_ns;
-      dead_letters = Cluster.dead_letters c;
-      migrations = 0;
-      migration_ns = 0;
-      forwarded_envelopes = 0;
-      suspected = Cluster.suspected_failures c;
-      sites_per_shard = [| List.length (Cluster.sites c) |];
-      placement_weights = [| float_of_int (List.length (Cluster.sites c)) |];
-      node_weights;
-      events = r.sim_events;
-      clean = true;
-      timed_out = false;
-      trace = Cluster.tracer c;
-      metrics = Cluster.metrics c;
-      shard_stats =
-        [| { Par_runner.ss_shard = 0;
-             ss_sites = List.length (Cluster.sites c);
-             ss_events = r.sim_events;
-             ss_virtual_ns = r.virtual_ns;
-             ss_packets = r.packets;
-             ss_same_node = Cluster.same_node_fast c;
-             ss_handoffs_in = 0;
-             ss_ring_pushed = 0;
-             ss_ring_popped = 0;
-             ss_ring_hiwater = 0;
-             ss_parks = 0;
-             ss_drains = 0;
-             ss_weight = float_of_int (List.length (Cluster.sites c)) } |];
-      sites = Cluster.sites c }
-  end
-  else begin
-    ignore (typecheck prog);
-    let units = compile prog in
-    try
-      Par_runner.run ?config ?placement ?policy ?max_events ?on_snapshot
-        ?snapshot_every_ms ?rebalance ?force_migrations ~domains units
-    with
-    | Par_runner.Shard_failure (id, m) ->
-        raise (Error (Runtime_error (Printf.sprintf "shard %d failed: %s" id m)))
-    | Site.Protocol_error m -> raise (Error (Runtime_error m))
-    | Tyco_vm.Machine.Error m -> raise (Error (Runtime_error m))
-    | Invalid_argument m | Failure m -> raise (Error (Runtime_error m))
-  end
+  ignore (typecheck prog);
+  let units = compile prog in
+  try
+    Par_runner.run ?config ?placement ?policy ?max_events ?on_snapshot
+      ?snapshot_every_ms ?rebalance ?force_migrations ~domains units
+  with
+  | Par_runner.Shard_failure (id, m) ->
+      raise (Error (Runtime_error (Printf.sprintf "shard %d failed: %s" id m)))
+  | Site.Protocol_error m -> raise (Error (Runtime_error m))
+  | Tyco_vm.Machine.Error m -> raise (Error (Runtime_error m))
+  | Invalid_argument m | Failure m -> raise (Error (Runtime_error m))
 
 let run_reference ?max_steps ?inputs prog =
   try Output.of_ref_outputs (Tyco_calculus.Interp.outputs ?max_steps ?inputs prog)

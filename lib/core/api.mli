@@ -69,18 +69,15 @@ val run_parallel :
   domains:int ->
   Tyco_syntax.Ast.program ->
   Par_runner.result
-(** The [--domains] dispatch.  [domains <= 1] runs the deterministic
-    single-domain scheduler through {!run_program} — bit-identical to
-    a plain run, timestamps and all (test-pinned) — and reports it in
-    {!Par_runner.result} form.  [domains > 1] runs the sharded
-    multi-domain engine ({!Par_runner.run}): same output multiset,
-    interleaving-dependent timestamps; [policy] picks the node-to-shard
-    placement ({!Placement.Mod} by default, ignored at [domains <= 1]);
-    [on_snapshot] / [snapshot_every_ms] stream coordinator-side mid-run
-    observations, [rebalance] turns on dynamic node migration and
-    [force_migrations] issues deterministic test moves — all ignored
-    when [domains <= 1], whose engine runs to quiescence in one call
-    with nowhere to migrate.
+(** Run on [domains] domains ({!Par_runner.run}).  One domain is one
+    shard, the deterministic engine: bit-identical to {!run_program},
+    timestamps, virtual time and trace included (test-pinned).  More
+    domains give the same output multiset with interleaving-dependent
+    timestamps; [policy] picks the node-to-shard placement
+    ({!Placement.Mod} by default), [on_snapshot] / [snapshot_every_ms]
+    stream coordinator-side mid-run observations, [rebalance] turns on
+    dynamic node migration and [force_migrations] issues deterministic
+    test moves.
 
     A crash inside one shard's domain surfaces here as
     [Error (Runtime_error m)] with [m] naming the failing shard

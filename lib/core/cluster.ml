@@ -127,6 +127,21 @@ type bxmit = {
    standalone [Fcum_ack] the timer sends. *)
 type ack_state = { mutable ak_need : bool; mutable ak_armed : bool }
 
+(* What the fabric carries to a node's daemon: a batch frame (one
+   attempt at sending [bx], minus its acked prefix [lo]), a standalone
+   cumulative ack, or a same-node packet whose node left before it
+   landed.  A frame is data, so it can land on another cluster's
+   fabric: that of the shard the node runs on. *)
+type frame =
+  | Batch of { bx : bxmit; base_seq : int; ack_floor : int; lo : int }
+  | Ack of { src_ip : int; dst_ip : int; floor : int }
+  | Moved of { ip : int; ctx : Trace.span; pkt : Packet.t }
+
+let frame_dst = function
+  | Batch { bx; _ } -> bx.bx_dst_ip
+  | Ack { dst_ip; _ } -> dst_ip
+  | Moved { ip; _ } -> ip
+
 type t = {
   cfg : config;
   sim : Simnet.t;
@@ -136,6 +151,11 @@ type t = {
      centralized service is replica 0) *)
   replicas : int;
   node_arr : Node.t array;
+  (* the nodes whose daemons run here: all of them, unless this is one
+     shard of a parallel run *)
+  attached : bool array;
+  (* where a frame goes whose node is not attached here *)
+  mutable depart : delay:int -> frame -> unit;
   by_name : (string, Site.t) Hashtbl.t;
   mutable site_list : Site.t list; (* reversed creation order *)
   mutable next_site_id : int;
@@ -183,6 +203,7 @@ type t = {
   c_same_node : Stats.Counter.t;
   c_frames : Stats.Counter.t;
   c_acks_piggybacked : Stats.Counter.t;
+  c_forwarded : Stats.Counter.t;
   d_lat_wire : Stats.Dist.t;
   d_lat_retransmit : Stats.Dist.t;
   d_batch_fill : Stats.Dist.t;
@@ -194,14 +215,15 @@ let config t = t.cfg
 let virtual_time t = max (Simnet.now t.sim) (Node.busy_until t.host)
 let site t name = Hashtbl.find t.by_name name
 let sites t = List.rev t.site_list
-let nodes t = Array.to_list t.node_arr
+let nodes t =
+  List.filter (fun n -> t.attached.(Node.ip n)) (Array.to_list t.node_arr)
 let outputs t = Node.outputs t.host
 let output_events t = List.map snd (Node.outputs t.host)
 let packets_sent t = t.packets
 let bytes_sent t = t.bytes
 let in_flight t = t.in_flight
 let name_service_pending t =
-  Array.fold_left (fun acc n -> acc + Node.names_pending n) 0 t.node_arr
+  List.fold_left (fun acc n -> acc + Node.names_pending n) 0 (nodes t)
 let suspected_failures t = Node.suspected t.host
 
 let log_packet t p =
@@ -267,32 +289,48 @@ let pending_of t ~src_ip ~dst_ip =
 (* The links between the node daemons.                                 *)
 
 (* One physical transmission over the fabric: rolls the fault dice and
-   schedules [action] once per surviving copy. *)
-let rec transmit t ~src_ip ~dst_ip ~bytes action =
+   carries [f] once per surviving copy. *)
+let rec transmit t ~src_ip ~dst_ip ~bytes f =
   let base = Simnet.packet_delay t.sim ~src_ip ~dst_ip ~bytes in
   Stats.Dist.add_int t.d_lat_wire base;
   Metrics.observe_int t.m_wire_ns base;
-  if not (Simnet.faulted_link t.sim ~src_ip ~dst_ip) then begin
+  if not (Simnet.faulted_link t.sim ~src_ip ~dst_ip) then
     (* clean link: exactly one copy at the base delay — no verdict
        record, no delay list, no PRNG consumption *)
-    t.in_flight <- t.in_flight + 1;
-    Simnet.schedule t.sim ~delay:base (fun () ->
-        t.in_flight <- t.in_flight - 1;
-        action ())
-  end
+    carry t ~delay:base f
   else begin
     let v = Simnet.fault_verdict t.sim ~src_ip ~dst_ip ~base_delay:base in
     Stats.Counter.add t.c_drops v.Simnet.v_dropped;
     if v.Simnet.v_duplicated then Stats.Counter.incr t.c_dupes;
     Stats.Counter.add t.c_reorders v.Simnet.v_reordered;
-    List.iter
-      (fun delay ->
-        t.in_flight <- t.in_flight + 1;
-        Simnet.schedule t.sim ~delay (fun () ->
-            t.in_flight <- t.in_flight - 1;
-            action ()))
-      v.Simnet.v_delays
+    List.iter (fun delay -> carry t ~delay f) v.Simnet.v_delays
   end
+
+(* A frame lands [delay] virtual ns from now: here, when its node runs
+   here, else wherever the engine runs that node. *)
+and carry t ~delay f =
+  if t.attached.(frame_dst f) then take_frame t ~delay f else t.depart ~delay f
+
+and take_frame t ~delay f =
+  t.in_flight <- t.in_flight + 1;
+  Simnet.schedule t.sim ~delay (fun () ->
+      t.in_flight <- t.in_flight - 1;
+      arrive t f)
+
+(* A frame lands at its node's daemon.  If the node left this cluster
+   while the frame was in flight, the frame follows it. *)
+and arrive t f =
+  if not t.attached.(frame_dst f) then begin
+    Stats.Counter.incr t.c_forwarded;
+    t.depart ~delay:0 f
+  end
+  else
+    match f with
+    | Batch { bx; base_seq; ack_floor; lo } ->
+        receive_batch t bx ~base_seq ~ack_floor ~lo
+    | Ack { src_ip; dst_ip; floor } ->
+        apply_cum_ack t ~at_ip:dst_ip ~peer_ip:src_ip ~floor
+    | Moved { ip; ctx; pkt } -> deliver t ~at_ip:ip ~ctx pkt
 
 and route_ip t ~src_ip (p : Packet.t) =
   match (t.cfg.ns_mode, p) with
@@ -325,7 +363,9 @@ and send_packet t ~src_ip ~dst_ip ~ctx (p : Packet.t) =
     t.in_flight <- t.in_flight + 1;
     Simnet.schedule t.sim ~delay:t.loopback_delay (fun () ->
         t.in_flight <- t.in_flight - 1;
-        deliver t ~at_ip:dst_ip ~ctx ~same_node:true p)
+        if t.attached.(dst_ip) then
+          deliver t ~at_ip:dst_ip ~ctx ~same_node:true p
+        else arrive t (Moved { ip = dst_ip; ctx; pkt = p }))
   end
   else enqueue_outbox t ~src_ip ~dst_ip ~ctx p
 
@@ -468,7 +508,7 @@ and send_batch t (bx : bxmit) =
       ~span:bx.bx_span
       (Trace.Send { pk = Trace.Kbatch; bytes = fbytes });
   transmit t ~src_ip:bx.bx_src_ip ~dst_ip:bx.bx_dst_ip ~bytes:fbytes
-    (fun () -> receive_batch t bx ~base_seq ~ack_floor ~lo);
+    (Batch { bx; base_seq; ack_floor; lo });
   if t.cfg.reliable then arm_retransmit t bx
 
 (* Reliable mode: send [bx] again after an exponential, jittered
@@ -555,8 +595,7 @@ and send_cum_ack t ~src_ip ~dst_ip =
     Packet.frame_byte_size (Packet.Fcum_ack { src_ip; ack_floor })
   in
   t.bytes <- t.bytes + bytes;
-  transmit t ~src_ip ~dst_ip ~bytes (fun () ->
-      apply_cum_ack t ~at_ip:dst_ip ~peer_ip:src_ip ~floor:ack_floor)
+  transmit t ~src_ip ~dst_ip ~bytes (Ack { src_ip; dst_ip; floor = ack_floor })
 
 and apply_cum_ack t ~at_ip ~peer_ip ~floor =
   if floor > 0 then
@@ -633,14 +672,41 @@ let site_lifecycle cfg =
     lc_code_cache = cfg.code_cache_capacity;
     lc_done_horizon_ns = Site.default_lifecycle.Site.lc_done_horizon_ns }
 
-let create ?(config = default_config) () =
+(* Name-service replicas: node ips [0, replicas) serve one each. *)
+let replicas_of cfg =
+  match cfg.ns_mode with
+  (* in centralized mode the service lives on node 0's address, as a
+     well-known location every site knows in advance (paper §5) *)
+  | Centralized -> 1
+  (* replica [r] is hosted by node ip [r]; fewer replicas than nodes
+     is allowed — nodes without one consult ip mod r *)
+  | Replicated ->
+      if cfg.ns_replicas <= 0 then cfg.nodes else min cfg.nodes cfg.ns_replicas
+
+let make_nodes cfg =
+  Array.init cfg.nodes (fun ip ->
+      let n = Node.create ~node_id:ip ~ip ~cores:cfg.cores_per_node in
+      if ip < replicas_of cfg then Node.serve_names n;
+      n)
+
+let shard config ~nodes ~index ~count =
+  (* each shard draws from its own stream; shard 0's is the run seed's,
+     so a one-shard run is the whole cluster's *)
+  let seed =
+    if index = 0 then config.seed
+    else
+      Int64.to_int (Prng.next (Prng.for_owner ~seed:config.seed ~owner:index))
+      land max_int
+  in
   let sim =
-    Simnet.create ~topology:config.topology ~faults:config.faults
-      ~seed:config.seed ()
+    Simnet.create ~topology:config.topology ~faults:config.faults ~seed ()
   in
   let stats = Stats.create () in
+  (* span ids strided by (index, count): unique across the shards of a
+     run without a shared counter, and 1, 2, 3, ... for one shard *)
   let tracer =
-    Trace.create ~capacity:config.trace_capacity ~enabled:config.tracing ()
+    Trace.create ~capacity:config.trace_capacity ~span_base:index
+      ~span_stride:count ~enabled:config.tracing ()
   in
   Trace.register_track tracer ~id:Trace.fabric_track ~name:"fabric" ();
   let mx = if config.metrics then Metrics.create ~enabled:true () else Metrics.disabled in
@@ -656,19 +722,13 @@ let create ?(config = default_config) () =
     { cfg = config;
       sim;
       host;
-      replicas =
-        (match config.ns_mode with
-        (* in centralized mode the service lives on node 0's address, as a
-           well-known location every site knows in advance (paper §5) *)
-        | Centralized -> 1
-        (* replica [r] is hosted by node ip [r]; fewer replicas than nodes
-           is allowed — nodes without one consult ip mod r *)
-        | Replicated ->
-            if config.ns_replicas <= 0 then config.nodes
-            else min config.nodes config.ns_replicas);
-      node_arr =
-        Array.init config.nodes (fun i ->
-            Node.create ~node_id:i ~ip:i ~cores:config.cores_per_node);
+      replicas = replicas_of config;
+      node_arr = nodes;
+      attached = Array.make (Array.length nodes) false;
+      depart =
+        (fun ~delay:_ f ->
+          invalid_arg
+            (Printf.sprintf "Cluster: node %d is not attached" (frame_dst f)));
       by_name = Hashtbl.create 16;
       site_list = [];
       next_site_id = 0;
@@ -699,6 +759,7 @@ let create ?(config = default_config) () =
       c_same_node = Stats.counter stats "same_node_fast";
       c_frames = Stats.counter stats "frames";
       c_acks_piggybacked = Stats.counter stats "acks_piggybacked";
+      c_forwarded = Stats.counter stats "forwarded";
       d_lat_wire = Stats.dist stats "lat_wire";
       d_lat_retransmit = Stats.dist stats "lat_retransmit";
       d_batch_fill = Stats.dist stats "batch_fill";
@@ -711,11 +772,27 @@ let create ?(config = default_config) () =
           send_packet t ~src_ip ~dst_ip:(route_ip t ~src_ip p) ~ctx p);
       schedule = (fun ~delay f -> Simnet.schedule sim ~delay f);
       now = (fun () -> Simnet.now sim) };
-  Array.iteri
-    (fun ip n ->
-      Node.attach n host;
-      if ip < t.replicas then Node.serve_names n)
-    t.node_arr;
+  t
+
+let attach t n =
+  t.attached.(Node.ip n) <- true;
+  Node.attach n t.host
+
+(* The node's queued packets leave first, so nothing here touches its
+   sequence numbers once it has gone. *)
+let detach t n =
+  let ip = Node.ip n in
+  Hashtbl.iter
+    (fun (src, _) ob -> if src = ip then flush_outbox t ob)
+    t.outboxes;
+  t.attached.(ip) <- false;
+  Node.detach n
+
+let on_depart t f = t.depart <- f
+
+let create ?(config = default_config) () =
+  let t = shard config ~nodes:(make_nodes config) ~index:0 ~count:1 in
+  Array.iter (attach t) t.node_arr;
   t
 
 let load ?placement ?(annotations = fun _ -> None) ?(inputs = fun _ -> [])

@@ -14,7 +14,14 @@
     is retransmitted until acked, so every cross-node packet survives
     the fault model.  A registration
     at a replicated name service is copied, along the same path, from
-    the exporter's home replica to every other one. *)
+    the exporter's home replica to every other one.
+
+    A cluster may run only some of its nodes: each shard of the
+    parallel engine ({!Par_runner}) is a cluster over its own fabric
+    that runs the nodes attached to it.  A frame for a node attached
+    elsewhere leaves through the {!on_depart} hook, after the fault
+    dice have rolled, and lands on the other shard's fabric with
+    {!take_frame}. *)
 
 type t
 
@@ -114,6 +121,7 @@ val site_lifecycle : config -> Site.lifecycle
     is created with (leases and code-cache bound from the config). *)
 
 val create : ?config:config -> unit -> t
+(** A cluster of [config.nodes] fresh nodes, all attached. *)
 
 val load :
   ?placement:(string -> int) ->
@@ -132,7 +140,9 @@ val site : t -> string -> Site.t
 (** Raises [Not_found]. *)
 
 val sites : t -> Site.t list
+
 val nodes : t -> Node.t list
+(** The nodes attached to this cluster, by ip. *)
 
 (** {1 Execution} *)
 
@@ -226,6 +236,44 @@ val metrics : t -> Tyco_support.Metrics.t
 (** The run's metrics registry — the disabled singleton unless
     [config.metrics]; export with {!Tyco_support.Metrics.to_prom} or
     {!Tyco_support.Metrics.to_json}. *)
+
+(** {1 Shards}
+
+    What the parallel engine builds each shard from. *)
+
+type frame
+(** A batch frame, a cumulative ack, or a same-node packet whose node
+    moved, on its way to the daemon of node {!frame_dst}. *)
+
+val frame_dst : frame -> int
+
+val make_nodes : config -> Node.t array
+(** [config.nodes] fresh nodes, attached nowhere; those with an ip
+    below the name-service replica count serve a replica. *)
+
+val shard : config -> nodes:Node.t array -> index:int -> count:int -> t
+(** Shard [index] of [count]: a cluster over [nodes] with its own
+    fabric, books, trace collector and metrics registry, running none
+    of the nodes until they are attached.  Its fabric draws from
+    [config.seed] for shard 0 and from a stream derived from it for
+    the others; its span ids are [index + k * count]. *)
+
+val attach : t -> Node.t -> unit
+(** Run the node's daemon here. *)
+
+val detach : t -> Node.t -> unit
+(** Flush the node's outboxes, then stop running its daemon here: a
+    frame or packet that lands here for it afterwards leaves through
+    the {!on_depart} hook. *)
+
+val on_depart : t -> (delay:int -> frame -> unit) -> unit
+(** Where a frame goes whose node is not attached: it is due [delay]
+    virtual ns from now, on the fabric of the node's shard.  Without a
+    hook such a frame raises [Invalid_argument]. *)
+
+val take_frame : t -> delay:int -> frame -> unit
+(** A frame lands on this cluster's fabric [delay] virtual ns from
+    now. *)
 
 (** {1 Internals exposed for the experiment harness} *)
 

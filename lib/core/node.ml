@@ -7,8 +7,9 @@
    and suspicion books, and schedules site quanta on the node's cores.
    It reaches its engine only through a [transport]: send a packet from
    an ip, schedule a closure after a delay, read the clock.  The links
-   behind it — Simnet links in [Cluster], intra-shard links and SPSC
-   rings in [Par_runner], sockets in [Tcp_runner] — are the engine's. *)
+   behind it — Simnet links in [Cluster], whose frames cross SPSC rings
+   between [Par_runner]'s shards, and sockets in [Tcp_runner] — are the
+   engine's. *)
 
 module Packet = Tyco_net.Packet
 module Nameservice = Tyco_net.Nameservice
@@ -46,7 +47,6 @@ type host = {
   retry : Site.retry;
   lifecycle : Site.lifecycle;
   timers : bool; (* give sites virtual timers for request deadlines *)
-  count_load : bool; (* keep [load] up to date for a rebalancer *)
   tracer : Trace.t;
   tr_on : bool; (* cached [Trace.enabled tracer] *)
   m_deliveries : Metrics.counter;
@@ -59,7 +59,7 @@ type host = {
 
 let host ?quantum ?(retry = Site.default_retry)
     ?(lifecycle = Site.default_lifecycle) ?(timers = false)
-    ?(count_load = false) ?(tracer = Trace.disabled)
+    ?(tracer = Trace.disabled)
     ?(metrics = Metrics.disabled) ?(stats = Stats.create ()) () =
   { tp = unconnected;
     pumps = quantum <> None;
@@ -67,7 +67,6 @@ let host ?quantum ?(retry = Site.default_retry)
     retry;
     lifecycle;
     timers;
-    count_load;
     tracer;
     tr_on = Trace.enabled tracer;
     m_deliveries = Metrics.counter metrics "deliveries";
@@ -105,7 +104,7 @@ type t = {
   mutable sites : Site.t list; (* newest first *)
   mutable slots : (int, slot) Hashtbl.t; (* site id -> slot *)
   mutable ns : Nameservice.t option; (* the replica this node serves *)
-  load : int Atomic.t; (* quantum cost executed, when the host counts it *)
+  load : int Atomic.t; (* quantum cost executed, read by a rebalancer *)
   (* transport endpoint state of the daemon *)
   tx_seq : (int, int ref) Hashtbl.t;    (* dst ip -> next sequence no. *)
   rx : (int, rx_window) Hashtbl.t;      (* src ip -> dedup window *)
@@ -124,6 +123,7 @@ let ip t = t.ip
 let sites t = List.rev t.sites
 let load t = Atomic.get t.load
 let serve_names t = t.ns <- Some (Nameservice.create ())
+let serves_names t = t.ns <> None
 
 let names_pending t =
   match t.ns with Some ns -> Nameservice.pending ns | None -> 0
@@ -155,7 +155,7 @@ and pump_event t slot =
       request_pump t slot ~delay:(free - now)
     else begin
       let cost = Site.pump ~now slot.site ~quantum:h.quantum in
-      if h.count_load then ignore (Atomic.fetch_and_add t.load cost);
+      ignore (Atomic.fetch_and_add t.load cost);
       let duration = cost + context_switch_cost in
       t.cores.(core) <- max t.cores.(core) (now + duration);
       h.busy_until <- max h.busy_until (now + duration);

@@ -41,7 +41,6 @@ val host :
   ?retry:Site.retry ->
   ?lifecycle:Site.lifecycle ->
   ?timers:bool ->
-  ?count_load:bool ->
   ?tracer:Tyco_support.Trace.t ->
   ?metrics:Tyco_support.Metrics.t ->
   ?stats:Tyco_support.Stats.t ->
@@ -50,8 +49,7 @@ val host :
 (** [quantum] (VM instructions) makes the daemon schedule site quanta
     through the transport; without it the engine's own loop pumps the
     sites and the daemon only delivers.  [timers] gives sites virtual
-    timers for their request deadlines.  [count_load] keeps {!load} up
-    to date.  The daemon registers counters ["deliveries"] and
+    timers for their request deadlines.  The daemon registers counters ["deliveries"] and
     ["dead_letters"] in [metrics] and the dead-letter book as the
     counter ["dead_letters"] of [stats]. *)
 
@@ -96,10 +94,12 @@ val detach : t -> unit
     its sites do nothing when they fire. *)
 
 val load : t -> int
-(** Quantum cost executed so far, when the host counts it. *)
+(** Quantum cost executed so far. *)
 
 val serve_names : t -> unit
 (** Make this node serve a name-service replica. *)
+
+val serves_names : t -> bool
 
 val names_pending : t -> int
 (** Lookups parked at this node's replica. *)

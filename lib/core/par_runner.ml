@@ -1,15 +1,18 @@
 (* The parallel execution engine: the cluster sharded over OCaml 5
    domains.
 
-   Each shard runs the {!Node} daemons of a disjoint set of nodes, and
-   owns everything beneath them — sites, VMs, export tables, intern
-   areas, statistics reservoirs — plus its own discrete-event
-   simulator, so a shard's virtual clock advances independently.  The
-   shard supplies the daemons' links: intra-shard Simnet links (with
-   the same-node fast path) and SPSC rings to the other shards.  Which
-   nodes a shard owns is decided by a placement map ({!Placement}):
-   [ip mod domains] by default, or greedy bin-packing over static site
-   counts when the caller wants load-aware sharding.  No mutable
+   Each shard is a {!Cluster} over its own fabric — Simnet (clock,
+   heap, PRNG), books, trace collector, metrics registry — that runs
+   the {!Node} daemons of a disjoint set of nodes and everything
+   beneath them: sites, VMs, export tables, intern areas, statistics
+   reservoirs.  Which nodes a shard runs is decided by a placement map
+   ({!Placement}): [ip mod domains] by default, or greedy bin-packing
+   over static site counts when the caller wants load-aware sharding.
+   Every cross-node packet leaves its node through the shard cluster's
+   outbox, one frame per flush, exactly as in the deterministic
+   engine; a frame whose node runs on another shard leaves the cluster
+   through its departure hook, after the fault dice have rolled, and
+   this module carries it to the cluster of that shard.  No mutable
    state is shared between shards: the only cross-domain traffic is
 
    - envelope {e batches} and node {e migrations} through one
@@ -19,21 +22,24 @@
      indirection table, the stop flag) that exist for termination
      detection and routing.
 
-   Handoff batching: each shard buffers outbound envelopes per
+   Handoff batching: each shard buffers departing frames per
    destination shard and flushes each buffer as one ring element at
-   every event boundary (or earlier, when a buffer reaches
-   [handoff_batch_max]) — so a packet waits for at most the rest of
-   the event that sent it, while one ring push, one [g_inflight]
-   increment and one consumer pop amortize over everything that event
-   sent to that shard.  Quiescence accounting stays exact without per-packet
-   atomics: a buffer's first envelope counts one unit on the owning
-   shard's [pending] (the pending flush is a scheduled obligation
-   like any heap event); the flush moves that unit onto [g_inflight]
-   (increment before decrement, so the sum never dips); the consumer
-   schedules every envelope's delivery (each a [pending] increment)
-   {e before} uncounting the batch from [g_inflight].  Children are
-   always counted before their parent is uncounted, so
-   [inflight + sum pending = 0] still holds only at true quiescence.
+   every event boundary, so a frame waits for at most the rest of the
+   event that sent it, while one ring push, one [g_inflight] increment
+   and one consumer pop amortize over everything that event sent to
+   that shard.  Buffers flush only at event boundaries: a flush that
+   met a full ring inside an event would drain the inbound rings and
+   publish [pending] while the event's own work was not yet in the
+   heap.
+
+   Termination: a shard publishes [pending] — its Simnet's queue
+   length plus its non-empty buffers — after each pass, and before it
+   uncounts an absorbed batch or an installed node from [g_inflight].
+   A flush counts its batch on [g_inflight] before the publish that
+   drops the buffer, and a consumer publishes the arrivals it
+   scheduled before it uncounts the batch: children are always counted
+   before their parent is uncounted, so [inflight + sum pending = 0]
+   holds only at true quiescence.
 
    Dynamic rebalancing (PR 10): node ownership is no longer fixed for
    the run.  The node-to-shard map is an array of atomics (the
@@ -42,49 +48,53 @@
    ({!Placement.choose_migration}), posts a migration command to the
    owning shard; the command holds a [g_inflight] unit of its own until
    the owner has acted on it.  At its next step boundary the owner
-   {e ships} the node: it flushes its outbound buffers, takes one
-   [g_inflight] unit (the node-in-transit obligation, held until the
-   receiver finishes installing — quiescence cannot fire with a node
-   inside a ring), publishes the new owner in the indirection table,
-   detaches the node's daemon (quanta still queued here become no-ops),
-   and pushes the daemon whole — sites included — as a [Mig] element
-   through the ordinary ring.  The receiver schedules any packets that
-   raced ahead of the envelope (parked in [limbo] under the same
-   in-flight unit), attaches the daemon to its own host — the sites'
-   callbacks follow, since they reach the engine through the node's host
-   — and only then releases the unit.  A packet for a node the shard
-   does not run takes the not-here path: {e forwarded} along the current
-   table when the node lives elsewhere, parked in limbo when it is still
-   in transit here, so stale senders lose nothing.
+   {e ships} the node: it takes one [g_inflight] unit (the
+   node-in-transit obligation, held until the receiver finishes
+   installing — quiescence cannot fire with a node inside a ring),
+   publishes the new owner in the indirection table, detaches the node
+   from its cluster (which flushes the node's outboxes; quanta still
+   queued here become no-ops), flushes its buffers and pushes the
+   daemon whole — sites included — as a [Mig] element through the
+   ordinary ring.  The receiver attaches the daemon to its own cluster
+   — the sites' callbacks follow, since they reach the engine through
+   the node's host — lands any frames that raced ahead of the element
+   (parked in [limbo] under the same in-flight unit), and only then
+   releases the unit.  A frame for a node the shard does not run takes
+   the not-here path: {e forwarded} along the current table when the
+   node lives elsewhere, parked in limbo when it is still in transit
+   here, so stale senders lose nothing.  A node serving a name-service
+   replica stays where it is: the replies it owes are scheduled on its
+   shard's clock.
 
-   Clock merge rule: a handed-off packet sent at sender-virtual time
-   [s] with wire delay [d] is delivered at receiver-virtual time
+   Clock merge rule: a frame sent at sender-virtual time [s] with wire
+   delay [d] is delivered at receiver-virtual time
    [max (receiver now) (s + d)] — delivery timestamps stay monotone
    per receiver, at the price of cross-shard timestamps depending on
-   domain interleaving.  Determinism is the single-domain engine's
-   job ({!Cluster}); this engine preserves output *sets*, not
-   timestamps.  A migrated node's core occupancy is reset on install
-   for the same reason: the two shard clocks are not comparable.
+   domain interleaving.  This engine preserves output *sets*, not
+   timestamps.  One shard is the deterministic engine: its cluster
+   draws from the run seed, no ring exists, and its outputs, clock and
+   trace are a plain {!Cluster} run's.  A migrated node's core
+   occupancy is reset on install because the two shard clocks are not
+   comparable.
 
-   Scope: the direct per-packet transport only.  Reliable delivery,
-   fault injection and replicated name service stay with the
-   deterministic engine (rings are lossless and ordered, so none of
-   that machinery has work to do here); configs requesting them are
-   rejected loudly.  Tracing is rejected {e when rebalancing}: a
-   site's trace collector is captured at creation and cannot follow
-   the site across domains without sharing a collector.
+   Scope: reliable delivery is rejected at more than one domain: its
+   retransmission timer and the sites' request deadlines run on shard
+   clocks the merge rule does not synchronize, so a reply from a shard
+   whose clock runs ahead can land after a deadline.  Tracing is
+   rejected {e when rebalancing}: a site's trace collector is captured
+   at creation and cannot follow the site across domains without
+   sharing a collector.
 
-   Observability: each shard owns a private {!Trace} collector (span
-   ids strided by [shard + k * domains] so they stay globally unique
-   without a shared counter) and a private {!Metrics} registry;
-   envelopes carry the packet's span across the ring so cross-shard
-   packets keep their causal tree.  Both are merged at quiescence,
-   after the joins — the only time shard state is read from outside. *)
+   Observability: each shard's cluster owns a private {!Trace}
+   collector (span ids strided by [shard + k * domains] so they stay
+   globally unique without a shared counter) and a private {!Metrics}
+   registry; frames carry their packets' spans across the ring, so
+   cross-shard packets keep their causal tree.  Both are merged at
+   quiescence, after the joins — the only time shard state is read
+   from outside. *)
 
 module Simnet = Tyco_net.Simnet
-module Packet = Tyco_net.Packet
 module Stats = Tyco_support.Stats
-module Prng = Tyco_support.Prng
 module Trace = Tyco_support.Trace
 module Metrics = Tyco_support.Metrics
 module Spsc = Tyco_support.Spsc_ring
@@ -95,15 +105,12 @@ exception Shard_failure of int * string
    [Runtime_error].  Before PR 10 the raw exception was re-raised
    anonymously (and non-[Failure] exceptions escaped [Api] unwrapped). *)
 
-(* One handed-off packet: everything the receiving shard needs to
-   charge the wire and route, so it never touches sender state. *)
+(* One handed-off frame and the sender's clock at departure; the
+   receiver needs nothing else of the sender. *)
 type envelope = {
-  env_pkt : Packet.t;
-  env_src_ip : int;
-  env_dst_ip : int;
-  env_send_ts : int; (* sender's virtual clock at send *)
-  env_bytes : int;
-  env_span : Trace.span; (* causal context rides the ring with the packet *)
+  env_frame : Cluster.frame;
+  env_sent : int;
+  env_due : int; (* [env_sent] plus the wire delay *)
 }
 
 (* Per-destination accumulation buffer (producer-shard confined). *)
@@ -133,37 +140,30 @@ type global = {
 type shard = {
   sh_id : int;
   g : global;
-  sim : Simnet.t;
-  loopback_delay : int;
-  (* the books and transport of the daemons this shard runs *)
-  host : Node.host;
-  (* the nodes installed here, by ip.  Only the owning domain touches
-     a node; ring push/pop orders the handover of a migrating one *)
-  nodes : (int, Node.t) Hashtbl.t;
+  (* the shard: its fabric and the daemons of the nodes attached to it.
+     Only the owning domain touches a node; ring push/pop orders the
+     handover of a migrating one *)
+  c : Cluster.t;
   in_rings : element Spsc.t option array; (* index = source shard *)
   out_rings : element Spsc.t option array; (* index = destination shard *)
   out_bufs : outbuf array; (* index = destination shard; self unused *)
   weight : float; (* this shard's placement weight (reporting only) *)
-  (* packets that arrived for a node this shard owns per the table but
-     has not installed yet (they raced ahead of the migration
-     envelope, whose [g_inflight] unit covers them): drained at
-     install, keyed by node ip *)
-  limbo : (int, (Trace.span * Packet.t) list ref) Hashtbl.t;
+  (* frames that arrived for a node this shard owns per the table but
+     has not installed yet (they raced ahead of the migration element,
+     whose [g_inflight] unit covers them): landed at install, keyed by
+     node ip *)
+  limbo : (int, envelope list ref) Hashtbl.t;
   (* coordinator-posted migration command: [ip * domains + dst], or
      -1 for none; consumed at the step boundary.  A posted command
      holds one [g_inflight] unit, so quiescence cannot be declared
      while a shard may still act on it *)
   mig_cmd : int Atomic.t;
   (* shard-confined accumulators, merged after join *)
-  mutable packets : int;
-  mutable bytes : int;
-  mutable same_node : int;
-  mutable handoffs_in : int; (* envelopes received through rings *)
+  mutable handoffs_in : int; (* frames received through rings *)
   mutable batches_out : int; (* flushes, = ring pushes attempted *)
-  mutable envelopes_out : int; (* envelopes those flushes carried *)
+  mutable envelopes_out : int; (* frames those flushes carried *)
   mutable parks : int;
   mutable drains : int; (* backpressure drain passes while pushing *)
-  mutable forwarded : int; (* envelopes re-sent along the table *)
   mutable migrations_out : int; (* nodes this shard shipped *)
   mutable migrations_in : int; (* nodes this shard installed *)
   mutable migration_ns : int; (* wall ns, ship to install, summed *)
@@ -171,23 +171,15 @@ type shard = {
      the post-join merge still sees their sites' stats *)
   mutable lost_migs : migration list;
   mutable error : exn option;
-  (* shard-local observability: nothing here is shared while the
+  (* in the cluster's registry: nothing here is shared while the
      domain runs; merged after join *)
-  tr : Trace.t;
-  mx : Metrics.t;
-  m_packets : Metrics.counter;
-  m_bytes : Metrics.counter;
-  m_same_node : Metrics.counter;
   m_handoffs_in : Metrics.counter;
   m_handoff_lat : Metrics.histogram; (* virtual ns from send to delivery *)
-  m_batch_fill : Metrics.histogram; (* envelopes per ring push *)
+  m_batch_fill : Metrics.histogram; (* frames per ring push *)
   (* termination-detection counters (Mattern-style): [pending] is the
-     shard's heap size plus one unit per non-empty outbound buffer,
-     maintained so that children are counted before their parent event
-     is uncounted, which makes [inflight + sum pending = 0] hold only
-     at true quiescence; [executed] (an alias of the shard's slot in
-     [g_executed]) is monotone and detects activity between the
-     coordinator's two collects *)
+     shard's published work (see [publish]); [executed] (an alias of
+     the shard's slot in [g_executed]) is monotone and detects activity
+     between the coordinator's two collects *)
   pending : int Atomic.t;
   executed : int Atomic.t;
 }
@@ -206,87 +198,78 @@ and migration = {
   mg_sent_wall : float; (* host clock at ship, for [migration_ns] *)
 }
 
-(* Every event entering a shard's heap goes through here so [pending]
-   tracks the heap exactly; the matching decrement is in [shard_loop],
-   after [Simnet.step] returns. *)
-let sched sh ~delay f =
-  Atomic.incr sh.pending;
-  Simnet.schedule sh.sim ~delay f
-
 let shard_of_ip g ip = Atomic.get (Array.unsafe_get g.g_shard_map ip)
 
-(* Flush threshold: a buffer reaching this many envelopes within one
-   event is flushed immediately rather than waiting for the event
-   boundary, bounding the allocation size of one batch. *)
-let handoff_batch_max = 64
+(* The shard's work as the coordinator sees it: the events in its heap
+   plus one unit per non-empty outbound buffer.  Called only between
+   events, when nothing the shard owes is anywhere else. *)
+let publish sh =
+  let n = ref (Simnet.pending (Cluster.sim sh.c)) in
+  Array.iter (fun ub -> if ub.hb_count > 0 then incr n) sh.out_bufs;
+  Atomic.set sh.pending !n
 
 (* ------------------------------------------------------------------ *)
-(* The shard's links: intra-shard Simnet links and the cross-shard
-   rings between the daemons of its nodes.                             *)
+(* The ring hop between the shards' clusters.                          *)
 
-let rec send_packet sh ~src_ip ?(ctx = Trace.null_span) (p : Packet.t) =
-  let dst_ip = Packet.dst_ip p ~ns_ip:0 in
-  let dst_shard = shard_of_ip sh.g dst_ip in
-  if dst_ip = src_ip && dst_shard = sh.sh_id then begin
-    (* same-node fast path, intact inside the shard: shared memory, no
-       size accounting, loopback latency only *)
-    sh.same_node <- sh.same_node + 1;
-    Metrics.incr sh.m_same_node;
-    sched sh ~delay:sh.loopback_delay (fun () ->
-        deliver sh ~at_ip:dst_ip ~ctx ~same_node:true p)
-  end
-  else begin
-    let bytes = Packet.byte_size p in
-    sh.packets <- sh.packets + 1;
-    sh.bytes <- sh.bytes + bytes;
-    Metrics.incr sh.m_packets;
-    Metrics.add sh.m_bytes bytes;
-    if dst_shard = sh.sh_id then
-      let delay = Simnet.packet_delay sh.sim ~src_ip ~dst_ip ~bytes in
-      sched sh ~delay (fun () -> deliver sh ~at_ip:dst_ip ~ctx p)
-    else
-      enqueue_handoff sh ~dst_shard
-        { env_pkt = p; env_src_ip = src_ip; env_dst_ip = dst_ip;
-          env_send_ts = Simnet.now sh.sim; env_bytes = bytes;
-          env_span = ctx }
-  end
-
-(* Buffer an outbound envelope.  The buffer's first envelope counts
-   one unit on [pending] — the obligation to flush — so quiescence
-   detection cannot fire between enqueue and flush; subsequent
-   envelopes ride the same unit, which is what makes the handoff path
-   free of per-packet atomics. *)
-and enqueue_handoff sh ~dst_shard env =
+let enqueue_handoff sh ~dst_shard env =
   let ub = Array.unsafe_get sh.out_bufs dst_shard in
   let n = ub.hb_count in
-  if n = 0 then Atomic.incr sh.pending;
   if n = Array.length ub.hb_envs then begin
     let grown = Array.make (max 8 (2 * n)) env in
     Array.blit ub.hb_envs 0 grown 0 n;
     ub.hb_envs <- grown
   end;
   ub.hb_envs.(n) <- env;
-  ub.hb_count <- n + 1;
-  if ub.hb_count >= handoff_batch_max then flush_handoff sh ~dst_shard ub
+  ub.hb_count <- n + 1
+
+(* The cluster's departure hook: a frame for a node this shard does
+   not run. *)
+let depart sh ~delay f =
+  let now = Simnet.now (Cluster.sim sh.c) in
+  let env = { env_frame = f; env_sent = now; env_due = now + delay } in
+  let ip = Cluster.frame_dst f in
+  let owner = shard_of_ip sh.g ip in
+  if owner <> sh.sh_id then enqueue_handoff sh ~dst_shard:owner env
+  else begin
+    (* the table says this shard owns the node, but its migration
+       element has not been popped yet: park the frame in limbo.  The
+       element's [g_inflight] unit (held until the install lands this
+       queue) keeps quiescence from firing with the frame parked here *)
+    let q =
+      match Hashtbl.find_opt sh.limbo ip with
+      | Some q -> q
+      | None ->
+          let q = ref [] in
+          Hashtbl.add sh.limbo ip q;
+          q
+    in
+    q := env :: !q
+  end
+
+(* Land a frame on this shard's fabric by the clock merge rule;
+   returns the time it lands. *)
+let land_frame sh env =
+  let now = Simnet.now (Cluster.sim sh.c) in
+  let at = max now env.env_due in
+  Cluster.take_frame sh.c ~delay:(at - now) env.env_frame;
+  at
 
 (* Flush one destination's buffer as a single ring element: one push,
-   one [g_inflight] unit, one pop on the far side for the whole
-   batch.  Increment-inflight-then-decrement-pending order keeps the
-   termination sum from transiently reaching zero. *)
-and flush_handoff sh ~dst_shard ub =
+   one [g_inflight] unit, one pop on the far side for the whole batch.
+   The unit is counted before the next [publish] drops the buffer's. *)
+let rec flush_handoff sh ~dst_shard ub =
   let count = ub.hb_count in
   let batch = Array.sub ub.hb_envs 0 count in
   (* drop the buffer's references: the consumer owns the batch now,
-     and a stale slot would otherwise keep packet payloads alive
-     until the next burst overwrites it *)
+     and a stale slot would otherwise keep frames alive until the next
+     burst overwrites it *)
   Array.fill ub.hb_envs 0 count (Obj.magic 0);
   ub.hb_count <- 0;
   sh.batches_out <- sh.batches_out + 1;
   sh.envelopes_out <- sh.envelopes_out + count;
   Metrics.observe_int sh.m_batch_fill count;
   Atomic.incr sh.g.g_inflight;
-  push_element sh ~dst_shard (Batch batch);
-  Atomic.decr sh.pending
+  push_element sh ~dst_shard (Batch batch)
 
 (* Flush every non-empty buffer; called at every event boundary, so
    it allocates nothing when the buffers are empty.  Returns the number
@@ -341,69 +324,54 @@ and push_element sh ~dst_shard el =
     done
   end
 
-(* Consume one inbound batch: schedule every envelope's delivery
-   (each [sched] counts it on [pending]), then — children counted —
-   uncount the batch from [g_inflight]. *)
+(* Consume one inbound batch: land every frame, publish what that
+   scheduled, and only then uncount the batch from [g_inflight]. *)
 and absorb_batch sh (batch : envelope array) =
-  let n = Array.length batch in
-  for i = 0 to n - 1 do
-    let env = Array.unsafe_get batch i in
-    sh.handoffs_in <- sh.handoffs_in + 1;
-    Metrics.incr sh.m_handoffs_in;
-    let d =
-      Simnet.packet_delay sh.sim ~src_ip:env.env_src_ip
-        ~dst_ip:env.env_dst_ip ~bytes:env.env_bytes
-    in
-    let now = Simnet.now sh.sim in
-    (* clock merge rule: monotone per receiver *)
-    let at = max now (env.env_send_ts + d) in
-    Metrics.observe_int sh.m_handoff_lat (at - env.env_send_ts);
-    sched sh ~delay:(at - now) (fun () ->
-        deliver sh ~at_ip:env.env_dst_ip ~ctx:env.env_span env.env_pkt)
-  done;
+  Array.iter
+    (fun env ->
+      sh.handoffs_in <- sh.handoffs_in + 1;
+      Metrics.incr sh.m_handoffs_in;
+      Metrics.observe_int sh.m_handoff_lat (land_frame sh env - env.env_sent))
+    batch;
+  publish sh;
   Atomic.decr sh.g.g_inflight;
-  n
+  Array.length batch
 
-(* Install a migrated node: schedule the packets that raced ahead of
-   it (parked in limbo), run its daemon here, and only then release the
-   in-transit [g_inflight] unit (children counted before the parent is
-   uncounted). *)
+(* Install a migrated node: run its daemon here, land the frames that
+   raced ahead of it (parked in limbo), and only then release the
+   in-transit [g_inflight] unit. *)
 and install_migration sh (m : migration) =
   sh.migrations_in <- sh.migrations_in + 1;
   sh.migration_ns <-
     sh.migration_ns
     + int_of_float ((Unix.gettimeofday () -. m.mg_sent_wall) *. 1e9);
+  Cluster.attach sh.c m.mg_node;
   (match Hashtbl.find_opt sh.limbo m.mg_ip with
   | Some q ->
       Hashtbl.remove sh.limbo m.mg_ip;
-      List.iter
-        (fun (ctx, p) ->
-          sched sh ~delay:0 (fun () -> deliver sh ~at_ip:m.mg_ip ~ctx p))
-        (List.rev !q)
+      List.iter (fun env -> ignore (land_frame sh env)) (List.rev !q)
   | None -> ());
-  Hashtbl.replace sh.nodes m.mg_ip m.mg_node;
-  Node.attach m.mg_node sh.host;
+  publish sh;
   Atomic.incr sh.g.g_migrations;
   Atomic.decr sh.g.g_inflight
 
 (* Ship one node to [dst]: the source half of a migration, run at the
    step boundary so no event is mid-flight on this shard.  Publishing
    the new owner *after* taking the in-flight unit and *before*
-   retiring the node keeps every window covered: packets arriving here
-   afterwards find no node and forward; packets arriving at the
+   detaching the node keeps every window covered: frames landing here
+   afterwards find no node and forward; frames landing at the
    destination early park in its limbo under the unit we hold. *)
 and ship_node sh ~ip ~dst =
-  match Hashtbl.find_opt sh.nodes ip with
+  match List.find_opt (fun n -> Node.ip n = ip) (Cluster.nodes sh.c) with
   | Some node
     when dst <> sh.sh_id && dst >= 0 && dst < sh.g.g_domains
-         && Node.sites node <> [] ->
-      (* buffered envelopes leave first so per-destination order is
-         preserved across the ownership change *)
-      ignore (flush_handoffs sh);
+         && Node.sites node <> [] && not (Node.serves_names node) ->
       Atomic.incr sh.g.g_inflight;
       Atomic.set sh.g.g_shard_map.(ip) dst;
-      Node.detach node;
-      Hashtbl.remove sh.nodes ip;
+      (* the node's queued packets, and every frame buffered here,
+         leave before the node does *)
+      Cluster.detach sh.c node;
+      ignore (flush_handoffs sh);
       sh.migrations_out <- sh.migrations_out + 1;
       push_element sh ~dst_shard:dst
         (Mig { mg_ip = ip; mg_node = node; mg_sent_wall = Unix.gettimeofday () })
@@ -430,42 +398,6 @@ and drain_rings sh =
   done;
   !got
 
-and deliver sh ~at_ip ?(ctx = Trace.null_span) ?(same_node = false)
-    (p : Packet.t) =
-  match Hashtbl.find_opt sh.nodes at_ip with
-  | Some node -> Node.deliver node ~ctx ~same_node p
-  | None -> not_here sh ~ip:at_ip ~ctx p
-
-(* A packet for a node this shard does not run. *)
-and not_here sh ~ip ~ctx p =
-  let owner = shard_of_ip sh.g ip in
-  if owner <> sh.sh_id then begin
-    (* the node migrated away: forward along the current table (no
-       packet/byte re-count — the original hop was already charged; the
-       hop is zero-distance on the wire model) *)
-    sh.forwarded <- sh.forwarded + 1;
-    enqueue_handoff sh ~dst_shard:owner
-      { env_pkt = p; env_src_ip = ip; env_dst_ip = ip;
-        env_send_ts = Simnet.now sh.sim; env_bytes = Packet.byte_size p;
-        env_span = ctx }
-  end
-  else begin
-    (* the table says this shard owns the node, but its migration
-       envelope has not been popped yet: park the packet in limbo.  The
-       envelope's [g_inflight] unit (held until the install finishes
-       draining this queue) keeps quiescence from firing with the
-       packet parked here *)
-    let q =
-      match Hashtbl.find_opt sh.limbo ip with
-      | Some q -> q
-      | None ->
-          let q = ref [] in
-          Hashtbl.add sh.limbo ip q;
-          q
-    in
-    q := (ctx, p) :: !q
-  end
-
 (* ------------------------------------------------------------------ *)
 (* The per-domain driver loop.                                         *)
 
@@ -474,9 +406,9 @@ let park_max = 1e-3 (* 1 ms *)
 
 (* One pass per event: drain the inbound rings, run at most one
    [Simnet.step], flush what that event sent to siblings, consume a
-   posted migration command.  A packet reaches its ring as soon as the
-   event that sent it returns, so a sibling never waits on a long run
-   of local events. *)
+   posted migration command, publish [pending].  A frame reaches its
+   ring as soon as the event that sent it returns, so a sibling never
+   waits on a long run of local events. *)
 let shard_loop sh ~max_events =
   let backoff = ref park_min in
   (* the event budget is global — the sum over shards must respect
@@ -493,12 +425,12 @@ let shard_loop sh ~max_events =
         (Printf.sprintf "Par_runner: exceeded %d events (livelock?)"
            max_events)
   in
+  let sim = Cluster.sim sh.c in
   (try
      while not (Atomic.get sh.g.g_stop) do
        let drained = drain_rings sh in
-       let stepped = Simnet.step sh.sim in
+       let stepped = Simnet.step sim in
        if stepped then begin
-         Atomic.decr sh.pending;
          Atomic.incr sh.executed;
          incr unchecked
        end;
@@ -513,6 +445,7 @@ let shard_loop sh ~max_events =
             holds its own *)
          Atomic.decr sh.g.g_inflight
        end;
+       publish sh;
        let idle = (not stepped) && drained = 0 && flushed = 0 && not shipped in
        if !unchecked >= 256 || (idle && !unchecked > 0) then check_budget ();
        if idle then begin
@@ -543,7 +476,7 @@ type shard_stat = {
   ss_virtual_ns : int;
   ss_packets : int;
   ss_same_node : int;
-  ss_handoffs_in : int; (* envelopes this shard received *)
+  ss_handoffs_in : int; (* frames this shard received *)
   ss_ring_pushed : int; (* elements this shard pushed outbound *)
   ss_ring_popped : int; (* elements this shard consumed *)
   ss_ring_hiwater : int; (* max outbound-ring occupancy at push *)
@@ -580,10 +513,10 @@ type result = {
   packets : int;
   bytes : int;
   same_node_fast : int;
-  handoffs : int; (* envelopes carried by rings *)
+  handoffs : int; (* frames carried by rings *)
   ring_pushed : int; (* elements pushed (= pops after a clean run) *)
   ring_popped : int;
-  ring_batch_fill_mean : float; (* envelopes per ring push *)
+  ring_batch_fill_mean : float; (* frames per ring push *)
   parks : int; (* idle/backpressure parks across all shards *)
   domains : int;
   instructions : int; (* total VM instructions, for throughput *)
@@ -591,7 +524,7 @@ type result = {
   dead_letters : int;
   migrations : int; (* node migrations completed (installs) *)
   migration_ns : int; (* host ns from ship to install, summed *)
-  forwarded_envelopes : int; (* packets re-routed via the table *)
+  forwarded_envelopes : int; (* frames that followed a moved node *)
   suspected : (int * string) list;
   sites_per_shard : int array;
   placement_weights : float array; (* per-shard assigned weight *)
@@ -599,19 +532,11 @@ type result = {
   events : int; (* simulation events across all shards *)
   clean : bool; (* quiesced with rings drained, heaps and limbo empty *)
   timed_out : bool;
-  trace : Trace.t; (* merged shard-tagged collector; disabled when off *)
+  trace : Trace.t; (* the shard's own, or merged shard-tagged ones *)
   metrics : Metrics.t; (* merged registry; disabled when off *)
   shard_stats : shard_stat array;
   sites : Site.t list; (* post-join reads only (join = happens-before) *)
 }
-
-let validate (cfg : Cluster.config) =
-  if cfg.Cluster.reliable then
-    invalid_arg "Par_runner: reliable delivery requires --domains 1";
-  if cfg.Cluster.faults <> Simnet.no_faults then
-    invalid_arg "Par_runner: fault injection requires --domains 1";
-  if cfg.Cluster.ns_mode <> Cluster.Centralized then
-    invalid_arg "Par_runner: replicated name service requires --domains 1"
 
 let ring_capacity = 4096
 
@@ -621,9 +546,13 @@ let run ?(config = Cluster.default_config) ?placement
     ?rebalance ?(force_migrations = []) ~domains
     (units : (string * Tyco_compiler.Block.unit_) list) =
   if domains < 1 then invalid_arg "Par_runner.run: domains must be >= 1";
-  validate config;
+  if domains > 1 && config.Cluster.reliable then
+    invalid_arg
+      "Par_runner: reliable delivery requires --domains 1 (its \
+       retransmission timer and request deadlines run on shard clocks \
+       that are not synchronized, so a reply can land after a deadline)";
   let rb_requested = rebalance <> None || force_migrations <> [] in
-  if rb_requested && config.Cluster.tracing then
+  if domains > 1 && rb_requested && config.Cluster.tracing then
     invalid_arg
       "Par_runner: tracing with dynamic rebalancing requires --domains 1 \
        (a site's trace collector cannot follow it across domains)";
@@ -671,51 +600,16 @@ let run ?(config = Cluster.default_config) ?placement
             if src = dst then None
             else Some (Spsc.create ~capacity:ring_capacity)))
   in
-  let nodes =
-    Array.init nnodes (fun i ->
-        Node.create ~node_id:i ~ip:i ~cores:config.Cluster.cores_per_node)
-  in
+  let nodes = Cluster.make_nodes config in
   let shards =
     Array.init domains (fun s ->
-        (* per-owner seed derivation: each shard's simulator draws from
-           its own stream; nothing is shared with siblings *)
-        let seed =
-          Int64.to_int
-            (Prng.next (Prng.for_owner ~seed:config.Cluster.seed ~owner:s))
-          land max_int
-        in
-        let sim =
-          Simnet.create ~topology:config.Cluster.topology
-            ~faults:Simnet.no_faults ~seed ()
-        in
-        (* span ids strided by (shard, domains): globally unique without
-           sharing a counter, and at domains = 1 identical to the
-           deterministic engine's allocation order *)
-        let tr =
-          Trace.create ~capacity:config.Cluster.trace_capacity ~span_base:s
-            ~span_stride:domains ~enabled:config.Cluster.tracing ()
-        in
-        if s = 0 then
-          Trace.register_track tr ~id:Trace.fabric_track ~name:"fabric" ();
-        let mx =
-          if config.Cluster.metrics then
-            Metrics.create ~label:(Printf.sprintf "shard%d" s) ~enabled:true
-              ()
-          else Metrics.disabled
-        in
+        let c = Cluster.shard config ~nodes ~index:s ~count:domains in
+        let mx = Cluster.metrics c in
         Metrics.set (Metrics.gauge mx "placement_weight")
           (int_of_float (Float.round placement_weights.(s)));
         { sh_id = s;
           g;
-          sim;
-          loopback_delay =
-            Simnet.packet_delay sim ~src_ip:0 ~dst_ip:0 ~bytes:0;
-          host =
-            Node.host ~quantum:config.Cluster.quantum
-              ~retry:config.Cluster.site_retry
-              ~lifecycle:(Cluster.site_lifecycle config)
-              ~count_load:(rebalance <> None) ~tracer:tr ~metrics:mx ();
-          nodes = Hashtbl.create 16;
+          c;
           in_rings = Array.init domains (fun src -> rings.(src).(s));
           out_rings = rings.(s);
           out_bufs =
@@ -723,50 +617,29 @@ let run ?(config = Cluster.default_config) ?placement
           weight = placement_weights.(s);
           limbo = Hashtbl.create 4;
           mig_cmd = Atomic.make (-1);
-          packets = 0;
-          bytes = 0;
-          same_node = 0;
           handoffs_in = 0;
           batches_out = 0;
           envelopes_out = 0;
           parks = 0;
           drains = 0;
-          forwarded = 0;
           migrations_out = 0;
           migrations_in = 0;
           migration_ns = 0;
           lost_migs = [];
           error = None;
-          tr;
-          mx;
-          m_packets = Metrics.counter mx "packets";
-          m_bytes = Metrics.counter mx "bytes";
-          m_same_node = Metrics.counter mx "same_node_fast";
           m_handoffs_in = Metrics.counter mx "handoffs_in";
           m_handoff_lat = Metrics.histogram mx "handoff_lat_ns";
           m_batch_fill = Metrics.histogram mx "ring_batch_fill";
           pending = Atomic.make 0;
           executed = g.g_executed.(s) })
   in
+  Array.iter (fun sh -> Cluster.on_depart sh.c (depart sh)) shards;
   Array.iter
-    (fun sh ->
-      Node.connect sh.host
-        { Node.send = (fun ~src_ip ~ctx p -> send_packet sh ~src_ip ~ctx p);
-          schedule = (fun ~delay f -> sched sh ~delay f);
-          now = (fun () -> Simnet.now sh.sim) })
-    shards;
-  Array.iter
-    (fun node ->
-      let sh = shards.(shard_of_ip g (Node.ip node)) in
-      Hashtbl.replace sh.nodes (Node.ip node) node;
-      Node.attach node sh.host)
+    (fun node -> Cluster.attach shards.(shard_of_ip g (Node.ip node)).c node)
     nodes;
-  if nnodes > 0 then Node.serve_names nodes.(0);
   (* load sites (on the coordinating domain, before any shard domain
      exists — construction is the last moment state is shared), site
-     ids in unit order.  Any packets sites emit while starting are
-     buffered in the owning shard's out_bufs; its domain flushes them
-     on its first loop iteration. *)
+     ids in unit order, as [Cluster.load] numbers them *)
   List.iteri
     (fun site_id ((name, unit_), node_idx) ->
       ignore
@@ -795,6 +668,7 @@ let run ?(config = Cluster.default_config) ?placement
         !forced
   in
   try_post_forced ();
+  Array.iter publish shards;
   (* run *)
   let t0 = Unix.gettimeofday () in
   let doms =
@@ -939,12 +813,10 @@ let run ?(config = Cluster.default_config) ?placement
     shards;
   (* merge (the only time shard state is read from outside) *)
   let outputs =
+    (* each shard's outputs are in recording order already *)
     List.stable_sort
-      (fun (ts1, (e1 : Output.event)) (ts2, e2) ->
-        match compare ts1 ts2 with
-        | 0 -> compare e1.Output.site e2.Output.site
-        | c -> c)
-      (List.concat_map (fun sh -> Node.outputs sh.host) (Array.to_list shards))
+      (fun (ts1, _) (ts2, _) -> compare ts1 ts2)
+      (List.concat_map (fun sh -> Cluster.outputs sh.c) (Array.to_list shards))
   in
   let sum (f : shard -> int) =
     Array.fold_left (fun acc sh -> acc + f sh) 0 shards
@@ -967,7 +839,10 @@ let run ?(config = Cluster.default_config) ?placement
   (* every site this shard can account for: those of its nodes plus
      those of any migration it had to drop at teardown *)
   let sites_here (sh : shard) =
-    Hashtbl.fold (fun _ n acc -> Node.sites n @ acc) sh.nodes []
+    List.concat_map Node.sites (Cluster.nodes sh.c)
+  in
+  let forwarded (sh : shard) =
+    Stats.counter_value (Cluster.stats sh.c) "forwarded"
   in
   let shard_sites (sh : shard) =
     List.sort
@@ -1018,9 +893,9 @@ let run ?(config = Cluster.default_config) ?placement
         { ss_shard = sh.sh_id;
           ss_sites = List.length (sites_here sh);
           ss_events = Atomic.get sh.executed;
-          ss_virtual_ns = max (Simnet.now sh.sim) (Node.busy_until sh.host);
-          ss_packets = sh.packets;
-          ss_same_node = sh.same_node;
+          ss_virtual_ns = Cluster.virtual_time sh.c;
+          ss_packets = Cluster.packets_sent sh.c;
+          ss_same_node = Cluster.same_node_fast sh.c;
           ss_handoffs_in = sh.handoffs_in;
           ss_ring_pushed = !pushed;
           ss_ring_popped = !popped;
@@ -1037,10 +912,13 @@ let run ?(config = Cluster.default_config) ?placement
     else float_of_int envelopes_total /. float_of_int batches_total
   in
   let trace =
-    if config.Cluster.tracing then
-      Trace.merge
-        (Array.to_list (Array.map (fun sh -> (sh.sh_id, sh.tr)) shards))
-    else Trace.disabled
+    match shards with
+    | [| sh |] -> Cluster.tracer sh.c
+    | _ when config.Cluster.tracing ->
+        Trace.merge
+          (Array.to_list
+             (Array.map (fun sh -> (sh.sh_id, Cluster.tracer sh.c)) shards))
+    | _ -> Trace.disabled
   in
   let metrics =
     if config.Cluster.metrics then begin
@@ -1050,18 +928,16 @@ let run ?(config = Cluster.default_config) ?placement
           (* stamp the post-join ring/park/migration signals into the
              shard's own registry so they travel through the merge like
              every other instrument (sum of values, max of high-waters) *)
-          let st = shard_stats.(i) in
-          Metrics.add (Metrics.counter sh.mx "ring_pushed") st.ss_ring_pushed;
-          Metrics.add (Metrics.counter sh.mx "ring_popped") st.ss_ring_popped;
-          Metrics.set (Metrics.gauge sh.mx "ring_hiwater") st.ss_ring_hiwater;
-          Metrics.add (Metrics.counter sh.mx "parks") st.ss_parks;
-          Metrics.add (Metrics.counter sh.mx "drains") st.ss_drains;
-          Metrics.add (Metrics.counter sh.mx "migrations") sh.migrations_in;
-          Metrics.add (Metrics.counter sh.mx "migration_ns") sh.migration_ns;
-          Metrics.add
-            (Metrics.counter sh.mx "forwarded_envelopes")
-            sh.forwarded;
-          Metrics.merge_into ~into sh.mx)
+          let st = shard_stats.(i) and mx = Cluster.metrics sh.c in
+          Metrics.add (Metrics.counter mx "ring_pushed") st.ss_ring_pushed;
+          Metrics.add (Metrics.counter mx "ring_popped") st.ss_ring_popped;
+          Metrics.set (Metrics.gauge mx "ring_hiwater") st.ss_ring_hiwater;
+          Metrics.add (Metrics.counter mx "parks") st.ss_parks;
+          Metrics.add (Metrics.counter mx "drains") st.ss_drains;
+          Metrics.add (Metrics.counter mx "migrations") sh.migrations_in;
+          Metrics.add (Metrics.counter mx "migration_ns") sh.migration_ns;
+          Metrics.add (Metrics.counter mx "forwarded_envelopes") (forwarded sh);
+          Metrics.merge_into ~into mx)
         shards;
       into
     end
@@ -1075,11 +951,11 @@ let run ?(config = Cluster.default_config) ?placement
   { outputs;
     virtual_ns =
       Array.fold_left
-        (fun acc sh -> max acc (max (Simnet.now sh.sim) (Node.busy_until sh.host)))
+        (fun acc sh -> max acc (Cluster.virtual_time sh.c))
         0 shards;
-    packets = sum (fun sh -> sh.packets);
-    bytes = sum (fun sh -> sh.bytes);
-    same_node_fast = sum (fun sh -> sh.same_node);
+    packets = sum (fun sh -> Cluster.packets_sent sh.c);
+    bytes = sum (fun sh -> Cluster.bytes_sent sh.c);
+    same_node_fast = sum (fun sh -> Cluster.same_node_fast sh.c);
     handoffs = sum (fun sh -> sh.handoffs_in);
     ring_pushed = !ring_pushed;
     ring_popped = !ring_popped;
@@ -1088,13 +964,13 @@ let run ?(config = Cluster.default_config) ?placement
     domains;
     instructions;
     wall_ns;
-    dead_letters = sum (fun sh -> Node.dead_letters sh.host);
+    dead_letters = sum (fun sh -> Cluster.dead_letters sh.c);
     migrations = sum (fun sh -> sh.migrations_in);
     migration_ns = sum (fun sh -> sh.migration_ns);
-    forwarded_envelopes = sum (fun sh -> sh.forwarded);
+    forwarded_envelopes = sum forwarded;
     suspected =
       List.concat_map
-        (fun (sh : shard) -> Node.suspected sh.host)
+        (fun (sh : shard) -> Cluster.suspected_failures sh.c)
         (Array.to_list shards);
     sites_per_shard = Array.map (fun sh -> List.length (sites_here sh)) shards;
     placement_weights;

@@ -1,60 +1,65 @@
 (** Parallel execution engine: the simulated cluster sharded over
     OCaml 5 domains.
 
-    Each shard runs the {!Node} daemons (TyCOd) of the nodes it owns —
-    the same daemon {!Cluster} and {!Tcp_runner} run — over its own
-    links.  Which nodes a shard owns is decided by a {!Placement}
-    policy ([ip mod domains] by default; greedy bin-packing over site
-    counts when the caller opts in); the shard owns everything beneath
-    them too: sites, VMs, export tables, intern areas, statistics, and
-    the shard's own {!Tyco_net.Simnet} (clock, heap, PRNG, derived from
-    the run seed per owner).  Cross-shard packets
-    travel as envelope {e batches} through one bounded lock-free
-    {!Tyco_support.Spsc_ring} per ordered shard pair: each shard
-    coalesces same-destination envelopes and flushes each buffer as
-    one ring element at every event boundary (or when it reaches the
-    batch cap), so one ring push, one in-flight increment and one
-    consumer pop amortize over what one event sent.  The same-node
-    fast path is preserved intact inside each shard.  A handed-off
-    packet sent at sender-virtual time [s] with wire delay [d] is
-    delivered at receiver-virtual time [max (receiver now) (s + d)],
-    so delivery timestamps stay monotone per receiver.
+    Each shard is a {!Cluster} over its own fabric — its own
+    {!Tyco_net.Simnet} (clock, heap, PRNG), books, trace collector and
+    metrics registry — running the {!Node} daemons (TyCOd) of the nodes
+    attached to it, and everything beneath them: sites, VMs, export
+    tables, intern areas, statistics.  Which nodes a shard runs is
+    decided by a {!Placement} policy ([ip mod domains] by default;
+    greedy bin-packing over site counts when the caller opts in).
+    Every cross-node packet leaves its node through the shard
+    cluster's outbox, one frame per flush, as in the deterministic
+    engine, so a program sends the same frames at every domain count
+    where its events send at most one packet each.  A frame for a node
+    on another shard leaves its cluster after the fault dice have
+    rolled and travels in an envelope {e batch} through one bounded
+    lock-free {!Tyco_support.Spsc_ring} per ordered shard pair: each
+    shard coalesces same-destination envelopes and flushes each buffer
+    as one ring element at every event boundary, so one ring push, one
+    in-flight increment and one consumer pop amortize over what one
+    event sent.  A frame sent at sender-virtual time [s] with wire
+    delay [d] lands at receiver-virtual time [max (receiver now)
+    (s + d)], so delivery timestamps stay monotone per receiver.
 
-    This engine preserves the deterministic engine's output {e sets};
-    output {e timestamps} (and their order) depend on domain
-    interleaving.  [--domains 1] therefore dispatches to {!Cluster},
-    not here — see {!Api.run_parallel}.
+    At more than one domain this engine preserves the deterministic
+    engine's output {e multisets}; output {e timestamps} (and their
+    order) depend on domain interleaving.  One domain is one shard
+    whose cluster draws from [config.seed]: its outputs, virtual time
+    and trace are a plain {!Cluster} run's.
 
-    Observability: when [config.tracing] each shard owns a private
-    {!Tyco_support.Trace} collector whose span ids stride by the
-    domain count ([span_base = shard], [span_stride = domains]) so
-    they are globally unique without a shared counter; envelopes carry
-    the sending span, and the collectors are folded with
-    {!Tyco_support.Trace.merge} into one shard-tagged archive at
-    quiescence.  When [config.metrics] each shard owns a private
-    {!Tyco_support.Metrics} registry, merged the same way.  Both are
-    the disabled singletons when off, so every instrumentation point
-    on the hot path costs one load-and-branch.
+    Observability: when [config.tracing] each shard's cluster owns a
+    private {!Tyco_support.Trace} collector whose span ids stride by
+    the domain count ([span_base = shard], [span_stride = domains]) so
+    they are globally unique without a shared counter; frames carry
+    their packets' spans, and above one domain the collectors are
+    folded with {!Tyco_support.Trace.merge} into one shard-tagged
+    archive at quiescence.  When [config.metrics] each shard's cluster
+    owns a private {!Tyco_support.Metrics} registry, merged the same
+    way.  Both are the disabled singletons when off, so every
+    instrumentation point on the hot path costs one load-and-branch.
 
     Dynamic rebalancing (PR 10): node ownership can change mid-run.
     The node-to-shard map is an indirection table of atomics; the
     coordinator watches per-node load and, past a threshold, has the
     owning shard {e ship} the node's daemon, sites included, through
     the ordinary rings as a migration element; the receiving shard
-    attaches it to its own host.  One [g_inflight] unit is held from
+    attaches it to its own cluster.  One [g_inflight] unit is held from
     ship to install (quiescence stays exact with a node in transit), a
-    packet for a node the shard does not run is {e forwarded} along
-    the table when the node lives elsewhere, and packets that race
-    ahead of the envelope park in the receiving shard's limbo until
-    the install drains them.  Totals are exported
-    as [migrations] / [migration_ns] / [forwarded_envelopes].
+    frame for a node the shard does not run is {e forwarded} along the
+    table when the node lives elsewhere, and frames that race ahead of
+    the element park in the receiving shard's limbo until the install
+    lands them.  A node serving a name-service replica is never moved.
+    Totals are exported as [migrations] / [migration_ns] /
+    [forwarded_envelopes].
 
-    Configs requesting machinery the rings make redundant (reliable
-    delivery, fault injection, replicated name service) are rejected
-    with [Invalid_argument]: those modes belong to the deterministic
-    single-domain engine.  So is tracing combined with rebalancing: a
-    site's trace collector is captured at creation and cannot follow
-    the site across domains. *)
+    Reliable delivery is rejected above one domain with
+    [Invalid_argument]: its retransmission timer and the sites'
+    request deadlines run on shard clocks that the clock-merge rule
+    does not synchronize, so a reply from a shard whose clock runs
+    ahead can land after a deadline.  So is tracing combined with
+    rebalancing: a site's trace collector is captured at creation and
+    cannot follow the site across domains. *)
 
 exception Shard_failure of int * string
 (** An exception that escaped one shard's domain, re-raised at join as
@@ -71,7 +76,7 @@ type shard_stat = {
   ss_virtual_ns : int;   (** the shard clock at quiescence *)
   ss_packets : int;
   ss_same_node : int;
-  ss_handoffs_in : int;  (** envelopes this shard received *)
+  ss_handoffs_in : int;  (** frames this shard received *)
   ss_ring_pushed : int;  (** ring elements this shard pushed outbound *)
   ss_ring_popped : int;  (** ring elements this shard consumed *)
   ss_ring_hiwater : int; (** max outbound-ring occupancy at push *)
@@ -88,7 +93,7 @@ type snapshot = {
   sn_wall_ms : float;
   sn_inflight : int;
   sn_executed : int array;  (** per shard, monotone *)
-  sn_pending : int array;   (** per-shard heap sizes *)
+  sn_pending : int array;   (** per-shard heap sizes plus buffers *)
   sn_ring_pushed : int;     (** ring elements *)
   sn_ring_popped : int;
   sn_migrations : int;      (** node installs completed so far *)
@@ -108,17 +113,19 @@ type rebalance = {
 
 type result = {
   outputs : (int * Output.event) list;
-      (** merged across shards, sorted by (timestamp, site) *)
+      (** merged across shards, sorted by timestamp; each shard's in
+          recording order *)
   virtual_ns : int;  (** max over the per-shard clocks *)
   packets : int;
   bytes : int;
+      (** frame bytes, as {!Cluster.bytes_sent} counts them *)
   same_node_fast : int;
-  handoffs : int;  (** envelopes delivered through rings *)
+  handoffs : int;  (** frames delivered through rings *)
   ring_pushed : int;
       (** total ring pushes, i.e. batches (= pops after a clean run) *)
   ring_popped : int;
   ring_batch_fill_mean : float;
-      (** mean envelopes per ring push — how well handoff batching
+      (** mean frames per ring push — how well handoff batching
           amortized the per-push synchronization; 0 when nothing was
           handed off *)
   parks : int;  (** idle/backpressure parks across all shards *)
@@ -131,8 +138,8 @@ type result = {
   migration_ns : int;
       (** host ns from ship to install, summed over migrations *)
   forwarded_envelopes : int;
-      (** packets that arrived at a node's old owner after it moved
-          and were re-routed along the indirection table *)
+      (** frames that landed at a node's old owner after it moved (or
+          at its new one before it arrived) and were re-routed *)
   suspected : (int * string) list;
   sites_per_shard : int array;
   placement_weights : float array;
@@ -148,8 +155,9 @@ type result = {
           [ring_pushed = ring_popped] *)
   timed_out : bool;
   trace : Tyco_support.Trace.t;
-      (** the merged shard-tagged collector ({!Tyco_support.Trace.merge});
-          the disabled singleton unless [config.tracing] *)
+      (** one shard's own collector, or the merged shard-tagged one
+          ({!Tyco_support.Trace.merge}); the disabled singleton unless
+          [config.tracing] *)
   metrics : Tyco_support.Metrics.t;
       (** the merged registry; the disabled singleton unless
           [config.metrics] *)
@@ -193,4 +201,4 @@ val run :
     spawn and are guaranteed to complete in a clean run.  Node 0 (the
     name-service host) cannot move; out-of-range entries raise
     [Invalid_argument], as does combining either option with
-    [config.tracing]. *)
+    [config.tracing] above one domain. *)

@@ -151,3 +151,4 @@ let run t ?(max_events = 10_000_000) () =
 
 let events_processed t = t.processed
 let next_time t = Heap.peek_key t.queue
+let pending t = Heap.length t.queue

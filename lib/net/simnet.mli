@@ -100,4 +100,7 @@ val step : t -> bool
 val next_time : t -> int option
 (** Timestamp of the next pending event. *)
 
+val pending : t -> int
+(** Events scheduled and not yet processed. *)
+
 val events_processed : t -> int

@@ -496,11 +496,13 @@ let handoff_batching_invariants () =
   check Alcotest.bool "per-shard weight key" true (has json "\"weight\":")
 
 (* Handoff latency: a shard flushes its outbound buffers at every event
-   boundary, so a packet leaves as soon as the event that sent it
+   boundary, so a frame leaves as soon as the event that sent it
    returns instead of waiting out a run of local events.  The sender
    (node 1, shard 1 under Mod) crunches for longer than one
    512-instruction quantum between sends, so no single event emits two
-   cross-shard packets: every ring element must carry one envelope. *)
+   cross-shard packets: every frame carries one packet and every ring
+   element one frame.  Frames therefore do not depend on interleaving,
+   and two domains send exactly the packets and frame bytes one does. *)
 let handoff_per_event () =
   let prog =
     Api.parse
@@ -519,9 +521,14 @@ let handoff_per_event () =
   in
   let placement name = if name = "recv" then 0 else 1 in
   let det = Api.run_program ~config ~placement prog in
+  let one = Api.run_parallel ~config ~placement ~domains:1 prog in
   let par =
     Api.run_parallel ~config ~placement ~policy:Placement.Mod ~domains:2 prog
   in
+  check Alcotest.int "packets as at 1 domain" one.Par_runner.packets
+    par.Par_runner.packets;
+  check Alcotest.int "frame bytes as at 1 domain" one.Par_runner.bytes
+    par.Par_runner.bytes;
   check Alcotest.bool "clean quiescence" true par.Par_runner.clean;
   check
     Alcotest.(list string)
@@ -755,22 +762,68 @@ let rebalance_rejects_tracing () =
 
 let rejects_deterministic_only_modes () =
   (* the Par_runner contract is Invalid_argument; Api.run_parallel
-     re-wraps it as Api.Error like every other runtime failure *)
+     re-wraps it as Api.Error like every other runtime failure.  Only
+     reliable delivery is refused, and only above one domain: its
+     deadlines run on unsynchronized shard clocks *)
+  let config = { Cluster.default_config with Cluster.reliable = true } in
   let units = Api.compile (Api.parse "io!printi[1]") in
+  (match Par_runner.run ~config ~domains:2 units with
+  | _ -> Alcotest.fail "reliable: expected Invalid_argument"
+  | exception Invalid_argument _ -> ());
+  (match Api.run_parallel ~config ~domains:2 (Api.parse "io!printi[1]") with
+  | _ -> Alcotest.fail "reliable: expected Api.Error"
+  | exception Api.Error _ -> ());
+  let one = Par_runner.run ~config ~domains:1 units in
+  check Alcotest.int "reliable at 1 domain runs" 1
+    (List.length one.Par_runner.outputs)
+
+(* The replicated name service runs on the shards' clusters: each
+   registration is copied from the exporter's home replica to every
+   other one, across rings where the replicas live on other shards. *)
+let replicated_ns_equivalence () =
+  let config = { config with Cluster.ns_mode = Cluster.Replicated } in
   List.iter
-    (fun (what, config) ->
-      (match Par_runner.run ~config ~domains:2 units with
-      | _ -> Alcotest.failf "%s: expected Invalid_argument" what
-      | exception Invalid_argument _ -> ());
-      match Api.run_parallel ~config ~domains:2 (Api.parse "io!printi[1]") with
-      | _ -> Alcotest.failf "%s: expected Api.Error" what
-      | exception Api.Error _ -> ())
-    [ ( "replicated ns",
-        { Cluster.default_config with Cluster.ns_mode = Cluster.Replicated } );
-      ( "faults",
-        { Cluster.default_config with
-          Cluster.faults =
-            { Tyco_net.Simnet.no_faults with Tyco_net.Simnet.drop = 0.1 } } ) ]
+    (fun (name, src) ->
+      let prog = Api.parse src in
+      let det = Api.run_program ~config ~placement:placement_spread prog in
+      List.iter
+        (fun d ->
+          let par =
+            Api.run_parallel ~config ~placement:placement_spread ~domains:d
+              prog
+          in
+          let label = Printf.sprintf "%s replicated ns at %d domains" name d in
+          check
+            Alcotest.(list string)
+            label
+            (event_multiset det.Api.outputs)
+            (event_multiset par.Par_runner.outputs);
+          check Alcotest.bool (label ^ " clean") true par.Par_runner.clean)
+        domain_counts)
+    corpus
+
+(* Faults roll in the sending cluster's transmit, before the handoff,
+   so a partition cuts cross-shard frames too.  Nodes 0 (the server and
+   the name service) and 1 (c1) are cut for the whole run: c1's lookup
+   is dropped and its import never resolves, at one domain or two. *)
+let partition_at_two_domains () =
+  let config =
+    { config with
+      Cluster.faults =
+        { Tyco_net.Simnet.no_faults with
+          Tyco_net.Simnet.partitions =
+            [ { Tyco_net.Simnet.p_a = 0; p_b = 1; p_from = 0;
+                p_until = max_int } ] } }
+  in
+  let prog = Api.parse (List.assoc "rpc" corpus) in
+  let run d =
+    event_multiset
+      (Api.run_parallel ~config ~placement:placement_spread ~domains:d prog)
+        .Par_runner.outputs
+  in
+  let one = run 1 in
+  check Alcotest.int "c1's line is missing" 2 (List.length one);
+  check Alcotest.(list string) "2 domains as 1" one (run 2)
 
 (* Leases on the sharded engine, on the E17 churn shape: four clients
    each make [rounds] synchronous calls, and every call exports a fresh
@@ -837,4 +890,6 @@ let tests =
     ("forced migration accounting", `Quick, forced_migration_accounting);
     ("global event budget", `Quick, global_event_budget);
     ("rebalance rejects tracing", `Quick, rebalance_rejects_tracing);
-    ("leases at 2 domains", `Quick, leases_at_two_domains) ]
+    ("leases at 2 domains", `Quick, leases_at_two_domains);
+    ("replicated ns equivalence", `Quick, replicated_ns_equivalence);
+    ("partition at 2 domains", `Quick, partition_at_two_domains) ]
