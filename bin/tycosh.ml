@@ -150,12 +150,11 @@ let jint_array a =
 
 let snapshot_json (s : Dityco.Par_runner.snapshot) =
   Printf.sprintf
-    "{\"kind\":\"snapshot\",\"wall_ms\":%.1f,\"inflight\":%d,\
-     \"executed\":%s,\"pending\":%s,\"ring_pushed\":%d,\"ring_popped\":%d,\
+    "{\"kind\":\"snapshot\",\"wall_ms\":%.1f,\"work\":%d,\
+     \"executed\":%s,\"ring_pushed\":%d,\"ring_popped\":%d,\
      \"migrations\":%d}"
-    s.Dityco.Par_runner.sn_wall_ms s.Dityco.Par_runner.sn_inflight
+    s.Dityco.Par_runner.sn_wall_ms s.Dityco.Par_runner.sn_work
     (jint_array s.Dityco.Par_runner.sn_executed)
-    (jint_array s.Dityco.Par_runner.sn_pending)
     s.Dityco.Par_runner.sn_ring_pushed s.Dityco.Par_runner.sn_ring_popped
     s.Dityco.Par_runner.sn_migrations
 
@@ -301,24 +300,34 @@ let run_domains config domains policy rebalance json trace_out metrics_out prog 
   end
 
 let run path nodes cores quantum topo until verbose seed replicated_ns trace trace_out metrics_out interactive_mode tcp domains placement rebalance json =
-  (* The TCP runner reads only the program, --nodes and --metrics-out:
-     any other engine flag is a usage error, reported before a socket
-     opens rather than silently ignored. *)
-  (if tcp then
-     match
-       List.filter_map
-         (fun (given, flag) -> if given then Some flag else None)
-         [ (json, "--json"); (trace_out <> None, "--trace-out");
-           (domains > 1, "--domains"); (placement <> None, "--placement");
-           (rebalance <> None, "--rebalance");
-           (replicated_ns, "--replicated-ns"); (trace, "--trace");
-           (until <> None, "--until"); (verbose, "--verbose") ]
-     with
-     | [] -> ()
-     | flags ->
-         Format.eprintf "tycosh: --tcp does not support %s@."
-           (String.concat ", " flags);
-         exit 2);
+  (* A flag is accepted only where the chosen engine reads it: any
+     other is a usage error, reported before a socket opens or a
+     domain starts rather than silently ignored. *)
+  let unsupported engine flags =
+    match
+      List.filter_map (fun (given, flag) -> if given then Some flag else None) flags
+    with
+    | [] -> ()
+    | flags ->
+        Format.eprintf "tycosh: %s does not support %s@." engine
+          (String.concat ", " flags);
+        exit 2
+  in
+  (* read only by the one-shard deterministic run *)
+  let deterministic_only =
+    [ (trace, "--trace"); (until <> None, "--until"); (verbose, "--verbose") ]
+  in
+  if tcp then
+    unsupported "--tcp"
+      ([ (json, "--json"); (trace_out <> None, "--trace-out");
+         (domains > 1, "--domains"); (placement <> None, "--placement");
+         (rebalance <> None, "--rebalance");
+         (replicated_ns, "--replicated-ns") ]
+      @ deterministic_only)
+  else if domains > 1 then unsupported "--domains N > 1" deterministic_only
+  else
+    unsupported "--domains 1"
+      [ (placement <> None, "--placement"); (rebalance <> None, "--rebalance") ];
   (* Parse the sharding knobs up front: a typo in --placement or
      --rebalance is a usage error, not a runtime one — one line on
      stderr and exit 2, no backtrace. *)
@@ -422,11 +431,15 @@ let topo =
 
 let until =
   Arg.(value & opt (some int) None & info [ "until" ] ~docv:"NS"
-       ~doc:"Stop after this much virtual time.")
+       ~doc:"Stop after this much virtual time.  Read only at \
+             --domains 1: with --domains N > 1 or --tcp it is a usage \
+             error (exit 2).")
 
 let verbose =
   Arg.(value & flag & info [ "v"; "verbose" ]
-       ~doc:"Print per-site VM statistics after the run.")
+       ~doc:"Print per-site VM statistics after the run.  Read only at \
+             --domains 1: with --domains N > 1 or --tcp it is a usage \
+             error (exit 2).")
 
 let seed =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED"
@@ -452,13 +465,15 @@ let domains_arg =
              domain travels in a batch through a lock-free SPSC ring.  \
              1 (the default) is one shard, the deterministic engine, \
              bit-identical to not passing the flag at all.  Combines \
-             with --replicated-ns at any N.")
+             with --replicated-ns at any N; N > 1 refuses --until, \
+             --verbose and --trace (exit 2).")
 
 let placement_arg =
   Arg.(value & opt (some string) None & info [ "placement" ] ~docv:"POLICY"
        ~doc:"Node-to-domain placement for --domains N > 1: 'mod' \
              (ip mod N, the default) or 'greedy' (bin-pack nodes onto \
-             domains by site count).  Ignored at --domains 1.")
+             domains by site count).  Without --domains N > 1 it is a \
+             usage error (exit 2).")
 
 let rebalance_arg =
   Arg.(value & opt (some string) None & info [ "rebalance" ] ~docv:"SPEC"
@@ -469,7 +484,8 @@ let rebalance_arg =
              'threshold:R' (migrate when max-over-mean domain load \
              exceeds R, default 1.5).  E.g. \
              --rebalance interval:20,threshold:1.3.  Incompatible with \
-             --trace-out; ignored at --domains 1.")
+             --trace-out; without --domains N > 1 it is a usage error \
+             (exit 2).")
 
 let interactive_flag =
   Arg.(value & flag & info [ "i"; "interactive" ]
@@ -479,7 +495,8 @@ let interactive_flag =
 let trace =
   Arg.(value & flag & info [ "trace" ]
        ~doc:"Print every packet (shipments, fetches, name service) with \
-             its virtual send time.")
+             its virtual send time.  Read only at --domains 1: with \
+             --domains N > 1 or --tcp it is a usage error (exit 2).")
 
 let trace_out =
   Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE"

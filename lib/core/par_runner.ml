@@ -17,38 +17,35 @@
 
    - envelope {e batches} and node {e migrations} through one
      {!Tyco_support.Spsc_ring} per ordered shard pair, and
-   - a handful of whole-run atomics (the in-flight element count,
-     per-shard pending/executed event counters, the node-to-shard
-     indirection table, the stop flag) that exist for termination
-     detection and routing.
+   - the run's {!Workers} skeleton (the work count, the stop flag,
+     each shard's bell) and a handful of whole-run atomics (per-shard
+     executed-event counters, the node-to-shard indirection table)
+     that exist for termination detection, the event budget and
+     routing.
 
    Handoff batching: each shard buffers departing frames per
    destination shard and flushes each buffer as one ring element at
    every event boundary, so a frame waits for at most the rest of the
-   event that sent it, while one ring push, one [g_inflight] increment
-   and one consumer pop amortize over everything that event sent to
-   that shard.  Buffers flush only at event boundaries: a flush that
-   met a full ring inside an event would drain the inbound rings and
-   publish [pending] while the event's own work was not yet in the
-   heap.
+   event that sent it, while one ring push, one work-count unit and
+   one consumer pop amortize over everything that event sent to that
+   shard.  Buffers flush only at event boundaries: a flush that met a
+   full ring inside an event would drain the inbound rings while the
+   event's own work was not yet in the heap.
 
-   Termination: a shard publishes [pending] — its Simnet's queue
-   length plus its non-empty buffers — after each pass, and before it
-   uncounts an absorbed batch or an installed node from [g_inflight].
-   A flush counts its batch on [g_inflight] before the publish that
-   drops the buffer, and a consumer publishes the arrivals it
-   scheduled before it uncounts the batch: children are always counted
-   before their parent is uncounted, so [inflight + sum pending = 0]
-   holds only at true quiescence.
+   Termination and parking ({!Workers}): a shard holds its work unit
+   while its heap is non-empty; a flush counts its element before the
+   push, and a consumer takes its unit before it uncounts the element.
+   Whoever pushes into a ring or posts a command then rings the
+   consumer's bell.
 
    Dynamic rebalancing (PR 10): node ownership is no longer fixed for
    the run.  The node-to-shard map is an array of atomics (the
    {e indirection table}); the coordinator watches per-node executed
    pump cost and, when the imbalance crosses a threshold
    ({!Placement.choose_migration}), posts a migration command to the
-   owning shard; the command holds a [g_inflight] unit of its own until
-   the owner has acted on it.  At its next step boundary the owner
-   {e ships} the node: it takes one [g_inflight] unit (the
+   owning shard; the command holds a work unit of its own until the
+   owner has acted on it.  At its next step boundary the owner
+   {e ships} the node: it takes one work unit (the
    node-in-transit obligation, held until the receiver finishes
    installing — quiescence cannot fire with a node inside a ring),
    publishes the new owner in the indirection table, detaches the node
@@ -58,7 +55,7 @@
    ordinary ring.  The receiver attaches the daemon to its own cluster
    — the sites' callbacks follow, since they reach the engine through
    the node's host — lands any frames that raced ahead of the element
-   (parked in [limbo] under the same in-flight unit), and only then
+   (parked in [limbo] under the same work unit), and only then
    releases the unit.  A frame for a node the shard does not run takes
    the not-here path: {e forwarded} along the current table when the
    node lives elsewhere, parked in limbo when it is still in transit
@@ -100,10 +97,6 @@ module Metrics = Tyco_support.Metrics
 module Spsc = Tyco_support.Spsc_ring
 
 exception Shard_failure of int * string
-(* An exception that escaped one shard's domain, re-raised at join
-   with the shard identified; [Api.run_parallel] maps it to
-   [Runtime_error].  Before PR 10 the raw exception was re-raised
-   anonymously (and non-[Failure] exceptions escaped [Api] unwrapped). *)
 
 (* One handed-off frame and the sender's clock at departure; the
    receiver needs nothing else of the sender. *)
@@ -125,11 +118,8 @@ type global = {
      migration's publication is a release/acquire edge — a stale
      sender reads an old owner at worst, and the old owner forwards *)
   g_shard_map : int Atomic.t array;
-  (* ring elements pushed (or buffered for push) whose consequences
-     have not all been scheduled yet: > 0 whenever cross-shard work
-     (a batch, or a node in transit) is outside any heap *)
-  g_inflight : int Atomic.t;
-  g_stop : bool Atomic.t;
+  g_run : Workers.t;
+  g_workers : Workers.worker array; (* index = shard *)
   (* per-shard executed-event counters, summed at step boundaries so
      [max_events] bounds the run globally (the Simnet.run livelock
      guard), not per shard *)
@@ -144,44 +134,36 @@ type shard = {
      Only the owning domain touches a node; ring push/pop orders the
      handover of a migrating one *)
   c : Cluster.t;
+  w : Workers.worker;
   in_rings : element Spsc.t option array; (* index = source shard *)
   out_rings : element Spsc.t option array; (* index = destination shard *)
   out_bufs : outbuf array; (* index = destination shard; self unused *)
   weight : float; (* this shard's placement weight (reporting only) *)
   (* frames that arrived for a node this shard owns per the table but
      has not installed yet (they raced ahead of the migration element,
-     whose [g_inflight] unit covers them): landed at install, keyed by
-     node ip *)
+     whose work unit covers them): landed at install, keyed by node
+     ip *)
   limbo : (int, envelope list ref) Hashtbl.t;
   (* coordinator-posted migration command: [ip * domains + dst], or
      -1 for none; consumed at the step boundary.  A posted command
-     holds one [g_inflight] unit, so quiescence cannot be declared
-     while a shard may still act on it *)
+     holds one work unit, so quiescence cannot be declared while a
+     shard may still act on it *)
   mig_cmd : int Atomic.t;
   (* shard-confined accumulators, merged after join *)
   mutable handoffs_in : int; (* frames received through rings *)
   mutable batches_out : int; (* flushes, = ring pushes attempted *)
   mutable envelopes_out : int; (* frames those flushes carried *)
-  mutable parks : int;
   mutable drains : int; (* backpressure drain passes while pushing *)
-  mutable migrations_out : int; (* nodes this shard shipped *)
   mutable migrations_in : int; (* nodes this shard installed *)
   mutable migration_ns : int; (* wall ns, ship to install, summed *)
-  (* migrations dropped at teardown (g_stop while pushing): kept so
+  (* migrations dropped at teardown (stop while pushing): kept so
      the post-join merge still sees their sites' stats *)
   mutable lost_migs : migration list;
-  mutable error : exn option;
   (* in the cluster's registry: nothing here is shared while the
      domain runs; merged after join *)
   m_handoffs_in : Metrics.counter;
   m_handoff_lat : Metrics.histogram; (* virtual ns from send to delivery *)
   m_batch_fill : Metrics.histogram; (* frames per ring push *)
-  (* termination-detection counters (Mattern-style): [pending] is the
-     shard's published work (see [publish]); [executed] (an alias of
-     the shard's slot in [g_executed]) is monotone and detects activity
-     between the coordinator's two collects *)
-  pending : int Atomic.t;
-  executed : int Atomic.t;
 }
 
 (* What actually travels through a ring: one flush's worth of
@@ -199,14 +181,6 @@ and migration = {
 }
 
 let shard_of_ip g ip = Atomic.get (Array.unsafe_get g.g_shard_map ip)
-
-(* The shard's work as the coordinator sees it: the events in its heap
-   plus one unit per non-empty outbound buffer.  Called only between
-   events, when nothing the shard owes is anywhere else. *)
-let publish sh =
-  let n = ref (Simnet.pending (Cluster.sim sh.c)) in
-  Array.iter (fun ub -> if ub.hb_count > 0 then incr n) sh.out_bufs;
-  Atomic.set sh.pending !n
 
 (* ------------------------------------------------------------------ *)
 (* The ring hop between the shards' clusters.                          *)
@@ -233,8 +207,8 @@ let depart sh ~delay f =
   else begin
     (* the table says this shard owns the node, but its migration
        element has not been popped yet: park the frame in limbo.  The
-       element's [g_inflight] unit (held until the install lands this
-       queue) keeps quiescence from firing with the frame parked here *)
+       element's work unit (held until the install lands this queue)
+       keeps quiescence from firing with the frame parked here *)
     let q =
       match Hashtbl.find_opt sh.limbo ip with
       | Some q -> q
@@ -255,8 +229,7 @@ let land_frame sh env =
   at
 
 (* Flush one destination's buffer as a single ring element: one push,
-   one [g_inflight] unit, one pop on the far side for the whole batch.
-   The unit is counted before the next [publish] drops the buffer's. *)
+   one work unit, one pop on the far side for the whole batch. *)
 let rec flush_handoff sh ~dst_shard ub =
   let count = ub.hb_count in
   let batch = Array.sub ub.hb_envs 0 count in
@@ -268,7 +241,7 @@ let rec flush_handoff sh ~dst_shard ub =
   sh.batches_out <- sh.batches_out + 1;
   sh.envelopes_out <- sh.envelopes_out + count;
   Metrics.observe_int sh.m_batch_fill count;
-  Atomic.incr sh.g.g_inflight;
+  Workers.count sh.g.g_run 1;
   push_element sh ~dst_shard (Batch batch)
 
 (* Flush every non-empty buffer; called at every event boundary, so
@@ -299,7 +272,7 @@ and push_element sh ~dst_shard el =
     let spins = ref 0 in
     let pushed = ref false in
     while not !pushed do
-      if Atomic.get sh.g.g_stop then begin
+      if Workers.stopped sh.g.g_run then begin
         (* the run is being torn down (error or timeout): drop rather
            than block forever against a consumer that already exited.
            A dropped migration is remembered so the merge still sees
@@ -307,7 +280,7 @@ and push_element sh ~dst_shard el =
         (match el with
         | Mig m -> sh.lost_migs <- m :: sh.lost_migs
         | Batch _ -> ());
-        Atomic.decr sh.g.g_inflight;
+        Workers.uncount sh.g.g_run 1;
         pushed := true
       end
       else if Spsc.try_push ring el then pushed := true
@@ -315,17 +288,14 @@ and push_element sh ~dst_shard el =
         sh.drains <- sh.drains + 1;
         ignore (drain_rings sh);
         incr spins;
-        if !spins < 64 then Domain.cpu_relax ()
-        else begin
-          sh.parks <- sh.parks + 1;
-          Unix.sleepf 2e-5
-        end
+        if !spins < 64 then Domain.cpu_relax () else Unix.sleepf 2e-5
       end
     done
-  end
+  end;
+  Workers.ring sh.g.g_workers.(dst_shard)
 
-(* Consume one inbound batch: land every frame, publish what that
-   scheduled, and only then uncount the batch from [g_inflight]. *)
+(* Consume one inbound batch: land every frame, hold the shard's unit
+   for what that scheduled, and only then uncount the batch. *)
 and absorb_batch sh (batch : envelope array) =
   Array.iter
     (fun env ->
@@ -333,13 +303,13 @@ and absorb_batch sh (batch : envelope array) =
       Metrics.incr sh.m_handoffs_in;
       Metrics.observe_int sh.m_handoff_lat (land_frame sh env - env.env_sent))
     batch;
-  publish sh;
-  Atomic.decr sh.g.g_inflight;
+  Workers.hold sh.w;
+  Workers.uncount sh.g.g_run 1;
   Array.length batch
 
 (* Install a migrated node: run its daemon here, land the frames that
    raced ahead of it (parked in limbo), and only then release the
-   in-transit [g_inflight] unit. *)
+   in-transit unit. *)
 and install_migration sh (m : migration) =
   sh.migrations_in <- sh.migrations_in + 1;
   sh.migration_ns <-
@@ -351,13 +321,13 @@ and install_migration sh (m : migration) =
       Hashtbl.remove sh.limbo m.mg_ip;
       List.iter (fun env -> ignore (land_frame sh env)) (List.rev !q)
   | None -> ());
-  publish sh;
+  Workers.hold sh.w;
   Atomic.incr sh.g.g_migrations;
-  Atomic.decr sh.g.g_inflight
+  Workers.uncount sh.g.g_run 1
 
 (* Ship one node to [dst]: the source half of a migration, run at the
    step boundary so no event is mid-flight on this shard.  Publishing
-   the new owner *after* taking the in-flight unit and *before*
+   the new owner *after* taking the in-transit unit and *before*
    detaching the node keeps every window covered: frames landing here
    afterwards find no node and forward; frames landing at the
    destination early park in its limbo under the unit we hold. *)
@@ -366,13 +336,12 @@ and ship_node sh ~ip ~dst =
   | Some node
     when dst <> sh.sh_id && dst >= 0 && dst < sh.g.g_domains
          && Node.sites node <> [] && not (Node.serves_names node) ->
-      Atomic.incr sh.g.g_inflight;
+      Workers.count sh.g.g_run 1;
       Atomic.set sh.g.g_shard_map.(ip) dst;
       (* the node's queued packets, and every frame buffered here,
          leave before the node does *)
       Cluster.detach sh.c node;
       ignore (flush_handoffs sh);
-      sh.migrations_out <- sh.migrations_out + 1;
       push_element sh ~dst_shard:dst
         (Mig { mg_ip = ip; mg_node = node; mg_sent_wall = Unix.gettimeofday () })
   | _ -> ()
@@ -401,20 +370,18 @@ and drain_rings sh =
 (* ------------------------------------------------------------------ *)
 (* The per-domain driver loop.                                         *)
 
-let park_min = 2e-5 (* 20 us *)
-let park_max = 1e-3 (* 1 ms *)
-
 (* One pass per event: drain the inbound rings, run at most one
    [Simnet.step], flush what that event sent to siblings, consume a
-   posted migration command, publish [pending].  A frame reaches its
-   ring as soon as the event that sent it returns, so a sibling never
-   waits on a long run of local events. *)
-let shard_loop sh ~max_events =
-  let backoff = ref park_min in
+   posted migration command, then hold the shard's work unit or give
+   it up.  A frame reaches its ring as soon as the event that sent it
+   returns, so a sibling never waits on a long run of local events.
+   Returns whether the pass found anything to do. *)
+let shard_pass sh ~max_events =
   (* the event budget is global — the sum over shards must respect
      [max_events] exactly as [Simnet.run]'s livelock guard does at
      --domains 1, not [domains * max_events].  The sum is folded every
-     256 local events, on going idle and on stopping *)
+     256 local events and before the shard gives up its unit, so no
+     run quiesces past the budget unchecked *)
   let unchecked = ref 0 in
   let check_budget () =
     unchecked := 0;
@@ -426,42 +393,37 @@ let shard_loop sh ~max_events =
            max_events)
   in
   let sim = Cluster.sim sh.c in
-  (try
-     while not (Atomic.get sh.g.g_stop) do
-       let drained = drain_rings sh in
-       let stepped = Simnet.step sim in
-       if stepped then begin
-         Atomic.incr sh.executed;
-         incr unchecked
-       end;
-       let flushed = flush_handoffs sh in
-       (* the exchange is paid only when a command is posted *)
-       let shipped = Atomic.get sh.mig_cmd >= 0 in
-       if shipped then begin
-         let cmd = Atomic.exchange sh.mig_cmd (-1) in
-         ship_node sh ~ip:(cmd / sh.g.g_domains)
-           ~dst:(cmd mod sh.g.g_domains);
-         (* release the command's unit only now that a shipped node
-            holds its own *)
-         Atomic.decr sh.g.g_inflight
-       end;
-       publish sh;
-       let idle = (not stepped) && drained = 0 && flushed = 0 && not shipped in
-       if !unchecked >= 256 || (idle && !unchecked > 0) then check_budget ();
-       if idle then begin
-         (* idle: exponential-backoff parking.  The sleep is what lets
-            sibling domains (and the coordinator) run when there are
-            more domains than cores. *)
-         sh.parks <- sh.parks + 1;
-         Unix.sleepf !backoff;
-         backoff := Float.min park_max (!backoff *. 2.)
-       end
-       else backoff := park_min
-     done;
-     if !unchecked > 0 then check_budget ()
-   with exn ->
-     sh.error <- Some exn;
-     Atomic.set sh.g.g_stop true)
+  fun () ->
+    let drained = drain_rings sh in
+    let stepped = Simnet.step sim in
+    if stepped then begin
+      Atomic.incr sh.g.g_executed.(sh.sh_id);
+      incr unchecked
+    end;
+    let flushed = flush_handoffs sh in
+    (* the exchange is paid only when a command is posted *)
+    let shipped = Atomic.get sh.mig_cmd >= 0 in
+    if shipped then begin
+      let cmd = Atomic.exchange sh.mig_cmd (-1) in
+      ship_node sh ~ip:(cmd / sh.g.g_domains) ~dst:(cmd mod sh.g.g_domains);
+      (* release the command's unit only now that a shipped node holds
+         its own *)
+      Workers.uncount sh.g.g_run 1
+    end;
+    (* every pass ends with its buffers flushed, so the heap is the
+       shard's only work *)
+    let busy = Simnet.pending sim > 0 in
+    if !unchecked >= 256 || ((not busy) && !unchecked > 0) then check_budget ();
+    Workers.settle sh.w ~busy;
+    stepped || drained > 0 || flushed > 0 || shipped
+
+(* The parked shard's last look: an element in a ring or a posted
+   command would not wake it otherwise. *)
+let has_input sh () =
+  Atomic.get sh.mig_cmd >= 0
+  || Array.exists
+       (function Some r -> not (Spsc.is_empty r) | None -> false)
+       sh.in_rings
 
 (* ------------------------------------------------------------------ *)
 (* Construction, loading, coordination.                                *)
@@ -490,9 +452,8 @@ type shard_stat = {
    while the domains run.  This is what [--metrics-out] streams. *)
 type snapshot = {
   sn_wall_ms : float;
-  sn_inflight : int;
+  sn_work : int; (* the run's work count *)
   sn_executed : int array; (* per shard, monotone *)
-  sn_pending : int array;
   sn_ring_pushed : int; (* elements *)
   sn_ring_popped : int;
   sn_migrations : int; (* node installs completed so far *)
@@ -517,7 +478,7 @@ type result = {
   ring_pushed : int; (* elements pushed (= pops after a clean run) *)
   ring_popped : int;
   ring_batch_fill_mean : float; (* frames per ring push *)
-  parks : int; (* idle/backpressure parks across all shards *)
+  parks : int; (* blocking parks across all shards *)
   domains : int;
   instructions : int; (* total VM instructions, for throughput *)
   wall_ns : int;
@@ -585,11 +546,12 @@ let run ?(config = Cluster.default_config) ?placement
     Placement.shard_weights ~domains ~map:shard_map
       (Array.map float_of_int site_counts)
   in
+  let run = Workers.create () in
   let g =
     { g_domains = domains;
       g_shard_map = Array.map Atomic.make shard_map;
-      g_inflight = Atomic.make 0;
-      g_stop = Atomic.make false;
+      g_run = run;
+      g_workers = Array.init domains (fun id -> Workers.worker run ~id);
       g_executed = Array.init domains (fun _ -> Atomic.make 0);
       g_migrations = Atomic.make 0 }
   in
@@ -610,6 +572,7 @@ let run ?(config = Cluster.default_config) ?placement
         { sh_id = s;
           g;
           c;
+          w = g.g_workers.(s);
           in_rings = Array.init domains (fun src -> rings.(src).(s));
           out_rings = rings.(s);
           out_bufs =
@@ -620,18 +583,13 @@ let run ?(config = Cluster.default_config) ?placement
           handoffs_in = 0;
           batches_out = 0;
           envelopes_out = 0;
-          parks = 0;
           drains = 0;
-          migrations_out = 0;
           migrations_in = 0;
           migration_ns = 0;
           lost_migs = [];
-          error = None;
           m_handoffs_in = Metrics.counter mx "handoffs_in";
           m_handoff_lat = Metrics.histogram mx "handoff_lat_ns";
-          m_batch_fill = Metrics.histogram mx "ring_batch_fill";
-          pending = Atomic.make 0;
-          executed = g.g_executed.(s) })
+          m_batch_fill = Metrics.histogram mx "ring_batch_fill" })
   in
   Array.iter (fun sh -> Cluster.on_depart sh.c (depart sh)) shards;
   Array.iter
@@ -646,18 +604,21 @@ let run ?(config = Cluster.default_config) ?placement
         (Node.load_site nodes.(node_idx) ~name ~site_id unit_))
     (List.combine units site_nodes);
   (* Post a migration command to shard [src] if its slot is free.  The
-     command's [g_inflight] unit is taken before the CAS (and given back
-     if the CAS fails), so the termination sum covers it from the
-     moment the shard can see it. *)
+     command's work unit is taken before the CAS (and given back if the
+     CAS fails), so the count covers it from the moment the shard can
+     see it; the bell is rung after it. *)
   let post ~src ~ip ~dst =
-    Atomic.incr g.g_inflight;
-    Atomic.compare_and_set shards.(src).mig_cmd (-1) ((ip * domains) + dst)
-    || (Atomic.decr g.g_inflight; false)
+    Workers.count run 1;
+    if Atomic.compare_and_set shards.(src).mig_cmd (-1) ((ip * domains) + dst)
+    then (Workers.ring shards.(src).w; true)
+    else (Workers.uncount run 1; false)
   in
   (* forced migrations (the deterministic test hook): posted before the
      domains spawn, so each is consumed at the owning shard's first
-     step boundary and is guaranteed installed in a clean run.
-     Commands whose shard slot is taken retry from the wait loop. *)
+     step boundary and is guaranteed installed in a clean run.  A
+     command whose shard slot is taken retries at every coordinator
+     tick, at the skeleton's shortest wait; a tick runs before each
+     look at the work count, so it is installed in a clean run too. *)
   let forced = ref force_migrations in
   let try_post_forced () =
     forced :=
@@ -668,31 +629,15 @@ let run ?(config = Cluster.default_config) ?placement
         !forced
   in
   try_post_forced ();
-  Array.iter publish shards;
+  Array.iter
+    (fun sh -> Workers.settle sh.w ~busy:(Simnet.pending (Cluster.sim sh.c) > 0))
+    shards;
   (* run *)
   let t0 = Unix.gettimeofday () in
-  let doms =
-    Array.map (fun sh -> Domain.spawn (fun () -> shard_loop sh ~max_events))
-      shards
-  in
-  (* Quiescence: [inflight + sum pending] is maintained so it is zero
-     only when no work exists anywhere (children are counted before
-     parents are uncounted; buffered and in-ring elements — batches
-     and nodes in transit alike — are covered by pending/inflight
-     until every consequence is scheduled).  Two collects agreeing on
-     the monotone executed-count with a zero work-sum close the race
-     of reading the counters one by one. *)
-  let collect () =
-    let work = ref (Atomic.get g.g_inflight) in
-    let execd = ref 0 in
-    Array.iter
-      (fun sh ->
-        work := !work + Atomic.get sh.pending;
-        execd := !execd + Atomic.get sh.executed)
-      shards;
-    (!work, !execd)
-  in
-  let timed_out = ref false in
+  Array.iter
+    (fun sh ->
+      Workers.start sh.w ~ready:(has_input sh) ~pass:(shard_pass sh ~max_events))
+    shards;
   (* Mid-run snapshots ([--metrics-out]): reads only whole-run atomics
      and ring counters — never a shard heap — so it is safe while the
      domains run. *)
@@ -707,30 +652,14 @@ let run ?(config = Cluster.default_config) ?placement
       rings;
     (!pushed, !popped)
   in
-  let take_snapshot () =
-    match on_snapshot with
-    | None -> ()
-    | Some f ->
-        let pushed, popped = ring_totals () in
-        f
-          { sn_wall_ms = (Unix.gettimeofday () -. t0) *. 1000.;
-            sn_inflight = Atomic.get g.g_inflight;
-            sn_executed = Array.map (fun sh -> Atomic.get sh.executed) shards;
-            sn_pending = Array.map (fun sh -> Atomic.get sh.pending) shards;
-            sn_ring_pushed = pushed;
-            sn_ring_popped = popped;
-            sn_migrations = Atomic.get g.g_migrations }
-  in
-  let last_snapshot = ref t0 in
-  let maybe_snapshot () =
-    if on_snapshot <> None then begin
-      let now = Unix.gettimeofday () in
-      if (now -. !last_snapshot) *. 1000. >= float_of_int snapshot_every_ms
-      then begin
-        last_snapshot := now;
-        take_snapshot ()
-      end
-    end
+  let snapshot () =
+    let pushed, popped = ring_totals () in
+    { sn_wall_ms = (Unix.gettimeofday () -. t0) *. 1000.;
+      sn_work = Workers.work run;
+      sn_executed = Array.map Atomic.get g.g_executed;
+      sn_ring_pushed = pushed;
+      sn_ring_popped = popped;
+      sn_migrations = Atomic.get g.g_migrations }
   in
   (* The rebalancer: every interval, turn the per-node load-counter
      deltas into a load estimate and ask {!Placement.choose_migration}
@@ -738,79 +667,55 @@ let run ?(config = Cluster.default_config) ?placement
      (issued vs installed), so each decision sees the effect of the
      previous one. *)
   let issued = ref 0 in
-  let last_rb = ref t0 in
   let last_loads = Array.make nnodes 0 in
-  let maybe_rebalance () =
-    if !forced <> [] then try_post_forced ()
-    else
-      match rebalance with
+  let rebalance_once rb =
+    let loads =
+      Array.mapi
+        (fun ip node ->
+          let v = Node.load node in
+          let d = v - last_loads.(ip) in
+          last_loads.(ip) <- v;
+          float_of_int d)
+        nodes
+    in
+    if !issued = Atomic.get g.g_migrations then begin
+      let map = Array.map Atomic.get g.g_shard_map in
+      match
+        Placement.choose_migration ~domains ~map ~loads
+          ~threshold:rb.rb_threshold
+      with
       | None -> ()
-      | Some rb ->
-          let now = Unix.gettimeofday () in
-          if (now -. !last_rb) *. 1000. >= float_of_int rb.rb_interval_ms
-          then begin
-            last_rb := now;
-            let loads =
-              Array.mapi
-                (fun ip node ->
-                  let v = Node.load node in
-                  let d = v - last_loads.(ip) in
-                  last_loads.(ip) <- v;
-                  float_of_int d)
-                nodes
-            in
-            if !issued = Atomic.get g.g_migrations then begin
-              let map = Array.map Atomic.get g.g_shard_map in
-              match
-                Placement.choose_migration ~domains ~map ~loads
-                  ~threshold:rb.rb_threshold
-              with
-              | None -> ()
-              | Some (ip, dst) ->
-                  if post ~src:map.(ip) ~ip ~dst then incr issued
-            end
-          end
-  in
-  let rec wait () =
-    if Atomic.get g.g_stop then ()
-    else if (Unix.gettimeofday () -. t0) *. 1000. > float_of_int max_wall_ms
-    then timed_out := true
-    else begin
-      maybe_snapshot ();
-      maybe_rebalance ();
-      let w1, e1 = collect () in
-      if w1 = 0 then begin
-        let w2, e2 = collect () in
-        if w2 = 0 && e1 = e2 then () (* quiescent *)
-        else begin
-          Unix.sleepf 2e-4;
-          wait ()
-        end
-      end
-      else begin
-        Unix.sleepf 2e-4;
-        wait ()
-      end
+      | Some (ip, dst) -> if post ~src:map.(ip) ~ip ~dst then incr issued
     end
   in
-  wait ();
-  Atomic.set g.g_stop true;
-  Array.iter Domain.join doms;
+  (* [f ()] once [ms] have passed since [last]; the seconds until it
+     is due again *)
+  let every ms last f =
+    let now = Unix.gettimeofday () and period = float_of_int ms /. 1000. in
+    if now -. !last >= period then (last := now; f ());
+    !last +. period -. now
+  in
+  let last_snapshot = ref t0 and last_rb = ref t0 in
+  let tick () =
+    Float.min
+      (match on_snapshot with
+      | None -> Float.infinity
+      | Some f -> every snapshot_every_ms last_snapshot (fun () -> f (snapshot ())))
+      (if !forced <> [] then (try_post_forced (); 0.)
+       else
+         match rebalance with
+         | None -> Float.infinity
+         | Some rb -> every rb.rb_interval_ms last_rb (fun () -> rebalance_once rb))
+  in
+  let timed_out =
+    Workers.wait run
+      ~deadline:(t0 +. (float_of_int max_wall_ms /. 1000.))
+      ~tick ()
+  in
+  Workers.join run ~fail:(fun id m -> Shard_failure (id, m));
   let wall_ns =
     int_of_float ((Unix.gettimeofday () -. t0) *. 1e9)
   in
-  Array.iter
-    (fun sh ->
-      match sh.error with
-      | Some exn ->
-          let msg =
-            match exn with
-            | Failure m | Site.Protocol_error m -> m
-            | e -> Printexc.to_string e
-          in
-          raise (Shard_failure (sh.sh_id, msg))
-      | None -> ())
-    shards;
   (* merge (the only time shard state is read from outside) *)
   let outputs =
     (* each shard's outputs are in recording order already *)
@@ -821,20 +726,16 @@ let run ?(config = Cluster.default_config) ?placement
   let sum (f : shard -> int) =
     Array.fold_left (fun acc sh -> acc + f sh) 0 shards
   in
-  let ring_pushed = ref 0 and ring_popped = ref 0 and rings_empty = ref true in
-  Array.iter
-    (Array.iter (function
-      | None -> ()
-      | Some r ->
-          ring_pushed := !ring_pushed + Spsc.pushed r;
-          ring_popped := !ring_popped + Spsc.popped r;
-          if not (Spsc.is_empty r) then rings_empty := false))
-    rings;
+  (* no ring pops more than was pushed into it, so the totals agree only
+     when every ring is empty *)
+  let ring_pushed, ring_popped = ring_totals () in
   let clean =
-    (not !timed_out) && !rings_empty
-    && Atomic.get g.g_inflight = 0
-    && Array.for_all (fun sh -> Atomic.get sh.pending = 0) shards
-    && Array.for_all (fun sh -> Hashtbl.length sh.limbo = 0) shards
+    (not timed_out) && ring_pushed = ring_popped
+    && Workers.work run = 0
+    && Array.for_all
+         (fun sh ->
+           Simnet.pending (Cluster.sim sh.c) = 0 && Hashtbl.length sh.limbo = 0)
+         shards
   in
   (* every site this shard can account for: those of its nodes plus
      those of any migration it had to drop at teardown *)
@@ -892,7 +793,7 @@ let run ?(config = Cluster.default_config) ?placement
           sh.in_rings;
         { ss_shard = sh.sh_id;
           ss_sites = List.length (sites_here sh);
-          ss_events = Atomic.get sh.executed;
+          ss_events = Atomic.get g.g_executed.(sh.sh_id);
           ss_virtual_ns = Cluster.virtual_time sh.c;
           ss_packets = Cluster.packets_sent sh.c;
           ss_same_node = Cluster.same_node_fast sh.c;
@@ -900,7 +801,7 @@ let run ?(config = Cluster.default_config) ?placement
           ss_ring_pushed = !pushed;
           ss_ring_popped = !popped;
           ss_ring_hiwater = !hi;
-          ss_parks = sh.parks;
+          ss_parks = Workers.parks sh.w;
           ss_drains = sh.drains;
           ss_weight = sh.weight })
       shards
@@ -957,10 +858,10 @@ let run ?(config = Cluster.default_config) ?placement
     bytes = sum (fun sh -> Cluster.bytes_sent sh.c);
     same_node_fast = sum (fun sh -> Cluster.same_node_fast sh.c);
     handoffs = sum (fun sh -> sh.handoffs_in);
-    ring_pushed = !ring_pushed;
-    ring_popped = !ring_popped;
+    ring_pushed;
+    ring_popped;
     ring_batch_fill_mean;
-    parks = sum (fun sh -> sh.parks);
+    parks = sum (fun sh -> Workers.parks sh.w);
     domains;
     instructions;
     wall_ns;
@@ -975,9 +876,9 @@ let run ?(config = Cluster.default_config) ?placement
     sites_per_shard = Array.map (fun sh -> List.length (sites_here sh)) shards;
     placement_weights;
     node_weights;
-    events = sum (fun sh -> Atomic.get sh.executed);
+    events = Array.fold_left (fun acc c -> acc + Atomic.get c) 0 g.g_executed;
     clean;
-    timed_out = !timed_out;
+    timed_out;
     trace;
     metrics;
     shard_stats;

@@ -17,7 +17,7 @@
     lock-free {!Tyco_support.Spsc_ring} per ordered shard pair: each
     shard coalesces same-destination envelopes and flushes each buffer
     as one ring element at every event boundary, so one ring push, one
-    in-flight increment and one consumer pop amortize over what one
+    work-count unit and one consumer pop amortize over what one
     event sent.  A frame sent at sender-virtual time [s] with wire
     delay [d] lands at receiver-virtual time [max (receiver now)
     (s + d)], so delivery timestamps stay monotone per receiver.
@@ -27,6 +27,11 @@
     order) depend on domain interleaving.  One domain is one shard
     whose cluster draws from [config.seed]: its outputs, virtual time
     and trace are a plain {!Cluster} run's.
+
+    Termination and parking are {!Workers}': the run stops when no
+    shard heap, ring element, posted command or node in transit is
+    left, and an idle shard polls for 50 µs, then blocks until it is
+    given work or the run stops.
 
     Observability: when [config.tracing] each shard's cluster owns a
     private {!Tyco_support.Trace} collector whose span ids stride by
@@ -44,8 +49,8 @@
     coordinator watches per-node load and, past a threshold, has the
     owning shard {e ship} the node's daemon, sites included, through
     the ordinary rings as a migration element; the receiving shard
-    attaches it to its own cluster.  One [g_inflight] unit is held from
-    ship to install (quiescence stays exact with a node in transit), a
+    attaches it to its own cluster.  One work unit is held from ship
+    to install (quiescence stays exact with a node in transit), a
     frame for a node the shard does not run is {e forwarded} along the
     table when the node lives elsewhere, and frames that race ahead of
     the element park in the receiving shard's limbo until the install
@@ -63,8 +68,9 @@
 
 exception Shard_failure of int * string
 (** An exception that escaped one shard's domain, re-raised at join as
-    [(shard id, message)].  {!Api.run_parallel} maps it to
-    [Api.Error (Runtime_error _)]. *)
+    [(shard id, message)], the message as {!Workers.join} renders it.
+    {!Api.run_parallel} maps it to
+    [Api.Error (Runtime_error "shard N failed: ...")]. *)
 
 (** Per-shard section of the run report: ring traffic, occupancy
     high-water, backpressure and parking — the signals that say where
@@ -91,9 +97,8 @@ type shard_stat = {
     JSONL. *)
 type snapshot = {
   sn_wall_ms : float;
-  sn_inflight : int;
+  sn_work : int;            (** the run's work count ({!Workers}) *)
   sn_executed : int array;  (** per shard, monotone *)
-  sn_pending : int array;   (** per-shard heap sizes plus buffers *)
   sn_ring_pushed : int;     (** ring elements *)
   sn_ring_popped : int;
   sn_migrations : int;      (** node installs completed so far *)
@@ -128,7 +133,7 @@ type result = {
       (** mean frames per ring push — how well handoff batching
           amortized the per-push synchronization; 0 when nothing was
           handed off *)
-  parks : int;  (** idle/backpressure parks across all shards *)
+  parks : int;  (** blocking parks across all shards *)
   domains : int;
   instructions : int;  (** total VM instructions, for throughput *)
   wall_ns : int;
@@ -149,7 +154,7 @@ type result = {
       (** measured per-node VM instruction counts, for reports *)
   events : int;  (** simulation events across all shards *)
   clean : bool;
-      (** quiesced with every ring drained, no in-flight elements,
+      (** quiesced with every ring drained, a zero work count,
           every shard heap empty and every limbo empty — the sharding
           smoke and migration tests assert this together with
           [ring_pushed = ring_popped] *)

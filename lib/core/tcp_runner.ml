@@ -104,53 +104,28 @@ type node = {
      itself, name-service replies — run by the loop; only touched by
      this node's domain *)
   deferred : (unit -> unit) Queue.t;
-  (* whether this node holds its unit of [shared.work] *)
-  mutable counted : bool;
+  (* this node's domain in the run's skeleton ({!Workers}): it holds
+     its work unit while a site is busy or waits for a reply, or daemon
+     work is deferred, and every frame it queued holds one until the
+     peer reads it *)
+  w : Workers.worker;
+  mutable sent : int; (* packets queued for peers *)
   (* read buffer, reused across iterations (was a per-iteration 8 KB
      allocation) *)
   scratch : Bytes.t;
-  (* blocking parks taken by this node's domain, read after join *)
-  mutable parks : int;
-  mutable error : exn option; (* what stopped this node, read after join *)
   (* node-confined metrics registry: only this node's domain bumps it;
      merged after join *)
   mx : Metrics.t;
-  m_parks : Metrics.counter;
   m_packets : Metrics.counter;
   m_bytes : Metrics.counter;
 }
 
-(* Termination is counted, after Mattern: [work] holds one unit per
-   node that has work plus one per frame a node queued for a peer that
-   the peer has not read yet.  A node counts itself before it uncounts
-   the frames it read, so the sum is zero only when no work exists
-   anywhere; the update that makes it zero writes [wake_w], which the
-   coordinator blocks on.  [stop_r] becomes readable, for good, when
-   the run ends: every node's blocking park waits on it. *)
-type shared = {
-  work : int Atomic.t;
-  stop : bool Atomic.t;
-  total_packets : int Atomic.t;
-  wake_w : Unix.file_descr;
-  stop_r : Unix.file_descr;
-}
-
-let wake shared = ignore (Unix.write_substring shared.wake_w "w" 0 1)
-
-let count shared node =
-  if not node.counted then begin
-    node.counted <- true;
-    Atomic.incr shared.work
-  end
-
-let uncount shared n = if Atomic.fetch_and_add shared.work (-n) = n then wake shared
-
 (* Queue one packet for [peer]: encode (into the node's reused
    encoder — no per-packet buffer churn) straight into the peer's tx
    buffer behind its length prefix.  The bytes leave in [flush_tx]. *)
-let send_to shared node peer ~ctx (p : Packet.t) =
-  Atomic.incr shared.work;
-  Atomic.incr shared.total_packets;
+let send_to run node peer ~ctx (p : Packet.t) =
+  Workers.count run 1;
+  node.sent <- node.sent + 1;
   let tx = (Option.get node.peers.(peer)).tx in
   (* the trace span rides the versioned trailer — an untraced run
      produces bytes identical to [Packet.to_string] *)
@@ -193,7 +168,7 @@ let flush_tx node =
 (* The daemon's transport: a packet for this node stays in memory, any
    other leaves over its peer's socket.  There is no virtual clock, so
    scheduled work runs on the next pass of the loop. *)
-let transport shared node =
+let transport run node =
   { Node.send =
       (fun ~src_ip:_ ~ctx p ->
         let dst = Packet.dst_ip p ~ns_ip:0 in
@@ -201,14 +176,14 @@ let transport shared node =
           Queue.push
             (fun () -> Node.deliver node.daemon ~ctx ~same_node:false p)
             node.deferred
-        else send_to shared node dst ~ctx p);
+        else send_to run node dst ~ctx p);
     schedule = (fun ~delay:_ f -> Queue.push f node.deferred);
     now = (fun () -> 0) }
 
 (* One busy pass: accept one connection, read every socket once, run
    the deferred work and the busy sites, write what they sent.  Returns
    whether it found anything to do. *)
-let pass shared node =
+let pass run node =
   let worked = ref false in
   (match Unix.accept node.listen with
   | fd, addr ->
@@ -231,7 +206,7 @@ let pass shared node =
           let frames = buf_drain c.rx in
           if frames <> [] then begin
             worked := true;
-            count shared node;
+            Workers.hold node.w;
             List.iter
               (fun payload ->
                 let p, sp = Packet.of_string_traced payload in
@@ -239,7 +214,7 @@ let pass shared node =
                   ~ctx:(Option.value ~default:Trace.null_span sp)
                   ~same_node:false p)
               frames;
-            if c.from_node then uncount shared (List.length frames)
+            if c.from_node then Workers.uncount run (List.length frames)
           end
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ())
     node.inbound;
@@ -257,53 +232,11 @@ let pass shared node =
   (* everything the sites and the daemon queued this pass leaves now,
      one write per peer *)
   flush_tx node;
-  if
-    List.exists (fun s -> Site.busy s || Site.outstanding s > 0) node.sites
-    || not (Queue.is_empty node.deferred)
-  then count shared node
-  else if node.counted then begin
-    node.counted <- false;
-    uncount shared 1
-  end;
+  Workers.settle node.w
+    ~busy:
+      (List.exists (fun s -> Site.busy s || Site.outstanding s > 0) node.sites
+      || not (Queue.is_empty node.deferred));
   !worked
-
-(* How long a node with nothing to do keeps polling before it blocks:
-   a reply that arrives within it finds the node awake. *)
-let spin_s = 5e-5
-
-(* Block until a socket is readable, a peer connects or the run stops. *)
-let park shared node =
-  node.parks <- node.parks + 1;
-  Metrics.incr node.m_parks;
-  let fds = shared.stop_r :: node.listen :: List.map (fun c -> c.in_fd) node.inbound in
-  match Unix.select fds [] [] (-1.) with
-  | _ -> ()
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-
-let serve shared node =
-  let idle_since = ref Float.infinity in
-  while not (Atomic.get shared.stop) do
-    if pass shared node then idle_since := Float.infinity
-    else begin
-      let now = Unix.gettimeofday () in
-      if now -. !idle_since >= spin_s then begin
-        park shared node;
-        idle_since := Float.infinity
-      end
-      else if !idle_since = Float.infinity then idle_since := now
-    end
-  done
-
-(* The node's domain: whatever escapes the loop stops the whole run and
-   is kept for the coordinator to re-raise at join.  The coordinator
-   closes the sockets after the join, so no node loses a peer's end
-   while it may still write to it. *)
-let node_loop shared node () =
-  try serve shared node
-  with exn ->
-    node.error <- Some exn;
-    Atomic.set shared.stop true;
-    wake shared
 
 (* ------------------------------------------------------------------ *)
 (* Setup and coordination.                                             *)
@@ -329,15 +262,7 @@ let run ?(nodes = 4) ?base_port ?(inputs = fun _ -> [])
   (* round-robin, as the simulated cluster does; checked before any
      socket exists *)
   let placement = Node.place ~who:"Tcp_runner.run" ~nodes units in
-  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
-  let stop_r, stop_w = Unix.pipe ~cloexec:true () in
-  let shared =
-    { work = Atomic.make 0;
-      stop = Atomic.make false;
-      total_packets = Atomic.make 0;
-      wake_w;
-      stop_r }
-  in
+  let run = Workers.create () in
   let addr node_id =
     Unix.ADDR_INET (Unix.inet_addr_loopback, base_port + node_id)
   in
@@ -366,16 +291,14 @@ let run ?(nodes = 4) ?base_port ?(inputs = fun _ -> [])
         host;
         sites = [];
         deferred = Queue.create ();
-        counted = false;
+        w = Workers.worker run ~id:node_id;
+        sent = 0;
         scratch = Bytes.create 8192;
-        parks = 0;
-        error = None;
         mx;
-        m_parks = Metrics.counter mx "parks";
         m_packets = Metrics.counter mx "packets";
         m_bytes = Metrics.counter mx "bytes" }
     in
-    Node.connect host (transport shared node);
+    Node.connect host (transport run node);
     Node.attach daemon host;
     if node_id = 0 then Node.serve_names daemon;
     node
@@ -403,67 +326,44 @@ let run ?(nodes = 4) ?base_port ?(inputs = fun _ -> [])
         Node.load_site node.daemon ~inputs:(inputs name) ~name ~site_id unit_
       in
       node.sites <- site :: node.sites;
-      count shared node)
+      Workers.hold node.w)
     (List.combine units placement);
   let started = Unix.gettimeofday () in
   (* one OCaml domain per node: with more cores than nodes the node
-     loops run truly in parallel (the systhread version they replace
-     shared one GIL-less runtime but still fought over the single
-     domain's minor heap pauses) *)
-  let doms =
-    Array.to_list
-      (Array.map (fun n -> Domain.spawn (node_loop shared n)) node_arr)
-  in
-  (* coordinator: blocks until the work count reaches zero, a node
-     fails or the timeout passes *)
-  let deadline = started +. (float_of_int timeout_ms /. 1000.) in
-  let timed_out = ref false in
-  let drain = Bytes.create 64 in
-  let rec wait () =
-    if Atomic.get shared.work > 0 && not (Atomic.get shared.stop) then begin
-      let left = deadline -. Unix.gettimeofday () in
-      if left <= 0. then timed_out := true
-      else begin
-        (match Unix.select [ wake_r ] [] [] left with
-        | [], _, _ -> ()
-        | _ -> ignore (Unix.read wake_r drain 0 (Bytes.length drain))
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-        wait ()
-      end
-    end
-  in
-  wait ();
-  Atomic.set shared.stop true;
-  ignore (Unix.write_substring stop_w "s" 0 1);
-  List.iter Domain.join doms;
+     loops run truly in parallel *)
   Array.iter
     (fun n ->
-      Array.iter (Option.iter (fun o -> Unix.close o.out_fd)) n.peers;
-      List.iter (fun c -> Unix.close c.in_fd) n.inbound;
-      Unix.close n.listen)
+      (* a parked node wakes on a readable socket or a peer connecting *)
+      Workers.start n.w ~pass:(fun () -> pass run n)
+        ~fds:(fun () -> n.listen :: List.map (fun c -> c.in_fd) n.inbound))
     node_arr;
-  List.iter Unix.close [ wake_r; wake_w; stop_r; stop_w ];
+  let timed_out =
+    Workers.wait run ~deadline:(started +. (float_of_int timeout_ms /. 1000.)) ()
+  in
+  (* the sockets close after the join, so no node loses a peer's end
+     while it may still write to it *)
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun n ->
+          Array.iter (Option.iter (fun o -> Unix.close o.out_fd)) n.peers;
+          List.iter (fun c -> Unix.close c.in_fd) n.inbound;
+          Unix.close n.listen)
+        node_arr)
+    (fun () -> Workers.join run ~fail:(fun id m -> Node_failure (id, m)));
   let wall_ns =
     int_of_float ((Unix.gettimeofday () -. started) *. 1e9)
   in
-  Array.iter
-    (fun n ->
-      match n.error with
-      | Some exn ->
-          let msg =
-            match exn with
-            | Failure m | Site.Protocol_error m -> m
-            | e -> Printexc.to_string e
-          in
-          raise (Node_failure (n.node_id, msg))
-      | None -> ())
-    node_arr;
   let merged =
-    (* Domain.join above is the happens-before edge for the node-
+    (* Workers.join above is the happens-before edge for the node-
        confined registries *)
     if metrics then begin
       let into = Metrics.create ~enabled:true () in
-      Array.iter (fun n -> Metrics.merge_into ~into n.mx) node_arr;
+      Array.iter
+        (fun n ->
+          Metrics.add (Metrics.counter n.mx "parks") (Workers.parks n.w);
+          Metrics.merge_into ~into n.mx)
+        node_arr;
       into
     end
     else Metrics.disabled
@@ -473,10 +373,10 @@ let run ?(nodes = 4) ?base_port ?(inputs = fun _ -> [])
       List.concat_map
         (fun n -> List.map snd (Node.outputs n.host))
         (Array.to_list node_arr);
-    packets = Atomic.get shared.total_packets;
+    packets = sum (fun n -> n.sent);
     wall_ns;
-    timed_out = !timed_out;
-    parks = sum (fun n -> n.parks);
+    timed_out;
+    parks = sum (fun n -> Workers.parks n.w);
     dead_letters = sum (fun n -> Node.dead_letters n.host);
     metrics = merged }
 

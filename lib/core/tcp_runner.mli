@@ -15,30 +15,23 @@
     write per peer.
 
     Every ordered pair of nodes is connected during set-up; a node
-    tells a peer's connection from an outside one by its address.  A
-    node with nothing to do keeps polling for a fixed 50 us, so a reply
-    that arrives within that finds it awake, and then parks: it blocks
-    in [select], with no timeout, on its sockets and on a pipe the
-    coordinator writes once when the run ends.  A peer that closes its
-    socket leaves the poll set.  Parks are counted per node and
-    reported in [result.parks].
+    tells a peer's connection from an outside one by its address.
 
     Execution is {e not} deterministic (the OS schedules the domains),
     so tests compare output multisets against the simulated runtime.
-    Termination is counted, in Mattern's style: one atomic holds the
-    nodes that have work (busy sites, unanswered imports and fetches,
-    deferred daemon work) plus the frames a node queued for a peer that
-    the peer has not read yet.  A node counts itself before it uncounts
-    the frames it read, so the count is zero only at global quiescence.
-    The node whose update brings it to zero, or a node that fails,
-    wakes the coordinator, which blocks on a pipe until then or until
-    the timeout; a run therefore stops at its last event.  Frames from
-    a connection that is not a peer node's are delivered but were never
-    counted.
+    Termination and parking are {!Workers}': the work count holds one
+    unit per node that has work (busy sites, unanswered imports and
+    fetches, deferred daemon work) plus one per frame a node queued for
+    a peer that the peer has not read yet, so a run stops at its last
+    event.  Frames from a connection that is not a peer node's are
+    delivered but never counted.  An idle node polls for 50 µs, then
+    blocks in [select] on its sockets until one is readable or the run
+    stops; a peer that closes its socket leaves the poll set.
 
-    Failures are loud: a frame that does not decode, a length prefix
-    above a fixed cap, or a site's runtime error stops every node, and
-    {!run} re-raises it at join as {!Node_failure}.
+    Failures are loud: a frame that does not decode
+    ([malformed frame: ...]), a length prefix above a fixed cap, or a
+    site's runtime error stops every node, and {!run} re-raises it at
+    join as {!Node_failure}.
 
     Limitations (documented, by design): no virtual clock (wall time
     only), no failure injection, and perpetual programs must be

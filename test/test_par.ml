@@ -867,6 +867,75 @@ let leases_at_two_domains () =
          0 r.Par_runner.sites)
   done
 
+(* No early stop, the TCP engine's check run on this one: three clients
+   on nodes 1-3 call a server on node 0 and each prints as soon as its
+   own calls return, so a run that stops while a batch is in a ring, a
+   command is posted or a node is in transit loses a line or ends
+   unclean.  Some runs also move a client's node as the run starts. *)
+let no_early_stop () =
+  let rounds = 10 in
+  let client i =
+    Printf.sprintf
+      {| site c%d { import svc from server in
+           def Ping(n, acc) = if n == 0 then io!printi[acc]
+                              else let v = svc!ping[n] in Ping[n - 1, acc + v]
+           in Ping[%d, %d] } |}
+      i rounds (i * 1_000_000)
+  in
+  let units =
+    Api.compile
+      (Api.parse
+         ({| site server {
+               def Serve(svc) = svc?{ ping(v, k) = (k![v + 1] | Serve[svc]) }
+               in export new svc Serve[svc] } |}
+         ^ String.concat "" (List.init 3 client)))
+  in
+  let expected =
+    List.init 3 (fun i ->
+        { Output.site = Printf.sprintf "c%d" i;
+          label = "printi";
+          args = [ Output.Oint ((i * 1_000_000) + (rounds * (rounds + 3) / 2)) ] })
+  in
+  List.iter
+    (fun (domains, runs, force_migrations) ->
+      for run = 1 to runs do
+        let r = Par_runner.run ~domains ~force_migrations units in
+        let fail what =
+          Alcotest.failf "%d domains, moves [%s], run %d: %s" domains
+            (String.concat "; "
+               (List.map (fun (ip, d) -> Printf.sprintf "%d->%d" ip d)
+                  force_migrations))
+            run what
+        in
+        if not (Output.same_multiset expected (List.map snd r.Par_runner.outputs))
+        then
+          fail
+            (Printf.sprintf "%d lines, not the 3 expected"
+               (List.length r.Par_runner.outputs));
+        if not r.Par_runner.clean then fail "not clean";
+        if r.Par_runner.migrations <> List.length force_migrations then
+          fail (Printf.sprintf "%d moves installed" r.Par_runner.migrations)
+      done)
+    [ (2, 300, []); (4, 50, []); (2, 50, [ (1, 0) ]); (4, 50, [ (1, 2); (3, 0) ]) ]
+
+(* A site's runtime error stops every shard, and the join names the
+   shard: the run ends at once, not at the wall-clock bound, though
+   the other site never quiesces. *)
+let shard_failure_fails_fast () =
+  let prog =
+    Api.parse
+      {| site a { def Spin() = Spin[] in Spin[] }
+         site b { io!printi[1 / 0] } |}
+  in
+  let t0 = Unix.gettimeofday () in
+  (match Api.run_parallel ~domains:2 prog with
+  | _ -> Alcotest.fail "run finished without failing"
+  | exception Api.Error (Api.Runtime_error m) ->
+      check Alcotest.string "names shard 1 and the error"
+        "shard 1 failed: division by zero" m);
+  if Unix.gettimeofday () -. t0 > 5. then
+    Alcotest.fail "shard failure waited out the bound"
+
 let tests =
   [ ("spsc ring fifo", `Quick, ring_fifo);
     ("spsc ring bounded", `Quick, ring_bounded);
@@ -892,4 +961,6 @@ let tests =
     ("rebalance rejects tracing", `Quick, rebalance_rejects_tracing);
     ("leases at 2 domains", `Quick, leases_at_two_domains);
     ("replicated ns equivalence", `Quick, replicated_ns_equivalence);
-    ("partition at 2 domains", `Quick, partition_at_two_domains) ]
+    ("partition at 2 domains", `Quick, partition_at_two_domains);
+    ("no early stop", `Quick, no_early_stop);
+    ("shard failure fails fast", `Quick, shard_failure_fails_fast) ]

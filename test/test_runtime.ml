@@ -813,7 +813,7 @@ let length_prefixed payload =
 let tcp_garbage_input_fails_fast () =
   let base_port = Tcp_runner.default_base_port ~pid:(Unix.getpid ()) ~nodes:2 in
   List.iter
-    (fun (what, bytes) ->
+    (fun (what, bytes, message) ->
       let injector = inject_into_node_1 ~base_port bytes in
       let t0 = Unix.gettimeofday () in
       (match
@@ -821,15 +821,18 @@ let tcp_garbage_input_fails_fast () =
            (Lazy.force never_quiescent)
        with
       | _ -> Alcotest.failf "%s: run finished without failing" what
-      | exception Tcp_runner.Node_failure (id, _) ->
-          check Alcotest.int (what ^ ": names node 1") 1 id);
+      | exception Tcp_runner.Node_failure (id, m) ->
+          check Alcotest.int (what ^ ": names node 1") 1 id;
+          check Alcotest.string (what ^ ": names the failure") message m);
       Domain.join injector;
       let elapsed = Unix.gettimeofday () -. t0 in
       if elapsed > 5. then
         Alcotest.failf "%s: failure took %.1f s against a 20 s timeout" what
           elapsed)
-    [ ("garbage frame", length_prefixed "\255\254\253");
-      ("oversized length prefix", "\255\255\255\255") ]
+    [ ("garbage frame", length_prefixed "\255\254\253",
+       "malformed frame: packet tag 255");
+      ("oversized length prefix", "\255\255\255\255",
+       "frame of 4294967295 bytes exceeds the 16777216-byte cap") ]
 
 (* A well-formed packet for a site node 1 does not host is a dead
    letter, as in the simulated engines, not a silent drop. *)

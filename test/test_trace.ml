@@ -497,9 +497,9 @@ let flush_wait_traced () =
 (* ------------------------------------------------------------------ *)
 (* Parallel runtime tracing                                            *)
 
-(* --domains 1 dispatches to the deterministic engine, so its trace is
-   the deterministic trace, byte for byte — span striding defaults to
-   (0, 1) and changes nothing. *)
+(* --domains 1 is a one-shard run of the deterministic engine, so its
+   trace is the deterministic trace, byte for byte — span striding
+   defaults to (0, 1) and changes nothing. *)
 let par_domains1_trace_bit_identical () =
   let prog = Api.parse ship_src in
   let par = Api.run_parallel ~config:traced_config ~domains:1 prog in
