@@ -16,8 +16,18 @@ let encode_captures enc caps =
   Wire.varint enc (Array.length caps);
   Array.iter (Wire.varint enc) caps
 
-let decode_captures dec =
+let malformed fmt = Printf.ksprintf (fun m -> raise (Wire.Malformed m)) fmt
+
+(* A table length: every entry takes at least one byte, so a count
+   beyond the bytes left (or a negative one, from an overlong varint) is
+   corrupt — and must not reach [Array.init]. *)
+let read_count dec =
   let n = Wire.read_varint dec in
+  if n < 0 || n > Wire.remaining dec then malformed "count %d exceeds input" n;
+  n
+
+let decode_captures dec =
+  let n = read_count dec in
   Array.init n (fun _ -> Wire.read_varint dec)
 
 let encode_instr enc (ins : Instr.t) =
@@ -162,21 +172,21 @@ let encode_unit enc (u : Block.unit_) =
   Wire.varint enc u.entry
 
 let decode_unit dec : Block.unit_ =
-  let nblocks = Wire.read_varint dec in
+  let nblocks = read_count dec in
   let blocks =
     Array.init nblocks (fun blk_id ->
         let blk_name = Wire.read_string dec in
         let blk_nparams = Wire.read_varint dec in
         let blk_nslots = Wire.read_varint dec in
-        let ninstrs = Wire.read_varint dec in
+        let ninstrs = read_count dec in
         let blk_code = Array.init ninstrs (fun _ -> decode_instr dec) in
         { Block.blk_id; blk_name; blk_nparams; blk_nslots; blk_code })
   in
-  let nmts = Wire.read_varint dec in
+  let nmts = read_count dec in
   let mtables =
     Array.init nmts (fun mt_id ->
         let mt_captures = decode_captures dec in
-        let n = Wire.read_varint dec in
+        let n = read_count dec in
         let mt_entries =
           Array.init n (fun _ ->
               let me_label = Wire.read_string dec in
@@ -186,11 +196,11 @@ let decode_unit dec : Block.unit_ =
         in
         { Block.mt_id; mt_captures; mt_entries })
   in
-  let ngroups = Wire.read_varint dec in
+  let ngroups = read_count dec in
   let groups =
     Array.init ngroups (fun grp_id ->
         let grp_captures = decode_captures dec in
-        let n = Wire.read_varint dec in
+        let n = read_count dec in
         let grp_classes =
           Array.init n (fun _ ->
               let cls_name = Wire.read_string dec in
@@ -203,27 +213,60 @@ let decode_unit dec : Block.unit_ =
   in
   let entry = Wire.read_varint dec in
   let u = { Block.blocks; mtables; groups; entry } in
-  (* Dynamic checking of incoming code: every cross-reference must be
-     in range (paper §7's protocol-error detection). *)
+  (* Dynamic checking of incoming code: every cross-reference, jump
+     target and frame slot must be in range (paper §7's protocol-error
+     detection), so the VM never indexes outside a block or a frame.
+     Method-table and group captures index the frame of the block that
+     runs the [trobj]/[defgroup].  Jumps must also go forward, as the
+     compiler's do (threads loop only by instantiating a class again):
+     a backward jump would let a peer send a thread that never ends. *)
   let check_block i =
-    if i < 0 || i >= nblocks then
-      raise (Wire.Malformed (Printf.sprintf "block reference b%d out of range" i))
+    if i < 0 || i >= nblocks then malformed "block reference b%d out of range" i
   in
-  if nblocks = 0 then raise (Wire.Malformed "unit with no blocks");
+  if nblocks = 0 then malformed "unit with no blocks";
   check_block entry;
   Array.iter
     (fun (b : Block.block) ->
-      Array.iter
-        (function
+      let ninstrs = Array.length b.blk_code in
+      let slot s =
+        if s < 0 || s >= b.blk_nslots then
+          malformed "slot %d out of range in block b%d (%d slots)" s b.blk_id
+            b.blk_nslots
+      in
+      let target ~at pc =
+        if pc <= at || pc > ninstrs then
+          malformed
+            "jump target %d at pc %d out of range in block b%d (%d instructions)"
+            pc at b.blk_id ninstrs
+      in
+      let argc n = if n < 0 then malformed "negative argument count %d" n in
+      Array.iteri
+        (fun at -> function
+          | Instr.Load s | Instr.Store s | Instr.New_chan s
+          | Instr.Export_class (_, s) ->
+              slot s
+          | Instr.Jump pc | Instr.Jump_if_false pc -> target ~at pc
+          | Instr.Trmsg { argc = n; _ } | Instr.Instof n -> argc n
           | Instr.Trobj mt ->
               if mt < 0 || mt >= nmts then
-                raise (Wire.Malformed "mtable reference out of range")
+                malformed "mtable reference out of range";
+              Array.iter slot mtables.(mt).Block.mt_captures
           | Instr.Defgroup g ->
               if g < 0 || g >= ngroups then
-                raise (Wire.Malformed "group reference out of range")
-          | Instr.Import_name { cont; _ } | Instr.Import_class { cont; _ } ->
-              check_block cont
-          | _ -> ())
+                malformed "group reference out of range";
+              let grp = groups.(g) in
+              if Array.length grp.Block.grp_slots
+                 <> Array.length grp.Block.grp_classes
+              then malformed "group g%d: slot and class counts differ" g;
+              Array.iter slot grp.Block.grp_captures;
+              Array.iter slot grp.Block.grp_slots
+          | Instr.Import_name { cont; captures; _ }
+          | Instr.Import_class { cont; captures; _ } ->
+              check_block cont;
+              Array.iter slot captures
+          | Instr.Push_int _ | Instr.Push_bool _ | Instr.Push_str _
+          | Instr.Binop _ | Instr.Unop _ | Instr.Export_name _ ->
+              ())
         b.blk_code)
     blocks;
   Array.iter

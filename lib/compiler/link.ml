@@ -2,9 +2,6 @@ module Vec = Tyco_support.Vec
 
 type area = {
   blocks : Block.block Vec.t;
-  costs : int array Vec.t;
-      (* parallel to [blocks]: per-pc Instr.cost, precomputed so the VM
-         stepping loop never re-dispatches on the instruction *)
   mtables : Block.mtable Vec.t;
   dispatch : int array Vec.t;
       (* parallel to [mtables]: direct-mapped label id -> entry index
@@ -21,7 +18,7 @@ type area = {
 type offsets = { blk_off : int; mt_off : int; grp_off : int }
 
 let create () =
-  { blocks = Vec.create (); costs = Vec.create (); mtables = Vec.create ();
+  { blocks = Vec.create (); mtables = Vec.create ();
     dispatch = Vec.create (); groups = Vec.create (); labels = Vec.create ();
     label_ids = Hashtbl.create 16; instrs = 0; snap = None }
 
@@ -66,8 +63,7 @@ let link area (u : Block.unit_) : offsets =
       let code = Array.map (shift_instr area o) b.blk_code in
       ignore
         (Vec.push area.blocks
-           { b with Block.blk_id = b.blk_id + o.blk_off; blk_code = code });
-      ignore (Vec.push area.costs (Array.map Instr.cost code)))
+           { b with Block.blk_id = b.blk_id + o.blk_off; blk_code = code }))
     u.blocks;
   Array.iter
     (fun (mt : Block.mtable) ->
@@ -102,7 +98,6 @@ let of_unit u =
   (area, u.Block.entry + o.blk_off)
 
 let block area i = Vec.get area.blocks i
-let costs area i = Vec.get area.costs i
 let mtable area i = Vec.get area.mtables i
 let group area i = Vec.get area.groups i
 let n_blocks area = Vec.length area.blocks

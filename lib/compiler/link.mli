@@ -43,10 +43,6 @@ val method_entry : area -> int -> lid:int -> int
 (** Index into [mt_entries] of method table [mt] for interned label
     [lid], or [-1] when the table has no such method.  O(1). *)
 
-val costs : area -> int -> int array
-(** Per-pc {!Instr.cost} of a block, precomputed at link time (parallel
-    to {!block}). *)
-
 type offsets = { blk_off : int; mt_off : int; grp_off : int }
 
 val link : area -> Block.unit_ -> offsets

@@ -84,15 +84,12 @@ let site_stats site =
       (if Stats.Dist.count rq = 0 then 0. else Stats.Dist.mean rq) }
 
 (* Pool one distribution across all sites (queue-wait, execute): a
-   fresh Dist refilled from each site's retained samples.  The pool is
-   an estimate past the reservoir cap, like its inputs. *)
+   fresh Dist that absorbs each site's.  The pool is an estimate past
+   the reservoir cap, like its inputs. *)
 let pooled name sites =
   let pool = Stats.Dist.create name in
   List.iter
-    (fun site ->
-      Array.iter
-        (Stats.Dist.add pool)
-        (Stats.Dist.samples (Stats.dist (Site.stats site) name)))
+    (fun site -> Stats.Dist.absorb pool (Stats.dist (Site.stats site) name))
     sites;
   Stats.Dist.summary_opt pool
 

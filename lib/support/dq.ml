@@ -4,7 +4,11 @@
    push (plus the one returned by every pop) was measurable allocation
    on the E1 hot path.  The sentinel is an immediate, so [Array.make]
    never specializes to a flat float array; popped slots are reset to it
-   so the deque does not retain popped elements. *)
+   so the deque does not retain popped elements.
+
+   The capacity is always a power of two, so a logical index wraps with
+   one [land] instead of a [mod] (an integer division) on every push and
+   pop. *)
 
 type 'a t = {
   mutable buf : 'a array;
@@ -14,13 +18,15 @@ type 'a t = {
 
 let sentinel : 'a. unit -> 'a = fun () -> Obj.magic 0
 
+let rec pow2_at_least n c = if c >= n then c else pow2_at_least n (2 * c)
+
 let create ?(capacity = 16) () =
-  let capacity = max capacity 1 in
-  { buf = Array.make capacity (sentinel ()); head = 0; len = 0 }
+  { buf = Array.make (pow2_at_least capacity 1) (sentinel ()); head = 0;
+    len = 0 }
 
 let length t = t.len
 let is_empty t = t.len = 0
-let index t i = (t.head + i) mod Array.length t.buf
+let[@inline] index t i = (t.head + i) land (Array.length t.buf - 1)
 
 let grow t =
   let cap = Array.length t.buf in
@@ -38,8 +44,7 @@ let push_back t x =
 
 let push_front t x =
   if t.len = Array.length t.buf then grow t;
-  let cap = Array.length t.buf in
-  t.head <- (t.head + cap - 1) mod cap;
+  t.head <- index t (-1);
   t.buf.(t.head) <- x;
   t.len <- t.len + 1
 
@@ -82,6 +87,6 @@ let to_list t =
   !acc
 
 let of_list xs =
-  let t = create ~capacity:(max 1 (List.length xs)) () in
+  let t = create ~capacity:(List.length xs) () in
   List.iter (push_back t) xs;
   t

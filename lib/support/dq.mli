@@ -8,6 +8,9 @@
 type 'a t
 
 val create : ?capacity:int -> unit -> 'a t
+(** [capacity] (default 16) is rounded up to a power of two, at least
+    1, so indices wrap with a mask. *)
+
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 

@@ -23,20 +23,27 @@ module Dist : sig
   type t
 
   val reservoir_cap : int
-  (** Bound on retained samples (8192).  Beyond it, reservoir sampling
-      (Vitter's algorithm R, driven by a {!Prng} seeded from the
-      distribution's name, so runs are deterministic) keeps a uniform
-      subset: {!count}/{!mean}/{!min}/{!max} stay exact streaming
-      values, but {!percentile} becomes an estimate. *)
+  (** Bound on retained reservoir samples (8192).  Beyond it, reservoir
+      sampling (Vitter's algorithm R, driven by a {!Prng} seeded from
+      the distribution's name, so runs are deterministic) keeps a
+      uniform subset of the samples offered to it: {!count}/{!mean}/
+      {!min}/{!max} stay exact streaming values, but {!percentile}
+      becomes an estimate. *)
+
+  val small_cap : int
+  (** {!add_int} counts values in [\[0, small_cap)] (64) exactly, in
+      one int array per distribution allocated on first use; only other
+      values enter the reservoir, whose algorithm R counts only
+      those. *)
 
   val create : string -> t
   val name : t -> string
   val add : t -> float -> unit
 
   val add_int : t -> int -> unit
-  (** [add_int d n] = [add d (float_of_int n)], but the conversion is
-      inside the call: hot loops pass an unboxed immediate instead of
-      allocating a boxed float per sample. *)
+  (** Records [n] exactly when it is in [\[0, small_cap)], else as
+      [add d (float_of_int n)].  Hot loops pass an unboxed immediate
+      instead of allocating a boxed float per sample. *)
 
   val count : t -> int
   (** Exact number of samples observed (not capped). *)
@@ -52,15 +59,19 @@ module Dist : sig
   (** Exact; total: [neg_infinity] when empty. *)
 
   val samples : t -> float array
-  (** The retained reservoir (every sample below the cap, a uniform
-      subset past it), unsorted.  For pooling and tests. *)
+  (** Every retained value, unsorted: each exactly counted small
+      integer as many times as it was seen, then the reservoir (every
+      other sample below the cap, a uniform subset past it).  For
+      tests. *)
 
   val percentile : t -> float -> float
   (** [percentile d 0.95] — linear interpolation between the two
-      closest ranks of the retained samples (exact below
-      {!reservoir_cap}, an estimate past it; nearest-rank made tail
-      percentiles jump whole sample-widths on capped reservoirs).
-      Raises [Invalid_argument] if no samples were recorded. *)
+      closest ranks of all samples (nearest-rank made tail percentiles
+      jump whole sample-widths on capped reservoirs).  Exact while the
+      reservoir is below {!reservoir_cap}; past it each retained sample
+      stands for its share of the samples offered to the reservoir, and
+      the exactly counted small values keep their exact ranks.  Raises
+      [Invalid_argument] if no samples were recorded. *)
 
   (** A total snapshot for exporters: only constructed when at least
       one sample exists, so no field is ever [infinity]/[nan]. *)
@@ -81,9 +92,10 @@ module Dist : sig
 
   val absorb : t -> t -> unit
   (** [absorb t o] merges [o]'s observations into [t] ([o] unchanged):
-      n/sum/min/max merge exactly; [o]'s retained reservoir folds into
-      [t]'s so merged percentiles estimate the union.  The quiescence-
-      time merge path for per-domain histograms. *)
+      n/sum/min/max and the small-value counts merge exactly; [o]'s
+      retained reservoir folds into [t]'s so merged percentiles
+      estimate the union.  The quiescence-time merge path for
+      per-domain histograms and per-site pools. *)
 
   val reset : t -> unit
   val pp_summary : Format.formatter -> t -> unit

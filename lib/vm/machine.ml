@@ -2,7 +2,6 @@ module Dq = Tyco_support.Dq
 module Stats = Tyco_support.Stats
 module Netref = Tyco_support.Netref
 module Trace = Tyco_support.Trace
-module Ast = Tyco_syntax.Ast
 module Block = Tyco_compiler.Block
 module Instr = Tyco_compiler.Instr
 module Link = Tyco_compiler.Link
@@ -21,11 +20,15 @@ type remote_op =
       captured : Value.t list;
     }
 
-exception Error of string
+exception Error = Fuse.Error
 
-let err fmt = Format.kasprintf (fun m -> raise (Error m)) fmt
+let err = Fuse.err
 
 type thread = { t_block : int; t_env : Value.t array; t_span : Trace.span }
+
+(* A block as the machine runs it: its fused ops ({!Fuse}) and its
+   frame size. *)
+type prog = { ops : Fuse.op array; nslots : int }
 
 type t = {
   name : string;
@@ -38,6 +41,9 @@ type t = {
      replaces a freshly-consed list per thread. *)
   mutable ostack : Value.t array;
   mutable osp : int;
+  (* Fused programs by block id, [unfused] until the block is first
+     spawned; grown as dynamic linking adds blocks. *)
+  mutable progs : prog array;
   (* Causal tracing (off by default: [tr] is [Trace.disabled], every
      guard is one load-and-branch, and spans stay [null_span]).
      [tr_on] caches [Trace.enabled tr] — fixed at creation — so each
@@ -66,6 +72,8 @@ type t = {
   d_runq_depth : Stats.Dist.t;
 }
 
+let unfused = { ops = [||]; nslots = 0 }
+
 let create ?(name = "site") ?(trace = Trace.disabled) ?(track = 0) area =
   let stats = Stats.create () in
   { name;
@@ -75,6 +83,7 @@ let create ?(name = "site") ?(trace = Trace.disabled) ?(track = 0) area =
     chan_uid = 0;
     ostack = Array.make 64 (Value.Vint 0);
     osp = 0;
+    progs = [||];
     tr = trace;
     tr_on = Trace.enabled trace;
     track;
@@ -112,11 +121,29 @@ let builtin_chan t name handler =
   c.Value.ch_state <- Value.Builtin handler;
   c
 
+(* The block's program, fused the first time a thread of it is
+   spawned. *)
+let program t block =
+  let progs = t.progs in
+  if block < Array.length progs && progs.(block) != unfused then progs.(block)
+  else begin
+    if block >= Array.length progs then begin
+      let bigger =
+        Array.make (max (block + 1) (Link.n_blocks t.area)) unfused
+      in
+      Array.blit progs 0 bigger 0 (Array.length progs);
+      t.progs <- bigger
+    end;
+    let blk = Link.block t.area block in
+    let p = { ops = Fuse.block blk; nslots = blk.Block.blk_nslots } in
+    t.progs.(block) <- p;
+    p
+  end
+
 (* Make a frame for a block: the given initial values fill the first
    slots, the rest are padded (uninitialized locals). *)
 let frame_for t ~block ~init =
-  let blk = Link.block t.area block in
-  let n = blk.Block.blk_nslots in
+  let n = (program t block).nslots in
   let frame = Array.make (max n (List.length init)) (Value.Vint 0) in
   List.iteri (fun i v -> frame.(i) <- v) init;
   frame
@@ -138,28 +165,35 @@ let enqueue t ~parent ~block frame =
 let spawn t ~block ~env =
   enqueue t ~parent:t.cur_span ~block (frame_for t ~block ~init:env)
 
-(* Frame [args..][extra..] built with two blits — the method-fire and
-   instantiation paths, where the old [args @ Array.to_list env] rebuilt
-   both sides as lists. *)
-let spawn_call t ~parent ~block ~(args : Value.t array)
-    ~(extra : Value.t array) =
-  let blk = Link.block t.area block in
-  let na = Array.length args and ne = Array.length extra in
+(* The frame [args..][extra..][padding..] of a method or class body:
+   the [n] arguments are read from [src] at [off] — the operand stack on
+   the [trmsg]/[instof] paths, a message's own array otherwise — and
+   [extra] is the closure environment.  One allocation; no argument
+   array is cut out first. *)
+let spawn_call t ~parent ~block src off n (extra : Value.t array) =
+  let ne = Array.length extra in
   let frame =
-    Array.make (max blk.Block.blk_nslots (na + ne)) (Value.Vint 0)
+    Array.make
+      (max (program t block).nslots (n + ne))
+      (Value.Vint 0)
   in
-  Array.blit args 0 frame 0 na;
-  Array.blit extra 0 frame na ne;
+  for i = 0 to n - 1 do
+    Array.unsafe_set frame i (Array.unsafe_get src (off + i))
+  done;
+  for i = 0 to ne - 1 do
+    Array.unsafe_set frame (n + i) (Array.unsafe_get extra i)
+  done;
   enqueue t ~parent ~block frame
 
 let spawn_entry t ~entry ~io = spawn t ~block:entry ~env:[ Value.Vchan io ]
 
 (* Fire a method: the object's method table entry for interned label
-   [lid] runs with frame [args..][closure env..].  The entry is found
-   through the area's direct-mapped dispatch table — O(1), no string
-   comparison.  [parent] is the span of the {e message} half of the
-   rendez-vous: the message is what causes the method body to run. *)
-let fire_method t (obj : Value.obj) ~parent ~lid (args : Value.t array) =
+   [lid] runs with frame [args..][closure env..], the [n] arguments
+   read from [src] at [off].  The entry is found through the area's
+   direct-mapped dispatch table — O(1), no string comparison.
+   [parent] is the span of the {e message} half of the rendez-vous: the
+   message is what causes the method body to run. *)
+let fire_method t (obj : Value.obj) ~parent ~lid src off n =
   let idx = Link.method_entry t.area obj.Value.obj_mtable ~lid in
   if idx < 0 then
     err "%s: no method '%s' at object (protocol error)" t.name
@@ -168,12 +202,23 @@ let fire_method t (obj : Value.obj) ~parent ~lid (args : Value.t array) =
        else "<unknown label>");
   let mt = Link.mtable t.area obj.Value.obj_mtable in
   let entry = mt.Block.mt_entries.(idx) in
-  if entry.Block.me_nparams <> Array.length args then
+  if entry.Block.me_nparams <> n then
     err "%s: method '%s': expected %d argument(s), got %d" t.name
-      entry.Block.me_label entry.Block.me_nparams (Array.length args);
+      entry.Block.me_label entry.Block.me_nparams n;
   Stats.Counter.incr t.c_comm;
-  spawn_call t ~parent ~block:entry.Block.me_block ~args
-    ~extra:obj.Value.obj_env
+  spawn_call t ~parent ~block:entry.Block.me_block src off n
+    obj.Value.obj_env
+
+let fire_args t obj ~parent ~lid (args : Value.t array) =
+  fire_method t obj ~parent ~lid args 0 (Array.length args)
+
+(* A message meets the single object parked at [chan]. *)
+let fire_obj1 t (chan : Value.chan) obj ~lid src off n =
+  chan.Value.ch_state <- Value.Empty;
+  if t.tr_on then
+    Trace.emit t.tr ~ts:t.clock ~track:t.track ~span:t.cur_span
+      Trace.Obj_unpark;
+  fire_method t obj ~parent:t.cur_span ~lid src off n
 
 (* Hot path: label already interned (Trmsg operand, parked message).
    [Obj1]/[Msg1] are the steady-state cases — a reply channel or a
@@ -184,12 +229,7 @@ let fire_method t (obj : Value.obj) ~parent ~lid (args : Value.t array) =
    regime. *)
 let inject_msg_id t (chan : Value.chan) ~lid (args : Value.t array) =
   match chan.Value.ch_state with
-  | Value.Obj1 obj ->
-      chan.Value.ch_state <- Value.Empty;
-      if t.tr_on then
-        Trace.emit t.tr ~ts:t.clock ~track:t.track ~span:t.cur_span
-          Trace.Obj_unpark;
-      fire_method t obj ~parent:t.cur_span ~lid args
+  | Value.Obj1 obj -> fire_obj1 t chan obj ~lid args 0 (Array.length args)
   | Value.Empty ->
       Stats.Counter.incr t.c_msgs_parked;
       if t.tr_on then
@@ -206,7 +246,7 @@ let inject_msg_id t (chan : Value.chan) ~lid (args : Value.t array) =
       if t.tr_on then
         Trace.emit t.tr ~ts:t.clock ~track:t.track ~span:t.cur_span
           Trace.Obj_unpark;
-      fire_method t obj ~parent:t.cur_span ~lid args
+      fire_args t obj ~parent:t.cur_span ~lid args
   | Value.Msg1 m1 ->
       Stats.Counter.incr t.c_msgs_parked;
       if t.tr_on then
@@ -239,7 +279,7 @@ let inject_obj t (chan : Value.chan) (obj : Value.obj) =
       if t.tr_on then
         Trace.emit t.tr ~ts:t.clock ~track:t.track ~span:m.Value.msg_span
           Trace.Msg_unpark;
-      fire_method t obj ~parent:m.Value.msg_span ~lid:m.Value.msg_lid
+      fire_args t obj ~parent:m.Value.msg_span ~lid:m.Value.msg_lid
         m.Value.msg_args
   | Value.Empty ->
       Stats.Counter.incr t.c_objs_parked;
@@ -255,7 +295,7 @@ let inject_obj t (chan : Value.chan) (obj : Value.obj) =
       if t.tr_on then
         Trace.emit t.tr ~ts:t.clock ~track:t.track ~span:m.Value.msg_span
           Trace.Msg_unpark;
-      fire_method t obj ~parent:m.Value.msg_span ~lid:m.Value.msg_lid
+      fire_args t obj ~parent:m.Value.msg_span ~lid:m.Value.msg_lid
         m.Value.msg_args
   | Value.Obj1 o1 ->
       Stats.Counter.incr t.c_objs_parked;
@@ -274,52 +314,24 @@ let inject_obj t (chan : Value.chan) (obj : Value.obj) =
       Dq.push_back q obj
   | Value.Builtin _ -> err "object placed at builtin channel '%s'" chan.Value.ch_name
 
-let instantiate_args t (cls : Value.cls) (args : Value.t array) =
+(* Instantiate a class with the [n] arguments of [src] at [off]. *)
+let instantiate_at t (cls : Value.cls) src off n =
   let g = Link.group t.area cls.Value.cls_group in
   let sig_ = g.Block.grp_classes.(cls.Value.cls_index) in
-  if sig_.Block.cls_nparams <> Array.length args then
+  if sig_.Block.cls_nparams <> n then
     err "%s: class '%s': expected %d argument(s), got %d" t.name
-      sig_.Block.cls_name sig_.Block.cls_nparams (Array.length args);
+      sig_.Block.cls_name sig_.Block.cls_nparams n;
   Stats.Counter.incr t.c_insts;
-  spawn_call t ~parent:t.cur_span ~block:sig_.Block.cls_block ~args
-    ~extra:cls.Value.cls_env
+  spawn_call t ~parent:t.cur_span ~block:sig_.Block.cls_block src off n
+    cls.Value.cls_env
+
+let instantiate_args t cls (args : Value.t array) =
+  instantiate_at t cls args 0 (Array.length args)
 
 let instantiate t cls args = instantiate_args t cls (Array.of_list args)
 
 (* ------------------------------------------------------------------ *)
-(* Instruction execution.                                              *)
-
-let as_int = function Value.Vint n -> n | v -> err "expected int, got %s" (Value.type_name v)
-let as_bool = function Value.Vbool b -> b | v -> err "expected bool, got %s" (Value.type_name v)
-
-let value_eq a b =
-  match (a, b) with
-  | Value.Vint x, Value.Vint y -> Int.equal x y
-  | Value.Vbool x, Value.Vbool y -> Bool.equal x y
-  | Value.Vstr x, Value.Vstr y -> String.equal x y
-  | Value.Vchan x, Value.Vchan y -> Value.same_chan x y
-  | Value.Vnetref x, Value.Vnetref y -> Netref.equal x y
-  | _, _ -> a == b
-
-let exec_binop op a b =
-  match op with
-  | Ast.Add -> Value.Vint (as_int a + as_int b)
-  | Ast.Sub -> Value.Vint (as_int a - as_int b)
-  | Ast.Mul -> Value.Vint (as_int a * as_int b)
-  | Ast.Div ->
-      let d = as_int b in
-      if d = 0 then err "division by zero" else Value.Vint (as_int a / d)
-  | Ast.Mod ->
-      let d = as_int b in
-      if d = 0 then err "modulo by zero" else Value.Vint (as_int a mod d)
-  | Ast.Lt -> Value.Vbool (as_int a < as_int b)
-  | Ast.Le -> Value.Vbool (as_int a <= as_int b)
-  | Ast.Gt -> Value.Vbool (as_int a > as_int b)
-  | Ast.Ge -> Value.Vbool (as_int a >= as_int b)
-  | Ast.Eq -> Value.Vbool (value_eq a b)
-  | Ast.Neq -> Value.Vbool (not (value_eq a b))
-  | Ast.And -> Value.Vbool (as_bool a && as_bool b)
-  | Ast.Or -> Value.Vbool (as_bool a || as_bool b)
+(* Execution.                                                          *)
 
 (* Operand-stack primitives over the machine-owned array. *)
 
@@ -337,155 +349,168 @@ let[@inline] pop_op t =
   t.osp <- t.osp - 1;
   Array.unsafe_get t.ostack t.osp
 
-(* Pop [n] argument values pushed left-to-right: one [Array.sub] of the
-   stack's top segment — the stack grows upward, so the segment is
-   already in argument order. *)
-let no_args : Value.t array = [||]
+(* Pop [n] argument values pushed left-to-right and return the stack
+   index of the first: they stay in place, in argument order, until the
+   caller has copied them — nothing is pushed in between. *)
+let pop_base t n =
+  if t.osp < n then err "operand stack underflow";
+  t.osp <- t.osp - n;
+  t.osp
 
-let pop_args t n =
-  if n = 0 then no_args
-  else begin
-    if t.osp < n then err "operand stack underflow";
-    t.osp <- t.osp - n;
-    Array.sub t.ostack t.osp n
-  end
+(* The [n] arguments at [base] as an array of their own, for a message
+   that parks or leaves the site. *)
+let no_args : Value.t array = [||]
+let args_at t base n = if n = 0 then no_args else Array.sub t.ostack base n
 
 let push_remote t op =
   Stats.Counter.incr t.c_remote;
   Dq.push_back t.remote (op, t.cur_span)
 
-(* Execute one thread to completion.  The step loop is a top-level
-   tail-recursive function threading [executed]/[cost] as parameters:
-   an inner [let rec] would allocate its closure (capturing
-   code/costs/env) plus two [ref] accumulators per thread — at a few
-   tens of instructions per thread (paper §1) that fixed setup cost is
+(* Execute one instruction on the operand stack and return the index of
+   the next op: [pc] is this op's index, and jump targets are op
+   indices. *)
+let exec_ins t env pc (ins : Instr.t) =
+  match ins with
+  | Instr.Push_int n ->
+      push_op t (Value.Vint n);
+      pc + 1
+  | Instr.Push_bool b ->
+      push_op t (Fuse.vbool b);
+      pc + 1
+  | Instr.Push_str s ->
+      push_op t (Value.Vstr s);
+      pc + 1
+  | Instr.Load i ->
+      push_op t env.(i);
+      pc + 1
+  | Instr.Store i ->
+      env.(i) <- pop_op t;
+      pc + 1
+  | Instr.Binop op ->
+      let b = pop_op t in
+      let a = pop_op t in
+      push_op t (Fuse.binop op a b);
+      pc + 1
+  | Instr.Unop op ->
+      push_op t (Fuse.unop op (pop_op t));
+      pc + 1
+  | Instr.Jump target -> target
+  | Instr.Jump_if_false target ->
+      if Fuse.as_bool (pop_op t) then pc + 1 else target
+  | Instr.New_chan slot ->
+      env.(slot) <- Value.Vchan (new_chan t "c");
+      pc + 1
+  | Instr.Trmsg { lid; argc; _ } ->
+      let target = pop_op t in
+      let base = pop_base t argc in
+      (match target with
+      | Value.Vchan ({ Value.ch_state = Value.Obj1 obj; _ } as c) ->
+          fire_obj1 t c obj ~lid t.ostack base argc
+      | Value.Vchan c -> inject_msg_id t c ~lid (args_at t base argc)
+      | Value.Vnetref r ->
+          push_remote t
+            (Rmsg (r, Link.label_name t.area lid, args_at t base argc))
+      | v -> err "trmsg target is %s, not a channel" (Value.type_name v));
+      pc + 1
+  | Instr.Trobj mt_id -> (
+      let mt = Link.mtable t.area mt_id in
+      let captured = Array.map (fun slot -> env.(slot)) mt.Block.mt_captures in
+      let obj = { Value.obj_mtable = mt_id; obj_env = captured } in
+      match pop_op t with
+      | Value.Vchan c ->
+          inject_obj t c obj;
+          pc + 1
+      | Value.Vnetref r ->
+          push_remote t (Robj (r, obj));
+          pc + 1
+      | v -> err "trobj target is %s, not a channel" (Value.type_name v))
+  | Instr.Defgroup gid ->
+      Stats.Counter.incr t.c_defgroups;
+      let g = Link.group t.area gid in
+      let ncap = Array.length g.Block.grp_captures in
+      let nclasses = Array.length g.Block.grp_classes in
+      let shared = Array.make (ncap + nclasses) (Value.Vint 0) in
+      Array.iteri (fun i slot -> shared.(i) <- env.(slot)) g.Block.grp_captures;
+      Array.iteri
+        (fun i _ ->
+          let v =
+            Value.Vclass { Value.cls_group = gid; cls_index = i; cls_env = shared }
+          in
+          shared.(ncap + i) <- v;
+          env.(g.Block.grp_slots.(i)) <- v)
+        g.Block.grp_classes;
+      pc + 1
+  | Instr.Instof argc ->
+      let target = pop_op t in
+      let base = pop_base t argc in
+      (match target with
+      | Value.Vclass c -> instantiate_at t c t.ostack base argc
+      | Value.Vclassref r -> push_remote t (Rfetch (r, args_at t base argc))
+      | v -> err "instof target is %s, not a class" (Value.type_name v));
+      pc + 1
+  | Instr.Export_name x -> (
+      match pop_op t with
+      | Value.Vchan c ->
+          push_remote t (Rexport_name (x, c));
+          pc + 1
+      | v -> err "export of %s, not a local channel" (Value.type_name v))
+  | Instr.Export_class (x, slot) -> (
+      match env.(slot) with
+      | Value.Vclass c ->
+          push_remote t (Rexport_class (x, c));
+          pc + 1
+      | v -> err "export of %s, not a local class" (Value.type_name v))
+  | Instr.Import_name { site; name; cont; captures } ->
+      push_remote t
+        (Rimport
+           { site; name; is_class = false; cont;
+             captured = Array.to_list (Array.map (fun s -> env.(s)) captures) });
+      pc + 1
+  | Instr.Import_class { site; name; cont; captures } ->
+      push_remote t
+        (Rimport
+           { site; name; is_class = true; cont;
+             captured = Array.to_list (Array.map (fun s -> env.(s)) captures) });
+      pc + 1
+
+(* The value of an [Exprs] operand.  Fuse has the same function for its
+   own closures; libraries are built without cross-module inlining, and
+   an out-of-module call per pushed value would cost a generic
+   application. *)
+let[@inline] operand env = function
+  | Fuse.Slot i -> env.(i)
+  | Fuse.Const v -> v
+  | Fuse.Fn f -> f env
+
+(* Execute one thread to completion: the one step loop, over the
+   block's fused ops.  A top-level tail-recursive function threading
+   [executed]/[cost] as parameters: an inner [let rec] would allocate
+   its closure plus two [ref] accumulators per thread — at a few tens
+   of instructions per thread (paper §1) that fixed setup cost is
    comparable to the work itself.  Results land in the
    [last_executed]/[last_cost] scratch fields (no per-thread tuple). *)
-let rec step t code costs env pc executed cost =
-  if pc >= Array.length code then begin
+let rec exec t (ops : Fuse.op array) env pc executed cost =
+  if pc >= Array.length ops then begin
     t.last_executed <- executed;
     t.last_cost <- cost
   end
-  else begin
-    let executed = executed + 1 in
-    let cost = cost + Array.unsafe_get costs pc in
-    match Array.unsafe_get code pc with
-    | Instr.Push_int n ->
-        push_op t (Value.Vint n);
-        step t code costs env (pc + 1) executed cost
-    | Instr.Push_bool b ->
-        push_op t (Value.Vbool b);
-        step t code costs env (pc + 1) executed cost
-    | Instr.Push_str s ->
-        push_op t (Value.Vstr s);
-        step t code costs env (pc + 1) executed cost
-    | Instr.Load i ->
-        push_op t env.(i);
-        step t code costs env (pc + 1) executed cost
-    | Instr.Store i ->
-        env.(i) <- pop_op t;
-        step t code costs env (pc + 1) executed cost
-    | Instr.Binop op ->
-        let b = pop_op t in
-        let a = pop_op t in
-        push_op t (exec_binop op a b);
-        step t code costs env (pc + 1) executed cost
-    | Instr.Unop Ast.Neg ->
-        push_op t (Value.Vint (-as_int (pop_op t)));
-        step t code costs env (pc + 1) executed cost
-    | Instr.Unop Ast.Not ->
-        push_op t (Value.Vbool (not (as_bool (pop_op t))));
-        step t code costs env (pc + 1) executed cost
-    | Instr.Jump target -> step t code costs env target executed cost
-    | Instr.Jump_if_false target ->
-        if as_bool (pop_op t) then step t code costs env (pc + 1) executed cost
-        else step t code costs env target executed cost
-    | Instr.New_chan slot ->
-        env.(slot) <- Value.Vchan (new_chan t "c");
-        step t code costs env (pc + 1) executed cost
-    | Instr.Trmsg { lid; argc; _ } ->
-        let target = pop_op t in
-        let args = pop_args t argc in
-        (match target with
-        | Value.Vchan c -> inject_msg_id t c ~lid args
-        | Value.Vnetref r ->
-            push_remote t (Rmsg (r, Link.label_name t.area lid, args))
-        | v -> err "trmsg target is %s, not a channel" (Value.type_name v));
-        step t code costs env (pc + 1) executed cost
-    | Instr.Trobj mt_id -> (
-        let mt = Link.mtable t.area mt_id in
-        let captured =
-          Array.map (fun slot -> env.(slot)) mt.Block.mt_captures
-        in
-        let obj = { Value.obj_mtable = mt_id; obj_env = captured } in
-        match pop_op t with
-        | Value.Vchan c ->
-            inject_obj t c obj;
-            step t code costs env (pc + 1) executed cost
-        | Value.Vnetref r ->
-            push_remote t (Robj (r, obj));
-            step t code costs env (pc + 1) executed cost
-        | v -> err "trobj target is %s, not a channel" (Value.type_name v))
-    | Instr.Defgroup gid ->
-        Stats.Counter.incr t.c_defgroups;
-        let g = Link.group t.area gid in
-        let ncap = Array.length g.Block.grp_captures in
-        let nclasses = Array.length g.Block.grp_classes in
-        let shared = Array.make (ncap + nclasses) (Value.Vint 0) in
-        Array.iteri
-          (fun i slot -> shared.(i) <- env.(slot))
-          g.Block.grp_captures;
-        Array.iteri
-          (fun i _ ->
-            let v =
-              Value.Vclass
-                { Value.cls_group = gid; cls_index = i; cls_env = shared }
-            in
-            shared.(ncap + i) <- v;
-            env.(g.Block.grp_slots.(i)) <- v)
-          g.Block.grp_classes;
-        step t code costs env (pc + 1) executed cost
-    | Instr.Instof argc ->
-        let target = pop_op t in
-        let args = pop_args t argc in
-        (match target with
-        | Value.Vclass c -> instantiate_args t c args
-        | Value.Vclassref r -> push_remote t (Rfetch (r, args))
-        | v -> err "instof target is %s, not a class" (Value.type_name v));
-        step t code costs env (pc + 1) executed cost
-    | Instr.Export_name x -> (
-        match pop_op t with
-        | Value.Vchan c ->
-            push_remote t (Rexport_name (x, c));
-            step t code costs env (pc + 1) executed cost
-        | v -> err "export of %s, not a local channel" (Value.type_name v))
-    | Instr.Export_class (x, slot) -> (
-        match env.(slot) with
-        | Value.Vclass c ->
-            push_remote t (Rexport_class (x, c));
-            step t code costs env (pc + 1) executed cost
-        | v -> err "export of %s, not a local class" (Value.type_name v))
-    | Instr.Import_name { site; name; cont; captures } ->
-        push_remote t
-          (Rimport
-             { site; name; is_class = false; cont;
-               captured = Array.to_list (Array.map (fun s -> env.(s)) captures) });
-        step t code costs env (pc + 1) executed cost
-    | Instr.Import_class { site; name; cont; captures } ->
-        push_remote t
-          (Rimport
-             { site; name; is_class = true; cont;
-               captured = Array.to_list (Array.map (fun s -> env.(s)) captures) });
-        step t code costs env (pc + 1) executed cost
-  end
+  else
+    match Array.unsafe_get ops pc with
+    | Fuse.Exprs { n; cost = c; vals } ->
+        for i = 0 to Array.length vals - 1 do
+          push_op t (operand env (Array.unsafe_get vals i))
+        done;
+        exec t ops env (pc + 1) (executed + n) (cost + c)
+    | Fuse.Branch { n; cost = c; cond; target } ->
+        exec t ops env
+          (if cond env then pc + 1 else target)
+          (executed + n) (cost + c)
+    | Fuse.Ins { cost = c; ins } ->
+        exec t ops env (exec_ins t env pc ins) (executed + 1) (cost + c)
 
 let run_thread t (th : thread) =
-  let code = (Link.block t.area th.t_block).Block.blk_code in
-  (* Per-pc costs precomputed at link time: the step loop adds an array
-     element instead of re-dispatching on the instruction. *)
-  let costs = Link.costs t.area th.t_block in
   t.osp <- 0;
-  step t code costs th.t_env 0 0 0
+  exec t (program t th.t_block).ops th.t_env 0 0 0
 
 let runnable t = not (Dq.is_empty t.runq)
 

@@ -4,9 +4,22 @@
     area} (a {!Tyco_compiler.Link.area}, growable by dynamic linking),
     a {e heap} of channels, a {e run-queue} of threads, a {e local
     variable table} (each thread's frame) and an {e operand stack}
-    (used by builtin expressions; one machine-owned growable array,
-    reused across threads — a thread runs to completion and leaves it
-    empty, so nothing is allocated per thread).
+    (one machine-owned growable array, reused across threads — a
+    thread runs to completion and leaves it empty, so nothing is
+    allocated per thread).
+
+    It runs each block as fused ops ({!Fuse}), built the first time a
+    thread of the block is spawned: a run of expression instructions
+    is one op that computes its values straight from the frame, and
+    every other instruction is one op.  Each op counts the byte-code
+    instructions it covers and their summed cost, so {!run}'s counts
+    and virtual time are those of the byte-code.  A spawn
+    ([instof], or a message meeting an object) builds the new thread's
+    frame in one allocation, straight from the operand stack or the
+    message.  Every spawn still gets a fresh frame and thread record:
+    reusing them on self-tail-calls allocated less but raised a
+    parallel workload's heap high-water mark (DESIGN.md, "Fused step
+    loop").
 
     It is deliberately network-blind: instructions whose target is a
     network reference — [trmsg]/[trobj] on a remote name, [instof] on a
@@ -45,7 +58,8 @@ type remote_op =
 
 exception Error of string
 (** Dynamic protocol errors: no such method, arity mismatch, ill-typed
-    builtin operands, [Instof] of a non-class… *)
+    builtin operands, [Instof] of a non-class…  The same exception as
+    {!Fuse.Error}. *)
 
 val create :
   ?name:string ->

@@ -140,15 +140,143 @@ let bytecode_rejects_garbage () =
   check Alcotest.bool "truncated" true
     (bad (String.sub (Bytecode.unit_to_string (compile "new x x![]")) 0 4))
 
+(* Operands the VM would index with are references too: a jump to -1
+   (the 9-byte varint ff ff ff ff ff ff ff ff 7f) used to decode, link
+   and then crash the process in the step loop, a load past the frame
+   escaped as a bare [Invalid_argument], and a backward jump made a
+   thread that never ends. *)
+let one_block_unit ~nslots instrs =
+  (* 1 block "b", 1 param, [nslots] slots, the given instructions; no
+     mtables, no groups, entry b0 *)
+  "\x01\x01b\x01" ^ String.make 1 (Char.chr nslots)
+  ^ String.make 1 (Char.chr (List.length instrs))
+  ^ String.concat "" instrs ^ "\x00\x00\x00"
+
 let bytecode_rejects_bad_refs () =
+  let malformed s =
+    match Bytecode.unit_of_string s with
+    | exception Tyco_support.Wire.Malformed _ -> true
+    | _ -> false
+  in
   (* corrupt a valid unit's entry index *)
   let u = compile "new x x![]" in
   let forged = { u with Block.entry = 99 } in
-  let s = Bytecode.unit_to_string forged in
   check Alcotest.bool "entry out of range" true
-    (match Bytecode.unit_of_string s with
-    | exception Tyco_support.Wire.Malformed _ -> true
-    | _ -> false)
+    (malformed (Bytecode.unit_to_string forged));
+  check Alcotest.bool "well-formed control" false
+    (malformed (one_block_unit ~nslots:1 [ "\x03\x00" ]));
+  check Alcotest.bool "jump to -1" true
+    (malformed
+       (one_block_unit ~nslots:1
+          [ "\x08\xff\xff\xff\xff\xff\xff\xff\xff\x7f" ]));
+  check Alcotest.bool "jump past the end" true
+    (malformed (one_block_unit ~nslots:1 [ "\x08\x02" ]));
+  check Alcotest.bool "jump to the end" false
+    (malformed (one_block_unit ~nslots:1 [ "\x08\x01" ]));
+  check Alcotest.bool "jump to itself" true
+    (malformed (one_block_unit ~nslots:1 [ "\x08\x00" ]));
+  check Alcotest.bool "jump backwards" true
+    (malformed (one_block_unit ~nslots:1 [ "\x00\x02"; "\x08\x00" ]));
+  check Alcotest.bool "load 1000" true
+    (malformed (one_block_unit ~nslots:1 [ "\x03\xe8\x07" ]));
+  check Alcotest.bool "store past the frame" true
+    (malformed (one_block_unit ~nslots:2 [ "\x04\x02" ]));
+  check Alcotest.bool "newc past the frame" true
+    (malformed (one_block_unit ~nslots:2 [ "\x0a\x05" ]));
+  check Alcotest.bool "negative table count" true
+    (malformed "\xff\xff\xff\xff\xff\xff\xff\xff\x7f")
+
+(* Every operand of a decoded unit is one the VM can use as is, and
+   every jump goes forward. *)
+let operands_in_range (u : Block.unit_) =
+  let nb = Array.length u.blocks in
+  let block_ok i = i >= 0 && i < nb in
+  block_ok u.entry
+  && Array.for_all
+       (fun (b : Block.block) ->
+         let n = Array.length b.blk_code in
+         let slot s = s >= 0 && s < b.blk_nslots in
+         let slots = Array.for_all slot in
+         let at = ref (-1) in
+         Array.for_all
+           (fun ins ->
+             incr at;
+             match ins with
+             | Instr.Load s | Instr.Store s | Instr.New_chan s
+             | Instr.Export_class (_, s) ->
+                 slot s
+             | Instr.Jump pc | Instr.Jump_if_false pc -> pc > !at && pc <= n
+             | Instr.Trmsg { argc; _ } | Instr.Instof argc -> argc >= 0
+             | Instr.Trobj mt ->
+                 mt >= 0
+                 && mt < Array.length u.mtables
+                 && slots u.mtables.(mt).mt_captures
+             | Instr.Defgroup g ->
+                 g >= 0
+                 && g < Array.length u.groups
+                 && slots u.groups.(g).grp_captures
+                 && slots u.groups.(g).grp_slots
+                 && Array.length u.groups.(g).grp_slots
+                    = Array.length u.groups.(g).grp_classes
+             | Instr.Import_name { cont; captures; _ }
+             | Instr.Import_class { cont; captures; _ } ->
+                 block_ok cont && slots captures
+             | _ -> true)
+           b.blk_code)
+       u.blocks
+  && Array.for_all
+       (fun (mt : Block.mtable) ->
+         Array.for_all (fun (e : Block.mentry) -> block_ok e.me_block)
+           mt.mt_entries)
+       u.mtables
+  && Array.for_all
+       (fun (g : Block.group) ->
+         Array.for_all (fun (c : Block.class_sig) -> block_ok c.cls_block)
+           g.grp_classes)
+       u.groups
+
+(* The bytecode fuzz: overwrite, insert or delete a few bytes of a real
+   unit; decoding either raises [Wire.Malformed] or yields a unit whose
+   every reference, jump and slot is in range.  Any other exception
+   fails the property. *)
+let bytecode_mutation_fuzz =
+  let fuzz_sources =
+    sources
+    @ [ "import p from a in p![1, true]";
+        "import K from a in K[5]";
+        "export new p p?(x) = io!printi[x + 1]";
+        "export def Loop(n) = if n > 0 then Loop[n - 1] else nil in Loop[3]" ]
+  in
+  let encoded =
+    Array.of_list
+      (List.map (fun src -> Bytecode.unit_to_string (compile src)) fuzz_sources)
+  in
+  let mutate s edits =
+    List.fold_left
+      (fun s (kind, pos, byte) ->
+        let n = String.length s in
+        if n = 0 then s
+        else
+          let pos = pos mod n in
+          let c = String.make 1 (Char.chr byte) in
+          match kind with
+          | 0 -> String.sub s 0 pos ^ c ^ String.sub s (pos + 1) (n - pos - 1)
+          | 1 -> String.sub s 0 pos ^ c ^ String.sub s pos (n - pos)
+          | _ -> String.sub s 0 pos ^ String.sub s (pos + 1) (n - pos - 1))
+      s edits
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"mutated bytecode raises only Malformed"
+       ~count:2000
+       QCheck2.Gen.(
+         pair
+           (int_bound (Array.length encoded - 1))
+           (list_size (int_range 1 4)
+              (triple (int_bound 2) nat (int_bound 255))))
+       (fun (which, edits) ->
+         match Bytecode.unit_of_string (mutate encoded.(which) edits) with
+         | exception Tyco_support.Wire.Malformed _ -> true
+         | u -> operands_in_range u))
 
 let bytecode_compact () =
   (* the compactness claim (E2): byte-code is smaller than the source *)
@@ -254,6 +382,7 @@ let tests =
     ("bytecode rejects garbage", `Quick, bytecode_rejects_garbage);
     ("bytecode rejects bad refs", `Quick, bytecode_rejects_bad_refs);
     ("bytecode compact", `Quick, bytecode_compact);
+    bytecode_mutation_fuzz;
     ("extraction closure", `Quick, extraction_closure);
     ("extraction group", `Quick, extraction_group);
     ("linking offsets", `Quick, linking_offsets);

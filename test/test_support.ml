@@ -25,15 +25,40 @@ let dq_clear () =
   Dq.push_back d 7;
   check (Alcotest.list Alcotest.int) "reusable" [ 7 ] (Dq.to_list d)
 
+(* Small capacities (1–5 round up to 1, 2, 4, 4 and 8) make a few
+   operations wrap the masked index and grow the ring while its head is
+   not at slot 0; [of_list] and [clear] start and restart the deque from
+   other states. *)
 let dq_model_test =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name:"dq = list deque model" ~count:500
-       QCheck2.Gen.(list (pair (int_range 0 3) small_nat))
-       (fun ops ->
-         let d = Dq.create () and model = ref [] in
+       QCheck2.Gen.(
+         triple (int_range 1 5)
+           (option (small_list small_nat))
+           (list (pair (int_range 0 5) small_nat)))
+       (fun (capacity, init, ops) ->
+         let d, model =
+           match init with
+           | None -> (Dq.create ~capacity (), ref [])
+           | Some xs -> (Dq.of_list xs, ref xs)
+         in
+         let pop_front () =
+           match !model with
+           | [] -> Dq.pop_front d = None
+           | m :: rest ->
+               model := rest;
+               Dq.pop_front_exn d = m
+         in
+         let pop_back () =
+           match List.rev !model with
+           | [] -> Dq.pop_back d = None
+           | m :: rest ->
+               model := List.rev rest;
+               Dq.pop_back d = Some m
+         in
          List.for_all
            (fun (op, x) ->
-             match op with
+             (match op with
              | 0 ->
                  Dq.push_back d x;
                  model := !model @ [ x ];
@@ -42,22 +67,19 @@ let dq_model_test =
                  Dq.push_front d x;
                  model := x :: !model;
                  true
-             | 2 -> (
-                 match (Dq.pop_front d, !model) with
-                 | None, [] -> true
-                 | Some v, m :: rest ->
-                     model := rest;
-                     v = m
-                 | _ -> false)
-             | _ -> (
-                 match (Dq.pop_back d, List.rev !model) with
-                 | None, [] -> true
-                 | Some v, m :: rest ->
-                     model := List.rev rest;
-                     v = m
-                 | _ -> false))
-           ops
-         && Dq.to_list d = !model && Dq.length d = List.length !model))
+             | 2 -> pop_front ()
+             | 3 -> pop_back ()
+             | 4 -> Dq.peek_front d = List.nth_opt !model 0
+             | _ ->
+                 if x mod 4 = 0 then begin
+                   Dq.clear d;
+                   model := []
+                 end;
+                 true)
+             && Dq.length d = List.length !model
+             && Dq.is_empty d = (!model = [])
+             && Dq.to_list d = !model)
+           ops))
 
 (* ------------------------------------------------------------------ *)
 (* Wire                                                                *)
@@ -336,6 +358,56 @@ let stats_reservoir () =
   check Alcotest.bool "p50 estimated from reservoir" true
     (p50 > float_of_int n *. 0.4 && p50 < float_of_int n *. 0.6)
 
+(* Thread lengths: small integers are counted, not sampled, so 100k of
+   them keep an exact p95 where a reservoir would estimate it. *)
+let stats_small_ints_exact () =
+  let s = Stats.create () in
+  let d = Stats.dist s "thread_len" in
+  let n = 100_000 in
+  (* i mod 50 for i = 0..n-1: each of 0..49 appears 2000 times *)
+  for i = 0 to n - 1 do
+    Stats.Dist.add_int d (i mod 50)
+  done;
+  check Alcotest.int "count" n (Stats.Dist.count d);
+  check (Alcotest.float 1e-9) "exact mean" 24.5 (Stats.Dist.mean d);
+  (* rank 94999.05: both neighbours are 47 *)
+  check (Alcotest.float 1e-9) "exact p95" 47.0 (Stats.Dist.percentile d 0.95);
+  check (Alcotest.float 1e-9) "exact p50" 24.5 (Stats.Dist.percentile d 0.5);
+  check Alcotest.int "every value retained" n
+    (Array.length (Stats.Dist.samples d));
+  (* small values mixed with a large tail: the tail overflows the
+     reservoir; count, mean and the ranks of the small values stay
+     exact *)
+  let m = Stats.dist s "mixed" in
+  let large = 3 * Stats.Dist.reservoir_cap in
+  let smalls = Array.init n (fun i -> i mod 64) in
+  Array.iter (Stats.Dist.add_int m) smalls;
+  for i = 1 to large do
+    Stats.Dist.add_int m (1000 + i)
+  done;
+  let total = n + large in
+  check Alcotest.int "mixed count" total (Stats.Dist.count m);
+  let sum =
+    Array.fold_left ( + ) 0 smalls + (1000 * large) + (large * (large + 1) / 2)
+  in
+  check (Alcotest.float 1e-6) "mixed exact mean"
+    (float_of_int sum /. float_of_int total)
+    (Stats.Dist.mean m);
+  check (Alcotest.float 0.) "mixed min" 0. (Stats.Dist.min m);
+  check (Alcotest.float 0.) "mixed max"
+    (float_of_int (1000 + large))
+    (Stats.Dist.max m);
+  Array.sort compare smalls;
+  let h = 0.5 *. float_of_int (total - 1) in
+  let i = int_of_float h in
+  let lo = float_of_int smalls.(i) and hi = float_of_int smalls.(i + 1) in
+  check (Alcotest.float 1e-9) "mixed exact p50"
+    (lo +. ((h -. float_of_int i) *. (hi -. lo)))
+    (Stats.Dist.percentile m 0.5);
+  check Alcotest.int "retained: every small value and a full reservoir"
+    (n + Stats.Dist.reservoir_cap)
+    (Array.length (Stats.Dist.samples m))
+
 let stats_reservoir_deterministic () =
   let fill () =
     let s = Stats.create () in
@@ -429,4 +501,5 @@ let tests =
     heap_sorted_drain;
     ("heap fifo ties", `Quick, heap_fifo_ties);
     ("vec basic", `Quick, vec_basic);
-    netref_roundtrip ]
+    netref_roundtrip;
+    ("stats small integers exact", `Quick, stats_small_ints_exact) ]

@@ -159,7 +159,228 @@ let vm_errors () =
   check Alcotest.bool "no such method" true
     (fails "new x (x?{ a() = nil } | x!b[])");
   check Alcotest.bool "arity" true (fails "new x (x?{ a(u) = nil } | x!a[])");
-  check Alcotest.bool "object at builtin" true (fails "io?(v) = nil")
+  check Alcotest.bool "object at builtin" true (fails "io?(v) = nil");
+  (* type errors inside the expressions of untyped programs, message
+     and all *)
+  let error src =
+    match run_vm src with
+    | exception Machine.Error m -> m
+    | _ -> "no error"
+  in
+  check Alcotest.string "int op on a bool" "expected int, got bool"
+    (error "io!printi[1 + true]");
+  check Alcotest.string "not of an int" "expected bool, got int"
+    (error "io!printb[not 3]");
+  check Alcotest.string "negated bool" "expected int, got bool"
+    (error "io!printi[-true]");
+  check Alcotest.string "int condition" "expected bool, got int"
+    (error "if 2 then nil else nil");
+  check Alcotest.string "bool compared to int" "expected int, got bool"
+    (error "if 1 < false then nil else nil");
+  let _, outs = run_vm "io!printb[1 == true]" in
+  check (Alcotest.list out_testable) "mixed equality is false"
+    [ ("printb", [ Value.Vbool false ]) ]
+    outs
+
+(* Hand-written blocks the fuser cannot follow (an expression popping a
+   value pushed before a [newc], a [binop] on an empty stack) or can
+   only follow by splitting at a jump target run as the byte-code
+   would: same output, same instruction count and cost, same error. *)
+let run_asm text =
+  let area, entry = Link.of_unit (Tyco_compiler.Asm.parse text) in
+  let vm = Machine.create area in
+  let outs = ref [] in
+  let io =
+    Machine.builtin_chan vm "io" (fun label args ->
+        outs := (label, args) :: !outs)
+  in
+  Machine.spawn_entry vm ~entry ~io;
+  let counts = Machine.run vm ~budget:1000 in
+  (counts, List.rev !outs)
+
+let fuser_fallback () =
+  let unit_of body =
+    Printf.sprintf "unit entry=b0\nblock b0 \"entry\" params=1 slots=2 {\n%s\n}\n"
+      body
+  in
+  (* pushi 1 is flushed at newc; add then needs it back *)
+  let counts, outs =
+    run_asm
+      (unit_of "pushi 1\nnewc 1\npushi 2\nadd\nload 0\ntrmsg printi/1")
+  in
+  check (Alcotest.list out_testable) "across newc" (ints "printi" [ 3 ]) outs;
+  check Alcotest.(pair int int) "counts and cost" (6, 1 + 6 + 1 + 2 + 1 + 12)
+    counts;
+  (* a jump into the middle of a run: 5 stays on the stack *)
+  let counts, outs =
+    run_asm
+      (unit_of
+         "pushb true\njmpf 3\npushi 5\npushi 7\nload 0\ntrmsg printi/1")
+  in
+  check (Alcotest.list out_testable) "jump into a run" (ints "printi" [ 7 ])
+    outs;
+  check Alcotest.(pair int int) "counts and cost through the jump"
+    (6, 1 + 1 + 1 + 1 + 1 + 12) counts;
+  check Alcotest.string "underflow" "operand stack underflow"
+    (match run_asm (unit_of "add") with
+    | exception Machine.Error m -> m
+    | _ -> "no error")
+
+(* ------------------------------------------------------------------ *)
+(* Fused expressions against OCaml                                     *)
+
+(* Well-typed int and bool expression trees over the parameters of
+   [def F(a, b, p)]: [a] and [b] ints in slots 0 and 1, [p] a bool in
+   slot 2. *)
+type ex =
+  | Int of int
+  | Bool of bool
+  | Param of string
+  | Bin of Tyco_syntax.Ast.binop * ex * ex
+  | Neg of ex
+  | Not of ex
+
+module Ast = Tyco_syntax.Ast
+
+let rec source = function
+  | Int n when n < 0 -> Printf.sprintf "(-%d)" (-n)
+  | Int n -> string_of_int n
+  | Bool b -> string_of_bool b
+  | Param x -> x
+  | Bin (op, x, y) ->
+      let sym =
+        match op with
+        | Ast.Add -> "+" | Ast.Sub -> "-" | Ast.Mul -> "*" | Ast.Div -> "/"
+        | Ast.Mod -> "%" | Ast.Eq -> "==" | Ast.Neq -> "!=" | Ast.Lt -> "<"
+        | Ast.Le -> "<=" | Ast.Gt -> ">" | Ast.Ge -> ">=" | Ast.And -> "&&"
+        | Ast.Or -> "||"
+      in
+      Printf.sprintf "(%s %s %s)" (source x) sym (source y)
+  | Neg x -> Printf.sprintf "(-%s)" (source x)
+  | Not x -> Printf.sprintf "(not %s)" (source x)
+
+exception Div_by_zero
+
+(* Strict, like the byte-code: both operands of [&&]/[||] are computed. *)
+let rec eval env = function
+  | Int n -> `I n
+  | Bool b -> `B b
+  | Param x -> List.assoc x env
+  | Neg x -> `I (-int env x)
+  | Not x -> `B (not (bool env x))
+  | Bin (op, x, y) -> (
+      let vx = eval env x in
+      let vy = eval env y in
+      let i = function `I n -> n | `B _ -> assert false in
+      let b = function `B v -> v | `I _ -> assert false in
+      match op with
+      | Ast.Add -> `I (i vx + i vy)
+      | Ast.Sub -> `I (i vx - i vy)
+      | Ast.Mul -> `I (i vx * i vy)
+      | Ast.Div -> if i vy = 0 then raise Div_by_zero else `I (i vx / i vy)
+      | Ast.Mod -> if i vy = 0 then raise Div_by_zero else `I (i vx mod i vy)
+      | Ast.Lt -> `B (i vx < i vy)
+      | Ast.Le -> `B (i vx <= i vy)
+      | Ast.Gt -> `B (i vx > i vy)
+      | Ast.Ge -> `B (i vx >= i vy)
+      | Ast.Eq -> `B (vx = vy)
+      | Ast.Neq -> `B (vx <> vy)
+      | Ast.And -> `B (b vx && b vy)
+      | Ast.Or -> `B (b vx || b vy))
+
+and int env x = match eval env x with `I n -> n | `B _ -> assert false
+and bool env x = match eval env x with `B v -> v | `I _ -> assert false
+
+let gen_int_literal =
+  QCheck2.Gen.(
+    oneof
+      [ int_range (-20) 20; map (fun n -> max n (-max_int)) int;
+        pure max_int; pure (-max_int);
+        pure 0; pure 1; pure (-1) ])
+
+let gen_tree =
+  let open QCheck2.Gen in
+  let rec int_ex n =
+    if n = 0 then
+      oneof [ map (fun k -> Int k) gen_int_literal; oneofl [ Param "a"; Param "b" ] ]
+    else
+      frequency
+        [ (2, int_ex 0);
+          ( 4,
+            map3
+              (fun op x y -> Bin (op, x, y))
+              (oneofl [ Ast.Add; Ast.Sub; Ast.Mul; Ast.Div; Ast.Mod ])
+              (int_ex (n / 2)) (int_ex (n / 2)) );
+          (1, map (fun x -> Neg x) (int_ex (n - 1))) ]
+  and bool_ex n =
+    if n = 0 then oneof [ map (fun b -> Bool b) bool; pure (Param "p") ]
+    else
+      frequency
+        [ (1, bool_ex 0);
+          ( 3,
+            map3
+              (fun op x y -> Bin (op, x, y))
+              (oneofl [ Ast.Lt; Ast.Le; Ast.Gt; Ast.Ge; Ast.Eq; Ast.Neq ])
+              (int_ex (n / 2)) (int_ex (n / 2)) );
+          ( 2,
+            map3
+              (fun op x y -> Bin (op, x, y))
+              (oneofl [ Ast.And; Ast.Or; Ast.Eq; Ast.Neq ])
+              (bool_ex (n / 2)) (bool_ex (n / 2)) );
+          (1, map (fun x -> Not x) (bool_ex (n - 1))) ]
+  in
+  sized_size (int_range 0 8) (fun n ->
+      oneof
+        [ map (fun e -> (`Int, e)) (int_ex n);
+          map (fun e -> (`Bool, e)) (bool_ex n) ])
+
+let fused_expressions =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"fused expressions compute what OCaml does"
+       ~count:500
+       ~print:(fun ((_, e), a, b, p) ->
+         Printf.sprintf "%s with a=%d b=%d p=%b" (source e) a b p)
+       QCheck2.Gen.(quad gen_tree gen_int_literal gen_int_literal bool)
+       (fun ((ty, e), a, b, p) ->
+         let label = match ty with `Int -> "printi" | `Bool -> "printb" in
+         let src =
+           Printf.sprintf "def F(a, b, p) = io!%s[%s] in F[%s, %s, %b]" label
+             (source e) (source (Int a)) (source (Int b)) p
+         in
+         let unit_ = Compile.compile_proc (Parser.parse_proc src) in
+         let area, entry = Link.of_unit unit_ in
+         let vm = Machine.create area in
+         let outs = ref [] in
+         let io =
+           Machine.builtin_chan vm "io" (fun l args -> outs := (l, args) :: !outs)
+         in
+         Machine.spawn_entry vm ~entry ~io;
+         let expected =
+           try Some (eval [ ("a", `I a); ("b", `I b); ("p", `B p) ] e)
+           with Div_by_zero -> None
+         in
+         match (Machine.run vm ~budget:1_000_000, expected) with
+         | exception Machine.Error _ -> expected = None
+         | _, None -> false
+         | (instrs, cost), Some v ->
+             (* both blocks are straight-line code and both ran whole *)
+             let code =
+               Array.concat
+                 (List.map
+                    (fun (b : Tyco_compiler.Block.block) -> b.blk_code)
+                    (Array.to_list unit_.Tyco_compiler.Block.blocks))
+             in
+             let value =
+               match v with `I n -> Value.Vint n | `B b -> Value.Vbool b
+             in
+             instrs = Array.length code
+             && cost
+                = Array.fold_left
+                    (fun acc ins -> acc + Tyco_compiler.Instr.cost ins)
+                    0 code
+             && (match !outs with
+                | [ (l, [ got ]) ] -> l = label && got = value
+                | _ -> false)))
 
 (* ------------------------------------------------------------------ *)
 (* Remote operation surfacing                                          *)
@@ -269,4 +490,6 @@ let tests =
     ("remote message surfaces", `Quick, remote_msg_surfaces);
     ("fetch surfaces", `Quick, fetch_surfaces);
     ("run budget respected", `Quick, budget_respected);
-    ("thread granularity", `Quick, thread_granularity) ]
+    ("thread granularity", `Quick, thread_granularity);
+    ("fuser fallback", `Quick, fuser_fallback);
+    fused_expressions ]
