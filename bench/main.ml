@@ -960,7 +960,6 @@ let e18 () =
       Cluster.lease_ns = 200_000; lease_refresh_ns = 50_000 }
   in
   let cap1 = { base with Cluster.flush_max_packets = 1 } in
-  let metered = { base with Cluster.metrics = true } in
   let pct over baseline =
     if baseline > 0. then (over -. baseline) /. baseline *. 100. else nan
   in
@@ -983,13 +982,11 @@ let e18 () =
   in
   (* local: disabled features must cost ~zero here — the trace/lease
      deltas on this workload are the number the E1 gate protects *)
-  report "local" local
-    [ ("trace", traced); ("lease", leased); ("metrics", metered) ];
+  report "local" local [ ("trace", traced); ("lease", leased) ];
   (* cross-node: what the same subsystems cost when actually exercised,
      plus the batching delta (one frame per packet at flush cap 1) *)
   report "xnode" xnode
-    [ ("trace", traced); ("lease", leased); ("cap1", cap1);
-      ("metrics", metered) ]
+    [ ("trace", traced); ("lease", leased); ("cap1", cap1) ]
 
 (* ------------------------------------------------------------------ *)
 (* E19 — multicore scaling: the E9 master/worker workload, scaled up,  *)

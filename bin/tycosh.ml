@@ -108,23 +108,34 @@ let interactive config =
   in
   loop ()
 
+(* --metrics-out FILE, for every engine: a .prom suffix means one
+   Prometheus text exposition of the run's registry; anything else
+   means JSONL whose last line (kind "final") is the registry, after
+   the snapshot lines a --domains N run streams into [oc] while it
+   runs. *)
+let write_metrics ?oc ?(extra = []) ~quiet path mx =
+  if Filename.check_suffix path ".prom" then
+    write_file path (Tyco_support.Metrics.to_prom mx)
+  else begin
+    let line =
+      Tyco_support.Metrics.to_json ~extra:(("kind", "\"final\"") :: extra) mx
+      ^ "\n"
+    in
+    match oc with
+    | Some oc -> output_string oc line
+    | None -> write_file path line
+  end;
+  if not quiet then Format.printf "-- metrics written to %s@." path
+
 let run_tcp path nodes metrics_out =
   try
     let prog = Dityco.Api.parse ~file:path (read_file path) in
     let r =
       Dityco.Tcp_runner.run_program ~nodes ~metrics:(metrics_out <> None) prog
     in
-    (match metrics_out with
-    | Some out ->
-        let mx = r.Dityco.Tcp_runner.metrics in
-        write_file out
-          (if Filename.check_suffix out ".prom" then
-             Tyco_support.Metrics.to_prom mx
-           else
-             Tyco_support.Metrics.to_json ~extra:[ ("kind", "\"final\"") ] mx
-             ^ "\n");
-        Format.printf "-- metrics written to %s@." out
-    | None -> ());
+    Option.iter
+      (fun out -> write_metrics ~quiet:false out r.Dityco.Tcp_runner.metrics)
+      metrics_out;
     List.iter
       (fun e -> Format.printf "%a@." Dityco.Output.pp_event e)
       r.Dityco.Tcp_runner.outputs;
@@ -141,10 +152,6 @@ let run_tcp path nodes metrics_out =
       Format.eprintf "error: %s@." m;
       exit 1
 
-(* --metrics-out: a .prom suffix means one Prometheus text exposition
-   of the final merged registry; anything else means JSONL — periodic
-   coordinator snapshots while the domains run, then one final line
-   with the merged instruments. *)
 let jint_array a =
   "[" ^ String.concat "," (Array.to_list (Array.map string_of_int a)) ^ "]"
 
@@ -230,19 +237,15 @@ let rebalance_of_string s =
    timestamps depend on domain interleaving.  One domain is one shard,
    the deterministic engine, which the plain path runs directly. *)
 let run_domains config domains policy rebalance json trace_out metrics_out prog =
-  let prom =
+  let oc =
     match metrics_out with
-    | Some p -> Filename.check_suffix p ".prom"
-    | None -> false
-  in
-  let moc =
-    match metrics_out with
-    | Some p when not prom -> Some (open_out_bin p)
+    | Some p when not (Filename.check_suffix p ".prom") ->
+        Some (open_out_bin p)
     | _ -> None
   in
   let r =
     Fun.protect
-      ~finally:(fun () -> Option.iter close_out_noerr moc)
+      ~finally:(fun () -> Option.iter close_out_noerr oc)
       (fun () ->
         let on_snapshot =
           Option.map
@@ -250,34 +253,23 @@ let run_domains config domains policy rebalance json trace_out metrics_out prog 
               output_string oc (snapshot_json s);
               output_char oc '\n';
               flush oc)
-            moc
+            oc
         in
         let r =
           Dityco.Api.run_parallel ~config ~policy ~domains ?rebalance
             ?on_snapshot prog
         in
-        (match moc with
-        | Some oc ->
-            output_string oc
-              (Tyco_support.Metrics.to_json
-                 ~extra:
-                   [ ("kind", "\"final\"");
-                     ( "wall_ms",
-                       Printf.sprintf "%.1f"
-                         (float_of_int r.Dityco.Par_runner.wall_ns /. 1e6) ) ]
-                 r.Dityco.Par_runner.metrics);
-            output_char oc '\n'
-        | None -> ());
+        Option.iter
+          (fun p ->
+            write_metrics ?oc ~quiet:json p
+              ~extra:
+                [ ( "wall_ms",
+                    Printf.sprintf "%.1f"
+                      (float_of_int r.Dityco.Par_runner.wall_ns /. 1e6) ) ]
+              (Dityco.Report.par_metrics r))
+          metrics_out;
         r)
   in
-  if prom then
-    Option.iter
-      (fun p ->
-        write_file p (Tyco_support.Metrics.to_prom r.Dityco.Par_runner.metrics))
-      metrics_out;
-  (match metrics_out with
-  | Some p when not json -> Format.printf "-- metrics written to %s@." p
-  | _ -> ());
   (match trace_out with
   | Some out ->
       write_trace_file out r.Dityco.Par_runner.trace;
@@ -350,7 +342,6 @@ let run path nodes cores quantum topo until verbose seed replicated_ns trace tra
         topology = topology_of_string topo;
         seed;
         tracing = trace_out <> None;
-        metrics = metrics_out <> None;
         ns_mode =
           (if replicated_ns then Dityco.Cluster.Replicated
            else Dityco.Cluster.Centralized) }
@@ -369,15 +360,11 @@ let run path nodes cores quantum topo until verbose seed replicated_ns trace tra
         write_trace_file out (Dityco.Cluster.tracer r.Dityco.Api.cluster);
         if not json then Format.printf "-- trace written to %s@." out
     | None -> ());
-    (match metrics_out with
-    | Some out ->
-        let mx = Dityco.Cluster.metrics r.Dityco.Api.cluster in
-        write_file out
-          (if Filename.check_suffix out ".prom" then
-             Tyco_support.Metrics.to_prom mx
-           else Tyco_support.Metrics.to_json ~extra:[ ("kind", "\"final\"") ] mx ^ "\n");
-        if not json then Format.printf "-- metrics written to %s@." out
-    | None -> ());
+    Option.iter
+      (fun out ->
+        write_metrics ~quiet:json out
+          (Dityco.Cluster.stats r.Dityco.Api.cluster))
+      metrics_out;
     if json then begin
       print_endline (Dityco.Report.to_json (Dityco.Report.of_result r));
       exit 0
@@ -507,11 +494,12 @@ let trace_out =
 
 let metrics_out =
   Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE"
-       ~doc:"Record run metrics (transport counters, latency histograms \
-             with p50/p95/p99/p999, per-shard ring occupancy) and write \
-             them to FILE: Prometheus text if FILE ends in .prom, else \
-             JSONL — with --domains N > 1, periodic coordinator \
-             snapshots followed by a final merged line.")
+       ~doc:"Write the run's counters (transport, deliveries, dead \
+             letters, latency distributions with p50/p95/p99/p999; ring \
+             traffic and parks with --domains N > 1) to FILE: \
+             Prometheus text if FILE ends in .prom, else JSONL — with \
+             --domains N > 1, periodic coordinator snapshots followed \
+             by a final merged line.")
 
 let replicated_ns =
   Arg.(value & flag & info [ "replicated-ns" ]

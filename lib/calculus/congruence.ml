@@ -58,15 +58,11 @@ let coarse_key binders atom =
   in
   Term.to_string masked
 
-let normal_form p =
-  let binders, atoms = prenex p in
-  let atoms = List.map (Term.rename_bound ~prefix:"i") atoms in
-  let keyed = List.map (fun a -> (coarse_key binders a, a)) atoms in
-  let sorted =
-    List.stable_sort (fun (k1, _) (k2, _) -> String.compare k1 k2) keyed
-  in
-  let sorted_atoms = List.map snd sorted in
-  (* canonical prenex names, in order of first occurrence *)
+(* The prenex term for one order of the atoms: each binder is named
+   b0, b1, ... by its first occurrence along that order (binders that
+   no atom uses are dropped — another GcN opportunity exposed by
+   flattening), then the renamed atoms are sorted. *)
+let named binders atoms =
   let counter = ref 0 in
   let assigned = Hashtbl.create 8 in
   let assign x =
@@ -80,17 +76,69 @@ let normal_form p =
       List.iter
         (function Term.Plain x -> assign x | Term.Located _ -> ())
         (Term.free_ids a))
-    sorted_atoms;
-  (* drop binders that no atom uses (another GcN opportunity exposed by
-     flattening) *)
+    atoms;
   let renaming =
     Hashtbl.fold (fun x x' acc -> (x, Term.Eid (Term.Plain x')) :: acc)
       assigned []
   in
-  let atoms' = List.map (Term.subst renaming) sorted_atoms in
-  let atoms' = List.sort compare atoms' in
-  let body = Term.par_list atoms' in
+  let atoms = List.sort compare (List.map (Term.subst renaming) atoms) in
+  let body = Term.par_list atoms in
   let canon_binders = List.init !counter (Printf.sprintf "b%d") in
   if canon_binders = [] then body else Term.New (canon_binders, body)
+
+(* Orders of tied atoms tried at most: the product of the tie groups'
+   factorials.  Past it the input order of each group stands, and
+   congruent terms may then get different normal forms. *)
+let max_tie_orders = 720
+
+let rec permutations = function
+  | [] -> [ [] ]
+  | xs ->
+      List.concat
+        (List.mapi
+           (fun i x ->
+             List.map
+               (fun rest -> x :: rest)
+               (permutations (List.filteri (fun j _ -> j <> i) xs)))
+           xs)
+
+let normal_form p =
+  let binders, atoms = prenex p in
+  let atoms = List.map (Term.rename_bound ~prefix:"i") atoms in
+  let sorted =
+    List.stable_sort
+      (fun (k1, _) (k2, _) -> String.compare k1 k2)
+      (List.map (fun a -> (coarse_key binders a, a)) atoms)
+  in
+  (* the key masks every binder, so atoms with equal keys differ at
+     most in which binders they use: their order decides the naming *)
+  let rec group = function
+    | [] -> []
+    | (k, a) :: rest ->
+        let tied, rest = List.partition (fun (k', _) -> k' = k) rest in
+        (a :: List.map snd tied) :: group rest
+  in
+  let groups = group sorted in
+  (* the product of the groups' factorials, saturating past the bound *)
+  let orders =
+    let cap n = min n (max_tie_orders + 1) in
+    let rec fact n = if n <= 1 then 1 else cap (n * fact (n - 1)) in
+    List.fold_left (fun acc g -> cap (acc * fact (List.length g))) 1 groups
+  in
+  let tried =
+    if orders > max_tie_orders then [ List.concat groups ]
+    else
+      List.fold_right
+        (fun g tails ->
+          List.concat_map
+            (fun perm -> List.map (fun tail -> perm @ tail) tails)
+            (permutations g))
+        groups [ [] ]
+  in
+  (* over every order of every group, the least named term is the same
+     whatever order the input had *)
+  match List.map (named binders) tried with
+  | t :: ts -> List.fold_left min t ts
+  | [] -> assert false (* [tried] always holds at least one order *)
 
 let congruent p q = normal_form p = normal_form q

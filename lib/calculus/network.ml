@@ -60,6 +60,15 @@ let value_to_expr = function
   | Vbool b -> Term.Elit (Term.Lbool b)
   | Vstr s -> Term.Elit (Term.Lstr s)
 
+(* Bind a method's or class's parameters to the arguments: a value
+   bound where the body uses the parameter as a channel is a dynamic
+   error, like an ill-typed operand. *)
+let bind params vs body =
+  let map = List.combine params (List.map value_to_expr vs) in
+  try Term.subst map body
+  with Invalid_argument _ ->
+    stuck "a value passed where a channel is expected"
+
 let rec eval ~at (e : Term.expr) : value =
   match e with
   | Term.Eid id -> Vid (Term.localize_id ~at id)
@@ -272,8 +281,7 @@ let remove_atom t key =
 let instantiate t site (d : Term.defn) vs =
   if List.length d.d_params <> List.length vs then
     stuck "class %s: arity mismatch" d.d_name;
-  let map = List.combine d.d_params (List.map value_to_expr vs) in
-  add_proc t site (Term.subst map d.d_body)
+  add_proc t site (bind d.d_params vs d.d_body)
 
 let translate_value ~from_ ~to_ = function
   | Vid id -> Vid (Term.localize_id ~at:to_ (Term.sigma_id ~from_ id))
@@ -355,8 +363,7 @@ let step t =
       in
       if List.length m.Term.m_params <> List.length vs then
         stuck "channel '%s' method '%s': arity mismatch" x l;
-      let map = List.combine m.Term.m_params (List.map value_to_expr vs) in
-      let t = add_proc t site (Term.subst map m.Term.m_body) in
+      let t = add_proc t site (bind m.Term.m_params vs m.Term.m_body) in
       Some (Ecomm (site, x, l), t)
   | None -> (
       match find_local_inst t with
@@ -487,12 +494,9 @@ let all_steps t : (event * t) list =
                     | Some m when List.length m.Term.m_params = List.length vs
                       ->
                         let t' = remove_atom (remove_atom t mk) ok in
-                        let map =
-                          List.combine m.Term.m_params
-                            (List.map value_to_expr vs)
-                        in
                         let t' =
-                          add_proc t' site (Term.subst map m.Term.m_body)
+                          add_proc t' site
+                            (bind m.Term.m_params vs m.Term.m_body)
                         in
                         Some (Ecomm (site, x, l), t')
                     | Some _ -> stuck "channel '%s': arity mismatch" x

@@ -24,6 +24,8 @@ type unit_ = {
   entry : int;
 }
 
+let max_slots = 1 lsl 16
+
 let instr_count u =
   Array.fold_left (fun n b -> n + Array.length b.blk_code) 0 u.blocks
 

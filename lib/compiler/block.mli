@@ -50,6 +50,11 @@ type unit_ = {
   entry : int;  (** block id of the program body; slot 0 holds [io] *)
 }
 
+val max_slots : int
+(** Bound on a block's frame, [blk_nslots]: 65536 slots.  The compiler
+    refuses a block that needs more, and the decoder a unit that claims
+    more, since every spawn of a block allocates its whole frame. *)
+
 val instr_count : unit_ -> int
 val pp : Format.formatter -> unit_ -> unit
 

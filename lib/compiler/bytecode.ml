@@ -18,16 +18,8 @@ let encode_captures enc caps =
 
 let malformed fmt = Printf.ksprintf (fun m -> raise (Wire.Malformed m)) fmt
 
-(* A table length: every entry takes at least one byte, so a count
-   beyond the bytes left (or a negative one, from an overlong varint) is
-   corrupt — and must not reach [Array.init]. *)
-let read_count dec =
-  let n = Wire.read_varint dec in
-  if n < 0 || n > Wire.remaining dec then malformed "count %d exceeds input" n;
-  n
-
 let decode_captures dec =
-  let n = read_count dec in
+  let n = Wire.read_count dec in
   Array.init n (fun _ -> Wire.read_varint dec)
 
 let encode_instr enc (ins : Instr.t) =
@@ -172,21 +164,28 @@ let encode_unit enc (u : Block.unit_) =
   Wire.varint enc u.entry
 
 let decode_unit dec : Block.unit_ =
-  let nblocks = read_count dec in
+  let nblocks = Wire.read_count dec in
   let blocks =
     Array.init nblocks (fun blk_id ->
         let blk_name = Wire.read_string dec in
         let blk_nparams = Wire.read_varint dec in
         let blk_nslots = Wire.read_varint dec in
-        let ninstrs = read_count dec in
+        (* a frame is allocated whole at every spawn of the block *)
+        if blk_nslots < 0 || blk_nslots > Block.max_slots then
+          malformed "block b%d: %d frame slots (at most %d)" blk_id
+            blk_nslots Block.max_slots;
+        if blk_nparams < 0 || blk_nparams > blk_nslots then
+          malformed "block b%d: %d parameters in %d slots" blk_id blk_nparams
+            blk_nslots;
+        let ninstrs = Wire.read_count dec in
         let blk_code = Array.init ninstrs (fun _ -> decode_instr dec) in
         { Block.blk_id; blk_name; blk_nparams; blk_nslots; blk_code })
   in
-  let nmts = read_count dec in
+  let nmts = Wire.read_count dec in
   let mtables =
     Array.init nmts (fun mt_id ->
         let mt_captures = decode_captures dec in
-        let n = read_count dec in
+        let n = Wire.read_count dec in
         let mt_entries =
           Array.init n (fun _ ->
               let me_label = Wire.read_string dec in
@@ -196,11 +195,11 @@ let decode_unit dec : Block.unit_ =
         in
         { Block.mt_id; mt_captures; mt_entries })
   in
-  let ngroups = read_count dec in
+  let ngroups = Wire.read_count dec in
   let groups =
     Array.init ngroups (fun grp_id ->
         let grp_captures = decode_captures dec in
-        let n = read_count dec in
+        let n = Wire.read_count dec in
         let grp_classes =
           Array.init n (fun _ ->
               let cls_name = Wire.read_string dec in

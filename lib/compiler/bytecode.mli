@@ -10,9 +10,11 @@
 val encode_unit : Tyco_support.Wire.enc -> Block.unit_ -> unit
 val decode_unit : Tyco_support.Wire.dec -> Block.unit_
 (** Raises {!Tyco_support.Wire.Malformed} on corrupt input, including
-    out-of-range block/mtable/group references, frame slots at or past
-    a block's slot count, and jumps that do not go forward within their
-    block (part of the dynamic checking of incoming code). *)
+    out-of-range block/mtable/group references, a block claiming more
+    than {!Block.max_slots} frame slots or more parameters than slots,
+    frame slots at or past a block's slot count, and jumps that do not
+    go forward within their block (part of the dynamic checking of
+    incoming code). *)
 
 val unit_to_string : Block.unit_ -> string
 val unit_of_string : string -> Block.unit_

@@ -40,6 +40,9 @@ let reserve_block st =
   Vec.push st.blocks None
 
 let finish_block st id b =
+  if b.nslots > Block.max_slots then
+    fail "block %s needs %d frame slots (at most %d)" b.name b.nslots
+      Block.max_slots;
   let blk =
     { Block.blk_id = id;
       blk_name = b.name;

@@ -25,7 +25,8 @@ exception Error of string
 val compile_proc : ?optimize:bool -> Tyco_syntax.Ast.proc -> Block.unit_
 (** Compile one site body.  Desugars first; raises {!Error} on unbound
     identifiers (run the type-checker first for source-located
-    diagnostics).  [optimize] (default [true]) runs the {!Peephole}
+    diagnostics) and on a block whose frame would need more than
+    {!Block.max_slots} slots.  [optimize] (default [true]) runs the {!Peephole}
     pass on every block. *)
 
 val compile_program :

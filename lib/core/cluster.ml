@@ -3,7 +3,6 @@ module Packet = Tyco_net.Packet
 module Stats = Tyco_support.Stats
 module Prng = Tyco_support.Prng
 module Trace = Tyco_support.Trace
-module Metrics = Tyco_support.Metrics
 module Dq = Tyco_support.Dq
 module Netref = Tyco_support.Netref
 
@@ -41,7 +40,6 @@ type config = {
   site_retry : Site.retry;
   tracing : bool;
   trace_capacity : int;
-  metrics : bool;
   packet_log_capacity : int;
   flush_max_packets : int;
   flush_deadline_ns : int;
@@ -69,7 +67,6 @@ let default_config =
     site_retry = Site.default_retry;
     tracing = false;
     trace_capacity = 65536;
-    metrics = false;
     packet_log_capacity = 4096;
     flush_max_packets = 16;
     flush_deadline_ns = 0;
@@ -159,8 +156,6 @@ type t = {
   by_name : (string, Site.t) Hashtbl.t;
   mutable site_list : Site.t list; (* reversed creation order *)
   mutable next_site_id : int;
-  mutable packets : int;
-  mutable bytes : int;
   mutable in_flight : int;
   (* send-time packet log: a bounded ring (oldest dropped past
      [packet_log_capacity] — the unbounded list it replaces grew with
@@ -169,13 +164,6 @@ type t = {
   mutable plog_dropped : int;
   tracer : Trace.t;
   tr_on : bool; (* cached [Trace.enabled tracer]; fixed at creation *)
-  (* metrics registry (off = shared disabled singleton; each bump below
-     is one load of the instrument's own flag and a branch) *)
-  mx : Metrics.t;
-  m_packets : Metrics.counter;
-  m_bytes : Metrics.counter;
-  m_same_node : Metrics.counter;
-  m_wire_ns : Metrics.histogram;
   (* Same-node delivery latency (shared memory, zero payload bytes):
      constant for the whole run, precomputed so the same-node fast path
      never consults the link model per packet. *)
@@ -191,8 +179,10 @@ type t = {
      surface at the front. *)
   pending_batches : (int * int, bxmit Dq.t) Hashtbl.t;
   ack_states : (int * int, ack_state) Hashtbl.t;
-  (* fault/reliability bookkeeping *)
+  (* what the links count, in the registry the daemons count in too *)
   stats : Stats.t;
+  c_packets : Stats.Counter.t; (* cross-node packets, at enqueue *)
+  c_bytes : Stats.Counter.t; (* bytes of the frames put on the fabric *)
   c_drops : Stats.Counter.t;
   c_dupes : Stats.Counter.t;
   c_reorders : Stats.Counter.t;
@@ -219,8 +209,8 @@ let nodes t =
   List.filter (fun n -> t.attached.(Node.ip n)) (Array.to_list t.node_arr)
 let outputs t = Node.outputs t.host
 let output_events t = List.map snd (Node.outputs t.host)
-let packets_sent t = t.packets
-let bytes_sent t = t.bytes
+let packets_sent t = Stats.Counter.value t.c_packets
+let bytes_sent t = Stats.Counter.value t.c_bytes
 let in_flight t = t.in_flight
 let name_service_pending t =
   List.fold_left (fun acc n -> acc + Node.names_pending n) 0 (nodes t)
@@ -244,7 +234,6 @@ let packet_trace t = Dq.to_list t.plog
 
 let packet_trace_dropped t = t.plog_dropped
 let tracer t = t.tracer
-let metrics t = t.mx
 let stats t = t.stats
 let dead_letters t = Node.dead_letters t.host
 let same_node_fast t = Stats.Counter.value t.c_same_node
@@ -293,7 +282,6 @@ let pending_of t ~src_ip ~dst_ip =
 let rec transmit t ~src_ip ~dst_ip ~bytes f =
   let base = Simnet.packet_delay t.sim ~src_ip ~dst_ip ~bytes in
   Stats.Dist.add_int t.d_lat_wire base;
-  Metrics.observe_int t.m_wire_ns base;
   if not (Simnet.faulted_link t.sim ~src_ip ~dst_ip) then
     (* clean link: exactly one copy at the base delay — no verdict
        record, no delay list, no PRNG consumption *)
@@ -358,7 +346,6 @@ and send_packet t ~src_ip ~dst_ip ~ctx (p : Packet.t) =
        maintained: quiescence detection counts these deliveries.  The
        causal span still travels — by reference, like the packet. *)
     Stats.Counter.incr t.c_same_node;
-    Metrics.incr t.m_same_node;
     log_packet t p;
     t.in_flight <- t.in_flight + 1;
     Simnet.schedule t.sim ~delay:t.loopback_delay (fun () ->
@@ -372,18 +359,16 @@ and send_packet t ~src_ip ~dst_ip ~ctx (p : Packet.t) =
 (* ------------------------------------------------------------------ *)
 (* The outbox path.
 
-   Every cross-node packet is counted ([packets], [bytes] of its
-   payload contribution, packet log) exactly once, here at enqueue;
-   the flush then charges the fabric one frame and one latency sample
-   for the whole batch.  [in_flight] covers outbox residency so
-   quiescence detection cannot fire between enqueue and flush. *)
+   Every cross-node packet is counted (["packets"], packet log)
+   exactly once, here at enqueue; the flush then charges the fabric one
+   frame, its bytes and one latency sample for the whole batch.
+   [in_flight] covers outbox residency so quiescence detection cannot
+   fire between enqueue and flush. *)
 
 and enqueue_outbox t ~src_ip ~dst_ip ~ctx (p : Packet.t) =
   let ob = outbox_of t ~src_ip ~dst_ip in
   let bytes = Packet.byte_size p in
-  t.packets <- t.packets + 1;
-  Metrics.incr t.m_packets;
-  Metrics.add t.m_bytes bytes;
+  Stats.Counter.incr t.c_packets;
   log_packet t p;
   t.in_flight <- t.in_flight + 1;
   let n = ob.ob_count in
@@ -501,7 +486,7 @@ and send_batch t (bx : bxmit) =
       ~count:(Array.length bx.bx_pkts - lo)
       ~payload_bytes:bx.bx_payload_bytes
   in
-  t.bytes <- t.bytes + fbytes;
+  Stats.Counter.add t.c_bytes fbytes;
   Stats.Counter.incr t.c_frames;
   if t.tr_on && bx.bx_attempts = 1 then
     Trace.emit t.tracer ~ts:(Simnet.now t.sim) ~track:Trace.fabric_track
@@ -594,7 +579,7 @@ and send_cum_ack t ~src_ip ~dst_ip =
   let bytes =
     Packet.frame_byte_size (Packet.Fcum_ack { src_ip; ack_floor })
   in
-  t.bytes <- t.bytes + bytes;
+  Stats.Counter.add t.c_bytes bytes;
   transmit t ~src_ip ~dst_ip ~bytes (Ack { src_ip; dst_ip; floor = ack_floor })
 
 and apply_cum_ack t ~at_ip ~peer_ip ~floor =
@@ -702,6 +687,26 @@ let shard config ~nodes ~index ~count =
     Simnet.create ~topology:config.topology ~faults:config.faults ~seed ()
   in
   let stats = Stats.create () in
+  (* registered one by one, so an export lists them in this order (the
+     daemons' counts follow, from [Node.host]) *)
+  let counter = Stats.counter stats and dist = Stats.dist stats in
+  let c_packets = counter "packets" in
+  let c_bytes = counter "bytes" in
+  let c_same_node = counter "same_node_fast" in
+  let c_frames = counter "frames" in
+  let c_acks = counter "acks" in
+  let c_acks_piggybacked = counter "acks_piggybacked" in
+  let c_retries = counter "retries" in
+  let c_timeouts = counter "timeouts" in
+  let c_drops = counter "drops" in
+  let c_dupes = counter "dupes" in
+  let c_reorders = counter "reorders" in
+  let c_dupes_suppressed = counter "dupes_suppressed" in
+  let c_forwarded = counter "forwarded_envelopes" in
+  let d_lat_wire = dist "wire_ns" in
+  let d_lat_retransmit = dist "retransmit_ns" in
+  let d_batch_fill = dist "batch_fill" in
+  let d_flush_wait = dist "flush_wait_ns" in
   (* span ids strided by (index, count): unique across the shards of a
      run without a shared counter, and 1, 2, 3, ... for one shard *)
   let tracer =
@@ -709,14 +714,13 @@ let shard config ~nodes ~index ~count =
       ~span_stride:count ~enabled:config.tracing ()
   in
   Trace.register_track tracer ~id:Trace.fabric_track ~name:"fabric" ();
-  let mx = if config.metrics then Metrics.create ~enabled:true () else Metrics.disabled in
   let host =
     (* request deadlines need virtual timers; only armed in reliable
        mode so the seed's park-forever semantics (and its tests) are
        untouched by default *)
     Node.host ~quantum:config.quantum ~retry:config.site_retry
       ~lifecycle:(site_lifecycle config) ~timers:config.reliable ~tracer
-      ~metrics:mx ~stats ()
+      ~stats ()
   in
   let t =
     { cfg = config;
@@ -732,39 +736,20 @@ let shard config ~nodes ~index ~count =
       by_name = Hashtbl.create 16;
       site_list = [];
       next_site_id = 0;
-      packets = 0;
-      bytes = 0;
       in_flight = 0;
       plog = Dq.create ();
       plog_dropped = 0;
       tracer;
       tr_on = Trace.enabled tracer;
-      mx;
-      m_packets = Metrics.counter mx "packets";
-      m_bytes = Metrics.counter mx "bytes";
-      m_same_node = Metrics.counter mx "same_node_fast";
-      m_wire_ns = Metrics.histogram mx "wire_ns";
       loopback_delay = Simnet.packet_delay sim ~src_ip:0 ~dst_ip:0 ~bytes:0;
       outboxes = Hashtbl.create 16;
       pending_batches = Hashtbl.create 16;
       ack_states = Hashtbl.create 16;
       stats;
-      c_drops = Stats.counter stats "drops";
-      c_dupes = Stats.counter stats "dupes";
-      c_reorders = Stats.counter stats "reorders";
-      c_retries = Stats.counter stats "retries";
-      c_dupes_suppressed = Stats.counter stats "dupes_suppressed";
-      c_timeouts = Stats.counter stats "timeouts";
-      c_acks = Stats.counter stats "acks";
-      c_same_node = Stats.counter stats "same_node_fast";
-      c_frames = Stats.counter stats "frames";
-      c_acks_piggybacked = Stats.counter stats "acks_piggybacked";
-      c_forwarded = Stats.counter stats "forwarded";
-      d_lat_wire = Stats.dist stats "lat_wire";
-      d_lat_retransmit = Stats.dist stats "lat_retransmit";
-      d_batch_fill = Stats.dist stats "batch_fill";
-      d_flush_wait = Stats.dist stats "lat_flush_wait";
-    }
+      c_packets; c_bytes; c_same_node; c_frames; c_acks; c_acks_piggybacked;
+      c_retries; c_timeouts; c_drops; c_dupes; c_reorders;
+      c_dupes_suppressed; c_forwarded;
+      d_lat_wire; d_lat_retransmit; d_batch_fill; d_flush_wait }
   in
   Node.connect host
     { Node.send =

@@ -78,12 +78,6 @@ type config = {
           load-and-branch. *)
   trace_capacity : int;
       (** Per-track event-ring bound when [tracing] (default 65536). *)
-  metrics : bool;
-      (** Turn on the {!Tyco_support.Metrics} registry: transport
-          counters (packets/bytes/same-node/deliveries) and a wire-
-          latency histogram, exportable via {!metrics} as Prometheus
-          text or JSONL.  Default [false] — every bump costs one
-          load-and-branch on a shared dummy instrument. *)
   packet_log_capacity : int;
       (** Bound on the {!packet_trace} ring (default 4096); the oldest
           entries are dropped beyond it — see
@@ -204,11 +198,16 @@ val suspected_failures : t -> (int * string) list
     FETCH / import request ([site#n], exporter name). *)
 
 val stats : t -> Tyco_support.Stats.t
-(** Fault/reliability counters: ["drops"], ["dupes"], ["reorders"],
-    ["retries"], ["dupes_suppressed"], ["timeouts"], ["acks"],
-    ["dead_letters"], ["same_node_fast"], ["frames"],
-    ["acks_piggybacked"]; distributions ["lat_wire"],
-    ["lat_retransmit"], ["batch_fill"], ["lat_flush_wait"]. *)
+(** What the run counts, always on, under the names an export
+    ({!Tyco_support.Metrics}, [tycosh --metrics-out]) carries.  The
+    links: ["packets"] (cross-node, at enqueue), ["bytes"] (of the
+    frames put on the fabric, acks included), ["same_node_fast"],
+    ["frames"], ["acks"], ["acks_piggybacked"], ["retries"],
+    ["timeouts"], ["drops"], ["dupes"], ["reorders"],
+    ["dupes_suppressed"], ["forwarded_envelopes"] (frames that
+    followed a node that moved); distributions ["wire_ns"],
+    ["retransmit_ns"], ["batch_fill"], ["flush_wait_ns"].  The
+    daemons: ["deliveries"], ["dead_letters"] ({!Node.host}). *)
 
 val dead_letters : t -> int
 (** Packets addressed to site ids this cluster never loaded. *)
@@ -232,11 +231,6 @@ val tracer : t -> Tyco_support.Trace.t
     [config.tracing]; export with {!Tyco_support.Trace.to_chrome_json}
     or {!Tyco_support.Trace.serialize}. *)
 
-val metrics : t -> Tyco_support.Metrics.t
-(** The run's metrics registry — the disabled singleton unless
-    [config.metrics]; export with {!Tyco_support.Metrics.to_prom} or
-    {!Tyco_support.Metrics.to_json}. *)
-
 (** {1 Shards}
 
     What the parallel engine builds each shard from. *)
@@ -253,7 +247,7 @@ val make_nodes : config -> Node.t array
 
 val shard : config -> nodes:Node.t array -> index:int -> count:int -> t
 (** Shard [index] of [count]: a cluster over [nodes] with its own
-    fabric, books, trace collector and metrics registry, running none
+    fabric, books, trace collector and statistics registry, running none
     of the nodes until they are attached.  Its fabric draws from
     [config.seed] for shard 0 and from a stream derived from it for
     the others; its span ids are [index + k * count]. *)

@@ -15,7 +15,6 @@ module Packet = Tyco_net.Packet
 module Nameservice = Tyco_net.Nameservice
 module Netref = Tyco_support.Netref
 module Trace = Tyco_support.Trace
-module Metrics = Tyco_support.Metrics
 module Stats = Tyco_support.Stats
 
 (* Cost of a name-service transaction at the service itself. *)
@@ -49,8 +48,7 @@ type host = {
   timers : bool; (* give sites virtual timers for request deadlines *)
   tracer : Trace.t;
   tr_on : bool; (* cached [Trace.enabled tracer] *)
-  m_deliveries : Metrics.counter;
-  m_dead_letters : Metrics.counter;
+  deliveries : Stats.Counter.t;
   dead_letters : Stats.Counter.t;
   mutable outs : (int * Output.event) list; (* newest first *)
   mutable suspected : (int * string) list; (* newest first *)
@@ -59,8 +57,9 @@ type host = {
 
 let host ?quantum ?(retry = Site.default_retry)
     ?(lifecycle = Site.default_lifecycle) ?(timers = false)
-    ?(tracer = Trace.disabled)
-    ?(metrics = Metrics.disabled) ?(stats = Stats.create ()) () =
+    ?(tracer = Trace.disabled) ?(stats = Stats.create ()) () =
+  let deliveries = Stats.counter stats "deliveries" in
+  let dead_letters = Stats.counter stats "dead_letters" in
   { tp = unconnected;
     pumps = quantum <> None;
     quantum = Option.value quantum ~default:0;
@@ -69,9 +68,8 @@ let host ?quantum ?(retry = Site.default_retry)
     timers;
     tracer;
     tr_on = Trace.enabled tracer;
-    m_deliveries = Metrics.counter metrics "deliveries";
-    m_dead_letters = Metrics.counter metrics "dead_letters";
-    dead_letters = Stats.counter stats "dead_letters";
+    deliveries;
+    dead_letters;
     outs = [];
     suspected = [];
     busy_until = 0 }
@@ -232,12 +230,11 @@ let to_site t site_id ~ctx ~same_node p =
          dead letter and record the phantom destination rather than
          dropping it silently *)
       Stats.Counter.incr h.dead_letters;
-      Metrics.incr h.m_dead_letters;
       suspect h (Printf.sprintf "site#%d" site_id)
   | Some slot ->
       if Site.alive slot.site then begin
         let now = h.tp.now () in
-        Metrics.incr h.m_deliveries;
+        Stats.Counter.incr h.deliveries;
         if h.tr_on then
           Trace.emit h.tracer ~ts:now ~track:site_id ~span:ctx
             (Trace.Deliver { pk = Packet.trace_pk p; same_node });

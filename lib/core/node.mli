@@ -30,9 +30,10 @@ type transport = {
 
     What the daemons of one engine instance share: the whole simulated
     cluster, one parallel shard, or one TCP node.  A host holds the
-    transport, the parameters sites are created with, the tracer and
-    metrics registry, and the books: timestamped outputs, suspicions,
-    dead letters, and the completion time of the latest quantum. *)
+    transport, the parameters sites are created with, the tracer, the
+    statistics registry, and the books: timestamped outputs,
+    suspicions, dead letters, and the completion time of the latest
+    quantum. *)
 
 type host
 
@@ -42,16 +43,15 @@ val host :
   ?lifecycle:Site.lifecycle ->
   ?timers:bool ->
   ?tracer:Tyco_support.Trace.t ->
-  ?metrics:Tyco_support.Metrics.t ->
   ?stats:Tyco_support.Stats.t ->
   unit ->
   host
 (** [quantum] (VM instructions) makes the daemon schedule site quanta
     through the transport; without it the engine's own loop pumps the
     sites and the daemon only delivers.  [timers] gives sites virtual
-    timers for their request deadlines.  The daemon registers counters ["deliveries"] and
-    ["dead_letters"] in [metrics] and the dead-letter book as the
-    counter ["dead_letters"] of [stats]. *)
+    timers for their request deadlines.  The daemon counts in [stats]:
+    ["deliveries"], the packets it hands to a live site, and
+    ["dead_letters"], the dead-letter book. *)
 
 val connect : host -> transport -> unit
 (** Give the host its transport; engines call it once, right after

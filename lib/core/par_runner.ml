@@ -2,7 +2,7 @@
    domains.
 
    Each shard is a {!Cluster} over its own fabric — Simnet (clock,
-   heap, PRNG), books, trace collector, metrics registry — that runs
+   heap, PRNG), books, trace collector, statistics registry — that runs
    the {!Node} daemons of a disjoint set of nodes and everything
    beneath them: sites, VMs, export tables, intern areas, statistics
    reservoirs.  Which nodes a shard runs is decided by a placement map
@@ -15,7 +15,7 @@
    this module carries it to the cluster of that shard.  No mutable
    state is shared between shards: the only cross-domain traffic is
 
-   - envelope {e batches} and node {e migrations} through one
+   - {e frames} and node {e migrations} through one
      {!Tyco_support.Spsc_ring} per ordered shard pair, and
    - the run's {!Workers} skeleton (the work count, the stop flag,
      each shard's bell) and a handful of whole-run atomics (per-shard
@@ -23,14 +23,14 @@
      that exist for termination detection, the event budget and
      routing.
 
-   Handoff batching: each shard buffers departing frames per
-   destination shard and flushes each buffer as one ring element at
-   every event boundary, so a frame waits for at most the rest of the
-   event that sent it, while one ring push, one work-count unit and
-   one consumer pop amortize over everything that event sent to that
-   shard.  Buffers flush only at event boundaries: a flush that met a
-   full ring inside an event would drain the inbound rings while the
-   event's own work was not yet in the heap.
+   Handoff: each shard buffers departing frames per destination shard
+   and pushes each buffered frame as its own ring element at every
+   event boundary, so a frame waits for at most the rest of the event
+   that sent it.  The cluster's outbox already puts a flush's packets
+   into one frame, and each flush is its own event, so an event sends
+   a sibling one frame.  Buffers flush only at event boundaries: a
+   flush that met a full ring inside an event would drain the inbound
+   rings while the event's own work was not yet in the heap.
 
    Termination and parking ({!Workers}): a shard holds its work unit
    while its heap is non-empty; a flush counts its element before the
@@ -84,16 +84,17 @@
 
    Observability: each shard's cluster owns a private {!Trace}
    collector (span ids strided by [shard + k * domains] so they stay
-   globally unique without a shared counter) and a private {!Metrics}
-   registry; frames carry their packets' spans across the ring, so
-   cross-shard packets keep their causal tree.  Both are merged at
-   quiescence, after the joins — the only time shard state is read
-   from outside. *)
+   globally unique without a shared counter) and a private
+   {!Tyco_support.Stats} registry, in which this module also counts
+   the shard's handoffs, handoff latency, drains and migrations;
+   frames carry their packets' spans across the ring, so cross-shard
+   packets keep their causal tree.  Shard state is read from outside
+   only after the joins: the traces merge then, and the registries
+   whenever a caller exports them ({!Report.par_metrics}). *)
 
 module Simnet = Tyco_net.Simnet
 module Stats = Tyco_support.Stats
 module Trace = Tyco_support.Trace
-module Metrics = Tyco_support.Metrics
 module Spsc = Tyco_support.Spsc_ring
 
 exception Shard_failure of int * string
@@ -149,29 +150,21 @@ type shard = {
      holds one work unit, so quiescence cannot be declared while a
      shard may still act on it *)
   mig_cmd : int Atomic.t;
-  (* shard-confined accumulators, merged after join *)
-  mutable handoffs_in : int; (* frames received through rings *)
-  mutable batches_out : int; (* flushes, = ring pushes attempted *)
-  mutable envelopes_out : int; (* frames those flushes carried *)
-  mutable drains : int; (* backpressure drain passes while pushing *)
-  mutable migrations_in : int; (* nodes this shard installed *)
-  mutable migration_ns : int; (* wall ns, ship to install, summed *)
   (* migrations dropped at teardown (stop while pushing): kept so
      the post-join merge still sees their sites' stats *)
   mutable lost_migs : migration list;
-  (* in the cluster's registry: nothing here is shared while the
-     domain runs; merged after join *)
-  m_handoffs_in : Metrics.counter;
-  m_handoff_lat : Metrics.histogram; (* virtual ns from send to delivery *)
-  m_batch_fill : Metrics.histogram; (* frames per ring push *)
+  (* shard-confined, in the cluster's registry; read after join *)
+  c_handoffs_in : Stats.Counter.t; (* frames received through rings *)
+  c_drains : Stats.Counter.t; (* backpressure drain passes while pushing *)
+  c_migrations : Stats.Counter.t; (* nodes this shard installed *)
+  c_migration_ns : Stats.Counter.t; (* wall ns, ship to install, summed *)
+  d_handoff_lat : Stats.Dist.t; (* virtual ns from send to landing *)
 }
 
-(* What actually travels through a ring: one flush's worth of
-   same-destination envelopes (the array is freshly sized at flush;
-   ownership passes to the consumer with the push), or one migrating
-   node — its whole daemon, sites included. *)
+(* What travels through a ring: one frame, or one migrating node — its
+   whole daemon, sites included. *)
 and element =
-  | Batch of envelope array
+  | Frame of envelope
   | Mig of migration
 
 and migration = {
@@ -228,25 +221,19 @@ let land_frame sh env =
   Cluster.take_frame sh.c ~delay:(at - now) env.env_frame;
   at
 
-(* Flush one destination's buffer as a single ring element: one push,
-   one work unit, one pop on the far side for the whole batch. *)
+(* Flush one destination's buffer: each frame is its own ring element,
+   counted as one work unit before the pushes. *)
 let rec flush_handoff sh ~dst_shard ub =
   let count = ub.hb_count in
-  let batch = Array.sub ub.hb_envs 0 count in
-  (* drop the buffer's references: the consumer owns the batch now,
-     and a stale slot would otherwise keep frames alive until the next
-     burst overwrites it *)
-  Array.fill ub.hb_envs 0 count (Obj.magic 0);
-  ub.hb_count <- 0;
-  sh.batches_out <- sh.batches_out + 1;
-  sh.envelopes_out <- sh.envelopes_out + count;
-  Metrics.observe_int sh.m_batch_fill count;
-  Workers.count sh.g.g_run 1;
-  push_element sh ~dst_shard (Batch batch)
+  Workers.count sh.g.g_run count;
+  for i = 0 to count - 1 do
+    push_element sh ~dst_shard (Frame ub.hb_envs.(i))
+  done;
+  ub.hb_count <- 0
 
 (* Flush every non-empty buffer; called at every event boundary, so
    it allocates nothing when the buffers are empty.  Returns the number
-   of batches pushed so the loop can tell an idle pass from one that
+   of buffers flushed so the loop can tell an idle pass from one that
    produced work for a sibling. *)
 and flush_handoffs sh =
   let flushed = ref 0 in
@@ -279,13 +266,13 @@ and push_element sh ~dst_shard el =
            its sites *)
         (match el with
         | Mig m -> sh.lost_migs <- m :: sh.lost_migs
-        | Batch _ -> ());
+        | Frame _ -> ());
         Workers.uncount sh.g.g_run 1;
         pushed := true
       end
       else if Spsc.try_push ring el then pushed := true
       else begin
-        sh.drains <- sh.drains + 1;
+        Stats.Counter.incr sh.c_drains;
         ignore (drain_rings sh);
         incr spins;
         if !spins < 64 then Domain.cpu_relax () else Unix.sleepf 2e-5
@@ -294,27 +281,21 @@ and push_element sh ~dst_shard el =
   end;
   Workers.ring sh.g.g_workers.(dst_shard)
 
-(* Consume one inbound batch: land every frame, hold the shard's unit
-   for what that scheduled, and only then uncount the batch. *)
-and absorb_batch sh (batch : envelope array) =
-  Array.iter
-    (fun env ->
-      sh.handoffs_in <- sh.handoffs_in + 1;
-      Metrics.incr sh.m_handoffs_in;
-      Metrics.observe_int sh.m_handoff_lat (land_frame sh env - env.env_sent))
-    batch;
+(* Consume one inbound frame: land it, hold the shard's unit for what
+   that scheduled, and only then uncount the element. *)
+and absorb_frame sh env =
+  Stats.Counter.incr sh.c_handoffs_in;
+  Stats.Dist.add_int sh.d_handoff_lat (land_frame sh env - env.env_sent);
   Workers.hold sh.w;
-  Workers.uncount sh.g.g_run 1;
-  Array.length batch
+  Workers.uncount sh.g.g_run 1
 
 (* Install a migrated node: run its daemon here, land the frames that
    raced ahead of it (parked in limbo), and only then release the
    in-transit unit. *)
 and install_migration sh (m : migration) =
-  sh.migrations_in <- sh.migrations_in + 1;
-  sh.migration_ns <-
-    sh.migration_ns
-    + int_of_float ((Unix.gettimeofday () -. m.mg_sent_wall) *. 1e9);
+  Stats.Counter.incr sh.c_migrations;
+  Stats.Counter.add sh.c_migration_ns
+    (int_of_float ((Unix.gettimeofday () -. m.mg_sent_wall) *. 1e9));
   Cluster.attach sh.c m.mg_node;
   (match Hashtbl.find_opt sh.limbo m.mg_ip with
   | Some q ->
@@ -347,10 +328,8 @@ and ship_node sh ~ip ~dst =
   | _ -> ()
 
 and absorb_element sh = function
-  | Batch batch -> absorb_batch sh batch
-  | Mig m ->
-      install_migration sh m;
-      1
+  | Frame env -> absorb_frame sh env
+  | Mig m -> install_migration sh m
 
 and drain_rings sh =
   let got = ref 0 in
@@ -361,7 +340,9 @@ and drain_rings sh =
         let draining = ref true in
         while !draining do
           match Spsc.pop_exn ring with
-          | el -> got := !got + absorb_element sh el
+          | el ->
+              absorb_element sh el;
+              incr got
           | exception Spsc.Empty -> draining := false
         done
   done;
@@ -445,6 +426,7 @@ type shard_stat = {
   ss_parks : int;
   ss_drains : int; (* backpressure drain passes while pushing *)
   ss_weight : float; (* placement weight this shard was assigned *)
+  ss_stats : Stats.t; (* the shard cluster's registry *)
 }
 
 (* A coordinator-side mid-run observation: only whole-run atomics and
@@ -477,7 +459,7 @@ type result = {
   handoffs : int; (* frames carried by rings *)
   ring_pushed : int; (* elements pushed (= pops after a clean run) *)
   ring_popped : int;
-  ring_batch_fill_mean : float; (* frames per ring push *)
+  ring_batch_fill_mean : float; (* frames per ring element: 1 or 0 *)
   parks : int; (* blocking parks across all shards *)
   domains : int;
   instructions : int; (* total VM instructions, for throughput *)
@@ -494,7 +476,6 @@ type result = {
   clean : bool; (* quiesced with rings drained, heaps and limbo empty *)
   timed_out : bool;
   trace : Trace.t; (* the shard's own, or merged shard-tagged ones *)
-  metrics : Metrics.t; (* merged registry; disabled when off *)
   shard_stats : shard_stat array;
   sites : Site.t list; (* post-join reads only (join = happens-before) *)
 }
@@ -566,9 +547,11 @@ let run ?(config = Cluster.default_config) ?placement
   let shards =
     Array.init domains (fun s ->
         let c = Cluster.shard config ~nodes ~index:s ~count:domains in
-        let mx = Cluster.metrics c in
-        Metrics.set (Metrics.gauge mx "placement_weight")
-          (int_of_float (Float.round placement_weights.(s)));
+        let counter = Stats.counter (Cluster.stats c) in
+        let c_handoffs_in = counter "handoffs_in" in
+        let c_drains = counter "drains" in
+        let c_migrations = counter "migrations" in
+        let c_migration_ns = counter "migration_ns" in
         { sh_id = s;
           g;
           c;
@@ -580,16 +563,12 @@ let run ?(config = Cluster.default_config) ?placement
           weight = placement_weights.(s);
           limbo = Hashtbl.create 4;
           mig_cmd = Atomic.make (-1);
-          handoffs_in = 0;
-          batches_out = 0;
-          envelopes_out = 0;
-          drains = 0;
-          migrations_in = 0;
-          migration_ns = 0;
           lost_migs = [];
-          m_handoffs_in = Metrics.counter mx "handoffs_in";
-          m_handoff_lat = Metrics.histogram mx "handoff_lat_ns";
-          m_batch_fill = Metrics.histogram mx "ring_batch_fill" })
+          c_handoffs_in;
+          c_drains;
+          c_migrations;
+          c_migration_ns;
+          d_handoff_lat = Stats.dist (Cluster.stats c) "handoff_lat_ns" })
   in
   Array.iter (fun sh -> Cluster.on_depart sh.c (depart sh)) shards;
   Array.iter
@@ -742,9 +721,6 @@ let run ?(config = Cluster.default_config) ?placement
   let sites_here (sh : shard) =
     List.concat_map Node.sites (Cluster.nodes sh.c)
   in
-  let forwarded (sh : shard) =
-    Stats.counter_value (Cluster.stats sh.c) "forwarded"
-  in
   let shard_sites (sh : shard) =
     List.sort
       (fun a b -> compare (Site.site_id a) (Site.site_id b))
@@ -797,21 +773,17 @@ let run ?(config = Cluster.default_config) ?placement
           ss_virtual_ns = Cluster.virtual_time sh.c;
           ss_packets = Cluster.packets_sent sh.c;
           ss_same_node = Cluster.same_node_fast sh.c;
-          ss_handoffs_in = sh.handoffs_in;
+          ss_handoffs_in = Stats.Counter.value sh.c_handoffs_in;
           ss_ring_pushed = !pushed;
           ss_ring_popped = !popped;
           ss_ring_hiwater = !hi;
           ss_parks = Workers.parks sh.w;
-          ss_drains = sh.drains;
-          ss_weight = sh.weight })
+          ss_drains = Stats.Counter.value sh.c_drains;
+          ss_weight = sh.weight;
+          ss_stats = Cluster.stats sh.c })
       shards
   in
-  let batches_total = sum (fun sh -> sh.batches_out) in
-  let envelopes_total = sum (fun sh -> sh.envelopes_out) in
-  let ring_batch_fill_mean =
-    if batches_total = 0 then 0.
-    else float_of_int envelopes_total /. float_of_int batches_total
-  in
+  let handoffs = sum (fun sh -> Stats.Counter.value sh.c_handoffs_in) in
   let trace =
     match shards with
     | [| sh |] -> Cluster.tracer sh.c
@@ -820,29 +792,6 @@ let run ?(config = Cluster.default_config) ?placement
           (Array.to_list
              (Array.map (fun sh -> (sh.sh_id, Cluster.tracer sh.c)) shards))
     | _ -> Trace.disabled
-  in
-  let metrics =
-    if config.Cluster.metrics then begin
-      let into = Metrics.create ~enabled:true () in
-      Array.iteri
-        (fun i sh ->
-          (* stamp the post-join ring/park/migration signals into the
-             shard's own registry so they travel through the merge like
-             every other instrument (sum of values, max of high-waters) *)
-          let st = shard_stats.(i) and mx = Cluster.metrics sh.c in
-          Metrics.add (Metrics.counter mx "ring_pushed") st.ss_ring_pushed;
-          Metrics.add (Metrics.counter mx "ring_popped") st.ss_ring_popped;
-          Metrics.set (Metrics.gauge mx "ring_hiwater") st.ss_ring_hiwater;
-          Metrics.add (Metrics.counter mx "parks") st.ss_parks;
-          Metrics.add (Metrics.counter mx "drains") st.ss_drains;
-          Metrics.add (Metrics.counter mx "migrations") sh.migrations_in;
-          Metrics.add (Metrics.counter mx "migration_ns") sh.migration_ns;
-          Metrics.add (Metrics.counter mx "forwarded_envelopes") (forwarded sh);
-          Metrics.merge_into ~into mx)
-        shards;
-      into
-    end
-    else Metrics.disabled
   in
   let sites =
     List.concat_map
@@ -857,18 +806,20 @@ let run ?(config = Cluster.default_config) ?placement
     packets = sum (fun sh -> Cluster.packets_sent sh.c);
     bytes = sum (fun sh -> Cluster.bytes_sent sh.c);
     same_node_fast = sum (fun sh -> Cluster.same_node_fast sh.c);
-    handoffs = sum (fun sh -> sh.handoffs_in);
+    handoffs;
     ring_pushed;
     ring_popped;
-    ring_batch_fill_mean;
+    ring_batch_fill_mean = (if handoffs > 0 then 1. else 0.);
     parks = sum (fun sh -> Workers.parks sh.w);
     domains;
     instructions;
     wall_ns;
     dead_letters = sum (fun sh -> Cluster.dead_letters sh.c);
-    migrations = sum (fun sh -> sh.migrations_in);
-    migration_ns = sum (fun sh -> sh.migration_ns);
-    forwarded_envelopes = sum forwarded;
+    migrations = sum (fun sh -> Stats.Counter.value sh.c_migrations);
+    migration_ns = sum (fun sh -> Stats.Counter.value sh.c_migration_ns);
+    forwarded_envelopes =
+      sum (fun sh ->
+          Stats.counter_value (Cluster.stats sh.c) "forwarded_envelopes");
     suspected =
       List.concat_map
         (fun (sh : shard) -> Cluster.suspected_failures sh.c)
@@ -880,6 +831,5 @@ let run ?(config = Cluster.default_config) ?placement
     clean;
     timed_out;
     trace;
-    metrics;
     shard_stats;
     sites }

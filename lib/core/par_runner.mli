@@ -3,7 +3,7 @@
 
     Each shard is a {!Cluster} over its own fabric — its own
     {!Tyco_net.Simnet} (clock, heap, PRNG), books, trace collector and
-    metrics registry — running the {!Node} daemons (TyCOd) of the nodes
+    statistics registry — running the {!Node} daemons (TyCOd) of the nodes
     attached to it, and everything beneath them: sites, VMs, export
     tables, intern areas, statistics.  Which nodes a shard runs is
     decided by a {!Placement} policy ([ip mod domains] by default;
@@ -13,12 +13,11 @@
     engine, so a program sends the same frames at every domain count
     where its events send at most one packet each.  A frame for a node
     on another shard leaves its cluster after the fault dice have
-    rolled and travels in an envelope {e batch} through one bounded
-    lock-free {!Tyco_support.Spsc_ring} per ordered shard pair: each
-    shard coalesces same-destination envelopes and flushes each buffer
-    as one ring element at every event boundary, so one ring push, one
-    work-count unit and one consumer pop amortize over what one
-    event sent.  A frame sent at sender-virtual time [s] with wire
+    rolled and travels through one bounded lock-free
+    {!Tyco_support.Spsc_ring} per ordered shard pair, one frame per
+    ring element: each shard buffers its departing frames per
+    destination shard and pushes them at every event boundary, never
+    inside an event.  A frame sent at sender-virtual time [s] with wire
     delay [d] lands at receiver-virtual time [max (receiver now)
     (s + d)], so delivery timestamps stay monotone per receiver.
 
@@ -39,10 +38,15 @@
     they are globally unique without a shared counter; frames carry
     their packets' spans, and above one domain the collectors are
     folded with {!Tyco_support.Trace.merge} into one shard-tagged
-    archive at quiescence.  When [config.metrics] each shard's cluster
-    owns a private {!Tyco_support.Metrics} registry, merged the same
-    way.  Both are the disabled singletons when off, so every
-    instrumentation point on the hot path costs one load-and-branch.
+    archive at quiescence.  The collector is the disabled singleton
+    when off, so every trace point on the hot path costs one
+    load-and-branch.  Each shard counts in its cluster's
+    {!Tyco_support.Stats} registry ({!Cluster.stats}), always on; this
+    engine adds ["handoffs_in"], ["drains"], ["migrations"],
+    ["migration_ns"] and the distribution ["handoff_lat_ns"] (virtual
+    ns from a frame's departure to its landing).  The registries are
+    read only after the join: {!Report.par_metrics} merges them for an
+    export, and {!Report.par_json} pools the handoff latency.
 
     Dynamic rebalancing (PR 10): node ownership can change mid-run.
     The node-to-shard map is an indirection table of atomics; the
@@ -89,6 +93,9 @@ type shard_stat = {
   ss_parks : int;
   ss_drains : int;       (** backpressure drain passes while pushing *)
   ss_weight : float;     (** placement weight this shard was assigned *)
+  ss_stats : Tyco_support.Stats.t;
+      (** the shard cluster's registry ({!Cluster.stats}), with this
+          engine's counts added *)
 }
 
 (** A coordinator-side mid-run observation: only whole-run atomics and
@@ -127,12 +134,12 @@ type result = {
   same_node_fast : int;
   handoffs : int;  (** frames delivered through rings *)
   ring_pushed : int;
-      (** total ring pushes, i.e. batches (= pops after a clean run) *)
+      (** total ring pushes: frames and migrations (= pops after a
+          clean run) *)
   ring_popped : int;
   ring_batch_fill_mean : float;
-      (** mean frames per ring push — how well handoff batching
-          amortized the per-push synchronization; 0 when nothing was
-          handed off *)
+      (** frames per ring element: 1 when a frame was handed off, 0
+          when none was *)
   parks : int;  (** blocking parks across all shards *)
   domains : int;
   instructions : int;  (** total VM instructions, for throughput *)
@@ -163,9 +170,6 @@ type result = {
       (** one shard's own collector, or the merged shard-tagged one
           ({!Tyco_support.Trace.merge}); the disabled singleton unless
           [config.tracing] *)
-  metrics : Tyco_support.Metrics.t;
-      (** the merged registry; the disabled singleton unless
-          [config.metrics] *)
   shard_stats : shard_stat array;
   sites : Site.t list;
       (** every site across all shards — safe to read because

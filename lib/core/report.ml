@@ -83,15 +83,16 @@ let site_stats site =
     ss_runq_depth_mean =
       (if Stats.Dist.count rq = 0 then 0. else Stats.Dist.mean rq) }
 
-(* Pool one distribution across all sites (queue-wait, execute): a
-   fresh Dist that absorbs each site's.  The pool is an estimate past
-   the reservoir cap, like its inputs. *)
-let pooled name sites =
-  let pool = Stats.Dist.create name in
-  List.iter
-    (fun site -> Stats.Dist.absorb pool (Stats.dist (Site.stats site) name))
-    sites;
-  Stats.Dist.summary_opt pool
+(* Pool one distribution across registries (sites' queue-wait and
+   execute, shards' handoff latency): a fresh Dist that absorbs each
+   one's.  The pool is an estimate past the reservoir cap, like its
+   inputs. *)
+let pool name registries =
+  let d = Stats.Dist.create name in
+  List.iter (fun s -> Stats.Dist.absorb d (Stats.dist s name)) registries;
+  Stats.Dist.summary_opt d
+
+let pooled name sites = pool name (List.map Site.stats sites)
 
 let memory_of_sites sites =
   let sum f = List.fold_left (fun acc s -> acc + f s) 0 sites in
@@ -134,12 +135,12 @@ let of_cluster cluster =
     sites = List.map site_stats sites;
     breakdown =
       { b_queue_wait = pooled "queue_wait_ns" sites;
-        b_wire = Stats.Dist.summary_opt (Stats.dist cstats "lat_wire");
+        b_wire = Stats.Dist.summary_opt (Stats.dist cstats "wire_ns");
         b_retransmit =
-          Stats.Dist.summary_opt (Stats.dist cstats "lat_retransmit");
+          Stats.Dist.summary_opt (Stats.dist cstats "retransmit_ns");
         b_execute = pooled "execute_ns" sites;
         b_flush_wait =
-          Stats.Dist.summary_opt (Stats.dist cstats "lat_flush_wait") };
+          Stats.Dist.summary_opt (Stats.dist cstats "flush_wait_ns") };
     suspected_failures = Cluster.suspected_failures cluster;
     memory = memory_of_sites sites }
 
@@ -252,24 +253,41 @@ let shard_stat_json (s : Par_runner.shard_stat) =
     s.Par_runner.ss_ring_hiwater s.Par_runner.ss_parks s.Par_runner.ss_drains
     (jfloat s.Par_runner.ss_weight)
 
+let shard_registries (r : Par_runner.result) =
+  List.map
+    (fun s -> s.Par_runner.ss_stats)
+    (Array.to_list r.Par_runner.shard_stats)
+
+(* The export registry of a parallel run: the shards' registries
+   merged, then the counts the engine keeps outside them — ring
+   traffic and occupancy (the rings' own atomics), parks (the
+   skeleton's) and the placement weights. *)
+let par_metrics (r : Par_runner.result) =
+  let m = Stats.create () in
+  List.iter (fun s -> Stats.merge_into ~into:m s) (shard_registries r);
+  let sum f =
+    Array.fold_left (fun acc s -> acc + f s) 0 r.Par_runner.shard_stats
+  in
+  List.iter
+    (fun (name, v) -> Stats.Counter.add (Stats.counter m name) v)
+    [ ("ring_pushed", r.Par_runner.ring_pushed);
+      ("ring_popped", r.Par_runner.ring_popped);
+      ("ring_hiwater", sum (fun s -> s.Par_runner.ss_ring_hiwater));
+      ("parks", r.Par_runner.parks);
+      ("placement_weight",
+        sum (fun s -> int_of_float (Float.round s.Par_runner.ss_weight))) ];
+  m
+
 let par_json (r : Par_runner.result) =
-  let module Metrics = Tyco_support.Metrics in
   (* the parallel latency breakdown: site-side components pooled over
-     every shard's sites, plus the cross-domain handoff latency the
-     metrics registry records when [--metrics] is on *)
+     every shard's sites, and the cross-domain handoff latency pooled
+     over the shards *)
   let breakdown =
     Printf.sprintf
       "{\"queue_wait\":%s,\"execute\":%s,\"handoff\":%s}"
       (summary_json (pooled "queue_wait_ns" r.Par_runner.sites))
       (summary_json (pooled "execute_ns" r.Par_runner.sites))
-      (summary_json
-         (match
-            List.find_opt
-              (fun h -> Metrics.histogram_name h = "handoff_lat_ns")
-              (Metrics.histograms r.Par_runner.metrics)
-          with
-         | Some h -> Stats.Dist.summary_opt (Metrics.histogram_dist h)
-         | None -> None))
+      (summary_json (pool "handoff_lat_ns" (shard_registries r)))
   in
   Printf.sprintf
     "{\"engine\":\"parallel\",\"domains\":%d,\"virtual_ns\":%d,\

@@ -107,9 +107,17 @@ val par_json : Par_runner.result -> string
     ({!Par_runner.shard_stat}: ring traffic, occupancy high-water,
     backpressure drains, parks), a latency breakdown with
     p50/p95/p99/p999 per component (queue-wait and execute pooled over
-    all shards' sites; cross-domain handoff latency when [--metrics]
-    is on), and merged outputs.  [tycosh --json --domains N] (N > 1)
+    all shards' sites, cross-domain handoff latency pooled over the
+    shards), and merged outputs.  [tycosh --json --domains N] (N > 1)
     prints this instead of {!to_json}. *)
+
+val par_metrics : Par_runner.result -> Tyco_support.Metrics.t
+(** The registry [tycosh --domains N --metrics-out] exports: every
+    shard's registry ({!Par_runner.shard_stat}'s [ss_stats]) merged,
+    plus ["ring_pushed"], ["ring_popped"], ["ring_hiwater"] (the
+    shards' outbound high-waters, summed), ["parks"] and
+    ["placement_weight"] (the shards' rounded weights, summed).  A
+    fresh registry, built only when called. *)
 
 val json_escape : string -> string
 (** Exposed for tests: JSON string escaping. *)

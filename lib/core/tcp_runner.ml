@@ -1,6 +1,7 @@
 module Packet = Tyco_net.Packet
 module Trace = Tyco_support.Trace
 module Wire = Tyco_support.Wire
+module Stats = Tyco_support.Stats
 module Metrics = Tyco_support.Metrics
 
 exception Node_failure of int * string
@@ -109,15 +110,14 @@ type node = {
      work is deferred, and every frame it queued holds one until the
      peer reads it *)
   w : Workers.worker;
-  mutable sent : int; (* packets queued for peers *)
   (* read buffer, reused across iterations (was a per-iteration 8 KB
      allocation) *)
   scratch : Bytes.t;
-  (* node-confined metrics registry: only this node's domain bumps it;
-     merged after join *)
-  mx : Metrics.t;
-  m_packets : Metrics.counter;
-  m_bytes : Metrics.counter;
+  (* node-confined registry, shared with the daemon's host: only this
+     node's domain counts in it; read after join *)
+  stats : Stats.t;
+  c_packets : Stats.Counter.t; (* packets queued for peers *)
+  c_bytes : Stats.Counter.t; (* their encoded bytes *)
 }
 
 (* Queue one packet for [peer]: encode (into the node's reused
@@ -125,7 +125,6 @@ type node = {
    buffer behind its length prefix.  The bytes leave in [flush_tx]. *)
 let send_to run node peer ~ctx (p : Packet.t) =
   Workers.count run 1;
-  node.sent <- node.sent + 1;
   let tx = (Option.get node.peers.(peer)).tx in
   (* the trace span rides the versioned trailer — an untraced run
      produces bytes identical to [Packet.to_string] *)
@@ -139,8 +138,8 @@ let send_to run node peer ~ctx (p : Packet.t) =
   Bytes.set_uint8 tx.data (tx.len + 3) (n land 0xff);
   Wire.blit_to_bytes node.enc tx.data (tx.len + 4);
   tx.len <- tx.len + 4 + n;
-  Metrics.incr node.m_packets;
-  Metrics.add node.m_bytes n
+  Stats.Counter.incr node.c_packets;
+  Stats.Counter.add node.c_bytes n
 
 let flush_tx node =
   Array.iter
@@ -273,13 +272,11 @@ let run ?(nodes = 4) ?base_port ?(inputs = fun _ -> [])
     (* room for every peer's set-up connection besides outside ones *)
     Unix.listen listen (nodes + 16);
     Unix.set_nonblock listen;
-    let mx =
-      if metrics then
-        Metrics.create ~label:(Printf.sprintf "node%d" node_id) ~enabled:true ()
-      else Metrics.disabled
-    in
+    let stats = Stats.create () in
+    let c_packets = Stats.counter stats "packets" in
+    let c_bytes = Stats.counter stats "bytes" in
     let daemon = Node.create ~node_id ~ip:node_id ~cores:1 in
-    let host = Node.host ~metrics:mx () in
+    let host = Node.host ~stats () in
     let node =
       { node_id;
         listen;
@@ -292,11 +289,10 @@ let run ?(nodes = 4) ?base_port ?(inputs = fun _ -> [])
         sites = [];
         deferred = Queue.create ();
         w = Workers.worker run ~id:node_id;
-        sent = 0;
         scratch = Bytes.create 8192;
-        mx;
-        m_packets = Metrics.counter mx "packets";
-        m_bytes = Metrics.counter mx "bytes" }
+        stats;
+        c_packets;
+        c_bytes }
     in
     Node.connect host (transport run node);
     Node.attach daemon host;
@@ -354,31 +350,25 @@ let run ?(nodes = 4) ?base_port ?(inputs = fun _ -> [])
   let wall_ns =
     int_of_float ((Unix.gettimeofday () -. started) *. 1e9)
   in
-  let merged =
-    (* Workers.join above is the happens-before edge for the node-
-       confined registries *)
-    if metrics then begin
-      let into = Metrics.create ~enabled:true () in
-      Array.iter
-        (fun n ->
-          Metrics.add (Metrics.counter n.mx "parks") (Workers.parks n.w);
-          Metrics.merge_into ~into n.mx)
-        node_arr;
-      into
-    end
-    else Metrics.disabled
-  in
   let sum f = Array.fold_left (fun acc n -> acc + f n) 0 node_arr in
+  let parks = sum (fun n -> Workers.parks n.w) in
+  (* Workers.join above is the happens-before edge for the node-
+     confined registries *)
+  let registry = Stats.create () in
+  if metrics then begin
+    Array.iter (fun n -> Stats.merge_into ~into:registry n.stats) node_arr;
+    Stats.Counter.add (Stats.counter registry "parks") parks
+  end;
   { outputs =
       List.concat_map
         (fun n -> List.map snd (Node.outputs n.host))
         (Array.to_list node_arr);
-    packets = sum (fun n -> n.sent);
+    packets = sum (fun n -> Stats.Counter.value n.c_packets);
     wall_ns;
     timed_out;
-    parks = sum (fun n -> Workers.parks n.w);
+    parks;
     dead_letters = sum (fun n -> Node.dead_letters n.host);
-    metrics = merged }
+    metrics = registry }
 
 let run_program ?nodes ?base_port ?timeout_ms ?metrics prog =
   ignore (Api.typecheck prog);

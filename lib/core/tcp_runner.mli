@@ -52,10 +52,12 @@ type result = {
   dead_letters : int;
       (** packets for a site the receiving node does not host *)
   metrics : Tyco_support.Metrics.t;
-      (** per-node registries (parks, packets, bytes, and the
-          daemon's deliveries and dead letters) merged after the
-          domains join; the disabled singleton unless
-          [run ~metrics:true] *)
+      (** with [run ~metrics:true], the nodes' registries merged after
+          the domains join: each node counts ["packets"] and ["bytes"]
+          (encoded, without the length prefix) it queued for peers,
+          and its daemon ["deliveries"] and ["dead_letters"]
+          ({!Node.host}); ["parks"] is added at the merge.  Empty
+          otherwise. *)
 }
 
 val default_base_port : pid:int -> nodes:int -> int
@@ -75,9 +77,9 @@ val run :
 (** Place the compiled sites round-robin on [nodes] (default 4) node
     threads listening on consecutive loopback ports (default base:
     derived from the process id), run until global quiescence or
-    [timeout_ms] (default 10_000).  [metrics] (default [false]) gives
-    each node a {!Tyco_support.Metrics} registry, merged into
-    [result.metrics] after the join. *)
+    [timeout_ms] (default 10_000).  Each node always counts in its
+    own {!Tyco_support.Stats} registry; [metrics] (default [false])
+    merges them into [result.metrics] after the join. *)
 
 val run_program :
   ?nodes:int -> ?base_port:int -> ?timeout_ms:int -> ?metrics:bool ->

@@ -1,165 +1,9 @@
-(* Domain-safe metrics registry.
+(* Exposition of a finished run's Stats registry.  The engines count in
+   Stats alone; this module only renders what they counted. *)
 
-   Instruments (counters / gauges / histograms) are plain mutable
-   records owned by exactly one domain: a parallel run gives each shard
-   its own registry and merges them with [merge_into] at quiescence, so
-   the hot path never touches an atomic or a lock.
+type t = Stats.t
 
-   The disabled path mirrors [Trace]: [disabled] is a shared singleton
-   whose instrument constructors return preallocated dummies without
-   touching a hashtable, and every bump is guarded by one load of the
-   instrument's own [*_on] flag and a branch — test_hotpath.ml pins the
-   zero-allocation claim. *)
-
-type counter = { c_on : bool; c_name : string; mutable c_v : int }
-
-type gauge = {
-  g_on : bool;
-  g_name : string;
-  mutable g_v : int;
-  mutable g_hi : int; (* high-water of [g_v] since creation *)
-}
-
-type histogram = { h_on : bool; h_name : string; h_dist : Stats.Dist.t }
-
-type kind = C | G | H
-
-type t = {
-  en : bool;
-  label : string;
-  counters : (string, counter) Hashtbl.t;
-  gauges : (string, gauge) Hashtbl.t;
-  histos : (string, histogram) Hashtbl.t;
-  mutable order : (kind * string) list; (* registration order, newest first *)
-}
-
-let create ?(label = "") ~enabled () =
-  { en = enabled;
-    label;
-    counters = Hashtbl.create 16;
-    gauges = Hashtbl.create 16;
-    histos = Hashtbl.create 16;
-    order = [] }
-
-let disabled = create ~enabled:false ()
-let enabled t = t.en
-let label t = t.label
-
-(* Shared dummies handed out by the disabled registry: constructors on
-   the off path allocate nothing and register nothing. *)
-let dummy_counter = { c_on = false; c_name = ""; c_v = 0 }
-let dummy_gauge = { g_on = false; g_name = ""; g_v = 0; g_hi = 0 }
-
-let dummy_histogram =
-  { h_on = false; h_name = ""; h_dist = Stats.Dist.create "disabled" }
-
-let counter t name =
-  if not t.en then dummy_counter
-  else
-    match Hashtbl.find_opt t.counters name with
-    | Some c -> c
-    | None ->
-        let c = { c_on = true; c_name = name; c_v = 0 } in
-        Hashtbl.add t.counters name c;
-        t.order <- (C, name) :: t.order;
-        c
-
-let gauge t name =
-  if not t.en then dummy_gauge
-  else
-    match Hashtbl.find_opt t.gauges name with
-    | Some g -> g
-    | None ->
-        let g = { g_on = true; g_name = name; g_v = 0; g_hi = 0 } in
-        Hashtbl.add t.gauges name g;
-        t.order <- (G, name) :: t.order;
-        g
-
-let histogram t name =
-  if not t.en then dummy_histogram
-  else
-    match Hashtbl.find_opt t.histos name with
-    | Some h -> h
-    | None ->
-        let h = { h_on = true; h_name = name; h_dist = Stats.Dist.create name } in
-        Hashtbl.add t.histos name h;
-        t.order <- (H, name) :: t.order;
-        h
-
-(* ------------------------------------------------------------------ *)
-(* Hot-path bumps: one load-and-branch when off.                       *)
-
-let incr c = if c.c_on then c.c_v <- c.c_v + 1
-let add c n = if c.c_on then c.c_v <- c.c_v + n
-
-let set g v =
-  if g.g_on then begin
-    g.g_v <- v;
-    if v > g.g_hi then g.g_hi <- v
-  end
-
-let observe h x = if h.h_on then Stats.Dist.add h.h_dist x
-let observe_int h n = if h.h_on then Stats.Dist.add_int h.h_dist n
-
-(* ------------------------------------------------------------------ *)
-(* Reads                                                               *)
-
-let counter_name c = c.c_name
-let counter_value c = c.c_v
-let gauge_name g = g.g_name
-let gauge_value g = g.g_v
-let gauge_hiwater g = g.g_hi
-let histogram_name h = h.h_name
-let histogram_dist h = h.h_dist
-
-let value t name =
-  match Hashtbl.find_opt t.counters name with
-  | Some c -> c.c_v
-  | None -> 0
-
-let fold_ordered t fc fg fh acc =
-  List.fold_left
-    (fun acc (kind, name) ->
-      match kind with
-      | C -> fc acc (Hashtbl.find t.counters name)
-      | G -> fg acc (Hashtbl.find t.gauges name)
-      | H -> fh acc (Hashtbl.find t.histos name))
-    acc
-    (List.rev t.order)
-
-let counters t =
-  List.rev (fold_ordered t (fun a c -> c :: a) (fun a _ -> a) (fun a _ -> a) [])
-
-let gauges t =
-  List.rev (fold_ordered t (fun a _ -> a) (fun a g -> g :: a) (fun a _ -> a) [])
-
-let histograms t =
-  List.rev (fold_ordered t (fun a _ -> a) (fun a _ -> a) (fun a h -> h :: a) [])
-
-(* ------------------------------------------------------------------ *)
-(* Merge (quiescence-time): counters sum, gauges sum with max'd
-   high-water (per-shard occupancy-style gauges add up; the merged
-   high-water is conservative), histograms absorb reservoirs.          *)
-
-let merge_into ~into src =
-  if into.en && src.en then begin
-    List.iter
-      (fun c -> add (counter into c.c_name) c.c_v)
-      (counters src);
-    List.iter
-      (fun g ->
-        let m = gauge into g.g_name in
-        m.g_v <- m.g_v + g.g_v;
-        if g.g_hi > m.g_hi then m.g_hi <- g.g_hi;
-        if m.g_v > m.g_hi then m.g_hi <- m.g_v)
-      (gauges src);
-    List.iter
-      (fun h -> Stats.Dist.absorb (histogram into h.h_name).h_dist h.h_dist)
-      (histograms src)
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Exposition                                                          *)
+let value = Stats.counter_value
 
 let sanitize name =
   String.map
@@ -169,98 +13,59 @@ let sanitize name =
       | _ -> '_')
     name
 
-let prom_labels t =
-  if t.label = "" then "" else Printf.sprintf "{instance=\"%s\"}" t.label
-
 let to_prom t =
   let b = Buffer.create 1024 in
-  let lbl = prom_labels t in
   List.iter
     (fun c ->
-      let n = sanitize c.c_name in
+      let n = sanitize (Stats.Counter.name c) in
       Buffer.add_string b (Printf.sprintf "# TYPE tyco_%s counter\n" n);
-      Buffer.add_string b (Printf.sprintf "tyco_%s%s %d\n" n lbl c.c_v))
-    (counters t);
+      Buffer.add_string b
+        (Printf.sprintf "tyco_%s %d\n" n (Stats.Counter.value c)))
+    (Stats.counters t);
   List.iter
-    (fun g ->
-      let n = sanitize g.g_name in
-      Buffer.add_string b (Printf.sprintf "# TYPE tyco_%s gauge\n" n);
-      Buffer.add_string b (Printf.sprintf "tyco_%s%s %d\n" n lbl g.g_v);
-      Buffer.add_string b (Printf.sprintf "# TYPE tyco_%s_hiwater gauge\n" n);
-      Buffer.add_string b (Printf.sprintf "tyco_%s_hiwater%s %d\n" n lbl g.g_hi))
-    (gauges t);
-  List.iter
-    (fun h ->
-      let n = sanitize h.h_name in
+    (fun d ->
+      let n = sanitize (Stats.Dist.name d) in
       Buffer.add_string b (Printf.sprintf "# TYPE tyco_%s summary\n" n);
-      match Stats.Dist.summary_opt h.h_dist with
-      | None ->
-          Buffer.add_string b (Printf.sprintf "tyco_%s_count%s 0\n" n lbl)
+      match Stats.Dist.summary_opt d with
+      | None -> Buffer.add_string b (Printf.sprintf "tyco_%s_count 0\n" n)
       | Some s ->
           let q p v =
-            let ql =
-              if t.label = "" then Printf.sprintf "{quantile=\"%s\"}" p
-              else
-                Printf.sprintf "{instance=\"%s\",quantile=\"%s\"}" t.label p
-            in
-            Buffer.add_string b (Printf.sprintf "tyco_%s%s %.6g\n" n ql v)
+            Buffer.add_string b
+              (Printf.sprintf "tyco_%s{quantile=\"%s\"} %.6g\n" n p v)
           in
           q "0.5" s.Stats.Dist.s_p50;
           q "0.95" s.Stats.Dist.s_p95;
           q "0.99" s.Stats.Dist.s_p99;
           q "0.999" s.Stats.Dist.s_p999;
           Buffer.add_string b
-            (Printf.sprintf "tyco_%s_sum%s %.6g\n" n lbl
+            (Printf.sprintf "tyco_%s_sum %.6g\n" n
                (s.Stats.Dist.s_mean *. float_of_int s.Stats.Dist.s_n));
           Buffer.add_string b
-            (Printf.sprintf "tyco_%s_count%s %d\n" n lbl s.Stats.Dist.s_n))
-    (histograms t);
+            (Printf.sprintf "tyco_%s_count %d\n" n s.Stats.Dist.s_n))
+    (Stats.dists t);
   Buffer.contents b
 
-(* One-line JSON object (JSONL-friendly).  [extra] key/value pairs —
-   values already JSON-encoded — lead the object, so snapshot streams
-   can prepend timestamps without re-parsing. *)
+(* [extra] key/value pairs — values already JSON-encoded — lead the
+   object, so a stream can tag its lines without re-parsing. *)
 let to_json ?(extra = []) t =
-  let b = Buffer.create 512 in
-  Buffer.add_char b '{';
-  let first = ref true in
-  let sep () =
-    if !first then first := false else Buffer.add_char b ',';
+  let fields =
+    List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" k v) extra
+    @ List.map
+        (fun c ->
+          Printf.sprintf "\"%s\":%d" (Stats.Counter.name c)
+            (Stats.Counter.value c))
+        (Stats.counters t)
+    @ List.map
+        (fun d ->
+          match Stats.Dist.summary_opt d with
+          | None -> Printf.sprintf "\"%s\":null" (Stats.Dist.name d)
+          | Some s ->
+              Printf.sprintf
+                "\"%s\":{\"n\":%d,\"mean\":%.6g,\"min\":%.6g,\"max\":%.6g,\
+                 \"p50\":%.6g,\"p95\":%.6g,\"p99\":%.6g,\"p999\":%.6g}"
+                (Stats.Dist.name d) s.Stats.Dist.s_n s.Stats.Dist.s_mean
+                s.Stats.Dist.s_min s.Stats.Dist.s_max s.Stats.Dist.s_p50
+                s.Stats.Dist.s_p95 s.Stats.Dist.s_p99 s.Stats.Dist.s_p999)
+        (Stats.dists t)
   in
-  List.iter
-    (fun (k, v) ->
-      sep ();
-      Buffer.add_string b (Printf.sprintf "\"%s\":%s" k v))
-    extra;
-  if t.label <> "" then begin
-    sep ();
-    Buffer.add_string b (Printf.sprintf "\"instance\":\"%s\"" t.label)
-  end;
-  List.iter
-    (fun c ->
-      sep ();
-      Buffer.add_string b (Printf.sprintf "\"%s\":%d" c.c_name c.c_v))
-    (counters t);
-  List.iter
-    (fun g ->
-      sep ();
-      Buffer.add_string b
-        (Printf.sprintf "\"%s\":%d,\"%s_hiwater\":%d" g.g_name g.g_v g.g_name
-           g.g_hi))
-    (gauges t);
-  List.iter
-    (fun h ->
-      sep ();
-      match Stats.Dist.summary_opt h.h_dist with
-      | None -> Buffer.add_string b (Printf.sprintf "\"%s\":null" h.h_name)
-      | Some s ->
-          Buffer.add_string b
-            (Printf.sprintf
-               "\"%s\":{\"n\":%d,\"mean\":%.6g,\"min\":%.6g,\"max\":%.6g,\
-                \"p50\":%.6g,\"p95\":%.6g,\"p99\":%.6g,\"p999\":%.6g}"
-               h.h_name s.Stats.Dist.s_n s.Stats.Dist.s_mean
-               s.Stats.Dist.s_min s.Stats.Dist.s_max s.Stats.Dist.s_p50
-               s.Stats.Dist.s_p95 s.Stats.Dist.s_p99 s.Stats.Dist.s_p999))
-    (histograms t);
-  Buffer.add_char b '}';
-  Buffer.contents b
+  "{" ^ String.concat "," fields ^ "}"

@@ -1,88 +1,26 @@
-(** Domain-safe metrics registry: counters, gauges, and
-    {!Stats.Dist}-backed histograms.
+(** Exposition of a finished run's counts.
 
-    Instruments are plain mutable records owned by one domain; a
-    parallel run gives each shard its own registry and calls
-    {!merge_into} at quiescence, so the hot path has zero contention.
+    A run counts only in {!Stats} registries: each cluster or shard
+    keeps one for its transport and daemon, each TCP node one for its
+    sockets and daemon, always on.  Nothing here runs while a run is
+    live.  A caller that exports assembles one registry from the
+    finished run's (the engines' shards and nodes merge with
+    {!Stats.merge_into}) and writes it with {!to_prom} or {!to_json}. *)
 
-    The off path mirrors [Trace]: {!disabled} hands out shared dummy
-    instruments that allocate and register nothing, and every bump is
-    one load of the instrument's own on-flag plus a branch
-    (zero-allocation, pinned by test_hotpath.ml). *)
-
-type t
-(** A registry.  One per domain/shard; never shared across domains
-    while live. *)
-
-type counter
-type gauge
-
-type histogram
-(** Latency-style distribution with reservoir-estimated percentiles. *)
-
-val create : ?label:string -> enabled:bool -> unit -> t
-(** [label] names the instance in exports (e.g. ["shard3"]). *)
-
-val disabled : t
-(** Shared always-off registry: instrument constructors return
-    preallocated dummies; bumps cost one load-and-branch. *)
-
-val enabled : t -> bool
-val label : t -> string
-
-(** {1 Instruments} — idempotent by name on an enabled registry. *)
-
-val counter : t -> string -> counter
-val gauge : t -> string -> gauge
-val histogram : t -> string -> histogram
-
-(** {1 Hot-path bumps} — no-ops (one load-and-branch) when off. *)
-
-val incr : counter -> unit
-val add : counter -> int -> unit
-
-val set : gauge -> int -> unit
-(** Records the value and tracks its high-water. *)
-
-val observe : histogram -> float -> unit
-
-val observe_int : histogram -> int -> unit
-(** Like {!Stats.Dist.add_int}: int-to-float conversion inside the
-    call, so hot loops pass an unboxed immediate. *)
-
-(** {1 Reads} *)
-
-val counter_name : counter -> string
-val counter_value : counter -> int
-val gauge_name : gauge -> string
-val gauge_value : gauge -> int
-val gauge_hiwater : gauge -> int
-val histogram_name : histogram -> string
-val histogram_dist : histogram -> Stats.Dist.t
+type t = Stats.t
+(** A registry to export: its counters, then its distributions, in
+    registration order. *)
 
 val value : t -> string -> int
 (** Counter value by name; 0 when never registered (does not create). *)
 
-val counters : t -> counter list
-(** In registration order; likewise {!gauges} and {!histograms}. *)
-
-val gauges : t -> gauge list
-val histograms : t -> histogram list
-
-val merge_into : into:t -> t -> unit
-(** Quiescence-time merge: counters sum, gauges sum with max'd
-    high-water, histograms absorb reservoirs ({!Stats.Dist.absorb}).
-    No-op unless both registries are enabled; [src] is unchanged. *)
-
-(** {1 Exposition} *)
-
 val to_prom : t -> string
-(** Prometheus text format: counters/gauges as [tyco_<name>], gauges
-    additionally as [tyco_<name>_hiwater], histograms as summaries with
-    p50/p95/p99/p999 quantiles.  The registry label becomes an
-    [instance] label. *)
+(** Prometheus text format: counters as [tyco_<name>], distributions
+    as summaries with p50/p95/p99/p999 quantiles, [_sum] and
+    [_count]. *)
 
 val to_json : ?extra:(string * string) list -> t -> string
-(** One-line JSON object (JSONL-friendly).  [extra] key/value pairs
-    (values already JSON-encoded) lead the object — snapshot streams
-    prepend timestamps this way. *)
+(** One-line JSON object (JSONL-friendly): counters as numbers,
+    distributions as [{n, mean, min, max, p50, p95, p99, p999}] or
+    [null] when empty.  [extra] key/value pairs (values already
+    JSON-encoded) lead the object. *)

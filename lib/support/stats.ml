@@ -274,6 +274,13 @@ let counters t =
 
 let dists t = List.filter_map (Hashtbl.find_opt t.dists) (List.rev t.order)
 
+(* Quiescence-time merge: counters sum, distributions absorb. *)
+let merge_into ~into src =
+  List.iter
+    (fun c -> Counter.add (counter into (Counter.name c)) (Counter.value c))
+    (counters src);
+  List.iter (fun d -> Dist.absorb (dist into (Dist.name d)) d) (dists src)
+
 let reset t =
   Hashtbl.iter (fun _ c -> Counter.reset c) t.counters;
   Hashtbl.iter (fun _ d -> Dist.reset d) t.dists

@@ -104,8 +104,10 @@ end
 (** {1 Registries} *)
 
 type t
-(** A named collection of counters and distributions, one per site or
-    per experiment run. *)
+(** A named collection of counters and distributions, one per site, per
+    cluster or shard (its transport and daemon), or per experiment run.
+    A run counts only here; {!Metrics} exports a finished run's
+    registry. *)
 
 val create : unit -> t
 val counter : t -> string -> Counter.t
@@ -118,5 +120,13 @@ val counter_value : t -> string -> int
 val dist : t -> string -> Dist.t
 val counters : t -> Counter.t list
 val dists : t -> Dist.t list
+val merge_into : into:t -> t -> unit
+(** Quiescence-time merge of a registry into another: each counter adds
+    its value to the counter of the same name in [into], each
+    distribution {!Dist.absorb}s into the one of the same name, and
+    names new to [into] are registered there, counters first.  The
+    source is unchanged.  This is how the registries of a run's shards
+    or nodes become one after the join. *)
+
 val reset : t -> unit
 val pp : Format.formatter -> t -> unit

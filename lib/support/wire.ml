@@ -182,10 +182,16 @@ let read_string d =
   d.pos <- d.pos + len;
   s
 
-let read_list d f =
-  let len = read_varint d in
-  if len < 0 || len > remaining d then fail "list: length exceeds input";
-  List.init len (fun _ -> f d)
+(* A table length: every entry takes at least one byte, so a count
+   beyond the bytes left (or a negative one, from an overlong varint) is
+   corrupt — and must not reach [Array.init] or [List.init]. *)
+let read_count d =
+  let n = read_varint d in
+  if n < 0 || n > remaining d then
+    fail (Printf.sprintf "count %d exceeds input" n);
+  n
+
+let read_list d f = List.init (read_count d) (fun _ -> f d)
 
 let read_option d f =
   match read_u8 d with

@@ -76,6 +76,11 @@ val read_zint : dec -> int
 val read_bool : dec -> bool
 val read_float : dec -> float
 val read_string : dec -> string
+val read_count : dec -> int
+(** A table length: a varint at least 0 and at most the bytes left
+    (every entry takes at least one byte); raises {!Malformed}
+    otherwise, so a corrupt count never reaches [Array.init]. *)
+
 val read_list : dec -> (dec -> 'a) -> 'a list
 val read_option : dec -> (dec -> 'a) -> 'a option
 val read_pair : dec -> (dec -> 'a) -> (dec -> 'b) -> 'a * 'b

@@ -142,7 +142,7 @@ let encode enc t =
   Wire.varint enc t.root
 
 let decode dec =
-  let n = Wire.read_varint dec in
+  let n = Wire.read_count dec in
   if n = 0 then raise (Wire.Malformed "rtti: empty node table");
   let nodes =
     Array.init n (fun _ ->

@@ -536,3 +536,45 @@ let asm_tests =
     ("asm hand-written program", `Quick, asm_hand_written_runs) ]
 
 let tests = tests @ asm_tests
+
+(* A block's frame is allocated whole at every spawn, so the decoder
+   bounds it: a unit claiming 2^40 slots used to decode, and its first
+   spawn would have asked for 2^40 words.  The compiler refuses what
+   the decoder would. *)
+let bytecode_bounds_frames () =
+  let unit_ ~nparams ~nslots =
+    { Block.blocks =
+        [| { Block.blk_id = 0; blk_name = "b"; blk_nparams = nparams;
+             blk_nslots = nslots; blk_code = [||] } |];
+      mtables = [||];
+      groups = [||];
+      entry = 0 }
+  in
+  let decodes u =
+    match Bytecode.unit_of_string (Bytecode.unit_to_string u) with
+    | u' -> Some u'
+    | exception Tyco_support.Wire.Malformed _ -> None
+  in
+  check Alcotest.bool "2^40 slots rejected" true
+    (decodes (unit_ ~nparams:1 ~nslots:(1 lsl 40)) = None);
+  check Alcotest.bool "one past the cap rejected" true
+    (decodes (unit_ ~nparams:1 ~nslots:(Block.max_slots + 1)) = None);
+  check Alcotest.bool "more parameters than slots rejected" true
+    (decodes (unit_ ~nparams:3 ~nslots:2) = None);
+  (match decodes (unit_ ~nparams:1 ~nslots:Block.max_slots) with
+  | Some u ->
+      check Alcotest.int "a unit at the cap decodes" Block.max_slots
+        u.Block.blocks.(0).Block.blk_nslots
+  | None -> Alcotest.fail "a unit at the cap must decode");
+  let names n = String.concat ", " (List.init n (Printf.sprintf "x%d")) in
+  let compiles n =
+    match compile (Printf.sprintf "new %s x0![]" (names n)) with
+    | _ -> true
+    | exception Compile.Error _ -> false
+  in
+  check Alcotest.bool "a block past the cap does not compile" false
+    (compiles Block.max_slots);
+  check Alcotest.bool "a block below it does" true (compiles 1000)
+
+let tests =
+  tests @ [ ("bytecode bounds frame sizes", `Quick, bytecode_bounds_frames) ]

@@ -195,41 +195,62 @@ let tests = tests @ [ ("step ∈ all_steps", `Quick, step_in_all_steps) ]
 
 (* structural congruence is sound for may-testing: congruent terms have
    equal outcome sets *)
+let congruence_property name =
+  QCheck2.Test.make ~name ~count:40
+    QCheck2.Gen.(pair Test_syntax.gen_proc Test_syntax.gen_proc)
+    (fun (a, b) ->
+      (* build two congruent-by-construction variants: P|Q vs Q|P
+         with a nil and an unused restriction thrown in *)
+      let pa =
+        Tyco_syntax.Ast.par (Tyco_syntax.Ast.new_ [ "unused_z" ] a) b
+      in
+      let pb =
+        Tyco_syntax.Ast.par b (Tyco_syntax.Ast.par a Tyco_syntax.Ast.nil)
+      in
+      let ta = Term.of_ast (Tyco_syntax.Sugar.desugar pa) in
+      let tb = Term.of_ast (Tyco_syntax.Sugar.desugar pb) in
+      (* only meaningful when the terms are closed enough to load:
+         wrap free names in new-binders and drop free classes *)
+      if Term.free_cids ta <> [] then true
+      else begin
+        let close t =
+          let frees =
+            List.filter_map
+              (function Term.Plain x when x <> "io" -> Some x | _ -> None)
+              (Term.free_ids t)
+          in
+          if frees = [] then t else Term.New (frees, t)
+        in
+        let ta = close ta and tb = close tb in
+        if not (Congruence.congruent ta tb) then
+          QCheck2.Test.fail_reportf "constructed pair not congruent";
+        let wrap t = Network.add_proc Network.empty "main" t in
+        match
+          ( Equiv.outcomes_of_net ~max_states:2000 (wrap ta),
+            Equiv.outcomes_of_net ~max_states:2000 (wrap tb) )
+        with
+        | oa, ob -> oa = ob
+        | exception (Equiv.Search_exhausted _ | Network.Stuck _) -> true
+      end)
+
 let congruent_implies_equivalent =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name:"congruent terms are may-equivalent" ~count:40
-       QCheck2.Gen.(pair Test_syntax.gen_proc Test_syntax.gen_proc)
-       (fun (a, b) ->
-         (* build two congruent-by-construction variants: P|Q vs Q|P
-            with a nil and an unused restriction thrown in *)
-         let pa =
-           Tyco_syntax.Ast.par (Tyco_syntax.Ast.new_ [ "unused_z" ] a) b
-         in
-         let pb = Tyco_syntax.Ast.par b (Tyco_syntax.Ast.par a Tyco_syntax.Ast.nil) in
-         let ta = Term.of_ast (Tyco_syntax.Sugar.desugar pa) in
-         let tb = Term.of_ast (Tyco_syntax.Sugar.desugar pb) in
-         (* only meaningful when the terms are closed enough to load:
-            wrap free names in new-binders and drop free classes *)
-         if Term.free_cids ta <> [] then true
-         else begin
-           let close t =
-             let frees =
-               List.filter_map
-                 (function Term.Plain x when x <> "io" -> Some x | _ -> None)
-                 (Term.free_ids t)
-             in
-             if frees = [] then t else Term.New (frees, t)
-           in
-           let ta = close ta and tb = close tb in
-           if not (Congruence.congruent ta tb) then
-             QCheck2.Test.fail_reportf "constructed pair not congruent";
-           let wrap t = Network.add_proc Network.empty "main" t in
-           match
-             ( Equiv.outcomes_of_net ~max_states:2000 (wrap ta),
-               Equiv.outcomes_of_net ~max_states:2000 (wrap tb) )
-           with
-           | oa, ob -> oa = ob
-           | exception (Equiv.Search_exhausted _ | Network.Stuck _) -> true
-         end))
+    (congruence_property "congruent terms are may-equivalent")
 
 let tests = tests @ [ congruent_implies_equivalent ]
+
+(* The seeds on which the property above used to fail: tied atoms kept
+   their input order, so the two constructed terms, though congruent,
+   got different normal forms. *)
+let congruence_at_seed seed =
+  QCheck_alcotest.to_alcotest
+    ~rand:(Random.State.make [| seed |])
+    (congruence_property
+       (Printf.sprintf "congruence at qcheck seed %d" seed))
+
+let tests = tests @ List.map congruence_at_seed [ 82; 102; 137; 153; 173 ]
+
+(* Seed 237 failed for another reason: the reference interpreter raised
+   [Invalid_argument] when a generated term bound a value where the
+   body uses a channel — a dynamic error, [Network.Stuck]. *)
+let tests = tests @ [ congruence_at_seed 237 ]

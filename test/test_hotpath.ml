@@ -11,13 +11,14 @@
      a fixed budget of minor words per reduction;
    - the disabled [Trace] singleton records nothing and allocates
      nothing, even across a full chaos run;
-   - the disabled [Metrics] singleton hands out dummy instruments
-     whose bumps allocate nothing;
+   - the always-on [Stats] counting a metrics export reads allocates
+     nothing per bump;
    - [lease_ns = 0] produces a bit-identical [Report] to the seed
      semantics (the default, lifecycle-free configuration). *)
 
 open Dityco
 module Trace = Tyco_support.Trace
+module Stats = Tyco_support.Stats
 module Metrics = Tyco_support.Metrics
 
 let check = Alcotest.check
@@ -98,37 +99,43 @@ let disabled_trace_records_nothing () =
     Alcotest.failf "disabled Trace allocated %.0f words over 10k emits"
       words
 
-(* The disabled metrics singleton mirrors the disabled tracer: a run
-   with metrics off hands out dummy instruments, and bumping them must
-   not allocate — 10k bumps of every instrument kind cost 0 minor
-   words (one load-and-branch each). *)
+(* Counting costs nothing worth a switch: with nothing turned on, a
+   plain run's cluster registry already holds every key
+   [tycosh --metrics-out] exports, agreeing with the cluster's own
+   books, and the bumps the hot path makes — counters and small-integer
+   samples — allocate nothing: 10k of each cost 0 minor words. *)
 let disabled_metrics_cost_nothing () =
   let src =
     {| site s { import p from r in let y = p![7] in io!printi[y] }
        site r { export new p p?(x, k) = k![x * x] } |}
   in
   let r = Api.run_program (Api.parse src) in
-  let mx = Cluster.metrics r.Api.cluster in
-  check Alcotest.bool "cluster registry is the disabled singleton" false
-    (Metrics.enabled mx);
-  check Alcotest.bool "no instruments registered" true
-    (Metrics.counters mx = [] && Metrics.gauges mx = []
-    && Metrics.histograms mx = []);
-  let c = Metrics.counter Metrics.disabled "c" in
-  let g = Metrics.gauge Metrics.disabled "g" in
-  let h = Metrics.histogram Metrics.disabled "h" in
+  let cl = r.Api.cluster in
+  let mx = Cluster.stats cl in
+  List.iter
+    (fun (key, want) ->
+      check Alcotest.int (key ^ " exported") want (Metrics.value mx key))
+    [ ("packets", Cluster.packets_sent cl);
+      ("bytes", Cluster.bytes_sent cl);
+      ("same_node_fast", Cluster.same_node_fast cl);
+      ("dead_letters", Cluster.dead_letters cl) ];
+  check Alcotest.bool "deliveries counted" true
+    (Metrics.value mx "deliveries" > 0);
+  check Alcotest.int "one wire sample per frame" (Cluster.frames_sent cl)
+    (Stats.Dist.count (Stats.dist mx "wire_ns"));
+  let s = Stats.create () in
+  let c = Stats.counter s "c" and d = Stats.dist s "d" in
+  Stats.Dist.add_int d 0 (* the small-value counts, allocated once *);
   let before = Gc.minor_words () in
   for i = 1 to 10_000 do
-    Metrics.incr c;
-    Metrics.add c i;
-    Metrics.set g i;
-    Metrics.observe_int h i
+    Stats.Counter.incr c;
+    Stats.Counter.add c i;
+    Stats.Dist.add_int d (i land 31)
   done;
   let words = Gc.minor_words () -. before in
   if words > 0. then
-    Alcotest.failf "disabled Metrics allocated %.0f words over 10k bumps"
-      words;
-  check Alcotest.int "dummy counter stays zero" 0 (Metrics.counter_value c)
+    Alcotest.failf "counting allocated %.0f words over 10k bumps" words;
+  check Alcotest.int "every sample counted" 10_001 (Stats.Dist.count d)
 
 (* [lease_ns = 0] must be indistinguishable from the seed semantics
    (no lifecycle at all): same outputs, and a bit-identical report.

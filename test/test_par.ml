@@ -347,7 +347,8 @@ let sharding_smoke () =
     (par.Par_runner.handoffs > 0)
 
 (* Observability merge: shard stats account for the whole run, the
-   metrics registry folds every shard's instruments, and the snapshot
+   export registry ({!Report.par_metrics}) merges every shard's
+   registry and the engine's ring and park counts, and the snapshot
    hook fires from the coordinator (interval 0 = every poll). *)
 let shard_stats_and_metrics () =
   let _, src = List.nth corpus 2 in
@@ -355,9 +356,7 @@ let shard_stats_and_metrics () =
   let d = 4 in
   let snapshots = ref [] in
   let par =
-    Api.run_parallel
-      ~config:{ config with Cluster.metrics = true }
-      ~placement:placement_spread ~domains:d
+    Api.run_parallel ~config ~placement:placement_spread ~domains:d
       ~on_snapshot:(fun s -> snapshots := s :: !snapshots)
       ~snapshot_every_ms:0 prog
   in
@@ -378,15 +377,31 @@ let shard_stats_and_metrics () =
   check Alcotest.bool "hiwater seen on some shard" true
     (Array.exists (fun s -> s.Par_runner.ss_ring_hiwater > 0) st);
   (* the merged registry agrees with the summed shard stats *)
-  let mx = par.Par_runner.metrics in
-  check Alcotest.bool "registry enabled" true
-    (Tyco_support.Metrics.enabled mx);
+  let mx = Report.par_metrics par in
+  let value = Tyco_support.Metrics.value mx in
   check Alcotest.int "merged packets counter" par.Par_runner.packets
-    (Tyco_support.Metrics.value mx "packets");
+    (value "packets");
+  check Alcotest.int "merged bytes counter" par.Par_runner.bytes
+    (value "bytes");
   check Alcotest.int "merged handoffs counter" par.Par_runner.handoffs
-    (Tyco_support.Metrics.value mx "handoffs_in");
+    (value "handoffs_in");
+  check Alcotest.int "one handoff latency per handoff"
+    par.Par_runner.handoffs
+    (Tyco_support.Stats.Dist.count
+       (Tyco_support.Stats.dist mx "handoff_lat_ns"));
   check Alcotest.int "merged parks counter" par.Par_runner.parks
-    (Tyco_support.Metrics.value mx "parks");
+    (value "parks");
+  check Alcotest.int "merged ring pushes" par.Par_runner.ring_pushed
+    (value "ring_pushed");
+  check Alcotest.int "merged ring pops" par.Par_runner.ring_popped
+    (value "ring_popped");
+  check Alcotest.int "merged drains" (sum (fun s -> s.Par_runner.ss_drains))
+    (value "drains");
+  check Alcotest.int "placement weights summed" 4 (value "placement_weight");
+  check Alcotest.int "shard registries untouched by the merge"
+    par.Par_runner.handoffs
+    (sum (fun s ->
+         Tyco_support.Stats.counter_value s.Par_runner.ss_stats "handoffs_in"));
   check Alcotest.bool "snapshots fired" true (!snapshots <> []);
   List.iter
     (fun (s : Par_runner.snapshot) ->
@@ -410,57 +425,49 @@ let shard_stats_and_metrics () =
   check Alcotest.bool "p999 key" true (has json "\"p999\":")
 
 (* One metric schema: every engine runs the same node daemon, so the
-   merged registry of a two-domain run counts the daemon's site
+   export registry of a two-domain run counts the daemon's site
    deliveries, and on these programs — whose packets do not depend on
-   interleaving — exactly as many as the deterministic engine. *)
+   interleaving — exactly as many deliveries and packets as the
+   deterministic engine's. *)
 let deliveries_counted_at_two_domains () =
-  let config = { config with Cluster.metrics = true } in
   List.iter
     (fun (name, src) ->
       let prog = Api.parse src in
       let det = Api.run_program ~config ~placement:placement_spread prog in
-      let want =
-        Tyco_support.Metrics.value (Cluster.metrics det.Api.cluster)
-          "deliveries"
-      in
+      let one = Tyco_support.Metrics.value (Cluster.stats det.Api.cluster) in
       let par =
         Api.run_parallel ~config ~placement:placement_spread ~domains:2 prog
       in
-      check Alcotest.bool (name ^ ": deterministic run delivers") true (want > 0);
-      check Alcotest.int (name ^ ": deliveries at 2 domains") want
-        (Tyco_support.Metrics.value par.Par_runner.metrics "deliveries"))
+      let two = Tyco_support.Metrics.value (Report.par_metrics par) in
+      check Alcotest.bool (name ^ ": deterministic run delivers") true
+        (one "deliveries" > 0);
+      check Alcotest.int (name ^ ": deliveries at 2 domains")
+        (one "deliveries") (two "deliveries");
+      check Alcotest.int (name ^ ": packets at 2 domains") (one "packets")
+        (two "packets"))
     corpus
 
-(* Handoff batching: ring counters count batches, handoffs count the
-   envelopes they carried, and the reported fill mean ties the two
-   together; placement weights surface in both the result and the
-   JSON report. *)
+(* Handoff: every ring element is one frame — without migrations the
+   rings carry exactly the handoffs, and the reported fill mean reads
+   1; placement weights surface in both the result and the JSON
+   report. *)
 let handoff_batching_invariants () =
   let _, src = List.nth corpus 0 in
   let prog = Api.parse src in
   let d = 4 in
   let par =
-    Api.run_parallel
-      ~config:{ config with Cluster.metrics = true }
-      ~placement:placement_spread ~domains:d prog
+    Api.run_parallel ~config ~placement:placement_spread ~domains:d prog
   in
   check Alcotest.bool "clean quiescence" true par.Par_runner.clean;
-  check Alcotest.int "batches balanced" par.Par_runner.ring_pushed
+  check Alcotest.int "elements balanced" par.Par_runner.ring_pushed
     par.Par_runner.ring_popped;
   check Alcotest.bool "cross-shard traffic happened" true
     (par.Par_runner.handoffs > 0);
-  (* every batch carries at least one envelope, so pushes can never
-     exceed envelopes; the fill mean reconciles the two exactly *)
-  check Alcotest.bool "batches never exceed envelopes" true
-    (par.Par_runner.ring_pushed <= par.Par_runner.handoffs);
-  check Alcotest.bool "fill mean at least 1" true
-    (par.Par_runner.ring_batch_fill_mean >= 1.0);
-  check Alcotest.int "fill mean reconciles batches with envelopes"
-    par.Par_runner.handoffs
-    (int_of_float
-       (par.Par_runner.ring_batch_fill_mean
-        *. float_of_int par.Par_runner.ring_pushed
-       +. 0.5));
+  check Alcotest.int "no migrations" 0 par.Par_runner.migrations;
+  check Alcotest.int "one frame per ring element" par.Par_runner.handoffs
+    par.Par_runner.ring_pushed;
+  check (Alcotest.float 0.) "fill mean reads 1" 1.0
+    par.Par_runner.ring_batch_fill_mean;
   (* placement weights: one per shard, summing to the site count (the
      static weight under the default Mod policy), mirrored per shard *)
   check Alcotest.int "one weight per shard" d

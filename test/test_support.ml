@@ -246,85 +246,94 @@ let stats_absorb () =
   check (Alcotest.float 0.01) "source min" 51.0 (Stats.Dist.min b)
 
 (* ------------------------------------------------------------------ *)
-(* Metrics registry                                                    *)
+(* Metrics: the export of a finished run's Stats registry              *)
 
+(* Registries merge as the engines' shards and nodes do after the join
+   (counters sum, distributions absorb, sources unchanged), and the
+   merged registry exports as Prometheus text and one JSON line. *)
 let metrics_registry () =
-  let mx = Metrics.create ~label:"shard0" ~enabled:true () in
-  let c = Metrics.counter mx "packets" in
-  let g = Metrics.gauge mx "ring_occ" in
-  let h = Metrics.histogram mx "lat_ns" in
-  Metrics.incr c;
-  Metrics.add c 4;
-  Metrics.set g 3;
-  Metrics.set g 7;
-  Metrics.set g 2;
-  Metrics.observe_int h 100;
-  Metrics.observe_int h 200;
-  check Alcotest.int "counter" 5 (Metrics.counter_value c);
-  check Alcotest.int "gauge last value" 2 (Metrics.gauge_value g);
-  check Alcotest.int "gauge hiwater" 7 (Metrics.gauge_hiwater g);
-  check Alcotest.int "histogram count" 2
-    (Stats.Dist.count (Metrics.histogram_dist h));
-  (* idempotent by name *)
-  Metrics.incr (Metrics.counter mx "packets");
-  check Alcotest.int "same counter by name" 6 (Metrics.value mx "packets");
-  (* merge: counters sum, gauges sum with max'd hiwater, histos absorb *)
-  let my = Metrics.create ~label:"shard1" ~enabled:true () in
-  Metrics.add (Metrics.counter my "packets") 10;
-  Metrics.set (Metrics.gauge my "ring_occ") 5;
-  Metrics.observe_int (Metrics.histogram my "lat_ns") 300;
-  let into = Metrics.create ~enabled:true () in
-  Metrics.merge_into ~into mx;
-  Metrics.merge_into ~into my;
-  check Alcotest.int "merged counter" 16 (Metrics.value into "packets");
-  let mg = Metrics.gauge into "ring_occ" in
-  check Alcotest.int "merged gauge value" 7 (Metrics.gauge_value mg);
-  check Alcotest.int "merged gauge hiwater" 7 (Metrics.gauge_hiwater mg);
-  check Alcotest.int "merged histogram count" 3
-    (Stats.Dist.count (Metrics.histogram_dist (Metrics.histogram into "lat_ns")));
-  (* sources unchanged by the merge *)
-  check Alcotest.int "source counter unchanged" 6 (Metrics.value mx "packets");
-  (* exposition *)
+  let mx = Stats.create () in
+  let c = Stats.counter mx "packets" in
+  Stats.Counter.incr c;
+  Stats.Counter.add c 4;
+  Stats.Counter.add (Stats.counter mx "ring_hiwater") 7;
+  let h = Stats.dist mx "lat_ns" in
+  Stats.Dist.add_int h 100;
+  Stats.Dist.add_int h 200;
+  ignore (Stats.dist mx "never_sampled");
+  check Alcotest.int "value by name" 5 (Metrics.value mx "packets");
+  check Alcotest.int "unregistered reads 0" 0 (Metrics.value mx "nope");
+  check Alcotest.bool "reading does not register" true
+    (List.for_all
+       (fun c -> Stats.Counter.name c <> "nope")
+       (Stats.counters mx));
+  let my = Stats.create () in
+  Stats.Counter.add (Stats.counter my "packets") 10;
+  Stats.Counter.add (Stats.counter my "ring_hiwater") 5;
+  Stats.Dist.add_int (Stats.dist my "lat_ns") 300;
+  let into = Stats.create () in
+  Stats.merge_into ~into mx;
+  Stats.merge_into ~into my;
+  check Alcotest.int "merged counter" 15 (Metrics.value into "packets");
+  check Alcotest.int "merged high-waters sum" 12
+    (Metrics.value into "ring_hiwater");
+  let lat = Stats.dist into "lat_ns" in
+  check Alcotest.int "merged distribution count" 3 (Stats.Dist.count lat);
+  check (Alcotest.float 1e-9) "merged distribution max" 300.
+    (Stats.Dist.max lat);
+  check Alcotest.int "sources unchanged" 5 (Metrics.value mx "packets");
+  check Alcotest.int "source distribution unchanged" 2
+    (Stats.Dist.count (Stats.dist mx "lat_ns"));
+  check
+    Alcotest.(list string)
+    "counters in registration order, first registry first"
+    [ "packets"; "ring_hiwater" ]
+    (List.map Stats.Counter.name (Stats.counters into));
   let prom = Metrics.to_prom into in
   let has hay sub =
     let nh = String.length hay and nn = String.length sub in
     let rec go i = i + nn <= nh && (String.sub hay i nn = sub || go (i + 1)) in
     go 0
   in
-  check Alcotest.bool "prom counter" true (has prom "tyco_packets 16");
-  check Alcotest.bool "prom gauge hiwater" true
-    (has prom "tyco_ring_occ_hiwater 7");
-  check Alcotest.bool "prom quantile" true (has prom "quantile=\"0.999\"");
+  check Alcotest.bool "prom counter" true (has prom "tyco_packets 15");
+  check Alcotest.bool "prom counter type" true
+    (has prom "# TYPE tyco_ring_hiwater counter");
+  check Alcotest.bool "prom quantile" true
+    (has prom "tyco_lat_ns{quantile=\"0.999\"}");
+  check Alcotest.bool "prom count" true (has prom "tyco_lat_ns_count 3");
+  check Alcotest.bool "prom empty summary" true
+    (has prom "tyco_never_sampled_count 0");
+  check Alcotest.bool "prom carries no instance label" false
+    (has prom "instance");
   let json = Metrics.to_json ~extra:[ ("kind", "\"final\"") ] into in
   check Alcotest.bool "json extra leads" true
     (String.length json > 16 && String.sub json 0 16 = "{\"kind\":\"final\",");
-  check Alcotest.bool "json counter" true (has json "\"packets\":16");
-  check Alcotest.bool "json percentile" true (has json "\"p999\":")
+  check Alcotest.bool "json counter" true (has json "\"packets\":15");
+  check Alcotest.bool "json percentile" true (has json "\"p999\":");
+  check Alcotest.bool "json empty distribution" true
+    (has json "\"never_sampled\":null")
 
+(* What replaced the disabled registry: nothing is switched off, and a
+   registry nobody counted in exports nothing.  Merging it changes no
+   registry, and merging into it copies the source. *)
 let metrics_disabled_dummies () =
-  check Alcotest.bool "disabled" false (Metrics.enabled Metrics.disabled);
-  let c = Metrics.counter Metrics.disabled "x" in
-  Metrics.incr c;
-  Metrics.add c 100;
-  check Alcotest.int "dummy counter never moves" 0 (Metrics.counter_value c);
-  let g = Metrics.gauge Metrics.disabled "y" in
-  Metrics.set g 9;
-  check Alcotest.int "dummy gauge never moves" 0 (Metrics.gauge_value g);
-  let h = Metrics.histogram Metrics.disabled "z" in
-  Metrics.observe h 1.0;
-  check Alcotest.int "dummy histogram never fills" 0
-    (Stats.Dist.count (Metrics.histogram_dist h));
-  check Alcotest.bool "nothing registered" true
-    (Metrics.counters Metrics.disabled = []
-    && Metrics.gauges Metrics.disabled = []
-    && Metrics.histograms Metrics.disabled = []);
-  (* merging into/from the disabled registry is a no-op *)
-  let live = Metrics.create ~enabled:true () in
-  Metrics.add (Metrics.counter live "n") 3;
-  Metrics.merge_into ~into:live Metrics.disabled;
-  Metrics.merge_into ~into:Metrics.disabled live;
-  check Alcotest.int "live unchanged" 3 (Metrics.value live "n");
-  check Alcotest.int "disabled unchanged" 0 (Metrics.value Metrics.disabled "n")
+  let empty = Stats.create () in
+  check Alcotest.string "empty json" "{}" (Metrics.to_json empty);
+  check Alcotest.string "empty json keeps extra" "{\"kind\":\"final\"}"
+    (Metrics.to_json ~extra:[ ("kind", "\"final\"") ] empty);
+  check Alcotest.string "empty prom" "" (Metrics.to_prom empty);
+  check Alcotest.int "empty value" 0 (Metrics.value empty "n");
+  let live = Stats.create () in
+  Stats.Counter.add (Stats.counter live "n") 3;
+  Stats.merge_into ~into:live (Stats.create ());
+  check Alcotest.int "merging an empty registry: unchanged" 3
+    (Metrics.value live "n");
+  check Alcotest.int "still one counter" 1 (List.length (Stats.counters live));
+  let copy = Stats.create () in
+  Stats.merge_into ~into:copy live;
+  check Alcotest.string "merging into an empty registry copies"
+    (Metrics.to_json live) (Metrics.to_json copy);
+  check Alcotest.int "source unchanged" 3 (Metrics.value live "n")
 
 let stats_empty_percentile () =
   let s = Stats.create () in

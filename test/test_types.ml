@@ -455,3 +455,84 @@ let property_tests =
     unified_types_equal_descriptors ]
 
 let tests = tests @ property_tests
+
+(* Node counts a descriptor's bytes cannot hold: a count of -1 (the
+   9-byte varint ff ff ff ff ff ff ff ff 7f) used to reach [Array.init]
+   as [Invalid_argument], and 2^40 followed by one node byte an 8 TB
+   allocation.  Descriptors arrive from peers, so both are protocol
+   errors. *)
+let rtti_rejects_impossible_counts () =
+  let malformed s =
+    match Rtti.decode (Tyco_support.Wire.decoder s) with
+    | exception Tyco_support.Wire.Malformed _ -> true
+    | _ -> false
+  in
+  check Alcotest.bool "count -1" true
+    (malformed "\xff\xff\xff\xff\xff\xff\xff\xff\x7f\x01\x00");
+  let enc = Tyco_support.Wire.encoder () in
+  Tyco_support.Wire.varint enc (1 lsl 40);
+  Tyco_support.Wire.u8 enc 1;
+  check Alcotest.bool "count 2^40" true
+    (malformed (Tyco_support.Wire.to_string enc))
+
+(* The descriptors the corpus's sites export and expect, as each site
+   alone is checked for its registrations ([Api]'s isolated mode). *)
+let corpus_descriptors =
+  lazy
+    (List.concat_map
+       (fun (_, src, _) ->
+         let prog =
+           Tyco_syntax.Sugar.desugar_program (Dityco.Api.parse src)
+         in
+         List.concat_map
+           (fun sd ->
+             match Infer.check_site_isolated sd with
+             | info ->
+                 let enc d =
+                   let e = Tyco_support.Wire.encoder () in
+                   Rtti.encode e d;
+                   Tyco_support.Wire.to_string e
+                 in
+                 List.map (fun (_, d) -> enc d)
+                   (info.Infer.export_name_rtti @ info.Infer.export_class_rtti)
+                 @ List.map (fun (_, d) -> enc d)
+                     (info.Infer.import_name_expect
+                     @ info.Infer.import_class_expect)
+             | exception Infer.Error _ -> [])
+           prog.Tyco_syntax.Ast.sites)
+       Test_corpus.corpus)
+
+(* Shaped like test_net's packet property: flipped, truncated and
+   extended encodings raise [Wire.Malformed] or decode, nothing else. *)
+let rtti_malformed_only =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"mangled rtti raises only Malformed" ~count:2000
+       QCheck2.Gen.(
+         let* s = oneofl (Lazy.force corpus_descriptors) in
+         let n = String.length s in
+         oneof
+           [ map
+               (fun flips ->
+                 let b = Bytes.of_string s in
+                 List.iter
+                   (fun (i, x) ->
+                     Bytes.set_uint8 b (i mod n)
+                       (Bytes.get_uint8 b (i mod n) lxor x))
+                   flips;
+                 Bytes.to_string b)
+               (list_size (int_range 1 3) (pair nat (int_range 1 255)));
+             map (fun k -> String.sub s 0 (k mod n)) nat;
+             map
+               (fun extra -> s ^ extra)
+               (string_size ~gen:char (int_range 1 16)) ])
+       (fun s ->
+         (try ignore (Rtti.decode (Tyco_support.Wire.decoder s))
+          with Tyco_support.Wire.Malformed _ -> ());
+         true))
+
+let tests =
+  tests
+  @ [ ( "rtti rejects impossible counts",
+        `Quick,
+        rtti_rejects_impossible_counts );
+      rtti_malformed_only ]
