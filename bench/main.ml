@@ -890,7 +890,7 @@ let e17 () =
   in
   let trial config ~rounds =
     let r = run ~config (churn_src ~clients ~rounds) in
-    (r, (Report.of_result r).Report.memory)
+    (r, (Report.of_cluster r.Api.cluster).Report.memory)
   in
   row "  %d clients x %d RPCs = %d messages; each call exports a fresh \
        reply channel@." clients rounds messages;
@@ -1063,7 +1063,7 @@ let e19 () =
       done;
       let r = Option.get !best in
       let tp =
-        float_of_int r.Dityco.Par_runner.instructions
+        float_of_int (Report.instructions (Report.of_parallel r))
         /. float_of_int (max r.Dityco.Par_runner.wall_ns 1)
       in
       if d = 1 then base_tp := tp;
@@ -1108,7 +1108,7 @@ let median xs =
   m
 
 let par_tp r =
-  float_of_int r.Dityco.Par_runner.instructions
+  float_of_int (Report.instructions (Report.of_parallel r))
   /. float_of_int (max r.Dityco.Par_runner.wall_ns 1)
 
 let par_wall_ms r = float_of_int r.Dityco.Par_runner.wall_ns /. 1e6
@@ -1378,14 +1378,19 @@ let e21_at domains =
   in
   let key k = if domains = 4 then k else Printf.sprintf "%s_d%d" k domains in
   let med f rs = median (List.map f rs) in
-  let count f r = float_of_int (f r) in
+  let rebal = List.map Report.of_parallel rb in
+  let counted name =
+    med
+      (fun rep -> float_of_int (Stats.counter_value rep.Report.stats name))
+      rebal
+  in
+  let migrations = counted "migrations" in
+  let forwarded = counted "forwarded_envelopes" in
+  let migration_ms = counted "migration_ns" /. 1e6 in
+  let handoffs = med (fun r -> float_of_int r.Dityco.Par_runner.handoffs) in
   row "  %-10s rebal medians: %.0f migrations, %.0f forwarded, %.0f ms \
        migrating, %.0f handoffs (static %.0f)@."
-    "" (med (count (fun r -> r.Dityco.Par_runner.migrations)) rb)
-    (med (count (fun r -> r.Dityco.Par_runner.forwarded_envelopes)) rb)
-    (med (fun r -> float_of_int r.Dityco.Par_runner.migration_ns /. 1e6) rb)
-    (med (count (fun r -> r.Dityco.Par_runner.handoffs)) rb)
-    (med (count (fun r -> r.Dityco.Par_runner.handoffs)) st);
+    "" migrations forwarded migration_ms (handoffs rb) (handoffs st);
   List.iter
     (fun (mode, rs) ->
       record_f
@@ -1395,14 +1400,9 @@ let e21_at domains =
         (Printf.sprintf "e21_wall_ms_%s_d%d" mode domains)
         (int_of_float (med par_wall_ms rs)))
     [ ("static", st); ("rebal", rb) ];
-  record_i (key "e21_migrations")
-    (int_of_float (med (count (fun r -> r.Dityco.Par_runner.migrations)) rb));
-  record_i (key "e21_forwarded_envelopes")
-    (int_of_float
-       (med (count (fun r -> r.Dityco.Par_runner.forwarded_envelopes)) rb));
-  record_i (key "e21_migration_ms")
-    (int_of_float
-       (med (fun r -> float_of_int r.Dityco.Par_runner.migration_ns /. 1e6) rb));
+  record_i (key "e21_migrations") (int_of_float migrations);
+  record_i (key "e21_forwarded_envelopes") (int_of_float forwarded);
+  record_i (key "e21_migration_ms") (int_of_float migration_ms);
   record (Printf.sprintf "e21_gain_d%d" domains) (Printf.sprintf "%.3f" gain)
 
 let e21 () =

@@ -127,31 +127,6 @@ let write_metrics ?oc ?(extra = []) ~quiet path mx =
   end;
   if not quiet then Format.printf "-- metrics written to %s@." path
 
-let run_tcp path nodes metrics_out =
-  try
-    let prog = Dityco.Api.parse ~file:path (read_file path) in
-    let r =
-      Dityco.Tcp_runner.run_program ~nodes ~metrics:(metrics_out <> None) prog
-    in
-    Option.iter
-      (fun out -> write_metrics ~quiet:false out r.Dityco.Tcp_runner.metrics)
-      metrics_out;
-    List.iter
-      (fun e -> Format.printf "%a@." Dityco.Output.pp_event e)
-      r.Dityco.Tcp_runner.outputs;
-    Format.printf "-- real TCP loopback: %d packets, %.1f ms wall, %d parks%s@."
-      r.Dityco.Tcp_runner.packets
-      (float_of_int r.Dityco.Tcp_runner.wall_ns /. 1e6)
-      r.Dityco.Tcp_runner.parks
-      (if r.Dityco.Tcp_runner.timed_out then " (TIMED OUT)" else "")
-  with
-  | Dityco.Api.Error e ->
-      Format.eprintf "%s@." (Dityco.Api.error_message e);
-      exit 1
-  | Sys_error m ->
-      Format.eprintf "error: %s@." m;
-      exit 1
-
 let jint_array a =
   "[" ^ String.concat "," (Array.to_list (Array.map string_of_int a)) ^ "]"
 
@@ -233,65 +208,68 @@ let rebalance_of_string s =
     (String.split_on_char ',' s);
   !rb
 
-(* --domains N, N > 1: the cluster sharded over N domains.  Output
-   timestamps depend on domain interleaving.  One domain is one shard,
-   the deterministic engine, which the plain path runs directly. *)
-let run_domains config domains policy rebalance json trace_out metrics_out prog =
-  let oc =
-    match metrics_out with
-    | Some p when not (Filename.check_suffix p ".prom") ->
-        Some (open_out_bin p)
-    | _ -> None
+(* The text summary line of a run. *)
+let summary (rep : Dityco.Report.t) =
+  let traffic = Printf.sprintf "%d packets, %d bytes" rep.packets rep.bytes in
+  let clock =
+    Printf.sprintf "virtual time %dns, %d sim events, %s" rep.virtual_ns
+      rep.sim_events traffic
   in
-  let r =
-    Fun.protect
-      ~finally:(fun () -> Option.iter close_out_noerr oc)
-      (fun () ->
-        let on_snapshot =
-          Option.map
-            (fun oc s ->
-              output_string oc (snapshot_json s);
-              output_char oc '\n';
-              flush oc)
-            oc
-        in
-        let r =
-          Dityco.Api.run_parallel ~config ~policy ~domains ?rebalance
-            ?on_snapshot prog
-        in
-        Option.iter
-          (fun p ->
-            write_metrics ?oc ~quiet:json p
-              ~extra:
-                [ ( "wall_ms",
-                    Printf.sprintf "%.1f"
-                      (float_of_int r.Dityco.Par_runner.wall_ns /. 1e6) ) ]
-              (Dityco.Report.par_metrics r))
-          metrics_out;
-        r)
+  let parked parks ns timed_out =
+    Printf.sprintf "%d parks, %.1f ms wall%s" parks (float_of_int ns /. 1e6)
+      (if timed_out then " (TIMED OUT)" else "")
   in
-  (match trace_out with
-  | Some out ->
-      write_trace_file out r.Dityco.Par_runner.trace;
-      if not json then Format.printf "-- trace written to %s@." out
-  | None -> ());
-  if json then print_endline (Dityco.Report.par_json r)
+  match rep.engine with
+  | Deterministic -> clock
+  | Parallel r ->
+      Printf.sprintf "%d domains: %s, %d ring handoffs, %s" r.domains clock
+        r.handoffs (parked r.parks r.wall_ns r.timed_out)
+  | Tcp r ->
+      Printf.sprintf "real TCP loopback, %d nodes: %s, %s" r.nodes traffic
+        (parked r.parks r.wall_ns r.timed_out)
+
+(* Every engine's run ends here: its trace file, its metrics file (the
+   report's registry; a parallel run's final line also carries its wall
+   time), then the report as JSON or as text.  TCP has no virtual
+   clock, so its outputs print without timestamps. *)
+let print_run ~json ~trace_out ~metrics_out ?oc (rep : Dityco.Report.t) tr =
+  let open Dityco in
+  Option.iter
+    (fun out ->
+      write_trace_file out tr;
+      if not json then Format.printf "-- trace written to %s@." out)
+    trace_out;
+  let extra =
+    match rep.engine with
+    | Parallel r ->
+        [ ("wall_ms", Printf.sprintf "%.1f" (float_of_int r.wall_ns /. 1e6)) ]
+    | Deterministic | Tcp _ -> []
+  in
+  Option.iter
+    (fun out -> write_metrics ?oc ~extra ~quiet:json out rep.stats)
+    metrics_out;
+  if json then print_endline (Report.to_json rep)
   else begin
     List.iter
-      (fun (ts, e) -> Format.printf "[%9dns] %a@." ts Dityco.Output.pp_event e)
-      r.Dityco.Par_runner.outputs;
-    Format.printf
-      "-- %d domains: virtual time %dns, %d events, %d packets, %d bytes, \
-       %d ring handoffs, %d parks, %.1f ms wall%s@."
-      r.Dityco.Par_runner.domains r.Dityco.Par_runner.virtual_ns
-      r.Dityco.Par_runner.events r.Dityco.Par_runner.packets
-      r.Dityco.Par_runner.bytes r.Dityco.Par_runner.handoffs
-      r.Dityco.Par_runner.parks
-      (float_of_int r.Dityco.Par_runner.wall_ns /. 1e6)
-      (if r.Dityco.Par_runner.timed_out then " (TIMED OUT)" else "")
+      (fun (ts, e) ->
+        match rep.engine with
+        | Tcp _ -> Format.printf "%a@." Output.pp_event e
+        | _ -> Format.printf "[%9dns] %a@." ts Output.pp_event e)
+      rep.outputs;
+    Format.printf "-- %s@." (summary rep)
   end
 
 let run path nodes cores quantum topo until verbose seed replicated_ns trace trace_out metrics_out interactive_mode tcp domains placement rebalance json =
+  (* Counts below one are usage errors, reported before any run starts
+     as one line on stderr with exit 2, like a bad --placement. *)
+  List.iter
+    (fun (flag, v) ->
+      if v < 1 then begin
+        Format.eprintf "tycosh: %s must be at least 1 (got %d)@." flag v;
+        exit 2
+      end)
+    [ ("--nodes", nodes); ("--cores", cores); ("--quantum", quantum);
+      ("--domains", domains) ];
   (* A flag is accepted only where the chosen engine reads it: any
      other is a usage error, reported before a socket opens or a
      domain starts rather than silently ignored. *)
@@ -311,8 +289,8 @@ let run path nodes cores quantum topo until verbose seed replicated_ns trace tra
   in
   if tcp then
     unsupported "--tcp"
-      ([ (json, "--json"); (trace_out <> None, "--trace-out");
-         (domains > 1, "--domains"); (placement <> None, "--placement");
+      ([ (trace_out <> None, "--trace-out"); (domains > 1, "--domains");
+         (placement <> None, "--placement");
          (rebalance <> None, "--rebalance");
          (replicated_ns, "--replicated-ns") ]
       @ deterministic_only)
@@ -347,47 +325,53 @@ let run path nodes cores quantum topo until verbose seed replicated_ns trace tra
            else Dityco.Cluster.Centralized) }
     in
     if interactive_mode then (interactive config; exit 0);
-    if tcp then (run_tcp path nodes metrics_out; exit 0);
-    if domains > 1 then begin
-      run_domains config domains policy rebalance json trace_out metrics_out
-        (Dityco.Api.parse ~file:path (read_file path));
-      exit 0
-    end;
     let prog = Dityco.Api.parse ~file:path (read_file path) in
-    let r = Dityco.Api.run_program ~config ?until prog in
-    (match trace_out with
-    | Some out ->
-        write_trace_file out (Dityco.Cluster.tracer r.Dityco.Api.cluster);
-        if not json then Format.printf "-- trace written to %s@." out
-    | None -> ());
-    Option.iter
-      (fun out ->
-        write_metrics ~quiet:json out
-          (Dityco.Cluster.stats r.Dityco.Api.cluster))
-      metrics_out;
-    if json then begin
-      print_endline (Dityco.Report.to_json (Dityco.Report.of_result r));
-      exit 0
-    end;
-    List.iter
-      (fun (ts, e) -> Format.printf "[%9dns] %a@." ts Dityco.Output.pp_event e)
-      r.Dityco.Api.outputs;
-    Format.printf
-      "-- virtual time %dns, %d sim events, %d packets, %d bytes@."
-      r.Dityco.Api.virtual_ns r.Dityco.Api.sim_events r.Dityco.Api.packets
-      r.Dityco.Api.bytes;
-    if trace then
-      List.iter
-        (fun (ts, p) ->
-          Format.printf "[%9dns] %a@." ts Tyco_net.Packet.pp p)
-        (Dityco.Cluster.packet_trace r.Dityco.Api.cluster);
-    if verbose then
-      List.iter
-        (fun site ->
-          Format.printf "== site %s (id %d, node %d) ==@." (Dityco.Site.name site)
-            (Dityco.Site.site_id site) (Dityco.Site.ip site);
-          Format.printf "%a" Tyco_support.Stats.pp (Dityco.Site.stats site))
-        (Dityco.Cluster.sites r.Dityco.Api.cluster)
+    (* a --domains N run streams coordinator snapshots into its JSONL
+       metrics file while it runs; the final line follows them *)
+    let oc =
+      match metrics_out with
+      | Some p when domains > 1 && not (Filename.check_suffix p ".prom") ->
+          Some (open_out_bin p)
+      | _ -> None
+    in
+    Fun.protect
+      ~finally:(fun () -> Option.iter close_out_noerr oc)
+      (fun () ->
+        let print = print_run ~json ~trace_out ~metrics_out ?oc in
+        if tcp then
+          let r = Dityco.Tcp_runner.run_program ~nodes ~metrics:true prog in
+          print (Dityco.Report.of_tcp r) Tyco_support.Trace.disabled
+        else if domains > 1 then
+          let on_snapshot =
+            Option.map
+              (fun oc s ->
+                output_string oc (snapshot_json s ^ "\n");
+                flush oc)
+              oc
+          in
+          let r =
+            Dityco.Api.run_parallel ~config ~policy ~domains ?rebalance
+              ?on_snapshot prog
+          in
+          print (Dityco.Report.of_parallel r) r.Dityco.Par_runner.trace
+        else begin
+          let r = Dityco.Api.run_program ~config ?until prog in
+          let c = r.Dityco.Api.cluster in
+          print (Dityco.Report.of_cluster c) (Dityco.Cluster.tracer c);
+          if trace && not json then
+            List.iter
+              (fun (ts, p) ->
+                Format.printf "[%9dns] %a@." ts Tyco_net.Packet.pp p)
+              (Dityco.Cluster.packet_trace c);
+          if verbose && not json then
+            List.iter
+              (fun site ->
+                Format.printf "== site %s (id %d, node %d) ==@."
+                  (Dityco.Site.name site) (Dityco.Site.site_id site)
+                  (Dityco.Site.ip site);
+                Format.printf "%a" Tyco_support.Stats.pp (Dityco.Site.stats site))
+              (Dityco.Cluster.sites c)
+        end)
   with
   | Dityco.Api.Error e ->
       Format.eprintf "%s@." (Dityco.Api.error_message e);
@@ -402,15 +386,18 @@ let path_arg =
 
 let nodes =
   Arg.(value & opt int 4 & info [ "nodes" ] ~docv:"N"
-       ~doc:"Cluster nodes (the paper's platform has 4).")
+       ~doc:"Cluster nodes (the paper's platform has 4).  Below 1 it is \
+             a usage error (exit 2).")
 
 let cores =
   Arg.(value & opt int 2 & info [ "cores" ] ~docv:"N"
-       ~doc:"Processors per node (the paper's PCs are dual-CPU).")
+       ~doc:"Processors per node (the paper's PCs are dual-CPU).  Below \
+             1 it is a usage error (exit 2).")
 
 let quantum =
   Arg.(value & opt int 512 & info [ "quantum" ] ~docv:"INSTRS"
-       ~doc:"VM instructions per scheduling quantum.")
+       ~doc:"VM instructions per scheduling quantum.  Below 1 it is a \
+             usage error (exit 2).")
 
 let topo =
   Arg.(value & opt string "myrinet" & info [ "link" ] ~docv:"MODEL"
@@ -434,13 +421,18 @@ let seed =
 
 let json_flag =
   Arg.(value & flag & info [ "json" ]
-       ~doc:"Emit the run summary as JSON instead of text.")
+       ~doc:"Print the run report as one line of JSON instead of text.  \
+             Every engine writes the same top-level keys (outputs, \
+             traffic, per-site statistics, latency breakdown, memory); \
+             --domains N > 1 adds a \"parallel\" section and --tcp a \
+             \"tcp\" one.  Under --tcp there is no virtual clock: \
+             virtual_ns, sim_events and output timestamps read 0.")
 
 let tcp_flag =
   Arg.(value & flag & info [ "tcp" ]
        ~doc:"Run over real loopback TCP sockets (one OCaml domain per \
-             node) instead of the deterministic simulation.  Takes only \
-             --nodes and --metrics-out; --json, --trace-out, --domains \
+             node) instead of the deterministic simulation.  Takes \
+             --nodes, --json and --metrics-out; --trace-out, --domains \
              N > 1, --placement, --rebalance, --replicated-ns, --trace, \
              --until and --verbose are usage errors (exit 2).")
 
@@ -453,7 +445,8 @@ let domains_arg =
              1 (the default) is one shard, the deterministic engine, \
              bit-identical to not passing the flag at all.  Combines \
              with --replicated-ns at any N; N > 1 refuses --until, \
-             --verbose and --trace (exit 2).")
+             --verbose and --trace, and N below 1 is a usage error \
+             (exit 2).")
 
 let placement_arg =
   Arg.(value & opt (some string) None & info [ "placement" ] ~docv:"POLICY"
@@ -494,9 +487,10 @@ let trace_out =
 
 let metrics_out =
   Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE"
-       ~doc:"Write the run's counters (transport, deliveries, dead \
-             letters, latency distributions with p50/p95/p99/p999; ring \
-             traffic and parks with --domains N > 1) to FILE: \
+       ~doc:"Write the run's counters, the registry the --json report \
+             reads (transport, deliveries, dead letters, latency \
+             distributions with p50/p95/p99/p999; ring traffic and parks \
+             with --domains N > 1), to FILE: \
              Prometheus text if FILE ends in .prom, else JSONL — with \
              --domains N > 1, periodic coordinator snapshots followed \
              by a final merged line.")

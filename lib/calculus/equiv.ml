@@ -20,38 +20,18 @@ let outcome_of_net net : outcome =
          (site, label, String.concat "," (List.map canon_value vs)))
        (Network.outputs net))
 
-(* A cheap state signature for duplicate pruning: the multiset of atom
-   renderings plus outputs.  Fresh-name suffixes differ between
-   branches that created names in different orders, so this is a sound
-   but incomplete dedup (missed duplicates only cost time). *)
+(* The state key for duplicate pruning: the whole state ({!Network.key})
+   plus its outputs as outcomes compare them.  Equal keys mean equal
+   futures and equal outcomes, so pruning drops nothing; two branches
+   that created fresh names in different orders get different keys,
+   which costs only time. *)
 let signature net =
-  let atoms =
-    List.sort compare
-      (List.map
-         (fun (site, a) ->
-           site ^ "|" ^ Format.asprintf "%a" (fun ppf -> function
-             | Network.Amsg (x, l, vs) ->
-                 Format.fprintf ppf "m %a %s %s" Term.pp_id x l
-                   (String.concat "," (List.map canon_value vs))
-             | Network.Aobj (x, ms) ->
-                 Format.fprintf ppf "o %a %s" Term.pp_id x
-                   (String.concat ","
-                      (List.map (fun (m : Term.method_) -> m.Term.m_label) ms))
-             | Network.Ainst (c, vs) ->
-                 Format.fprintf ppf "i %s %s"
-                   (match c with
-                    | Term.Cplain x -> x
-                    | Term.Clocated (s, x) -> s ^ "." ^ x)
-                   (String.concat "," (List.map canon_value vs)))
-             a)
-         (Network.atoms net))
-  in
-  String.concat ";" atoms
+  Network.key net
   ^ "##"
   ^ String.concat ";"
       (List.map
          (fun (s, l, vs) ->
-           s ^ l ^ String.concat "," (List.map canon_value vs))
+           s ^ "|" ^ l ^ "|" ^ String.concat "," (List.map canon_value vs))
          (Network.outputs net))
 
 let explore ?(max_states = 50_000) net =

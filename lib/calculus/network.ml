@@ -627,6 +627,13 @@ let pp_atom ppf = function
       | Term.Cplain x -> Fmt.pf ppf "%s[%a]" x pp_values vs
       | Term.Clocated (s, x) -> Fmt.pf ppf "%s.%s[%a]" s x pp_values vs)
 
+(* The state as plain data, its atoms sorted and their ages dropped,
+   marshalled without sharing: equal strings are equal structures. *)
+let key t =
+  Marshal.to_string
+    (List.sort compare (atoms t), t.defs, t.inputs, t.pending_exports)
+    [ Marshal.No_sharing ]
+
 let pp ppf t =
   Fmt.pf ppf "@[<v>";
   List.iter

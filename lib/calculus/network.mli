@@ -94,6 +94,14 @@ val run : ?max_steps:int -> t -> t * event list
     1_000_000) is exceeded — the SETI-style perpetual programs must be
     run with an explicit bound. *)
 
+val key : t -> string
+(** Everything but the outputs that the state's reductions depend on:
+    its atoms as a multiset (objects with their method bodies, channel
+    names as they are), the definition table, and the pending io
+    inputs and exports.  Equal keys mean the same reductions, up to
+    the names each state creates next; states equal only up to
+    renaming their fresh names get different keys. *)
+
 val quiescent : t -> bool
 val pp_value : Format.formatter -> value -> unit
 val pp_event : Format.formatter -> event -> unit

@@ -90,7 +90,7 @@
    frames carry their packets' spans across the ring, so cross-shard
    packets keep their causal tree.  Shard state is read from outside
    only after the joins: the traces merge then, and the registries
-   whenever a caller exports them ({!Report.par_metrics}). *)
+   whenever a caller asks for a report ({!Report.of_parallel}). *)
 
 module Simnet = Tyco_net.Simnet
 module Stats = Tyco_support.Stats
@@ -417,9 +417,6 @@ type shard_stat = {
   ss_sites : int;
   ss_events : int;
   ss_virtual_ns : int;
-  ss_packets : int;
-  ss_same_node : int;
-  ss_handoffs_in : int; (* frames this shard received *)
   ss_ring_pushed : int; (* elements this shard pushed outbound *)
   ss_ring_popped : int; (* elements this shard consumed *)
   ss_ring_hiwater : int; (* max outbound-ring occupancy at push *)
@@ -452,27 +449,16 @@ type rebalance = {
 
 type result = {
   outputs : (int * Output.event) list; (* merged, sorted by timestamp *)
-  virtual_ns : int; (* max over shards *)
-  packets : int;
-  bytes : int;
-  same_node_fast : int;
   handoffs : int; (* frames carried by rings *)
   ring_pushed : int; (* elements pushed (= pops after a clean run) *)
   ring_popped : int;
   ring_batch_fill_mean : float; (* frames per ring element: 1 or 0 *)
   parks : int; (* blocking parks across all shards *)
   domains : int;
-  instructions : int; (* total VM instructions, for throughput *)
   wall_ns : int;
   dead_letters : int;
-  migrations : int; (* node migrations completed (installs) *)
-  migration_ns : int; (* host ns from ship to install, summed *)
-  forwarded_envelopes : int; (* frames that followed a moved node *)
   suspected : (int * string) list;
-  sites_per_shard : int array;
-  placement_weights : float array; (* per-shard assigned weight *)
   node_weights : float array; (* measured per-node instruction counts *)
-  events : int; (* simulation events across all shards *)
   clean : bool; (* quiesced with rings drained, heaps and limbo empty *)
   timed_out : bool;
   trace : Trace.t; (* the shard's own, or merged shard-tagged ones *)
@@ -481,6 +467,12 @@ type result = {
 }
 
 let ring_capacity = 4096
+
+(* [f] over a row of the ring matrix, combined with [combine] *)
+let fold_rings combine f rings =
+  Array.fold_left
+    (fun acc -> function None -> acc | Some r -> combine acc (f r))
+    0 rings
 
 let run ?(config = Cluster.default_config) ?placement
     ?(policy = Placement.Mod) ?(max_events = 10_000_000)
@@ -621,15 +613,10 @@ let run ?(config = Cluster.default_config) ?placement
      and ring counters — never a shard heap — so it is safe while the
      domains run. *)
   let ring_totals () =
-    let pushed = ref 0 and popped = ref 0 in
-    Array.iter
-      (Array.iter (function
-        | None -> ()
-        | Some r ->
-            pushed := !pushed + Spsc.pushed r;
-            popped := !popped + Spsc.popped r))
-      rings;
-    (!pushed, !popped)
+    let total f =
+      Array.fold_left (fun acc row -> acc + fold_rings ( + ) f row) 0 rings
+    in
+    (total Spsc.pushed, total Spsc.popped)
   in
   let snapshot () =
     let pushed, popped = ring_totals () in
@@ -727,56 +714,28 @@ let run ?(config = Cluster.default_config) ?placement
       (sites_here sh)
     @ List.concat_map (fun m -> Node.sites m.mg_node) sh.lost_migs
   in
-  let instructions =
-    sum (fun sh ->
-        List.fold_left
-          (fun acc s ->
-            acc + Stats.counter_value (Site.stats s) "instructions")
-          0 (shard_sites sh))
-  in
-  let node_weights =
-    let w = Array.make nnodes 0. in
-    Array.iter
-      (fun sh ->
-        List.iter
-          (fun s ->
-            let ip = Site.ip s in
-            w.(ip) <-
-              w.(ip)
-              +. float_of_int
-                   (Stats.counter_value (Site.stats s) "instructions"))
-          (shard_sites sh))
-      shards;
-    w
-  in
+  let sites = List.concat_map shard_sites (Array.to_list shards) in
+  let node_weights = Array.make nnodes 0. in
+  List.iter
+    (fun s ->
+      let ip = Site.ip s in
+      node_weights.(ip) <-
+        node_weights.(ip)
+        +. float_of_int (Stats.counter_value (Site.stats s) "instructions"))
+    sites;
   (* Observability merge: fold the shard-confined collectors into run-
      level ones.  [Domain.join] above is the happens-before edge that
      makes every shard-local field safe to read here. *)
   let shard_stats =
     Array.map
       (fun sh ->
-        let pushed = ref 0 and hi = ref 0 and popped = ref 0 in
-        Array.iter
-          (function
-            | None -> ()
-            | Some r ->
-                pushed := !pushed + Spsc.pushed r;
-                if Spsc.hiwater r > !hi then hi := Spsc.hiwater r)
-          sh.out_rings;
-        Array.iter
-          (function
-            | None -> () | Some r -> popped := !popped + Spsc.popped r)
-          sh.in_rings;
         { ss_shard = sh.sh_id;
           ss_sites = List.length (sites_here sh);
           ss_events = Atomic.get g.g_executed.(sh.sh_id);
           ss_virtual_ns = Cluster.virtual_time sh.c;
-          ss_packets = Cluster.packets_sent sh.c;
-          ss_same_node = Cluster.same_node_fast sh.c;
-          ss_handoffs_in = Stats.Counter.value sh.c_handoffs_in;
-          ss_ring_pushed = !pushed;
-          ss_ring_popped = !popped;
-          ss_ring_hiwater = !hi;
+          ss_ring_pushed = fold_rings ( + ) Spsc.pushed sh.out_rings;
+          ss_ring_popped = fold_rings ( + ) Spsc.popped sh.in_rings;
+          ss_ring_hiwater = fold_rings max Spsc.hiwater sh.out_rings;
           ss_parks = Workers.parks sh.w;
           ss_drains = Stats.Counter.value sh.c_drains;
           ss_weight = sh.weight;
@@ -793,41 +752,20 @@ let run ?(config = Cluster.default_config) ?placement
              (Array.map (fun sh -> (sh.sh_id, Cluster.tracer sh.c)) shards))
     | _ -> Trace.disabled
   in
-  let sites =
-    List.concat_map
-      (fun (sh : shard) -> shard_sites sh)
-      (Array.to_list shards)
-  in
   { outputs;
-    virtual_ns =
-      Array.fold_left
-        (fun acc sh -> max acc (Cluster.virtual_time sh.c))
-        0 shards;
-    packets = sum (fun sh -> Cluster.packets_sent sh.c);
-    bytes = sum (fun sh -> Cluster.bytes_sent sh.c);
-    same_node_fast = sum (fun sh -> Cluster.same_node_fast sh.c);
     handoffs;
     ring_pushed;
     ring_popped;
     ring_batch_fill_mean = (if handoffs > 0 then 1. else 0.);
     parks = sum (fun sh -> Workers.parks sh.w);
     domains;
-    instructions;
     wall_ns;
     dead_letters = sum (fun sh -> Cluster.dead_letters sh.c);
-    migrations = sum (fun sh -> Stats.Counter.value sh.c_migrations);
-    migration_ns = sum (fun sh -> Stats.Counter.value sh.c_migration_ns);
-    forwarded_envelopes =
-      sum (fun sh ->
-          Stats.counter_value (Cluster.stats sh.c) "forwarded_envelopes");
     suspected =
       List.concat_map
         (fun (sh : shard) -> Cluster.suspected_failures sh.c)
         (Array.to_list shards);
-    sites_per_shard = Array.map (fun sh -> List.length (sites_here sh)) shards;
-    placement_weights;
     node_weights;
-    events = Array.fold_left (fun acc c -> acc + Atomic.get c) 0 g.g_executed;
     clean;
     timed_out;
     trace;

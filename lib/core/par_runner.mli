@@ -45,8 +45,8 @@
     engine adds ["handoffs_in"], ["drains"], ["migrations"],
     ["migration_ns"] and the distribution ["handoff_lat_ns"] (virtual
     ns from a frame's departure to its landing).  The registries are
-    read only after the join: {!Report.par_metrics} merges them for an
-    export, and {!Report.par_json} pools the handoff latency.
+    read only after the join, and only when a caller asks:
+    {!Report.of_parallel} merges them into the run's registry.
 
     Dynamic rebalancing (PR 10): node ownership can change mid-run.
     The node-to-shard map is an indirection table of atomics; the
@@ -59,8 +59,8 @@
     table when the node lives elsewhere, and frames that race ahead of
     the element park in the receiving shard's limbo until the install
     lands them.  A node serving a name-service replica is never moved.
-    Totals are exported as [migrations] / [migration_ns] /
-    [forwarded_envelopes].
+    Each shard counts ["migrations"], ["migration_ns"] and
+    ["forwarded_envelopes"] in its registry.
 
     Reliable delivery is rejected above one domain with
     [Invalid_argument]: its retransmission timer and the sites'
@@ -84,9 +84,6 @@ type shard_stat = {
   ss_sites : int;
   ss_events : int;       (** simulation events this shard executed *)
   ss_virtual_ns : int;   (** the shard clock at quiescence *)
-  ss_packets : int;
-  ss_same_node : int;
-  ss_handoffs_in : int;  (** frames this shard received *)
   ss_ring_pushed : int;  (** ring elements this shard pushed outbound *)
   ss_ring_popped : int;  (** ring elements this shard consumed *)
   ss_ring_hiwater : int; (** max outbound-ring occupancy at push *)
@@ -95,7 +92,9 @@ type shard_stat = {
   ss_weight : float;     (** placement weight this shard was assigned *)
   ss_stats : Tyco_support.Stats.t;
       (** the shard cluster's registry ({!Cluster.stats}), with this
-          engine's counts added *)
+          engine's counts added: the shard's packets, same-node
+          deliveries and frames received (["handoffs_in"]) are read
+          here *)
 }
 
 (** A coordinator-side mid-run observation: only whole-run atomics and
@@ -123,15 +122,15 @@ type rebalance = {
   rb_threshold : float;
 }
 
+(** What a run leaves for its caller, read after the join.  The
+    counts a run report derives from the shard registries and the
+    sites — virtual time, events, packets, bytes, instructions,
+    migrations, sites and placement weight per shard — are not copied
+    here: {!Report.of_parallel} reads them. *)
 type result = {
   outputs : (int * Output.event) list;
       (** merged across shards, sorted by timestamp; each shard's in
           recording order *)
-  virtual_ns : int;  (** max over the per-shard clocks *)
-  packets : int;
-  bytes : int;
-      (** frame bytes, as {!Cluster.bytes_sent} counts them *)
-  same_node_fast : int;
   handoffs : int;  (** frames delivered through rings *)
   ring_pushed : int;
       (** total ring pushes: frames and migrations (= pops after a
@@ -142,24 +141,11 @@ type result = {
           when none was *)
   parks : int;  (** blocking parks across all shards *)
   domains : int;
-  instructions : int;  (** total VM instructions, for throughput *)
   wall_ns : int;
   dead_letters : int;
-  migrations : int;
-      (** node migrations completed (counted at install) *)
-  migration_ns : int;
-      (** host ns from ship to install, summed over migrations *)
-  forwarded_envelopes : int;
-      (** frames that landed at a node's old owner after it moved (or
-          at its new one before it arrived) and were re-routed *)
   suspected : (int * string) list;
-  sites_per_shard : int array;
-  placement_weights : float array;
-      (** per-shard static weight the placement assigned (site
-          counts) *)
   node_weights : float array;
       (** measured per-node VM instruction counts, for reports *)
-  events : int;  (** simulation events across all shards *)
   clean : bool;
       (** quiesced with every ring drained, a zero work count,
           every shard heap empty and every limbo empty — the sharding

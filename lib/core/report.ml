@@ -20,13 +20,12 @@ type breakdown = {
   b_retransmit : Stats.Dist.summary option;
   b_execute : Stats.Dist.summary option;
   b_flush_wait : Stats.Dist.summary option;
+  b_handoff : Stats.Dist.summary option;
 }
 
 (* Resident protocol state summed over sites, plus lifetime
    reclamation counters — the evidence that a run's memory tracked its
-   working set (flat live counts, growing reclaimed counts).  The GC
-   numbers are the host process's ([Gc.quick_stat]), meaningful for
-   wall-clock runs. *)
+   working set (flat live counts, growing reclaimed counts). *)
 type memory = {
   mem_chan_live : int;
   mem_chan_allocated : int;
@@ -43,12 +42,15 @@ type memory = {
   mem_done_pruned : int;
   mem_cache_evictions : int;
   mem_held_dropped : int;
-  mem_gc_minor_words : float;
-  mem_gc_major_words : float;
-  mem_gc_heap_words : int;
 }
 
+type engine =
+  | Deterministic
+  | Parallel of Par_runner.result
+  | Tcp of Tcp_runner.result
+
 type t = {
+  engine : engine;
   virtual_ns : int;
   sim_events : int;
   packets : int;
@@ -57,18 +59,19 @@ type t = {
   frames_sent : int;
   batch_fill_mean : float;
   acks_piggybacked : int;
+  dead_letters : int;
   outputs : (int * Output.event) list;
   sites : site_stats list;
   breakdown : breakdown;
   suspected_failures : (int * string) list;
   memory : memory;
+  stats : Stats.t;
 }
 
 let site_stats site =
   let s = Site.stats site in
-  let c name = Stats.Counter.value (Stats.counter s name) in
+  let c = Stats.counter_value s in
   let d = Stats.dist s "thread_len" in
-  let rq = Stats.dist s "runq_depth" in
   { ss_name = Site.name site;
     ss_instructions = c "instructions";
     ss_threads = c "threads";
@@ -77,30 +80,25 @@ let site_stats site =
     ss_packets_out = c "packets_out";
     ss_fetches = c "fetches";
     ss_links = c "links";
-    ss_thread_len_mean = (if Stats.Dist.count d = 0 then 0. else Stats.Dist.mean d);
+    ss_thread_len_mean = Stats.Dist.mean d;
     ss_thread_len_p95 =
       (if Stats.Dist.count d = 0 then 0. else Stats.Dist.percentile d 0.95);
-    ss_runq_depth_mean =
-      (if Stats.Dist.count rq = 0 then 0. else Stats.Dist.mean rq) }
+    ss_runq_depth_mean = Stats.Dist.mean (Stats.dist s "runq_depth") }
 
-(* Pool one distribution across registries (sites' queue-wait and
-   execute, shards' handoff latency): a fresh Dist that absorbs each
-   one's.  The pool is an estimate past the reservoir cap, like its
-   inputs. *)
-let pool name registries =
+(* Pool one distribution across the sites' registries (queue-wait,
+   execute): a fresh Dist that absorbs each one's.  The pool is an
+   estimate past the reservoir cap, like its inputs. *)
+let pooled name sites =
   let d = Stats.Dist.create name in
-  List.iter (fun s -> Stats.Dist.absorb d (Stats.dist s name)) registries;
+  List.iter
+    (fun s -> Stats.Dist.absorb d (Stats.dist (Site.stats s) name))
+    sites;
   Stats.Dist.summary_opt d
-
-let pooled name sites = pool name (List.map Site.stats sites)
 
 let memory_of_sites sites =
   let sum f = List.fold_left (fun acc s -> acc + f s) 0 sites in
-  let sumc name =
-    sum (fun s -> Stats.Counter.value (Stats.counter (Site.stats s) name))
-  in
+  let sumc name = sum (fun s -> Stats.counter_value (Site.stats s) name) in
   let m f = sum (fun s -> f (Site.memory s)) in
-  let gc = Gc.quick_stat () in
   { mem_chan_live = m (fun x -> x.Site.m_chan_live);
     mem_chan_allocated = m (fun x -> x.Site.m_chan_allocated);
     mem_class_live = m (fun x -> x.Site.m_class_live);
@@ -115,36 +113,83 @@ let memory_of_sites sites =
     mem_stale_refs = sumc "stale_refs";
     mem_done_pruned = sumc "done_reqs_pruned";
     mem_cache_evictions = sumc "code_cache_evictions";
-    mem_held_dropped = sumc "held_imports_dropped";
-    mem_gc_minor_words = gc.Gc.minor_words;
-    mem_gc_major_words = gc.Gc.major_words;
-    mem_gc_heap_words = gc.Gc.heap_words }
+    mem_held_dropped = sumc "held_imports_dropped" }
 
-let of_cluster cluster =
-  let sites = Cluster.sites cluster in
-  let cstats = Cluster.stats cluster in
-  { virtual_ns = Cluster.virtual_time cluster;
-    sim_events = Tyco_net.Simnet.events_processed (Cluster.sim cluster);
-    packets = Cluster.packets_sent cluster;
-    bytes = Cluster.bytes_sent cluster;
-    same_node_fast = Cluster.same_node_fast cluster;
-    frames_sent = Cluster.frames_sent cluster;
-    batch_fill_mean = Cluster.batch_fill_mean cluster;
-    acks_piggybacked = Cluster.acks_piggybacked cluster;
-    outputs = Cluster.outputs cluster;
+(* The common part, from what every engine holds after its join.  The
+   run's registry is only read: a name it never registered reads 0 or
+   [None] and stays unregistered, so its export keeps the engine's own
+   key set. *)
+let build engine ~stats ~virtual_ns ~sim_events ~outputs ~sites ~suspected =
+  let c = Stats.counter_value stats in
+  let dist name =
+    List.find_opt (fun d -> Stats.Dist.name d = name) (Stats.dists stats)
+  in
+  let summary name = Option.bind (dist name) Stats.Dist.summary_opt in
+  { engine;
+    virtual_ns;
+    sim_events;
+    packets = c "packets";
+    bytes = c "bytes";
+    same_node_fast = c "same_node_fast";
+    frames_sent = c "frames";
+    batch_fill_mean =
+      Option.fold ~none:0. ~some:Stats.Dist.mean (dist "batch_fill");
+    acks_piggybacked = c "acks_piggybacked";
+    dead_letters = c "dead_letters";
+    outputs;
     sites = List.map site_stats sites;
     breakdown =
       { b_queue_wait = pooled "queue_wait_ns" sites;
-        b_wire = Stats.Dist.summary_opt (Stats.dist cstats "wire_ns");
-        b_retransmit =
-          Stats.Dist.summary_opt (Stats.dist cstats "retransmit_ns");
+        b_wire = summary "wire_ns";
+        b_retransmit = summary "retransmit_ns";
         b_execute = pooled "execute_ns" sites;
-        b_flush_wait =
-          Stats.Dist.summary_opt (Stats.dist cstats "flush_wait_ns") };
-    suspected_failures = Cluster.suspected_failures cluster;
-    memory = memory_of_sites sites }
+        b_flush_wait = summary "flush_wait_ns";
+        b_handoff = summary "handoff_lat_ns" };
+    suspected_failures = suspected;
+    memory = memory_of_sites sites;
+    stats }
 
-let of_result (r : Api.result) = of_cluster r.Api.cluster
+let of_cluster cluster =
+  build Deterministic ~stats:(Cluster.stats cluster)
+    ~virtual_ns:(Cluster.virtual_time cluster)
+    ~sim_events:(Tyco_net.Simnet.events_processed (Cluster.sim cluster))
+    ~outputs:(Cluster.outputs cluster) ~sites:(Cluster.sites cluster)
+    ~suspected:(Cluster.suspected_failures cluster)
+
+let shard_sum f (r : Par_runner.result) =
+  Array.fold_left (fun acc s -> acc + f s) 0 r.Par_runner.shard_stats
+
+(* The run's registry: the shards' merged, then the counts the engine
+   keeps outside them — ring traffic and occupancy (the rings' own
+   atomics), parks (the skeleton's) and the placement weights. *)
+let of_parallel (r : Par_runner.result) =
+  let stats = Stats.create () in
+  Array.iter
+    (fun s -> Stats.merge_into ~into:stats s.Par_runner.ss_stats)
+    r.Par_runner.shard_stats;
+  List.iter
+    (fun (name, v) -> Stats.Counter.add (Stats.counter stats name) v)
+    [ ("ring_pushed", r.Par_runner.ring_pushed);
+      ("ring_popped", r.Par_runner.ring_popped);
+      ("ring_hiwater", shard_sum (fun s -> s.Par_runner.ss_ring_hiwater) r);
+      ("parks", r.Par_runner.parks);
+      ("placement_weight",
+        shard_sum
+          (fun s -> int_of_float (Float.round s.Par_runner.ss_weight))
+          r) ];
+  build (Parallel r) ~stats
+    ~virtual_ns:
+      (Array.fold_left
+         (fun acc s -> max acc s.Par_runner.ss_virtual_ns)
+         0 r.Par_runner.shard_stats)
+    ~sim_events:(shard_sum (fun s -> s.Par_runner.ss_events) r)
+    ~outputs:r.Par_runner.outputs ~sites:r.Par_runner.sites
+    ~suspected:r.Par_runner.suspected
+
+let of_tcp (r : Tcp_runner.result) =
+  build (Tcp r) ~stats:r.Tcp_runner.metrics ~virtual_ns:0 ~sim_events:0
+    ~outputs:(List.map (fun e -> (0, e)) r.Tcp_runner.outputs)
+    ~sites:r.Tcp_runner.sites ~suspected:[]
 
 (* ------------------------------------------------------------------ *)
 (* Minimal JSON emission.                                              *)
@@ -211,12 +256,13 @@ let summary_json = function
 let breakdown_json b =
   Printf.sprintf
     "{\"queue_wait\":%s,\"wire\":%s,\"retransmit\":%s,\"execute\":%s,\
-     \"flush_wait\":%s}"
+     \"flush_wait\":%s,\"handoff\":%s}"
     (summary_json b.b_queue_wait)
     (summary_json b.b_wire)
     (summary_json b.b_retransmit)
     (summary_json b.b_execute)
     (summary_json b.b_flush_wait)
+    (summary_json b.b_handoff)
 
 let memory_json m =
   Printf.sprintf
@@ -225,106 +271,79 @@ let memory_json m =
      \"fetch_cache\":%d,\"held_imports\":%d,\"ids_reclaimed\":%d,\
      \"leases_expired\":%d,\"lease_refreshes\":%d,\"stale_refs\":%d,\
      \"done_reqs_pruned\":%d,\"code_cache_evictions\":%d,\
-     \"held_imports_dropped\":%d,\"gc_minor_words\":%s,\
-     \"gc_major_words\":%s,\"gc_heap_words\":%d}"
+     \"held_imports_dropped\":%d}"
     m.mem_chan_live m.mem_chan_allocated m.mem_class_live
     m.mem_class_allocated m.mem_done_reqs m.mem_code_cache m.mem_fetch_cache
     m.mem_held_imports m.mem_ids_reclaimed m.mem_leases_expired
     m.mem_lease_refreshes m.mem_stale_refs m.mem_done_pruned
     m.mem_cache_evictions m.mem_held_dropped
-    (jfloat m.mem_gc_minor_words)
-    (jfloat m.mem_gc_major_words)
-    m.mem_gc_heap_words
 
-(* The parallel runtime's merge target: shard-confined accumulators
-   become one flat JSON object here, after every domain has joined —
-   the explicit end-of-run merge the sharded engine is allowed. *)
+let instructions t =
+  List.fold_left (fun acc s -> acc + s.ss_instructions) 0 t.sites
 
-let shard_stat_json (s : Par_runner.shard_stat) =
-  Printf.sprintf
-    "{\"shard\":%d,\"sites\":%d,\"events\":%d,\"virtual_ns\":%d,\
-     \"packets\":%d,\"same_node_fast\":%d,\"handoffs_in\":%d,\
-     \"ring_pushed\":%d,\"ring_popped\":%d,\"ring_hiwater\":%d,\
-     \"parks\":%d,\"drains\":%d,\"weight\":%s}"
-    s.Par_runner.ss_shard s.Par_runner.ss_sites s.Par_runner.ss_events
-    s.Par_runner.ss_virtual_ns s.Par_runner.ss_packets
-    s.Par_runner.ss_same_node s.Par_runner.ss_handoffs_in
-    s.Par_runner.ss_ring_pushed s.Par_runner.ss_ring_popped
-    s.Par_runner.ss_ring_hiwater s.Par_runner.ss_parks s.Par_runner.ss_drains
-    (jfloat s.Par_runner.ss_weight)
+(* The engine's section: its result's own numbers, then what the
+   report derived from the shard registries ([stats]) and the sites. *)
+let section_json t =
+  match t.engine with
+  | Deterministic -> ""
+  | Parallel r ->
+      let c = Stats.counter_value t.stats in
+      let per_shard f = jlist f (Array.to_list r.Par_runner.shard_stats) in
+      let row (s : Par_runner.shard_stat) =
+        let counted = Stats.counter_value s.Par_runner.ss_stats in
+        Printf.sprintf
+          "{\"shard\":%d,\"sites\":%d,\"events\":%d,\"virtual_ns\":%d,\
+           \"packets\":%d,\"same_node_fast\":%d,\"handoffs_in\":%d,\
+           \"ring_pushed\":%d,\"ring_popped\":%d,\"ring_hiwater\":%d,\
+           \"parks\":%d,\"drains\":%d,\"weight\":%s}"
+          s.Par_runner.ss_shard s.Par_runner.ss_sites s.Par_runner.ss_events
+          s.Par_runner.ss_virtual_ns (counted "packets")
+          (counted "same_node_fast") (counted "handoffs_in")
+          s.Par_runner.ss_ring_pushed
+          s.Par_runner.ss_ring_popped s.Par_runner.ss_ring_hiwater
+          s.Par_runner.ss_parks s.Par_runner.ss_drains
+          (jfloat s.Par_runner.ss_weight)
+      in
+      Printf.sprintf
+        ",\"parallel\":{\"domains\":%d,\"handoffs\":%d,\"ring_pushed\":%d,\
+         \"ring_popped\":%d,\"ring_batch_fill_mean\":%s,\"parks\":%d,\
+         \"instructions\":%d,\"wall_ns\":%d,\"migrations\":%d,\
+         \"migration_ns\":%d,\"forwarded_envelopes\":%d,\
+         \"sites_per_shard\":%s,\"placement_weights\":%s,\
+         \"node_weights\":%s,\"clean\":%b,\"timed_out\":%b,\"shards\":%s}"
+        r.Par_runner.domains r.Par_runner.handoffs r.Par_runner.ring_pushed
+        r.Par_runner.ring_popped
+        (jfloat r.Par_runner.ring_batch_fill_mean)
+        r.Par_runner.parks
+        (instructions t)
+        r.Par_runner.wall_ns (c "migrations") (c "migration_ns")
+        (c "forwarded_envelopes")
+        (per_shard (fun s -> string_of_int s.Par_runner.ss_sites))
+        (per_shard (fun s -> jfloat s.Par_runner.ss_weight))
+        (jlist jfloat (Array.to_list r.Par_runner.node_weights))
+        r.Par_runner.clean r.Par_runner.timed_out (per_shard row)
+  | Tcp r ->
+      Printf.sprintf
+        ",\"tcp\":{\"nodes\":%d,\"parks\":%d,\"wall_ns\":%d,\"timed_out\":%b}"
+        r.Tcp_runner.nodes r.Tcp_runner.parks r.Tcp_runner.wall_ns
+        r.Tcp_runner.timed_out
 
-let shard_registries (r : Par_runner.result) =
-  List.map
-    (fun s -> s.Par_runner.ss_stats)
-    (Array.to_list r.Par_runner.shard_stats)
-
-(* The export registry of a parallel run: the shards' registries
-   merged, then the counts the engine keeps outside them — ring
-   traffic and occupancy (the rings' own atomics), parks (the
-   skeleton's) and the placement weights. *)
-let par_metrics (r : Par_runner.result) =
-  let m = Stats.create () in
-  List.iter (fun s -> Stats.merge_into ~into:m s) (shard_registries r);
-  let sum f =
-    Array.fold_left (fun acc s -> acc + f s) 0 r.Par_runner.shard_stats
-  in
-  List.iter
-    (fun (name, v) -> Stats.Counter.add (Stats.counter m name) v)
-    [ ("ring_pushed", r.Par_runner.ring_pushed);
-      ("ring_popped", r.Par_runner.ring_popped);
-      ("ring_hiwater", sum (fun s -> s.Par_runner.ss_ring_hiwater));
-      ("parks", r.Par_runner.parks);
-      ("placement_weight",
-        sum (fun s -> int_of_float (Float.round s.Par_runner.ss_weight))) ];
-  m
-
-let par_json (r : Par_runner.result) =
-  (* the parallel latency breakdown: site-side components pooled over
-     every shard's sites, and the cross-domain handoff latency pooled
-     over the shards *)
-  let breakdown =
-    Printf.sprintf
-      "{\"queue_wait\":%s,\"execute\":%s,\"handoff\":%s}"
-      (summary_json (pooled "queue_wait_ns" r.Par_runner.sites))
-      (summary_json (pooled "execute_ns" r.Par_runner.sites))
-      (summary_json (pool "handoff_lat_ns" (shard_registries r)))
-  in
-  Printf.sprintf
-    "{\"engine\":\"parallel\",\"domains\":%d,\"virtual_ns\":%d,\
-     \"sim_events\":%d,\"packets\":%d,\"bytes\":%d,\"same_node_fast\":%d,\
-     \"handoffs\":%d,\"ring_pushed\":%d,\"ring_popped\":%d,\
-     \"ring_batch_fill_mean\":%s,\"parks\":%d,\
-     \"instructions\":%d,\"wall_ns\":%d,\"dead_letters\":%d,\
-     \"migrations\":%d,\"migration_ns\":%d,\"forwarded_envelopes\":%d,\
-     \"sites_per_shard\":%s,\"placement_weights\":%s,\"node_weights\":%s,\
-     \"clean\":%b,\"timed_out\":%b,\
-     \"latency_breakdown\":%s,\"shards\":%s,\"outputs\":%s,\
-     \"suspected_failures\":%s}"
-    r.Par_runner.domains r.Par_runner.virtual_ns r.Par_runner.events
-    r.Par_runner.packets r.Par_runner.bytes r.Par_runner.same_node_fast
-    r.Par_runner.handoffs r.Par_runner.ring_pushed r.Par_runner.ring_popped
-    (jfloat r.Par_runner.ring_batch_fill_mean)
-    r.Par_runner.parks r.Par_runner.instructions r.Par_runner.wall_ns
-    r.Par_runner.dead_letters r.Par_runner.migrations
-    r.Par_runner.migration_ns r.Par_runner.forwarded_envelopes
-    (jlist string_of_int (Array.to_list r.Par_runner.sites_per_shard))
-    (jlist jfloat (Array.to_list r.Par_runner.placement_weights))
-    (jlist jfloat (Array.to_list r.Par_runner.node_weights))
-    r.Par_runner.clean r.Par_runner.timed_out breakdown
-    (jlist shard_stat_json (Array.to_list r.Par_runner.shard_stats))
-    (jlist output_json r.Par_runner.outputs)
-    (jlist
-       (fun (ts, name) -> Printf.sprintf "{\"t\":%d,\"site\":%s}" ts (jstr name))
-       r.Par_runner.suspected)
+let engine_name = function
+  | Deterministic -> "deterministic"
+  | Parallel _ -> "parallel"
+  | Tcp _ -> "tcp"
 
 let to_json t =
   Printf.sprintf
-    "{\"virtual_ns\":%d,\"sim_events\":%d,\"packets\":%d,\"bytes\":%d,\
-     \"same_node_fast\":%d,\"frames_sent\":%d,\"batch_fill_mean\":%s,\
-     \"acks_piggybacked\":%d,\"outputs\":%s,\"sites\":%s,\
-     \"latency_breakdown\":%s,\"suspected_failures\":%s,\"memory\":%s}"
+    "{\"engine\":%s,\"virtual_ns\":%d,\"sim_events\":%d,\"packets\":%d,\
+     \"bytes\":%d,\"same_node_fast\":%d,\"frames_sent\":%d,\
+     \"batch_fill_mean\":%s,\"acks_piggybacked\":%d,\"dead_letters\":%d,\
+     \"outputs\":%s,\"sites\":%s,\"latency_breakdown\":%s,\
+     \"suspected_failures\":%s,\"memory\":%s%s}"
+    (jstr (engine_name t.engine))
     t.virtual_ns t.sim_events t.packets t.bytes t.same_node_fast
     t.frames_sent (jfloat t.batch_fill_mean) t.acks_piggybacked
+    t.dead_letters
     (jlist output_json t.outputs)
     (jlist site_json t.sites)
     (breakdown_json t.breakdown)
@@ -332,3 +351,4 @@ let to_json t =
        (fun (ts, name) -> Printf.sprintf "{\"t\":%d,\"site\":%s}" ts (jstr name))
        t.suspected_failures)
     (memory_json t.memory)
+    (section_json t)

@@ -1,10 +1,23 @@
-(** Machine-readable run summaries.
+(** One record of a finished run, for every engine.
 
-    Experiment pipelines want the numbers without scraping text:
-    {!of_result} snapshots a finished run — totals, outputs with
-    virtual timestamps, per-site VM statistics — and {!to_json} emits
-    it as JSON (a minimal self-contained emitter; no external
-    dependency).  [tycosh --json] prints it. *)
+    A report is built after a run has ended, and only when a caller
+    asks for one: {!of_cluster} for the deterministic engine,
+    {!of_parallel} for the parallel one and {!of_tcp} for TCP.  One
+    builder fills the common part from what every engine holds after
+    its join — the outputs, the run's merged
+    {!Tyco_support.Stats} registry (traffic counts and the wire-side
+    latencies), its sites (VM statistics, queue-wait and execute
+    latencies, resident protocol state) and its failure suspicions.
+    An engine section holds what only that engine knows.  {!to_json}
+    is the one JSON writer: [tycosh --json] prints it for every engine,
+    and [tycosh --metrics-out] exports the report's [stats].
+
+    The TCP engine has no virtual clock, so its [virtual_ns],
+    [sim_events] and output timestamps read 0.  Its nodes count
+    packets, bytes (encoded packet bytes, not frame bytes), deliveries
+    and dead letters only: the counts it does not keep (frames, acks,
+    same-node deliveries) read 0, and the wire-side latencies are
+    [None]. *)
 
 type site_stats = {
   ss_name : string;
@@ -31,13 +44,16 @@ type site_stats = {
     - [b_execute] — VM cost per pump quantum, pooled over sites;
     - [b_flush_wait] — time packets sat in their destination outbox
       before the batch flush (all zero at the default 0 ns flush
-      deadline; nonzero deadlines trade this latency for fill). *)
+      deadline; nonzero deadlines trade this latency for fill);
+    - [b_handoff] — virtual ns from a frame's departure to its landing
+      on another shard ([None] where no frame crossed a ring). *)
 type breakdown = {
   b_queue_wait : Tyco_support.Stats.Dist.summary option;
   b_wire : Tyco_support.Stats.Dist.summary option;
   b_retransmit : Tyco_support.Stats.Dist.summary option;
   b_execute : Tyco_support.Stats.Dist.summary option;
   b_flush_wait : Tyco_support.Stats.Dist.summary option;
+  b_handoff : Tyco_support.Stats.Dist.summary option;
 }
 
 (** Resident protocol state summed over sites (live export-table and
@@ -47,8 +63,7 @@ type breakdown = {
     lifetime reclamation counters ([mem_held_dropped] counts fetched
     classes dropped after a lease period unused).  A bounded run
     shows flat [*_live] numbers against growing [*_allocated] /
-    [mem_ids_reclaimed] ones.  The [mem_gc_*] fields are the host
-    process's {!Gc.quick_stat}, meaningful for wall-clock runs. *)
+    [mem_ids_reclaimed] ones. *)
 type memory = {
   mem_chan_live : int;
   mem_chan_allocated : int;
@@ -65,12 +80,23 @@ type memory = {
   mem_done_pruned : int;
   mem_cache_evictions : int;
   mem_held_dropped : int;
-  mem_gc_minor_words : float;
-  mem_gc_major_words : float;
-  mem_gc_heap_words : int;
 }
 
+(** What only one engine knows: its own result, whose JSON section
+    ({!to_json}) also carries what the report derives from the shard
+    registries and the sites. *)
+type engine =
+  | Deterministic
+  | Parallel of Par_runner.result
+      (** section ["parallel"]: the domains, ring traffic, parks, wall
+          time, [clean], [timed_out], node weights and per-shard rows,
+          plus the instructions, migrations, migration time, forwarded
+          frames, and each shard's sites and placement weight *)
+  | Tcp of Tcp_runner.result
+      (** section ["tcp"]: the nodes, parks, wall time and [timed_out] *)
+
 type t = {
+  engine : engine;
   virtual_ns : int;
   sim_events : int;
   packets : int;
@@ -88,36 +114,43 @@ type t = {
   acks_piggybacked : int;
       (** cumulative acks carried by reverse-direction batches instead
           of standalone ack frames *)
+  dead_letters : int;
+      (** packets for a site the receiving node does not host *)
   outputs : (int * Output.event) list;
   sites : site_stats list;
   breakdown : breakdown;
   suspected_failures : (int * string) list;
   memory : memory;
+  stats : Tyco_support.Stats.t;
+      (** the run's registry, which the traffic counts and the
+          wire-side latencies above are read from, and which
+          [tycosh --metrics-out] writes: the cluster's own for
+          {!of_cluster}; for {!of_parallel} a fresh
+          one, the shard registries merged plus ["ring_pushed"],
+          ["ring_popped"], ["ring_hiwater"] (the shards' outbound
+          high-waters, summed), ["parks"] and ["placement_weight"]
+          (the shards' rounded weights, summed); {!Tcp_runner.result}'s
+          [metrics] for {!of_tcp} *)
 }
 
-val of_result : Api.result -> t
 val of_cluster : Cluster.t -> t
+(** A deterministic run: {!Cluster.stats} is the report's registry. *)
+
+val of_parallel : Par_runner.result -> t
+(** A parallel run.  At one domain every common field equals
+    {!of_cluster}'s for the same program and configuration. *)
+
+val of_tcp : Tcp_runner.result -> t
+(** A TCP run.  Its counts are read from [metrics], so the run must
+    have been made with [~metrics:true]. *)
+
+val instructions : t -> int
+(** VM instructions summed over the run's sites. *)
 
 val to_json : t -> string
-(** Compact single-line JSON. *)
-
-val par_json : Par_runner.result -> string
-(** JSON for a multi-domain run ({!Par_runner}): domain count, ring
-    handoff and park counters, a per-shard section
-    ({!Par_runner.shard_stat}: ring traffic, occupancy high-water,
-    backpressure drains, parks), a latency breakdown with
-    p50/p95/p99/p999 per component (queue-wait and execute pooled over
-    all shards' sites, cross-domain handoff latency pooled over the
-    shards), and merged outputs.  [tycosh --json --domains N] (N > 1)
-    prints this instead of {!to_json}. *)
-
-val par_metrics : Par_runner.result -> Tyco_support.Metrics.t
-(** The registry [tycosh --domains N --metrics-out] exports: every
-    shard's registry ({!Par_runner.shard_stat}'s [ss_stats]) merged,
-    plus ["ring_pushed"], ["ring_popped"], ["ring_hiwater"] (the
-    shards' outbound high-waters, summed), ["parks"] and
-    ["placement_weight"] (the shards' rounded weights, summed).  A
-    fresh registry, built only when called. *)
+(** Compact single-line JSON: the common keys, then the engine's
+    section under ["parallel"] or ["tcp"] (none for the deterministic
+    engine). *)
 
 val json_escape : string -> string
 (** Exposed for tests: JSON string escaping. *)

@@ -14,6 +14,8 @@ type result = {
   parks : int;
   dead_letters : int;
   metrics : Metrics.t;
+  nodes : int;
+  sites : Site.t list;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -368,7 +370,10 @@ let run ?(nodes = 4) ?base_port ?(inputs = fun _ -> [])
     timed_out;
     parks;
     dead_letters = sum (fun n -> Node.dead_letters n.host);
-    metrics = registry }
+    metrics = registry;
+    nodes;
+    sites =
+      List.concat_map (fun n -> List.rev n.sites) (Array.to_list node_arr) }
 
 let run_program ?nodes ?base_port ?timeout_ms ?metrics prog =
   ignore (Api.typecheck prog);

@@ -58,6 +58,10 @@ type result = {
           and its daemon ["deliveries"] and ["dead_letters"]
           ({!Node.host}); ["parks"] is added at the merge.  Empty
           otherwise. *)
+  nodes : int;
+  sites : Site.t list;
+      (** node by node, each in load order; read after the join, for
+          {!Report.of_tcp} *)
 }
 
 val default_base_port : pid:int -> nodes:int -> int

@@ -254,3 +254,36 @@ let tests = tests @ List.map congruence_at_seed [ 82; 102; 137; 153; 173 ]
    [Invalid_argument] when a generated term bound a value where the
    body uses a channel — a dynamic error, [Network.Stuck]. *)
 let tests = tests @ [ congruence_at_seed 237 ]
+
+(* The state key must render the whole state: once [t]'s object has
+   taken [r1] or [r2], the two states differ only in the body of the
+   object at [k] ([x![0]] with [x] bound to [r1] or [r2]).  A key that
+   rendered objects by their labels would merge them and lose the
+   outcome printing 2, and would then find the [k]-less twin, whose
+   object sends at once, inequivalent. *)
+let k_program =
+  {| new r1, r2, t, k (
+       (r1?(z) = io!printi[1])
+     | (r2?(z) = io!printi[2])
+     | t![r1] | t![r2]
+     | (t?(x) = (k?(w) = x![0]))
+     | k![0]
+     ) |}
+
+let k_less_twin =
+  {| new r1, r2, t (
+       (r1?(z) = io!printi[1])
+     | (r2?(z) = io!printi[2])
+     | t![r1] | t![r2]
+     | (t?(x) = x![0])
+     ) |}
+
+let state_key_keeps_object_bodies () =
+  check Alcotest.int "two outcomes" 2 (List.length (outc k_program));
+  check Alcotest.bool "not deterministic" false
+    (Equiv.deterministic (prog k_program));
+  check Alcotest.bool "may-equivalent to its k-less twin" true
+    (Equiv.may_equivalent (prog k_program) (prog k_less_twin))
+
+let tests =
+  tests @ [ ("state key keeps object bodies", `Quick, state_key_keeps_object_bodies) ]

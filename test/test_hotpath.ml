@@ -160,8 +160,8 @@ let lease_off_bit_identical_report () =
     (List.map snd rb.Api.outputs)
     (List.map snd ra.Api.outputs);
   check Alcotest.string "report bit-identical"
-    (Report.to_json (Report.of_result rb))
-    (Report.to_json (Report.of_result ra))
+    (Report.to_json (Report.of_cluster rb.Api.cluster))
+    (Report.to_json (Report.of_cluster ra.Api.cluster))
 
 (* The SPSC ring's push/pop hot path: unboxed slots and a preallocated
    Empty exception mean a steady-state push/pop pair touches no

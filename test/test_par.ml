@@ -170,7 +170,7 @@ let domains1_bit_identical () =
         Alcotest.failf "%s: --domains 1 diverged from the plain run" name;
       check Alcotest.int
         (name ^ " virtual time identical")
-        det.Api.virtual_ns par.Par_runner.virtual_ns)
+        det.Api.virtual_ns (Report.of_parallel par).Report.virtual_ns)
     corpus
 
 let multiset_equivalence () =
@@ -200,33 +200,21 @@ let multiset_equivalence () =
 let shipped_samples_equivalence () =
   (* the examples corpus, minus seti.tyco (perpetual: it exhausts any
      event budget by design, on either engine) *)
-  let dir = "../examples/programs" in
-  match Sys.readdir dir with
-  | exception Sys_error _ -> Alcotest.skip ()
-  | entries ->
-      Array.to_list entries
-      |> List.filter (fun f ->
-             Filename.check_suffix f ".tyco" && f <> "seti.tyco")
-      |> List.iter (fun f ->
-             let path = Filename.concat dir f in
-             let ic = open_in_bin path in
-             let src =
-               Fun.protect
-                 ~finally:(fun () -> close_in_noerr ic)
-                 (fun () -> really_input_string ic (in_channel_length ic))
-             in
-             let prog = Api.parse ~file:path src in
-             let det = Api.run_program prog in
-             let reference = event_multiset det.Api.outputs in
-             List.iter
-               (fun d ->
-                 let par = Api.run_parallel ~domains:d prog in
-                 check
-                   Alcotest.(list string)
-                   (Printf.sprintf "%s at %d domains" f d)
-                   reference
-                   (event_multiset par.Par_runner.outputs))
-               domain_counts)
+  List.iter
+    (fun (f, path, src) ->
+      let prog = Api.parse ~file:path src in
+      let det = Api.run_program prog in
+      let reference = event_multiset det.Api.outputs in
+      List.iter
+        (fun d ->
+          let par = Api.run_parallel ~domains:d prog in
+          check
+            Alcotest.(list string)
+            (Printf.sprintf "%s at %d domains" f d)
+            reference
+            (event_multiset par.Par_runner.outputs))
+        domain_counts)
+    (Samples.programs ~except:[ "seti.tyco" ] ())
 
 (* ------------------------------------------------------------------ *)
 (* Placement maps                                                      *)
@@ -330,8 +318,10 @@ let sharding_smoke () =
   check Alcotest.bool "not timed out" false par.Par_runner.timed_out;
   check Alcotest.int "rings fully drained" par.Par_runner.ring_pushed
     par.Par_runner.ring_popped;
-  check Alcotest.int "every shard accounted" d
-    (Array.length par.Par_runner.sites_per_shard);
+  let sites_per_shard =
+    Array.map (fun s -> s.Par_runner.ss_sites) par.Par_runner.shard_stats
+  in
+  check Alcotest.int "every shard accounted" d (Array.length sites_per_shard);
   (* every site lives on the shard its node ip maps to: the per-shard
      totals must agree with recomputing ip mod d over the placement *)
   let expected = Array.make d 0 in
@@ -342,12 +332,12 @@ let sharding_smoke () =
     [ "hub"; "w0"; "w1"; "w2" ];
   check
     Alcotest.(array int)
-    "sites confined by ip mod domains" expected par.Par_runner.sites_per_shard;
+    "sites confined by ip mod domains" expected sites_per_shard;
   check Alcotest.bool "cross-shard traffic happened" true
     (par.Par_runner.handoffs > 0)
 
 (* Observability merge: shard stats account for the whole run, the
-   export registry ({!Report.par_metrics}) merges every shard's
+   report's registry ({!Report.of_parallel}) merges every shard's
    registry and the engine's ring and park counts, and the snapshot
    hook fires from the coordinator (interval 0 = every poll). *)
 let shard_stats_and_metrics () =
@@ -361,13 +351,17 @@ let shard_stats_and_metrics () =
       ~snapshot_every_ms:0 prog
   in
   check Alcotest.bool "clean quiescence" true par.Par_runner.clean;
+  let rep = Report.of_parallel par in
   let st = par.Par_runner.shard_stats in
   check Alcotest.int "one stat per shard" d (Array.length st);
   let sum f = Array.fold_left (fun acc s -> acc + f s) 0 st in
-  check Alcotest.int "events accounted" par.Par_runner.events
+  let shard_counts name =
+    sum (fun s -> Tyco_support.Stats.counter_value s.Par_runner.ss_stats name)
+  in
+  check Alcotest.int "events accounted" rep.Report.sim_events
     (sum (fun s -> s.Par_runner.ss_events));
-  check Alcotest.int "packets accounted" par.Par_runner.packets
-    (sum (fun s -> s.Par_runner.ss_packets));
+  check Alcotest.int "packets accounted" rep.Report.packets
+    (shard_counts "packets");
   check Alcotest.int "ring pushes accounted" par.Par_runner.ring_pushed
     (sum (fun s -> s.Par_runner.ss_ring_pushed));
   check Alcotest.int "ring pops accounted" par.Par_runner.ring_popped
@@ -377,12 +371,14 @@ let shard_stats_and_metrics () =
   check Alcotest.bool "hiwater seen on some shard" true
     (Array.exists (fun s -> s.Par_runner.ss_ring_hiwater > 0) st);
   (* the merged registry agrees with the summed shard stats *)
-  let mx = Report.par_metrics par in
+  let mx = rep.Report.stats in
   let value = Tyco_support.Metrics.value mx in
-  check Alcotest.int "merged packets counter" par.Par_runner.packets
+  check Alcotest.int "merged packets counter" (shard_counts "packets")
     (value "packets");
-  check Alcotest.int "merged bytes counter" par.Par_runner.bytes
+  check Alcotest.int "merged bytes counter" (shard_counts "bytes")
     (value "bytes");
+  check Alcotest.int "report bytes from the registry" (value "bytes")
+    rep.Report.bytes;
   check Alcotest.int "merged handoffs counter" par.Par_runner.handoffs
     (value "handoffs_in");
   check Alcotest.int "one handoff latency per handoff"
@@ -408,11 +404,15 @@ let shard_stats_and_metrics () =
       check Alcotest.int "snapshot sees every shard" d
         (Array.length s.Par_runner.sn_executed))
     !snapshots;
-  (* the sites list spans every shard's sites, post-join *)
+  (* the sites list spans every shard's sites, post-join, and so does
+     the report, with what the shards' links sampled *)
   check Alcotest.int "all sites surfaced" 4
     (List.length par.Par_runner.sites);
-  (* the par report renders it all as one valid JSON object *)
-  let json = Report.par_json par in
+  check Alcotest.int "every site reported" 4 (List.length rep.Report.sites);
+  check Alcotest.bool "wire latency reported" true
+    (rep.Report.breakdown.Report.b_wire <> None);
+  (* the report renders it all as one JSON object *)
+  let json = Report.to_json rep in
   let has hay sub =
     let nh = String.length hay and nn = String.length sub in
     let rec go i = i + nn <= nh && (String.sub hay i nn = sub || go (i + 1)) in
@@ -438,7 +438,9 @@ let deliveries_counted_at_two_domains () =
       let par =
         Api.run_parallel ~config ~placement:placement_spread ~domains:2 prog
       in
-      let two = Tyco_support.Metrics.value (Report.par_metrics par) in
+      let two =
+        Tyco_support.Metrics.value (Report.of_parallel par).Report.stats
+      in
       check Alcotest.bool (name ^ ": deterministic run delivers") true
         (one "deliveries" > 0);
       check Alcotest.int (name ^ ": deliveries at 2 domains")
@@ -449,7 +451,7 @@ let deliveries_counted_at_two_domains () =
 
 (* Handoff: every ring element is one frame — without migrations the
    rings carry exactly the handoffs, and the reported fill mean reads
-   1; placement weights surface in both the result and the JSON
+   1; placement weights surface in both the shard rows and the JSON
    report. *)
 let handoff_batching_invariants () =
   let _, src = List.nth corpus 0 in
@@ -463,33 +465,31 @@ let handoff_batching_invariants () =
     par.Par_runner.ring_popped;
   check Alcotest.bool "cross-shard traffic happened" true
     (par.Par_runner.handoffs > 0);
-  check Alcotest.int "no migrations" 0 par.Par_runner.migrations;
+  let rep = Report.of_parallel par in
+  check Alcotest.int "no migrations" 0
+    (Tyco_support.Metrics.value rep.Report.stats "migrations");
   check Alcotest.int "one frame per ring element" par.Par_runner.handoffs
     par.Par_runner.ring_pushed;
   check (Alcotest.float 0.) "fill mean reads 1" 1.0
     par.Par_runner.ring_batch_fill_mean;
   (* placement weights: one per shard, summing to the site count (the
-     static weight under the default Mod policy), mirrored per shard *)
+     static weight under the default Mod policy) *)
   check Alcotest.int "one weight per shard" d
-    (Array.length par.Par_runner.placement_weights);
-  let wsum = Array.fold_left ( +. ) 0. par.Par_runner.placement_weights in
+    (Array.length par.Par_runner.shard_stats);
+  let wsum =
+    Array.fold_left
+      (fun acc st -> acc +. st.Par_runner.ss_weight)
+      0. par.Par_runner.shard_stats
+  in
   check Alcotest.int "weights sum to the site count" 4
     (int_of_float (wsum +. 0.5));
-  Array.iteri
-    (fun i st ->
-      check
-        Alcotest.(float 1e-9)
-        (Printf.sprintf "shard %d weight mirrored" i)
-        par.Par_runner.placement_weights.(i)
-        st.Par_runner.ss_weight)
-    par.Par_runner.shard_stats;
   (* measured node weights: one per node, positive in total *)
   check Alcotest.int "one measured weight per node" config.Cluster.nodes
     (Array.length par.Par_runner.node_weights);
   check Alcotest.bool "instructions attributed to nodes" true
     (Array.fold_left ( +. ) 0. par.Par_runner.node_weights > 0.);
   (* and it all surfaces in the JSON report *)
-  let json = Report.par_json par in
+  let json = Report.to_json rep in
   let has hay sub =
     let nh = String.length hay and nn = String.length sub in
     let rec go i = i + nn <= nh && (String.sub hay i nn = sub || go (i + 1)) in
@@ -532,10 +532,11 @@ let handoff_per_event () =
   let par =
     Api.run_parallel ~config ~placement ~policy:Placement.Mod ~domains:2 prog
   in
-  check Alcotest.int "packets as at 1 domain" one.Par_runner.packets
-    par.Par_runner.packets;
-  check Alcotest.int "frame bytes as at 1 domain" one.Par_runner.bytes
-    par.Par_runner.bytes;
+  let one = Report.of_parallel one and two = Report.of_parallel par in
+  check Alcotest.int "packets as at 1 domain" one.Report.packets
+    two.Report.packets;
+  check Alcotest.int "frame bytes as at 1 domain" one.Report.bytes
+    two.Report.bytes;
   check Alcotest.bool "clean quiescence" true par.Par_runner.clean;
   check
     Alcotest.(list string)
@@ -647,8 +648,10 @@ let forced_migration_accounting () =
           prog
       in
       let label = Printf.sprintf "%s forced migration" name in
+      let rep = Report.of_parallel par in
+      let counted = Tyco_support.Metrics.value rep.Report.stats in
       check Alcotest.int (label ^ ": both moves installed") 2
-        par.Par_runner.migrations;
+        (counted "migrations");
       check Alcotest.bool (label ^ ": clean") true par.Par_runner.clean;
       check Alcotest.bool (label ^ ": not timed out") false
         par.Par_runner.timed_out;
@@ -662,16 +665,16 @@ let forced_migration_accounting () =
         (site_names (Cluster.sites det.Api.cluster))
         (site_names par.Par_runner.sites);
       check Alcotest.bool (label ^ ": migration time measured") true
-        (par.Par_runner.migration_ns > 0);
+        (counted "migration_ns" > 0);
       check Alcotest.bool (label ^ ": forwarded counter sane") true
-        (par.Par_runner.forwarded_envelopes >= 0);
+        (counted "forwarded_envelopes" >= 0);
       check
         Alcotest.(list string)
         (label ^ ": multiset preserved")
         reference
         (event_multiset par.Par_runner.outputs);
       (* the counters surface in the JSON report *)
-      let json = Report.par_json par in
+      let json = Report.to_json rep in
       let has hay sub =
         let nh = String.length hay and nn = String.length sub in
         let rec go i =
@@ -707,7 +710,7 @@ let global_event_budget () =
   let free =
     Api.run_parallel ~config ~placement:placement_spread ~domains:4 prog
   in
-  let total = free.Par_runner.events in
+  let total = (Report.of_parallel free).Report.sim_events in
   let per_shard_max =
     Array.fold_left
       (fun acc s -> max acc s.Par_runner.ss_events)
@@ -920,8 +923,12 @@ let no_early_stop () =
             (Printf.sprintf "%d lines, not the 3 expected"
                (List.length r.Par_runner.outputs));
         if not r.Par_runner.clean then fail "not clean";
-        if r.Par_runner.migrations <> List.length force_migrations then
-          fail (Printf.sprintf "%d moves installed" r.Par_runner.migrations)
+        let moved =
+          Tyco_support.Metrics.value (Report.of_parallel r).Report.stats
+            "migrations"
+        in
+        if moved <> List.length force_migrations then
+          fail (Printf.sprintf "%d moves installed" moved)
       done)
     [ (2, 300, []); (4, 50, []); (2, 50, [ (1, 0) ]); (4, 50, [ (1, 2); (3, 0) ]) ]
 
@@ -942,6 +949,24 @@ let shard_failure_fails_fast () =
         "shard 1 failed: division by zero" m);
   if Unix.gettimeofday () -. t0 > 5. then
     Alcotest.fail "shard failure waited out the bound"
+
+(* One domain is one shard, so its report is the deterministic
+   engine's: the same JSON in every common key once the parallel
+   section is set aside. *)
+let report_at_one_domain () =
+  List.iter
+    (fun (name, src) ->
+      let prog = Api.parse src in
+      let det = Api.run_program ~config ~placement:placement_spread prog in
+      let par =
+        Api.run_parallel ~config ~placement:placement_spread ~domains:1 prog
+      in
+      check Alcotest.string
+        (name ^ ": common keys as the deterministic engine's")
+        (Report.to_json (Report.of_cluster det.Api.cluster))
+        (Report.to_json
+           { (Report.of_parallel par) with Report.engine = Report.Deterministic }))
+    corpus
 
 let tests =
   [ ("spsc ring fifo", `Quick, ring_fifo);
@@ -970,4 +995,5 @@ let tests =
     ("replicated ns equivalence", `Quick, replicated_ns_equivalence);
     ("partition at 2 domains", `Quick, partition_at_two_domains);
     ("no early stop", `Quick, no_early_stop);
-    ("shard failure fails fast", `Quick, shard_failure_fails_fast) ]
+    ("shard failure fails fast", `Quick, shard_failure_fails_fast);
+    ("report at 1 domain as deterministic", `Quick, report_at_one_domain) ]

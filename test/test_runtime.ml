@@ -958,7 +958,7 @@ let tests = tests @ tcp_tests
 
 let report_json_shape () =
   let r = run (List.assoc "rpc" paper_programs) in
-  let json = Report.to_json (Report.of_result r) in
+  let json = Report.to_json (Report.of_cluster r.Api.cluster) in
   let has sub =
     let nh = String.length json and nn = String.length sub in
     let rec go i = i + nn <= nh && (String.sub json i nn = sub || go (i + 1)) in
@@ -977,32 +977,56 @@ let tests = tests @ [ ("report json shape", `Quick, report_json_shape) ]
    type-check and run (bounded for perpetual ones).                    *)
 
 let sample_programs () =
-  let dir = "../examples/programs" in
-  match Sys.readdir dir with
-  | exception Sys_error _ -> Alcotest.skip ()
-  | entries ->
-      let tycos =
-        List.filter (fun f -> Filename.check_suffix f ".tyco")
-          (Array.to_list entries)
-      in
-      check Alcotest.bool "samples present" true (List.length tycos >= 5);
-      List.iter
-        (fun f ->
-          let path = Filename.concat dir f in
-          let ic = open_in_bin path in
-          let src =
-            Fun.protect
-              ~finally:(fun () -> close_in_noerr ic)
-              (fun () -> really_input_string ic (in_channel_length ic))
-          in
-          match
-            let prog = Api.parse ~file:path src in
-            ignore (Api.typecheck prog);
-            Api.run_program ~until:3_000_000 prog
-          with
-          | r -> ignore r
-          | exception Api.Error e ->
-              Alcotest.failf "%s: %s" f (Api.error_message e))
-        tycos
+  let samples = Samples.programs () in
+  check Alcotest.bool "samples present" true (List.length samples >= 5);
+  List.iter
+    (fun (f, path, src) ->
+      match
+        let prog = Api.parse ~file:path src in
+        ignore (Api.typecheck prog);
+        Api.run_program ~until:3_000_000 prog
+      with
+      | r -> ignore r
+      | exception Api.Error e ->
+          Alcotest.failf "%s: %s" f (Api.error_message e))
+    samples
 
 let tests = tests @ [ ("shipped sample programs", `Quick, sample_programs) ]
+
+(* A report describes only its run: built twice from one finished run,
+   with a minor collection in between, it renders the same JSON. *)
+let report_stable_across_gc () =
+  let r = run (List.assoc "rpc" paper_programs) in
+  let json () = Report.to_json (Report.of_cluster r.Api.cluster) in
+  let before = json () in
+  Gc.minor ();
+  check Alcotest.string "same report after Gc.minor" before (json ())
+
+let tests =
+  tests @ [ ("report json stable across a minor gc", `Quick, report_stable_across_gc) ]
+
+(* A TCP run has a report too: the common part from its merged node
+   registries and its sites, and a "tcp" section.  It has no virtual
+   clock, so virtual time and output timestamps read 0. *)
+let tcp_report () =
+  let prog = Api.parse (List.assoc "rpc" paper_programs) in
+  let r = Tcp_runner.run_program ~nodes:2 ~metrics:true prog in
+  let rep = Report.of_tcp r in
+  check Alcotest.int "packets from the registry" r.Tcp_runner.packets
+    rep.Report.packets;
+  check Alcotest.int "every site reported" 2 (List.length rep.Report.sites);
+  check Alcotest.int "no virtual clock" 0 rep.Report.virtual_ns;
+  check Alcotest.bool "outputs at time 0" true
+    (rep.Report.outputs <> []
+    && List.for_all (fun (t, _) -> t = 0) rep.Report.outputs);
+  let json = Report.to_json rep in
+  let has sub =
+    let nh = String.length json and nn = String.length sub in
+    let rec go i = i + nn <= nh && (String.sub json i nn = sub || go (i + 1)) in
+    go 0
+  in
+  check Alcotest.bool "tcp engine" true (has "\"engine\":\"tcp\"");
+  check Alcotest.bool "tcp section" true (has ",\"tcp\":{\"nodes\":2,");
+  check Alcotest.bool "no wire latency" true (has "\"wire\":null")
+
+let tests = tests @ [ ("tcp report", `Quick, tcp_report) ]

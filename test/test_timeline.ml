@@ -53,19 +53,10 @@ let programs () =
         (name, src, Test_par.config, Some Test_par.placement_spread))
       Test_par.corpus
   in
-  let dir = "../examples/programs" in
   let examples =
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".tyco" && f <> "seti.tyco")
-    |> List.sort compare
-    |> List.map (fun f ->
-           let ic = open_in_bin (Filename.concat dir f) in
-           let src =
-             Fun.protect
-               ~finally:(fun () -> close_in_noerr ic)
-               (fun () -> really_input_string ic (in_channel_length ic))
-           in
-           (f, src, Cluster.default_config, None))
+    List.map
+      (fun (f, _, src) -> (f, src, Cluster.default_config, None))
+      (Samples.programs ~except:[ "seti.tyco" ] ())
   in
   corpus @ examples
 

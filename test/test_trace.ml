@@ -361,7 +361,7 @@ let report_idle_site_json () =
       {| site a { new x (x![1] | x?(v) = io!printi[v]) }
          site idle { nil } |}
   in
-  let json = Report.to_json (Report.of_result r) in
+  let json = Report.to_json (Report.of_cluster r.Api.cluster) in
   check Alcotest.bool "well-formed json" true (json_valid json);
   check Alcotest.bool "breakdown present" true
     (has json "\"latency_breakdown\"");
@@ -371,7 +371,7 @@ let report_idle_site_json () =
 
 let report_breakdown_populated () =
   let r = run ship_src in
-  let rep = Report.of_result r in
+  let rep = Report.of_cluster r.Api.cluster in
   (match rep.Report.breakdown.Report.b_queue_wait with
   | Some s -> check Alcotest.bool "queue-wait samples" true (s.Tyco_support.Stats.Dist.s_n > 0)
   | None -> Alcotest.fail "expected queue-wait samples");
