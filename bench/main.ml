@@ -1,11 +1,13 @@
 (* The experiment harness: one section per experiment in DESIGN.md's
-   index (E1–E10).  The paper (CLUSTER 2000) has no numbered tables —
-   each experiment reproduces a figure or a quantitative claim from the
-   text; EXPERIMENTS.md records the paper-vs-measured comparison.
+   index (E1–E21, and a traced E1 run).  The paper (CLUSTER 2000) has
+   no numbered tables — each experiment reproduces a figure or a
+   quantitative claim from the text; EXPERIMENTS.md records the
+   paper-vs-measured comparison.
 
-   Wall-clock measurements (E1, E2, E7, E8) use Bechamel on this host;
-   distributed-behaviour measurements (E3–E6, E9, E10) report the
-   deterministic virtual clock of the simulated cluster. *)
+   Of the first ten, the wall-clock measurements (E1, E2, E7, E8) use
+   Bechamel on this host, and the distributed-behaviour measurements
+   (E3–E6, E9, E10) report the deterministic virtual clock of the
+   simulated cluster. *)
 
 module Api = Dityco.Api
 module Cluster = Dityco.Cluster

@@ -4,7 +4,8 @@
 
    With one file: print all calculus-admissible outcomes (and whether
    the program is scheduling-deterministic).  With two files: decide
-   may-testing equivalence. *)
+   may-testing equivalence.  A dynamic error the search reaches prints
+   one line naming the file and exits 1. *)
 
 open Cmdliner
 
@@ -27,40 +28,46 @@ let load path =
       Format.eprintf "error: %s@." m;
       exit 1
 
+(* Every admissible outcome of one file's program.  A dynamic error the
+   search reaches, or a search past the bound, ends the run. *)
+let outcomes max_states path prog =
+  match Tyco_calculus.Equiv.outcomes ~max_states prog with
+  | os -> os
+  | exception Tyco_calculus.Network.Stuck m ->
+      Format.eprintf "%s: %s@." path
+        (Dityco.Api.error_message (Dityco.Api.Runtime_error m));
+      exit 1
+  | exception Tyco_calculus.Equiv.Search_exhausted n ->
+      Format.eprintf "state space exceeds %d states; raise --max-states@." n;
+      exit 2
+
+let print_outcomes os =
+  List.iter
+    (fun o -> Format.printf "  %a@." Tyco_calculus.Equiv.pp_outcome o)
+    os
+
 let run file1 file2 max_states =
   let p1 = load file1 in
   match file2 with
-  | None -> (
-      match Tyco_calculus.Equiv.outcomes ~max_states p1 with
-      | outcomes ->
-          Format.printf "%d admissible outcome(s):@." (List.length outcomes);
-          List.iter
-            (fun o -> Format.printf "  %a@." Tyco_calculus.Equiv.pp_outcome o)
-            outcomes;
-          Format.printf "scheduling-deterministic: %b@."
-            (List.length outcomes <= 1)
-      | exception Tyco_calculus.Equiv.Search_exhausted n ->
-          Format.eprintf "state space exceeds %d states; raise --max-states@." n;
-          exit 2)
-  | Some f2 -> (
+  | None ->
+      let os = outcomes max_states file1 p1 in
+      Format.printf "%d admissible outcome(s):@." (List.length os);
+      print_outcomes os;
+      Format.printf "scheduling-deterministic: %b@." (List.length os <= 1)
+  | Some f2 ->
       let p2 = load f2 in
-      match Tyco_calculus.Equiv.may_equivalent ~max_states p1 p2 with
-      | true ->
-          Format.printf "EQUIVALENT (may-testing, up to %d states)@." max_states
-      | false ->
-          Format.printf "NOT equivalent@.";
-          let show name p =
-            Format.printf "%s outcomes:@." name;
-            List.iter
-              (fun o -> Format.printf "  %a@." Tyco_calculus.Equiv.pp_outcome o)
-              (Tyco_calculus.Equiv.outcomes ~max_states p)
-          in
-          show file1 p1;
-          show f2 p2;
-          exit 1
-      | exception Tyco_calculus.Equiv.Search_exhausted n ->
-          Format.eprintf "state space exceeds %d states; raise --max-states@." n;
-          exit 2)
+      let o1 = outcomes max_states file1 p1 in
+      let o2 = outcomes max_states f2 p2 in
+      if o1 = o2 then
+        Format.printf "EQUIVALENT (may-testing, up to %d states)@." max_states
+      else begin
+        Format.printf "NOT equivalent@.";
+        Format.printf "%s outcomes:@." file1;
+        print_outcomes o1;
+        Format.printf "%s outcomes:@." f2;
+        print_outcomes o2;
+        exit 1
+      end
 
 let file1 =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE1"

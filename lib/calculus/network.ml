@@ -110,23 +110,34 @@ let rec eval ~at (e : Term.expr) : value =
 
 let io_name = "io"
 
+(* Fresh copies of names, newest first as [(x, x')].  The [$] suffix
+   cannot be written in source programs, so fresh names never collide
+   with public (exported) ones. *)
+let fresh_names t xs =
+  List.fold_left
+    (fun (t, ren) x ->
+      ( { t with fresh = t.fresh + 1 },
+        (x, Printf.sprintf "%s$%d" x t.fresh) :: ren ))
+    (t, []) xs
+
+(* Install a definition group at a site: each member names the group. *)
+let register t site group =
+  List.fold_left
+    (fun t (d : Term.defn) ->
+      { t with defs = ((site, d.Term.d_name), group) :: t.defs })
+    t group
+
 let rec add_proc t site (p : Term.proc) : t =
   match p with
   | Term.Nil -> t
   | Term.Par (a, b) -> add_proc (add_proc t site a) site b
   | Term.New (xs, q) ->
-      (* [Split]/[New]: lift the restriction, freshening the names.  The
-         [$] suffix cannot be written in source programs, so fresh names
-         never collide with public (exported) ones. *)
-      let t, renaming =
-        List.fold_left
-          (fun (t, ren) x ->
-            let x' = Printf.sprintf "%s$%d" x t.fresh in
-            ({ t with fresh = t.fresh + 1 },
-             (x, Term.Eid (Term.Plain x')) :: ren))
-          (t, []) xs
-      in
-      add_proc t site (Term.subst renaming q)
+      (* [Split]/[New]: lift the restriction, freshening the names *)
+      let t, ren = fresh_names t xs in
+      add_proc t site
+        (Term.subst
+           (List.map (fun (x, x') -> (x, Term.Eid (Term.Plain x'))) ren)
+           q)
   | Term.If (e, a, b) -> (
       match eval ~at:site e with
       | Vbool true -> add_proc t site a
@@ -134,22 +145,7 @@ let rec add_proc t site (p : Term.proc) : t =
       | _ -> stuck "condition is not a boolean")
   | Term.Msg (x, l, es) ->
       let vs = List.map (eval ~at:site) es in
-      let x = Term.localize_id ~at:site x in
-      if x = Term.Plain io_name then
-        if String.equal l "readi" then
-          (* input: pop the next supplied integer and reply on the
-             argument channel; a starved read blocks silently *)
-          match (vs, List.assoc_opt site t.inputs) with
-          | [ Vid k ], Some (v :: rest) ->
-              let t =
-                { t with
-                  inputs = (site, rest) :: List.remove_assoc site t.inputs }
-              in
-              add_proc t site (Term.Msg (k, "val", [ Term.Elit (Term.Lint v) ]))
-          | [ Vid _ ], (Some [] | None) -> t
-          | _ -> stuck "io!readi expects one reply channel"
-        else { t with outs = (site, l, vs) :: t.outs }
-      else push t site (Amsg (x, l, vs))
+      send t site (Term.localize_id ~at:site x) l vs
   | Term.Obj (x, ms) ->
       push t site (Aobj (Term.localize_id ~at:site x, ms))
   | Term.Inst (xc, es) ->
@@ -158,130 +154,117 @@ let rec add_proc t site (p : Term.proc) : t =
   | Term.Def (ds, q) ->
       (* [Def]: lift the group to the definition table under fresh
          class names; internal references are retargeted. *)
-      let t, renaming =
-        List.fold_left
-          (fun (t, ren) (d : Term.defn) ->
-            let x' = Printf.sprintf "%s$%d" d.d_name t.fresh in
-            ({ t with fresh = t.fresh + 1 },
-             (d.d_name, Term.Clocated (site, x')) :: ren))
-          (t, []) ds
+      let t, ren =
+        fresh_names t (List.map (fun (d : Term.defn) -> d.d_name) ds)
       in
-      let retarget = Term.subst_cid renaming in
-      let group =
-        List.map
-          (fun (d : Term.defn) ->
-            let x' =
-              match List.assoc d.d_name renaming with
-              | Term.Clocated (_, x') -> x'
-              | Term.Cplain _ -> assert false
-            in
-            { d with Term.d_name = x'; d_body = retarget d.d_body })
-          ds
+      let retarget =
+        Term.subst_cid
+          (List.map (fun (x, x') -> (x, Term.Clocated (site, x'))) ren)
       in
       let t =
-        List.fold_left
-          (fun t (d : Term.defn) ->
-            { t with defs = ((site, d.d_name), group) :: t.defs })
-          t group
+        register t site
+          (List.map
+             (fun (d : Term.defn) ->
+               { d with Term.d_name = List.assoc d.d_name ren;
+                        d_body = retarget d.d_body })
+             ds)
       in
-      (* exported groups additionally register under their public
-         (original) names, with internal references retargeted to the
-         public copies — the network-level [def s.D] of the paper's §4
-         translation, now with correctly freshened free names *)
-      let exported =
-        List.filter
-          (fun (d : Term.defn) -> List.mem (site, d.d_name) t.pending_exports)
-          ds
+      (* an exported group also registers under its public (original)
+         names, internal references retargeted to the public copies:
+         the network-level [def s.D] of the paper's §4 translation, with
+         the enclosing binders already freshened into the bodies *)
+      let of_group (s, x) =
+        String.equal s site
+        && List.exists (fun (d : Term.defn) -> String.equal d.d_name x) ds
       in
       let t =
-        if exported = [] then t
-        else begin
-          let public_renaming =
-            List.map
-              (fun (d : Term.defn) ->
-                (* tagged name of this member -> public name *)
-                (match List.assoc d.d_name renaming with
-                 | Term.Clocated (_, tagged) -> tagged
-                 | Term.Cplain _ -> assert false),
-                d.d_name)
-              ds
-          in
-          let to_public =
-            Term.map_cids (function
-              | Term.Clocated (s', tagged)
-                when String.equal s' site
-                     && List.mem_assoc tagged public_renaming ->
-                  Term.Clocated (site, List.assoc tagged public_renaming)
-              | c -> c)
-          in
-          let public_group =
-            List.map
-              (fun (d : Term.defn) ->
-                let tagged_d =
-                  List.find
-                    (fun (g : Term.defn) ->
-                      match List.assoc d.d_name renaming with
-                      | Term.Clocated (_, tg) -> String.equal g.Term.d_name tg
-                      | Term.Cplain _ -> false)
-                    group
-                in
-                { tagged_d with
-                  Term.d_name = d.d_name;
-                  d_body = to_public tagged_d.Term.d_body })
-              ds
+        if not (List.exists of_group t.pending_exports) then t
+        else
+          let public =
+            Term.subst_cid
+              (List.map
+                 (fun (d : Term.defn) ->
+                   (d.d_name, Term.Clocated (site, d.d_name)))
+                 ds)
           in
           let t =
-            List.fold_left
-              (fun t (d : Term.defn) ->
-                { t with defs = ((site, d.Term.d_name), public_group) :: t.defs })
-              t public_group
+            register t site
+              (List.map
+                 (fun (d : Term.defn) ->
+                   { d with Term.d_body = public d.d_body })
+                 ds)
           in
           { t with
             pending_exports =
-              List.filter
-                (fun (s', x) ->
-                  not
-                    (String.equal s' site
-                    && List.exists
-                         (fun (d : Term.defn) -> String.equal d.Term.d_name x)
-                         exported))
-                t.pending_exports }
-        end
+              List.filter (fun e -> not (of_group e)) t.pending_exports }
       in
       add_proc t site (retarget q)
 
 and push t site atom =
   { t with age = t.age + 1; atoms = t.atoms @ [ (t.age, site, atom) ] }
 
-let register_defs t site (ds : Term.defn list) : t =
-  (* Public (exported) groups keep their class names; internal
-     references become located at the defining site. *)
-  let renaming =
-    List.map
-      (fun (d : Term.defn) -> (d.d_name, Term.Clocated (site, d.d_name)))
-      ds
-  in
-  let group =
-    List.map
-      (fun (d : Term.defn) ->
-        { d with Term.d_body = Term.subst_cid renaming d.d_body })
-      ds
-  in
-  List.fold_left
-    (fun t (d : Term.defn) ->
-      { t with defs = ((site, d.d_name), group) :: t.defs })
-    t group
+(* A message at a site: an atom, unless it goes to the builtin [io].
+   Then it is an output, or a [readi] that pops the site's next input
+   and replies on its argument channel; a starved read blocks
+   silently. *)
+and send t site x l vs =
+  if x <> Term.Plain io_name then push t site (Amsg (x, l, vs))
+  else if not (String.equal l "readi") then
+    { t with outs = (site, l, vs) :: t.outs }
+  else
+    match (vs, List.assoc_opt site t.inputs) with
+    | [ Vid k ], Some (v :: rest) ->
+        let t =
+          { t with inputs = (site, rest) :: List.remove_assoc site t.inputs }
+        in
+        add_proc t site (Term.Msg (k, "val", [ Term.Elit (Term.Lint v) ]))
+    | [ Vid _ ], (Some [] | None) -> t
+    | _ -> stuck "io!readi expects one reply channel"
 
 (* ------------------------------------------------------------------ *)
-(* Reduction.                                                          *)
+(* Reduction: one function per rule.  Each consumes its redex's atoms,
+   builds the successor state and raises the rule's dynamic errors.    *)
 
 let remove_atom t key =
   { t with atoms = List.filter (fun (k, _, _) -> k <> key) t.atoms }
 
-let instantiate t site (d : Term.defn) vs =
+let group_at t s x =
+  match List.assoc_opt (s, x) t.defs with
+  | Some group -> group
+  | None -> stuck "unbound class %s.%s" s x
+
+(* COMM: the message [mk] meets the object [ok] at [site]'s channel. *)
+let comm t site x l vs mk ok ms =
+  let m =
+    match
+      List.find_opt
+        (fun (m : Term.method_) -> String.equal m.Term.m_label l)
+        ms
+    with
+    | Some m -> m
+    | None -> stuck "channel '%s': no method '%s' (protocol error)" x l
+  in
+  if List.length m.Term.m_params <> List.length vs then
+    stuck "channel '%s' method '%s': arity mismatch" x l;
+  ( Ecomm (site, x, l),
+    add_proc (remove_atom (remove_atom t mk) ok) site
+      (bind m.Term.m_params vs m.Term.m_body) )
+
+(* INST: instantiating a class defined at the instantiating site. *)
+let inst t k site c vs =
+  let x =
+    match c with
+    | Term.Cplain x -> stuck "unbound class '%s'" x
+    | Term.Clocated (_, x) -> x
+  in
+  let d =
+    List.find (fun (d : Term.defn) -> String.equal d.Term.d_name x)
+      (group_at t site x)
+  in
   if List.length d.d_params <> List.length vs then
-    stuck "class %s: arity mismatch" d.d_name;
-  add_proc t site (bind d.d_params vs d.d_body)
+    stuck "class %s: arity mismatch" x;
+  ( Einst (site, x),
+    add_proc (remove_atom t k) site (bind d.d_params vs d.d_body) )
 
 let translate_value ~from_ ~to_ = function
   | Vid id -> Vid (Term.localize_id ~at:to_ (Term.sigma_id ~from_ id))
@@ -291,299 +274,119 @@ let translate_method ~from_ ~to_ (m : Term.method_) =
   let m = Term.sigma_method ~from_ m in
   { m with Term.m_body = Term.localize ~at:to_ m.Term.m_body }
 
-(* COMM: the oldest message that has a matching object at its site. *)
-let find_comm t =
-  let objs_at site x =
-    List.filter_map
-      (fun (k, s, a) ->
-        match a with
-        | Aobj (ox, ms) when String.equal s site && ox = Term.Plain x ->
-            Some (k, ms)
-        | Aobj _ | Amsg _ | Ainst _ -> None)
-      t.atoms
+(* SHIPM: a message to [to_.x] moves to [to_], its arguments
+   σ-translated; there it may be an I/O request. *)
+let ship_msg t k from_ to_ x l vs =
+  ( Eship_msg (from_, to_, x),
+    send (remove_atom t k) to_ (Term.Plain x) l
+      (List.map (translate_value ~from_ ~to_) vs) )
+
+(* SHIPO: an object at [to_.x] moves to [to_], its methods
+   σ-translated. *)
+let ship_obj t k from_ to_ x ms =
+  ( Eship_obj (from_, to_, x),
+    push (remove_atom t k) to_
+      (Aobj (Term.Plain x, List.map (translate_method ~from_ ~to_) ms)) )
+
+(* FETCH: instantiating a class defined at site [s] copies its whole
+   group (it may be mutually recursive) into the local table under
+   fresh names, internal references retargeted to the local copies and
+   the bodies' free names σ-translated.  σ excludes the class
+   parameters (they are binding occurrences); localization only
+   touches located identifiers, which are never bound. *)
+let fetch t k site s x vs =
+  let group = group_at t s x in
+  let t, ren =
+    fresh_names (remove_atom t k)
+      (List.map (fun (d : Term.defn) -> d.Term.d_name) group)
   in
-  let rec go = function
-    | [] -> None
-    | (k, site, Amsg (Term.Plain x, l, vs)) :: rest -> (
-        match objs_at site x with
-        | [] -> go rest
-        | (ok, ms) :: _ -> Some (k, ok, site, x, l, vs, ms))
-    | _ :: rest -> go rest
+  let retarget =
+    Term.map_cids (function
+      | Term.Clocated (s', x')
+        when String.equal s' s && List.mem_assoc x' ren ->
+          Term.Clocated (site, List.assoc x' ren)
+      | c -> c)
   in
-  go t.atoms
-
-let find_local_inst t =
-  List.find_map
-    (fun (k, site, a) ->
-      match a with
-      | Ainst ((Term.Clocated (s, x) as _c), vs) when String.equal s site -> (
-          match List.assoc_opt (s, x) t.defs with
-          | Some group -> Some (k, site, x, vs, group)
-          | None -> stuck "unbound class %s.%s" s x)
-      | Ainst (Term.Cplain x, _) -> stuck "unbound class '%s'" x
-      | Ainst _ | Amsg _ | Aobj _ -> None)
-    t.atoms
-
-let find_ship_msg t =
-  List.find_map
-    (fun (k, site, a) ->
-      match a with
-      | Amsg ((Term.Located (s, x) as _i), l, vs) ->
-          Some (k, site, s, x, l, vs)
-      | Amsg _ | Aobj _ | Ainst _ -> None)
-    t.atoms
-
-let find_ship_obj t =
-  List.find_map
-    (fun (k, site, a) ->
-      match a with
-      | Aobj (Term.Located (s, x), ms) -> Some (k, site, s, x, ms)
-      | Aobj _ | Amsg _ | Ainst _ -> None)
-    t.atoms
-
-let find_fetch t =
-  List.find_map
-    (fun (k, site, a) ->
-      match a with
-      | Ainst (Term.Clocated (s, x), vs) when not (String.equal s site) ->
-          Some (k, site, s, x, vs)
-      | Ainst _ | Amsg _ | Aobj _ -> None)
-    t.atoms
-
-let step t =
-  match find_comm t with
-  | Some (mk, ok, site, x, l, vs, ms) ->
-      let t = remove_atom (remove_atom t mk) ok in
-      let m =
-        match
-          List.find_opt (fun (m : Term.method_) -> String.equal m.Term.m_label l) ms
-        with
-        | Some m -> m
-        | None -> stuck "channel '%s': no method '%s' (protocol error)" x l
-      in
-      if List.length m.Term.m_params <> List.length vs then
-        stuck "channel '%s' method '%s': arity mismatch" x l;
-      let t = add_proc t site (bind m.Term.m_params vs m.Term.m_body) in
-      Some (Ecomm (site, x, l), t)
-  | None -> (
-      match find_local_inst t with
-      | Some (k, site, x, vs, group) ->
-          let t = remove_atom t k in
-          let d =
-            List.find (fun (d : Term.defn) -> String.equal d.Term.d_name x) group
-          in
-          let t = instantiate t site d vs in
-          Some (Einst (site, x), t)
-      | None -> (
-          match find_ship_msg t with
-          | Some (k, from_, to_, x, l, vs) ->
-              let t = remove_atom t k in
-              let vs = List.map (translate_value ~from_ ~to_) vs in
-              let t =
-                if String.equal x io_name then
-                  if String.equal l "readi" then
-                    (* remote input request: shipped code reading from
-                       its home site's I/O port *)
-                    match (vs, List.assoc_opt to_ t.inputs) with
-                    | [ Vid kk ], Some (v :: rest) ->
-                        let t =
-                          { t with
-                            inputs =
-                              (to_, rest) :: List.remove_assoc to_ t.inputs }
-                        in
-                        add_proc t to_
-                          (Term.Msg (kk, "val", [ Term.Elit (Term.Lint v) ]))
-                    | [ Vid _ ], (Some [] | None) -> t
-                    | _ -> stuck "io!readi expects one reply channel"
-                  else { t with outs = (to_, l, vs) :: t.outs }
-                else push t to_ (Amsg (Term.Plain x, l, vs))
-              in
-              Some (Eship_msg (from_, to_, x), t)
-          | None -> (
-              match find_ship_obj t with
-              | Some (k, from_, to_, x, ms) ->
-                  let t = remove_atom t k in
-                  let ms = List.map (translate_method ~from_ ~to_) ms in
-                  let t = push t to_ (Aobj (Term.Plain x, ms)) in
-                  Some (Eship_obj (from_, to_, x), t)
-              | None -> (
-                  match find_fetch t with
-                  | Some (k, site, s, x, vs) -> (
-                      match List.assoc_opt (s, x) t.defs with
-                      | None -> stuck "unbound class %s.%s" s x
-                      | Some group ->
-                          let t = remove_atom t k in
-                          (* Copy the whole group (it may be mutually
-                             recursive), retargeting internal references
-                             to the local copies and σ-translating the
-                             bodies' free names. *)
-                          let t, renaming =
-                            List.fold_left
-                              (fun (t, ren) (d : Term.defn) ->
-                                let x' =
-                                  Printf.sprintf "%s$%d" d.Term.d_name t.fresh
-                                in
-                                ({ t with fresh = t.fresh + 1 },
-                                 (d.Term.d_name, x') :: ren))
-                              (t, []) group
-                          in
-                          let retarget =
-                            Term.map_cids (function
-                              | Term.Clocated (s', x')
-                                when String.equal s' s
-                                     && List.mem_assoc x' renaming ->
-                                  Term.Clocated (site, List.assoc x' renaming)
-                              | c -> c)
-                          in
-                          let copied =
-                            List.map
-                              (fun (d : Term.defn) ->
-                                (* σ excludes the class parameters (they
-                                   are binding occurrences); localization
-                                   only touches located identifiers, which
-                                   are never bound. *)
-                                let d' = Term.sigma_defn ~from_:s d in
-                                let body =
-                                  Term.localize ~at:site d'.Term.d_body
-                                in
-                                { d with
-                                  Term.d_name = List.assoc d.Term.d_name renaming;
-                                  d_body = retarget body })
-                              group
-                          in
-                          let t =
-                            List.fold_left
-                              (fun t (d : Term.defn) ->
-                                { t with
-                                  defs =
-                                    ((site, d.Term.d_name), copied) :: t.defs })
-                              t copied
-                          in
-                          let t =
-                            push t site
-                              (Ainst
-                                 ( Term.Clocated (site, List.assoc x renaming),
-                                   vs ))
-                          in
-                          Some (Efetch (site, s, x), t))
-                  | None -> None))))
+  let copied =
+    List.map
+      (fun (d : Term.defn) ->
+        { d with
+          Term.d_name = List.assoc d.Term.d_name ren;
+          d_body =
+            retarget
+              (Term.localize ~at:site
+                 (Term.sigma_defn ~from_:s d).Term.d_body) })
+      group
+  in
+  ( Efetch (site, s, x),
+    push (register t site copied) site
+      (Ainst (Term.Clocated (site, List.assoc x ren), vs)) )
 
 (* ------------------------------------------------------------------ *)
-(* Exhaustive redex enumeration, for the verification tools: unlike
-   [step] (which imposes a deterministic FIFO strategy matching the
-   byte-code runtime), [all_steps] returns every redex the calculus
-   allows — any message may meet any object at its channel.            *)
+(* The redexes of a state, handed to [f] in the order [step] picks
+   them: COMM (the oldest message first, then the oldest object waiting
+   at its channel), local INST, SHIPM, SHIPO, FETCH; ties go by atom
+   age.  A redex is its rule's application, delayed: only a redex that
+   fires builds its successor.  An instantiation of a class at another
+   site is a FETCH; every other one, an unbound plain class included,
+   is an INST.                                                         *)
 
-let all_steps t : (event * t) list =
-  let comms =
-    List.concat_map
-      (fun (mk, site, a) ->
-        match a with
-        | Amsg (Term.Plain x, l, vs) ->
-            List.filter_map
-              (fun (ok, s', a') ->
-                match a' with
-                | Aobj (ox, ms)
-                  when String.equal s' site && ox = Term.Plain x -> (
-                    match
-                      List.find_opt
-                        (fun (m : Term.method_) ->
-                          String.equal m.Term.m_label l)
-                        ms
-                    with
-                    | Some m when List.length m.Term.m_params = List.length vs
-                      ->
-                        let t' = remove_atom (remove_atom t mk) ok in
-                        let t' =
-                          add_proc t' site
-                            (bind m.Term.m_params vs m.Term.m_body)
-                        in
-                        Some (Ecomm (site, x, l), t')
-                    | Some _ -> stuck "channel '%s': arity mismatch" x
-                    | None ->
-                        stuck "channel '%s': no method '%s' (protocol error)"
-                          x l)
-                | Aobj _ | Amsg _ | Ainst _ -> None)
-              t.atoms
-        | Amsg _ | Aobj _ | Ainst _ -> [])
-      t.atoms
-  in
-  let insts =
-    List.filter_map
-      (fun (k, site, a) ->
-        match a with
-        | Ainst (Term.Clocated (s, x), vs) when String.equal s site -> (
-            match List.assoc_opt (s, x) t.defs with
-            | Some group ->
-                let d =
-                  List.find
-                    (fun (d : Term.defn) -> String.equal d.Term.d_name x)
-                    group
-                in
-                Some (Einst (site, x), instantiate (remove_atom t k) site d vs)
-            | None -> stuck "unbound class %s.%s" s x)
-        | Ainst _ | Amsg _ | Aobj _ -> None)
-      t.atoms
-  in
-  (* The shipment and fetch rules are point-to-point and confluent with
-     everything else (the paper: migration is deterministic); exploring
-     one order suffices, so they are appended as single options via the
-     deterministic step when no local redex is chosen.  For simplicity
-     and soundness we enumerate them individually as well. *)
-  let ships =
-    List.filter_map
-      (fun (k, site, a) ->
-        match a with
-        | Amsg ((Term.Located (s, x) as _i), l, vs) ->
-            let t' = remove_atom t k in
-            let vs' = List.map (translate_value ~from_:site ~to_:s) vs in
-            let t' =
-              if String.equal x io_name then
-                if String.equal l "readi" then
-                  match (vs', List.assoc_opt s t'.inputs) with
-                  | [ Vid kk ], Some (v :: rest) ->
-                      let t' =
-                        { t' with
-                          inputs =
-                            (s, rest) :: List.remove_assoc s t'.inputs }
-                      in
-                      add_proc t' s
-                        (Term.Msg (kk, "val", [ Term.Elit (Term.Lint v) ]))
-                  | _ -> t'
-                else { t' with outs = (s, l, vs') :: t'.outs }
-              else push t' s (Amsg (Term.Plain x, l, vs'))
-            in
-            Some (Eship_msg (site, s, x), t')
-        | Aobj (Term.Located (s, x), ms) ->
-            let t' = remove_atom t k in
-            let ms' = List.map (translate_method ~from_:site ~to_:s) ms in
-            Some (Eship_obj (site, s, x), push t' s (Aobj (Term.Plain x, ms')))
-        | Amsg _ | Aobj _ | Ainst _ -> None)
-      t.atoms
-  in
-  let fetches =
-    List.filter_map
-      (fun (k, site, a) ->
-        match a with
-        | Ainst (Term.Clocated (s, _x), _) when not (String.equal s site) -> (
-            (* reuse the deterministic fetch implementation by isolating
-               this atom as the only fetchable one *)
-            match
-              step { t with atoms = [ List.find (fun (k', _, _) -> k' = k) t.atoms ] }
-            with
-            | Some (ev, t_only) ->
-                (* merge: t_only contains the copied defs + new atom *)
-                let others =
-                  List.filter (fun (k', _, _) -> k' <> k) t.atoms
-                in
-                Some (ev, { t_only with atoms = others @ t_only.atoms })
-            | None -> None)
-        | Ainst _ | Amsg _ | Aobj _ -> None)
-      t.atoms
-  in
-  comms @ insts @ ships @ fetches
+let remote site = function
+  | Term.Clocated (s, _) -> not (String.equal s site)
+  | Term.Cplain _ -> false
 
-let quiescent t = Option.is_none (step t)
+(* A plain recursion rather than [List.iter] over a wrapper closure:
+   [step] walks the atoms on every reduction. *)
+let rec iter_atoms g = function
+  | [] -> ()
+  | (k, site, a) :: rest ->
+      g k site a;
+      iter_atoms g rest
+
+let iter_redexes t (f : (unit -> event * t) -> unit) =
+  let each g = iter_atoms g t.atoms in
+  each (fun mk site -> function
+    | Amsg (Term.Plain x, l, vs) ->
+        each (fun ok s -> function
+          | Aobj (Term.Plain y, ms)
+            when String.equal s site && String.equal x y ->
+              f (fun () -> comm t site x l vs mk ok ms)
+          | Aobj _ | Amsg _ | Ainst _ -> ())
+    | Amsg _ | Aobj _ | Ainst _ -> ());
+  each (fun k site -> function
+    | Ainst (c, vs) when not (remote site c) ->
+        f (fun () -> inst t k site c vs)
+    | Ainst _ | Amsg _ | Aobj _ -> ());
+  each (fun k site -> function
+    | Amsg (Term.Located (s, x), l, vs) ->
+        f (fun () -> ship_msg t k site s x l vs)
+    | Amsg _ | Aobj _ | Ainst _ -> ());
+  each (fun k site -> function
+    | Aobj (Term.Located (s, x), ms) ->
+        f (fun () -> ship_obj t k site s x ms)
+    | Aobj _ | Amsg _ | Ainst _ -> ());
+  each (fun k site -> function
+    | Ainst ((Term.Clocated (s, x) as c), vs) when remote site c ->
+        f (fun () -> fetch t k site s x vs)
+    | Ainst _ | Amsg _ | Aobj _ -> ())
+
+(* Stops the walk at the first redex. *)
+exception First of (unit -> event * t)
+
+let step t =
+  match iter_redexes t (fun r -> raise_notrace (First r)) with
+  | () -> None
+  | exception First r -> Some (r ())
+
+let quiescent t =
+  match iter_redexes t (fun r -> raise_notrace (First r)) with
+  | () -> true
+  | exception First _ -> false
+
+let all_steps t =
+  let steps = ref [] in
+  iter_redexes t (fun r -> steps := r () :: !steps);
+  List.rev !steps
 
 let run ?(max_steps = 1_000_000) t =
   let rec go t events n =

@@ -56,13 +56,6 @@ val add_proc : t -> site -> Term.proc -> t
 (** Decompose a process into atoms at the given site.  [export]/[import]
     must already be resolved to located identifiers (see {!Interp}). *)
 
-val register_defs : t -> site -> Term.defn list -> t
-(** Install a definition group under its public class names at a site
-    (the network-level [def s.D in ...] binder).  Use this only for
-    groups whose free names are already resolved; groups nested under
-    binders must go through {!mark_exports} + a regular [Def] term so
-    the binders freshen first. *)
-
 val mark_exports : t -> site -> string list -> t
 (** Declare that the next [def] at the site defining these class names
     is exported: when {!add_proc} decomposes it, a public alias group
@@ -74,20 +67,27 @@ val outputs : t -> (site * string * value list) list
 (** Chronological [io] events. *)
 
 val step : t -> (event * t) option
-(** One reduction step, chosen deterministically (local reductions are
-    preferred over shipments, shipments over fetches; ties broken by
-    atom age).  [None] when the network is quiescent. *)
+(** One reduction step: the first redex of {!all_steps}, fired.  [None]
+    when the network is quiescent.  Raises {!Stuck} when that redex is
+    a dynamic error. *)
 
 val all_steps : t -> (event * t) list
-(** Every redex the calculus admits from this state — any message may
-    meet any waiting object at its channel, unlike [step]'s FIFO
-    strategy.  The verification tools ({!Equiv}) explore this relation
-    exhaustively.  Empty iff [step] returns [None]. *)
+(** The reduction relation: every redex the calculus admits from this
+    state, fired, in the order {!step} picks them — COMM (the oldest
+    message first, then the oldest object waiting at its channel; any
+    message may meet any object there), local INST, SHIPM, SHIPO,
+    FETCH, ties broken by atom age.  Its head is {!step}'s step: the
+    same event and a successor with the same {!key}.  The verification
+    tools ({!Equiv}) explore it exhaustively.  Empty iff the state is
+    quiescent; raises {!Stuck} when any of its redexes is a dynamic
+    error. *)
 
 exception Stuck of string
-(** Raised on dynamic errors: wrong label arity, no such method at a
-    channel with an object (protocol error), bad expression operand.
-    Typed programs do not raise. *)
+(** Raised on dynamic errors, with the same message from {!step} and
+    {!all_steps}: wrong label or class arity, no such method at a
+    channel with an object (protocol error), an unbound class, a bad
+    expression operand, a value passed where a channel is expected.
+    Typed programs can still reach division or modulo by zero. *)
 
 val run : ?max_steps:int -> t -> t * event list
 (** Reduce to quiescence.  Raises [Failure] if [max_steps] (default
@@ -103,6 +103,9 @@ val key : t -> string
     renaming their fresh names get different keys. *)
 
 val quiescent : t -> bool
+(** No redex is left: {!step} would return [None].  Builds no
+    successor. *)
+
 val pp_value : Format.formatter -> value -> unit
 val pp_event : Format.formatter -> event -> unit
 val pp : Format.formatter -> t -> unit

@@ -1,11 +1,5 @@
 module Ast = Tyco_syntax.Ast
 
-type stats = { removed : int; folded : int }
-
-let removed_total = ref 0
-let folded_total = ref 0
-let last_stats () = { removed = !removed_total; folded = !folded_total }
-
 (* Evaluate a binary operator over literal operands when safe. *)
 let fold_binop op a b : Instr.t option =
   let module I = Instr in
@@ -51,24 +45,17 @@ let rewrite_pass code =
         (* stack shape: [.. b a] with b from acc head *)
         match acc with
         | (pb, b) :: acc' ->
-            incr folded_total;
             let folded = Option.get (fold_binop op b a) in
             go ((pb, folded) :: acc') rest
         | [] -> assert false)
     | (p, a) :: (_, Instr.Unop op) :: rest
       when Option.is_some (fold_unop op a) ->
-        incr folded_total;
         go ((p, Option.get (fold_unop op a)) :: acc) rest
-    | (p, Instr.Push_bool true) :: (_, Instr.Jump_if_false _) :: rest ->
-        removed_total := !removed_total + 2;
-        ignore p;
+    | (_, Instr.Push_bool true) :: (_, Instr.Jump_if_false _) :: rest ->
         go acc rest
     | (p, Instr.Push_bool false) :: (_, Instr.Jump_if_false t) :: rest ->
-        incr removed_total;
         go ((p, Instr.Jump t) :: acc) rest
-    | (p, Instr.Load i) :: (_, Instr.Store j) :: rest when i = j ->
-        removed_total := !removed_total + 2;
-        ignore p;
+    | (_, Instr.Load i) :: (_, Instr.Store j) :: rest when i = j ->
         go acc rest
     | (p, ins) :: rest -> go ((p, ins) :: acc) rest
   in

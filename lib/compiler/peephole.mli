@@ -19,8 +19,3 @@
 
 val block : Block.block -> Block.block
 val unit_ : Block.unit_ -> Block.unit_
-
-type stats = { removed : int; folded : int }
-
-val last_stats : unit -> stats
-(** Counters accumulated since the program started (for reporting). *)

@@ -103,9 +103,6 @@ let run_program ?config ?placement ?max_events ?until ?(inputs = [])
     bytes = Cluster.bytes_sent cluster;
     cluster }
 
-let run_source ?config ?placement ?max_events ?until src =
-  run_program ?config ?placement ?max_events ?until (parse src)
-
 (* The --domains engine: one domain is one shard, the deterministic
    engine under [Par_runner]'s shard loop. *)
 let run_parallel ?config ?placement ?policy ?max_events ?on_snapshot

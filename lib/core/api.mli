@@ -1,10 +1,10 @@
 (** The public façade of the DiTyCO run-time system.
 
-    Pipeline: {!parse} → {!typecheck} → {!compile} → {!run_program}
-    (or just {!run_source} for all four).  The reference semantics is
-    reachable through {!run_reference} — every typed program must
-    produce the same multiset of I/O events under both engines, which
-    {!agree_with_reference} checks directly. *)
+    Pipeline: {!parse} → {!typecheck} → {!compile} → {!run_program}.
+    The reference semantics is reachable through {!run_reference} —
+    every typed program must produce the same multiset of I/O events
+    under both engines, which {!agree_with_reference} checks
+    directly. *)
 
 type error =
   | Parse_error of string
@@ -48,14 +48,6 @@ val run_program :
     dynamic type checking: exports register with type descriptors, and
     an import whose local usage is incompatible with the exporter's
     descriptor fails with a protocol error instead of misbehaving. *)
-
-val run_source :
-  ?config:Cluster.config ->
-  ?placement:(string -> int) ->
-  ?max_events:int ->
-  ?until:int ->
-  string ->
-  result
 
 val run_parallel :
   ?config:Cluster.config ->

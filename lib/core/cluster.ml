@@ -654,8 +654,7 @@ and deliver t ~at_ip ?(ctx = Trace.null_span) ?(same_node = false) (p : Packet.t
 let site_lifecycle cfg =
   { Site.lc_lease_ns = cfg.lease_ns;
     lc_refresh_ns = cfg.lease_refresh_ns;
-    lc_code_cache = cfg.code_cache_capacity;
-    lc_done_horizon_ns = Site.default_lifecycle.Site.lc_done_horizon_ns }
+    lc_code_cache = cfg.code_cache_capacity }
 
 (* Name-service replicas: node ips [0, replicas) serve one each. *)
 let replicas_of cfg =

@@ -23,10 +23,6 @@
 
 type policy = Mod | Greedy
 
-let pp_policy ppf = function
-  | Mod -> Format.fprintf ppf "mod"
-  | Greedy -> Format.fprintf ppf "greedy"
-
 (* Greedy bin-packing, LPT order: heaviest node first, each into the
    currently lightest shard.  Ties break on the lowest index on both
    sides, so the map is a pure function of the weights.  The classic

@@ -13,8 +13,6 @@ type policy =
       (** Greedy bin-packing (heaviest node into the lightest shard)
           seeded from static per-node site counts. *)
 
-val pp_policy : Format.formatter -> policy -> unit
-
 val assign : domains:int -> site_counts:int array -> policy -> int array
 (** [assign ~domains ~site_counts policy] maps node ip [i] to shard
     [(assign ...).(i)].  [site_counts.(i)] is the number of sites

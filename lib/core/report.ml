@@ -186,10 +186,15 @@ let of_parallel (r : Par_runner.result) =
     ~outputs:r.Par_runner.outputs ~sites:r.Par_runner.sites
     ~suspected:r.Par_runner.suspected
 
+(* TCP's transport clock reads 0, so its sites' queue-wait samples are
+   modelled handling costs, not waits: the report leaves them out. *)
 let of_tcp (r : Tcp_runner.result) =
-  build (Tcp r) ~stats:r.Tcp_runner.metrics ~virtual_ns:0 ~sim_events:0
-    ~outputs:(List.map (fun e -> (0, e)) r.Tcp_runner.outputs)
-    ~sites:r.Tcp_runner.sites ~suspected:[]
+  let rep =
+    build (Tcp r) ~stats:r.Tcp_runner.metrics ~virtual_ns:0 ~sim_events:0
+      ~outputs:(List.map (fun e -> (0, e)) r.Tcp_runner.outputs)
+      ~sites:r.Tcp_runner.sites ~suspected:r.Tcp_runner.suspected
+  in
+  { rep with breakdown = { rep.breakdown with b_queue_wait = None } }
 
 (* ------------------------------------------------------------------ *)
 (* Minimal JSON emission.                                              *)

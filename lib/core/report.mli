@@ -17,7 +17,10 @@
     packets, bytes (encoded packet bytes, not frame bytes), deliveries
     and dead letters only: the counts it does not keep (frames, acks,
     same-node deliveries) read 0, and the wire-side latencies are
-    [None]. *)
+    [None].  So is the queue wait: with a clock that reads 0, a site's
+    queue-wait samples are its modelled handling-cost offsets, not
+    waits.  Its suspicions are its nodes' (a dead letter suspects its
+    site), each at time 0. *)
 
 type site_stats = {
   ss_name : string;

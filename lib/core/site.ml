@@ -56,12 +56,10 @@ type lifecycle = {
   lc_lease_ns : int;
   lc_refresh_ns : int;
   lc_code_cache : int;
-  lc_done_horizon_ns : int;
 }
 
 let default_lifecycle =
-  { lc_lease_ns = 0; lc_refresh_ns = 0; lc_code_cache = 256;
-    lc_done_horizon_ns = 0 }
+  { lc_lease_ns = 0; lc_refresh_ns = 0; lc_code_cache = 256 }
 
 type fetch_req = {
   fr_ref : Netref.t;
@@ -176,21 +174,18 @@ let stats t = t.stats
    deadline the sender's retry schedule can produce (backoff deadlines
    plus the jitter bound, doubled for slack), a duplicate can no longer
    arrive as a first delivery. *)
-let done_horizon_of lifecycle (r : retry) =
-  if lifecycle.lc_done_horizon_ns > 0 then lifecycle.lc_done_horizon_ns
-  else begin
-    let jitter_max = (r.r_timeout_ns / 4) + 1 in
-    let total = ref 0 in
-    for tries = 1 to r.r_max_tries do
-      total :=
-        !total
-        + int_of_float
-            (float_of_int r.r_timeout_ns
-            *. (r.r_backoff ** float_of_int (tries - 1)))
-        + jitter_max
-    done;
-    2 * !total
-  end
+let done_horizon_of (r : retry) =
+  let jitter_max = (r.r_timeout_ns / 4) + 1 in
+  let total = ref 0 in
+  for tries = 1 to r.r_max_tries do
+    total :=
+      !total
+      + int_of_float
+          (float_of_int r.r_timeout_ns
+          *. (r.r_backoff ** float_of_int (tries - 1)))
+      + jitter_max
+  done;
+  2 * !total
 
 let create ?(annotations = no_annotations) ?(inputs = [])
     ?(retry = default_retry) ?(lifecycle = default_lifecycle) ?schedule
@@ -202,7 +197,7 @@ let create ?(annotations = no_annotations) ?(inputs = [])
   let stats = Machine.stats vm in
   let cache_cap = max 1 lifecycle.lc_code_cache in
   let leases = lifecycle.lc_lease_ns > 0 in
-  let done_horizon = done_horizon_of lifecycle retry in
+  let done_horizon = done_horizon_of retry in
   { name;
     site_id;
     ip;

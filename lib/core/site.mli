@@ -71,18 +71,17 @@ val default_retry : retry
       the lease period.
     - [lc_code_cache]: capacity of each receiver-side linking cache
       (LRU; a miss re-links from the shipped code).
-    - [lc_done_horizon_ns]: how long answered-request ids stay in the
-      duplicate-suppression set; defaults to twice the sender's
-      worst-case retry schedule. *)
+
+    Answered-request ids stay in the duplicate-suppression set for
+    twice the sender's worst-case retry schedule. *)
 type lifecycle = {
   lc_lease_ns : int;
   lc_refresh_ns : int;
   lc_code_cache : int;
-  lc_done_horizon_ns : int;
 }
 
 val default_lifecycle : lifecycle
-(** Leases off, 256-entry code caches, derived done-horizon. *)
+(** Leases off, 256-entry code caches. *)
 
 val create :
   ?annotations:annotations ->

@@ -13,6 +13,7 @@ type result = {
   timed_out : bool;
   parks : int;
   dead_letters : int;
+  suspected : (int * string) list;
   metrics : Metrics.t;
   nodes : int;
   sites : Site.t list;
@@ -370,6 +371,8 @@ let run ?(nodes = 4) ?base_port ?(inputs = fun _ -> [])
     timed_out;
     parks;
     dead_letters = sum (fun n -> Node.dead_letters n.host);
+    suspected =
+      List.concat_map (fun n -> Node.suspected n.host) (Array.to_list node_arr);
     metrics = registry;
     nodes;
     sites =

@@ -51,6 +51,10 @@ type result = {
   parks : int;                   (** blocking [select] parks across nodes *)
   dead_letters : int;
       (** packets for a site the receiving node does not host *)
+  suspected : (int * string) list;
+      (** node by node, the failures each node's daemon suspected (a
+          dead letter suspects its site), read after the join; the
+          times read 0, as there is no virtual clock *)
   metrics : Tyco_support.Metrics.t;
       (** with [run ~metrics:true], the nodes' registries merged after
           the domains join: each node counts ["packets"] and ["bytes"]

@@ -1,8 +1,3 @@
 let comma_list pp_elt = Fmt.list ~sep:(Fmt.any ",@ ") pp_elt
-let semi_list pp_elt = Fmt.list ~sep:(Fmt.any ";@ ") pp_elt
-
-let bracket_args pp_elt ppf = function
-  | [] -> ()
-  | args -> Fmt.pf ppf "[@[<hov>%a@]]" (comma_list pp_elt) args
 
 let to_string pp v = Fmt.str "%a" pp v

@@ -3,12 +3,5 @@
 val comma_list : 'a Fmt.t -> 'a list Fmt.t
 (** ["a, b, c"]. *)
 
-val semi_list : 'a Fmt.t -> 'a list Fmt.t
-(** ["a; b; c"]. *)
-
-val bracket_args : 'a Fmt.t -> 'a list Fmt.t
-(** ["[a, b, c]"], or [""] when the list is empty — the calculus
-    convention for argument tuples. *)
-
 val to_string : 'a Fmt.t -> 'a -> string
 (** Render on an 80-column margin. *)

@@ -107,7 +107,6 @@ let area t = t.area
 let stats t = t.stats
 let set_clock t ns = t.clock <- ns
 let clock t = t.clock
-let current_span t = t.cur_span
 let set_current_span t sp = t.cur_span <- sp
 let trace t = t.tr
 
@@ -545,4 +544,3 @@ let run t ~budget =
 
 let pop_remote_op t = Option.map fst (Dq.pop_front t.remote)
 let pop_remote_traced t = Dq.pop_front t.remote
-let pending_remote_ops t = Dq.length t.remote

@@ -85,14 +85,12 @@ val set_clock : t -> int -> unit
 
 val clock : t -> int
 
-val current_span : t -> Tyco_support.Trace.span
-(** The span causally responsible for whatever the machine does next:
-    inside [run] it is the running thread's span; around an injection it
-    is whatever the embedder installed with {!set_current_span} (e.g.
-    the span of the packet being delivered).  Threads spawned, messages
-    parked and remote ops pushed all inherit it as parent. *)
-
 val set_current_span : t -> Tyco_support.Trace.span -> unit
+(** Install the span causally responsible for whatever the machine does
+    next, around an injection (e.g. the span of the packet being
+    delivered); inside [run] it is the running thread's span.  Threads
+    spawned, messages parked and remote ops pushed all inherit it as
+    parent. *)
 
 val new_chan : t -> string -> Value.chan
 val builtin_chan : t -> string -> (string -> Value.t list -> unit) -> Value.chan
@@ -138,8 +136,6 @@ val pop_remote_op : t -> remote_op option
 val pop_remote_traced : t -> (remote_op * Tyco_support.Trace.span) option
 (** Like {!pop_remote_op} but also returns the span of the thread that
     pushed the op — the parent for the network span the site creates. *)
-
-val pending_remote_ops : t -> int
 
 (** {1 Metrics} *)
 

@@ -148,17 +148,31 @@ let expr_eval () =
     [ ("main", "printb", [ Network.Vbool true ]) ]
     outs
 
+(* A dynamic error reads the same whether the deterministic run or the
+   exhaustive search reaches it. *)
 let stuck_cases () =
-  let stuck src =
-    match outputs_of src with
-    | exception Network.Stuck _ -> true
-    | _ -> false
+  let stuck_on what run src =
+    match run (Parser.parse_program src) with
+    | exception Network.Stuck m -> m
+    | () -> Alcotest.failf "%s does not get stuck on %s" what src
   in
-  check Alcotest.bool "div by zero" true (stuck "io!printi[1 / 0]");
-  check Alcotest.bool "protocol error" true
-    (stuck "new x (x!nope[] | x?{ a() = nil })");
-  check Alcotest.bool "comm arity" true
-    (stuck "new x (x!a[1, 2] | x?{ a(u) = nil })")
+  List.iter
+    (fun (name, src, msg) ->
+      check Alcotest.string (name ^ ", Interp.run") msg
+        (stuck_on "Interp.run" (fun p -> ignore (Interp.run p)) src);
+      check Alcotest.string (name ^ ", Equiv.outcomes") msg
+        (stuck_on "Equiv.outcomes" (fun p -> ignore (Equiv.outcomes p)) src))
+    [ ("div by zero", "io!printi[1 / 0]", "division by zero");
+      ( "div by zero after a step",
+        "new x (x![0] | x?(v) = io!printi[10 / v])",
+        "division by zero" );
+      ( "protocol error",
+        "new x (x!nope[] | x?{ a() = nil })",
+        "channel 'x$0': no method 'nope' (protocol error)" );
+      ( "comm arity",
+        "new x (x!a[1, 2] | x?{ a(u) = nil })",
+        "channel 'x$0' method 'a': arity mismatch" );
+      ("unbound class", "K[1] | io!printi[1]", "unbound class 'K'") ]
 
 let run_bound () =
   let prog =

@@ -104,31 +104,103 @@ let inequivalent_pairs () =
       ( "new x (x![1] | x![2] | x?(v) = io!printi[v])",
         "io!printi[1]" ) ]
 
+let k_program =
+  {| new r1, r2, t, k (
+       (r1?(z) = io!printi[1])
+     | (r2?(z) = io!printi[2])
+     | t![r1] | t![r2]
+     | (t?(x) = (k?(w) = x![0]))
+     | k![0]
+     ) |}
+
+let k_less_twin =
+  {| new r1, r2, t (
+       (r1?(z) = io!printi[1])
+     | (r2?(z) = io!printi[2])
+     | t![r1] | t![r2]
+     | (t?(x) = x![0])
+     ) |}
+
+(* The racy programs every engine runs: (a) two messages race for two
+   receivers; (b) the [k]-program of "state key keeps object bodies";
+   two sites race to send to a third, with one receiver there (c) and
+   with two (d). *)
+let racy_programs =
+  [ ( 'a',
+      {| new x (x![1] | x![2] | (x?(v) = io!printi[v]) | x?(v) = io!printi[v * 10]) |}
+    );
+    ('b', k_program);
+    ( 'c',
+      {| site a { export new x x?(v) = io!printi[v] }
+         site b { import x from a in x![1] }
+         site c { import x from a in x![2] } |} );
+    ( 'd',
+      {| site a { export new x ((x?(v) = io!printi[v]) | x?(v) = io!printi[v * 10]) }
+         site b { import x from a in x![1] }
+         site c { import x from a in x![2] } |} ) ]
+
+let observed events =
+  List.sort compare
+    (List.map
+       (fun (e : Dityco.Output.event) ->
+         ( e.site,
+           e.label,
+           String.concat ","
+             (List.map
+                (function
+                  | Dityco.Output.Oint n -> string_of_int n
+                  | Dityco.Output.Obool b -> string_of_bool b
+                  | Dityco.Output.Ostr s -> Printf.sprintf "%S" s
+                  | Dityco.Output.Ochan _ -> "#chan")
+                e.args) ))
+       events)
+
+(* On a racy program every engine must print an outcome the calculus
+   admits: the deterministic engine at 20 seeds, fault-free and with
+   [reliable] under drops, duplicates and reordering, the parallel
+   engine at 2 domains and TCP at 2 nodes.  The unreliable fabric with
+   drops or duplicates is left out: there a message may be lost or
+   delivered twice by design. *)
 let runtime_within_admissible () =
-  (* on a racy program the deterministic runtime must still produce one
-     of the calculus-admissible outcomes *)
-  let src =
-    {| new x (x![1] | x![2] | (x?(v) = io!printi[v]) | x?(v) = io!printi[v * 10]) |}
+  let module Api = Dityco.Api in
+  let module Cluster = Dityco.Cluster in
+  let faults =
+    { Tyco_net.Simnet.drop = 0.2; duplicate = 0.1; reorder = 0.3;
+      reorder_ns = 50_000; partitions = [] }
   in
-  let p = prog src in
-  let r = Dityco.Api.run_program p in
-  let observed =
-    List.map
-      (fun (_, e) ->
-        ( e.Dityco.Output.site,
-          e.Dityco.Output.label,
-          String.concat ","
-            (List.map
-               (function
-                 | Dityco.Output.Oint n -> string_of_int n
-                 | Dityco.Output.Obool b -> string_of_bool b
-                 | Dityco.Output.Ostr s -> Printf.sprintf "%S" s
-                 | Dityco.Output.Ochan _ -> "#chan")
-               e.Dityco.Output.args) ))
-      r.Dityco.Api.outputs
-  in
-  check Alcotest.bool "runtime outcome admissible" true
-    (Equiv.runtime_outcome_admissible p observed)
+  List.iter
+    (fun (name, src) ->
+      let p = prog src in
+      let admissible = Equiv.outcomes p in
+      let admits run events =
+        let o = observed events in
+        if not (List.mem o admissible) then
+          Alcotest.failf "program (%c), %s: outcome %a is not admissible" name
+            run Equiv.pp_outcome o
+      in
+      for seed = 1 to 20 do
+        let config = { Cluster.default_config with Cluster.seed } in
+        let outputs config =
+          List.map snd (Api.run_program ~config p).Api.outputs
+        in
+        admits (Printf.sprintf "seed %d" seed) (outputs config);
+        admits
+          (Printf.sprintf "seed %d, reliable under faults" seed)
+          (outputs { config with Cluster.faults; reliable = true })
+      done;
+      for _ = 1 to 5 do
+        let r = Api.run_parallel ~domains:2 p in
+        if not r.Dityco.Par_runner.clean then
+          Alcotest.failf "program (%c), 2 domains: not clean" name;
+        admits "2 domains" (List.map snd r.Dityco.Par_runner.outputs)
+      done;
+      for _ = 1 to 3 do
+        let r = Dityco.Tcp_runner.run_program ~nodes:2 p in
+        if r.Dityco.Tcp_runner.timed_out then
+          Alcotest.failf "program (%c), TCP: timed out" name;
+        admits "TCP" r.Dityco.Tcp_runner.outputs
+      done)
+    racy_programs
 
 let search_bound_respected () =
   (* a program with a large interleaving space trips the bound instead
@@ -161,32 +233,37 @@ let tests =
     ("search bound respected", `Quick, search_bound_respected);
     ("inputs respected", `Quick, inputs_respected) ]
 
-(* the deterministic step is always one of the admissible redexes *)
+(* the deterministic step is the first admissible redex: the same event
+   and a successor with the same key.  In the last program an object
+   waiting for a remote channel is older than a message to one; both
+   ship the message first. *)
 let step_in_all_steps () =
   let srcs =
     [ "new x (x![1] | x![2] | (x?(v) = io!printi[v]) | x?(v) = io!printi[v])";
       {| def K(v) = io!printi[v] in (K[1] | K[2]) |};
       {| site a { export new p p?(v) = io!printi[v] }
-         site b { import p from a in p![1] } |} ]
+         site b { import p from a in p![1] } |};
+      {| site a { import p from b in import q from b in
+                  ((p?(v) = io!printi[v]) | q![1]) }
+         site b { export new p export new q (p![2] | q?(w) = io!printi[w]) } |} ]
   in
   List.iter
     (fun src ->
       let loaded = Interp.load (prog src) in
       let rec walk net steps =
-        if steps > 200 then ()
-        else
-          match Network.step net with
-          | None ->
-              if Network.all_steps net <> [] then
-                Alcotest.failf "quiescent per step but all_steps disagrees: %s"
-                  src
-          | Some (ev, _) ->
-              let evs = List.map fst (Network.all_steps net) in
-              if not (List.mem ev evs) then
-                Alcotest.failf "deterministic step not admissible: %s" src;
-              (match Network.step net with
-              | Some (_, net') -> walk net' (steps + 1)
-              | None -> ())
+        if steps <= 200 then
+          match (Network.step net, Network.all_steps net) with
+          | None, [] -> ()
+          | None, _ :: _ ->
+              Alcotest.failf "quiescent per step but all_steps disagrees: %s"
+                src
+          | Some _, [] ->
+              Alcotest.failf "step fires in a quiescent state: %s" src
+          | Some (ev, net'), (ev0, net0) :: _ ->
+              if ev <> ev0 || Network.key net' <> Network.key net0 then
+                Alcotest.failf "step %a is not all_steps' first, %a: %s"
+                  Network.pp_event ev Network.pp_event ev0 src;
+              walk net' (steps + 1)
       in
       walk loaded.Interp.net 0)
     srcs
@@ -261,23 +338,6 @@ let tests = tests @ [ congruence_at_seed 237 ]
    rendered objects by their labels would merge them and lose the
    outcome printing 2, and would then find the [k]-less twin, whose
    object sends at once, inequivalent. *)
-let k_program =
-  {| new r1, r2, t, k (
-       (r1?(z) = io!printi[1])
-     | (r2?(z) = io!printi[2])
-     | t![r1] | t![r2]
-     | (t?(x) = (k?(w) = x![0]))
-     | k![0]
-     ) |}
-
-let k_less_twin =
-  {| new r1, r2, t (
-       (r1?(z) = io!printi[1])
-     | (r2?(z) = io!printi[2])
-     | t![r1] | t![r2]
-     | (t?(x) = x![0])
-     ) |}
-
 let state_key_keeps_object_bodies () =
   check Alcotest.int "two outcomes" 2 (List.length (outc k_program));
   check Alcotest.bool "not deterministic" false

@@ -834,9 +834,9 @@ let tcp_garbage_input_fails_fast () =
       ("oversized length prefix", "\255\255\255\255",
        "frame of 4294967295 bytes exceeds the 16777216-byte cap") ]
 
-(* A well-formed packet for a site node 1 does not host is a dead
-   letter, as in the simulated engines, not a silent drop. *)
-let tcp_dead_letter_counted () =
+(* A one-second two-node run that never quiesces, in which node 1
+   takes a well-formed packet for a site it does not host. *)
+let dead_letter_run () =
   let base_port = Tcp_runner.default_base_port ~pid:(Unix.getpid ()) ~nodes:2 in
   let dst =
     Tyco_support.Netref.make ~kind:Tyco_support.Netref.Channel ~heap_id:0
@@ -849,10 +849,16 @@ let tcp_dead_letter_counted () =
             (Tyco_net.Packet.Pmsg { dst; label = "x"; args = [] })))
   in
   let r =
-    Tcp_runner.run ~nodes:2 ~base_port ~timeout_ms:1_000
+    Tcp_runner.run ~nodes:2 ~base_port ~timeout_ms:1_000 ~metrics:true
       (Lazy.force never_quiescent)
   in
   Domain.join injector;
+  r
+
+(* The packet is a dead letter, as in the simulated engines, not a
+   silent drop. *)
+let tcp_dead_letter_counted () =
+  let r = dead_letter_run () in
   check Alcotest.bool "ran to the timeout" true r.Tcp_runner.timed_out;
   check Alcotest.int "dead letter counted" 1 r.Tcp_runner.dead_letters;
   (* the injector's socket closes after 50 ms; a node that kept its
@@ -1030,3 +1036,28 @@ let tcp_report () =
   check Alcotest.bool "no wire latency" true (has "\"wire\":null")
 
 let tests = tests @ [ ("tcp report", `Quick, tcp_report) ]
+
+(* TCP's transport clock reads 0, so a site's queue-wait samples there
+   are handling-cost offsets, not waits: the report has no queue wait,
+   as it has no wire latency. *)
+let tcp_report_no_queue_wait () =
+  let prog = Api.parse (List.assoc "rpc" paper_programs) in
+  let rep =
+    Report.of_tcp (Tcp_runner.run_program ~nodes:2 ~metrics:true prog)
+  in
+  check Alcotest.bool "queue wait unmeasured" true
+    (rep.Report.breakdown.Report.b_queue_wait = None)
+
+(* A TCP node that takes a dead letter suspects its site, as the
+   simulated engines do, and the report carries the suspicion. *)
+let tcp_report_suspicions () =
+  let rep = Report.of_tcp (dead_letter_run ()) in
+  check Alcotest.int "one dead letter" 1 rep.Report.dead_letters;
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.string))
+    "its site suspected" [ (0, "site#99") ] rep.Report.suspected_failures
+
+let tests =
+  tests
+  @ [ ("tcp report: no queue wait", `Quick, tcp_report_no_queue_wait);
+      ("tcp report: suspicions", `Quick, tcp_report_suspicions) ]
