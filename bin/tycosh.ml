@@ -33,7 +33,8 @@ let topology_of_string = function
    outputs.  Commands:
      :load FILE   submit a program from a file
      :stats       per-site statistics
-     :trace       packet log of the whole session
+     :trace       packet log of the whole session (the shell's
+                  cluster runs traced, so it keeps one)
      :time        current virtual time
      :quit        leave                                                *)
 let interactive config =
@@ -319,7 +320,9 @@ let run path nodes cores quantum topo until verbose seed replicated_ns trace tra
         quantum;
         topology = topology_of_string topo;
         seed;
-        tracing = trace_out <> None;
+        (* the packet log --trace and :trace print is kept by traced
+           runs only *)
+        tracing = trace || interactive_mode || trace_out <> None;
         ns_mode =
           (if replicated_ns then Dityco.Cluster.Replicated
            else Dityco.Cluster.Centralized) }
@@ -475,8 +478,10 @@ let interactive_flag =
 let trace =
   Arg.(value & flag & info [ "trace" ]
        ~doc:"Print every packet (shipments, fetches, name service) with \
-             its virtual send time.  Read only at --domains 1: with \
-             --domains N > 1 or --tcp it is a usage error (exit 2).")
+             its virtual send time.  The run is traced, and a traced \
+             run keeps its packets (the last 65536).  Read only at \
+             --domains 1: with --domains N > 1 or --tcp it is a usage \
+             error (exit 2).")
 
 let trace_out =
   Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE"

@@ -157,7 +157,3 @@ let run ?max_steps ?inputs (prog : Ast.program) =
 let outputs ?max_steps ?inputs prog =
   let net, _events = run ?max_steps ?inputs prog in
   Network.outputs net
-
-let outputs_of_source ?max_steps src =
-  let prog = Tyco_syntax.Parser.parse_program src in
-  outputs ?max_steps prog

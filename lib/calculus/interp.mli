@@ -33,8 +33,5 @@ val run : ?max_steps:int -> ?inputs:(string * int list) list ->
 
 val outputs : ?max_steps:int -> ?inputs:(string * int list) list ->
   Tyco_syntax.Ast.program -> (string * string * Network.value list) list
-(** The chronological [io] events of a full run. *)
-
-val outputs_of_source : ?max_steps:int -> string ->
-  (string * string * Network.value list) list
-(** Parse, type-check and run a source program. *)
+(** The chronological [io] events of a full run.  The program is not
+    type-checked: a dynamic error it reaches raises {!Network.Stuck}. *)

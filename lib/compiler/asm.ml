@@ -7,40 +7,8 @@ let err fmt = Format.kasprintf (fun m -> raise (Error m)) fmt
 (* ------------------------------------------------------------------ *)
 (* Printing.                                                           *)
 
-let binop_mnemonic = function
-  | Ast.Add -> "add" | Ast.Sub -> "sub" | Ast.Mul -> "mul" | Ast.Div -> "div"
-  | Ast.Mod -> "mod" | Ast.Eq -> "eq" | Ast.Neq -> "neq" | Ast.Lt -> "lt"
-  | Ast.Le -> "le" | Ast.Gt -> "gt" | Ast.Ge -> "ge" | Ast.And -> "and"
-  | Ast.Or -> "or"
-
 let caps_string caps =
   "[" ^ String.concat "," (List.map string_of_int (Array.to_list caps)) ^ "]"
-
-let pp_instr ppf (ins : Instr.t) =
-  match ins with
-  | Instr.Push_int n -> Format.fprintf ppf "pushi %d" n
-  | Instr.Push_bool b -> Format.fprintf ppf "pushb %b" b
-  | Instr.Push_str s -> Format.fprintf ppf "pushs %S" s
-  | Instr.Load i -> Format.fprintf ppf "load %d" i
-  | Instr.Store i -> Format.fprintf ppf "store %d" i
-  | Instr.Binop op -> Format.pp_print_string ppf (binop_mnemonic op)
-  | Instr.Unop Ast.Neg -> Format.pp_print_string ppf "neg"
-  | Instr.Unop Ast.Not -> Format.pp_print_string ppf "not"
-  | Instr.Jump n -> Format.fprintf ppf "jmp %d" n
-  | Instr.Jump_if_false n -> Format.fprintf ppf "jmpf %d" n
-  | Instr.New_chan i -> Format.fprintf ppf "newc %d" i
-  | Instr.Trmsg { label; argc; _ } -> Format.fprintf ppf "trmsg %s/%d" label argc
-  | Instr.Trobj mt -> Format.fprintf ppf "trobj mt%d" mt
-  | Instr.Defgroup g -> Format.fprintf ppf "defgroup g%d" g
-  | Instr.Instof n -> Format.fprintf ppf "instof %d" n
-  | Instr.Export_name x -> Format.fprintf ppf "export %s" x
-  | Instr.Export_class (x, slot) -> Format.fprintf ppf "exportc %s %d" x slot
-  | Instr.Import_name { site; name; cont; captures } ->
-      Format.fprintf ppf "import %s.%s b%d %s" site name cont
-        (caps_string captures)
-  | Instr.Import_class { site; name; cont; captures } ->
-      Format.fprintf ppf "importc %s.%s b%d %s" site name cont
-        (caps_string captures)
 
 let pp ppf (u : Block.unit_) =
   Format.fprintf ppf "unit entry=b%d@." u.entry;
@@ -48,7 +16,7 @@ let pp ppf (u : Block.unit_) =
     (fun (b : Block.block) ->
       Format.fprintf ppf "block b%d %S params=%d slots=%d {@." b.blk_id
         b.blk_name b.blk_nparams b.blk_nslots;
-      Array.iter (fun ins -> Format.fprintf ppf "  %a@." pp_instr ins) b.blk_code;
+      Array.iter (fun ins -> Format.fprintf ppf "  %a@." Instr.pp ins) b.blk_code;
       Format.fprintf ppf "}@.")
     u.blocks;
   Array.iter

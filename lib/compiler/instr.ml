@@ -26,10 +26,6 @@ let binop_name = function
   | Ast.Le -> "le" | Ast.Gt -> "gt" | Ast.Ge -> "ge" | Ast.And -> "and"
   | Ast.Or -> "or"
 
-let pp_captures ppf caps =
-  Format.fprintf ppf "[%s]"
-    (String.concat "," (Array.to_list (Array.map string_of_int caps)))
-
 let pp ppf = function
   | Push_int n -> Format.fprintf ppf "pushi %d" n
   | Push_bool b -> Format.fprintf ppf "pushb %b" b
@@ -45,15 +41,15 @@ let pp ppf = function
   | Trmsg { label; argc; _ } -> Format.fprintf ppf "trmsg %s/%d" label argc
   | Trobj mt -> Format.fprintf ppf "trobj mt%d" mt
   | Defgroup g -> Format.fprintf ppf "defgroup g%d" g
-  | Instof n -> Format.fprintf ppf "instof/%d" n
+  | Instof n -> Format.fprintf ppf "instof %d" n
   | Export_name x -> Format.fprintf ppf "export %s" x
-  | Export_class (x, slot) -> Format.fprintf ppf "exportc %s slot%d" x slot
-  | Import_name { site; name; cont; captures } ->
-      Format.fprintf ppf "import %s.%s cont=b%d caps=%a" site name cont
-        pp_captures captures
-  | Import_class { site; name; cont; captures } ->
-      Format.fprintf ppf "importc %s.%s cont=b%d caps=%a" site name cont
-        pp_captures captures
+  | Export_class (x, slot) -> Format.fprintf ppf "exportc %s %d" x slot
+  | ( Import_name { site; name; cont; captures }
+    | Import_class { site; name; cont; captures } ) as ins ->
+      Format.fprintf ppf "%s %s.%s b%d [%s]"
+        (match ins with Import_name _ -> "import" | _ -> "importc")
+        site name cont
+        (String.concat "," (Array.to_list (Array.map string_of_int captures)))
 
 (* Rough per-instruction virtual-time costs, in nanoseconds of the
    simulated clock.  Scaled so that a communication reduction costs a

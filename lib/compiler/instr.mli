@@ -46,6 +46,10 @@ type t =
   | Import_class of { site : string; name : string; cont : int; captures : int array }
 
 val pp : Format.formatter -> t -> unit
+(** One line of the textual assembly, in the syntax {!Asm.parse}
+    reads back: the one instruction printer, used by the assembly
+    ({!Asm.print}, [tycoc --emit-asm]) and by the indexed listing
+    ({!Block.pp}, [tycoc -d]). *)
 
 val cost : t -> int
 (** Abstract execution cost in virtual-time units (≈ns on the paper's

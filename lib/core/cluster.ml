@@ -40,7 +40,6 @@ type config = {
   site_retry : Site.retry;
   tracing : bool;
   trace_capacity : int;
-  packet_log_capacity : int;
   flush_max_packets : int;
   flush_deadline_ns : int;
   lease_ns : int;
@@ -67,7 +66,6 @@ let default_config =
     site_retry = Site.default_retry;
     tracing = false;
     trace_capacity = 65536;
-    packet_log_capacity = 4096;
     flush_max_packets = 16;
     flush_deadline_ns = 0;
     lease_ns = 0;
@@ -157,9 +155,8 @@ type t = {
   mutable site_list : Site.t list; (* reversed creation order *)
   mutable next_site_id : int;
   mutable in_flight : int;
-  (* send-time packet log: a bounded ring (oldest dropped past
-     [packet_log_capacity] — the unbounded list it replaces grew with
-     every packet of a long run) *)
+  (* send-time packet log, kept only when tracing: a ring bounded by
+     [trace_capacity], oldest dropped first *)
   plog : (int * Packet.t) Dq.t;
   mutable plog_dropped : int;
   tracer : Trace.t;
@@ -216,15 +213,12 @@ let name_service_pending t =
   List.fold_left (fun acc n -> acc + Node.names_pending n) 0 (nodes t)
 let suspected_failures t = Node.suspected t.host
 
+(* Part of tracing: an untraced run keeps no packet, reads no clock and
+   counts nothing here. *)
 let log_packet t p =
-  (* capacity 0 disables the log: no ring churn and no virtual-clock
-     read per packet — only the dropped count is maintained, as the
-     push-then-evict sequence it replaces did *)
-  if t.cfg.packet_log_capacity = 0 then
-    t.plog_dropped <- t.plog_dropped + 1
-  else begin
+  if t.tr_on then begin
     Dq.push_back t.plog (Simnet.now t.sim, p);
-    if Dq.length t.plog > t.cfg.packet_log_capacity then begin
+    if Dq.length t.plog > t.cfg.trace_capacity then begin
       ignore (Dq.pop_front t.plog);
       t.plog_dropped <- t.plog_dropped + 1
     end
@@ -359,9 +353,10 @@ and send_packet t ~src_ip ~dst_ip ~ctx (p : Packet.t) =
 (* ------------------------------------------------------------------ *)
 (* The outbox path.
 
-   Every cross-node packet is counted (["packets"], packet log)
-   exactly once, here at enqueue; the flush then charges the fabric one
-   frame, its bytes and one latency sample for the whole batch.
+   Every cross-node packet is counted (["packets"], and the packet log
+   when tracing) exactly once, here at enqueue; the flush then charges
+   the fabric one frame, its bytes and one latency sample for the whole
+   batch.
    [in_flight] covers outbox residency so quiescence detection cannot
    fire between enqueue and flush. *)
 

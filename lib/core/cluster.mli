@@ -70,18 +70,18 @@ type config = {
   retry : retry_params;
   site_retry : Site.retry;
   tracing : bool;
-      (** Turn on causal tracing: every site gets a track in the shared
-          {!Tyco_support.Trace} collector, packets carry spans, and the
-          run can be exported with {!tracer} (Chrome JSON or binary
-          archive).  Default [false] — the collector is the disabled
-          singleton and every instrumentation point costs one
-          load-and-branch. *)
+      (** Turn on tracing, the one switch for everything a run records
+          beyond its counts and outputs: every site gets a track in the
+          shared {!Tyco_support.Trace} collector, packets carry spans,
+          the run can be exported with {!tracer} (Chrome JSON or binary
+          archive), and every packet sent is kept in the
+          {!packet_trace} log.  Default [false] — the collector is the
+          disabled singleton, no packet is kept, and every
+          instrumentation point costs one load-and-branch. *)
   trace_capacity : int;
-      (** Per-track event-ring bound when [tracing] (default 65536). *)
-  packet_log_capacity : int;
-      (** Bound on the {!packet_trace} ring (default 4096); the oldest
-          entries are dropped beyond it — see
-          {!packet_trace_dropped}. *)
+      (** When [tracing], the bound on each track's event ring and on
+          the {!packet_trace} ring (default 65536); the oldest entries
+          are dropped beyond it. *)
   flush_max_packets : int;
       (** Flush an outbox once it holds this many packets (default
           16; [1] sends one frame per packet, at enqueue), or 8192
@@ -195,7 +195,9 @@ val suspected_failures : t -> (int * string) list
 (** [(time, who)] — failures noticed by the simplified detector: a
     packet addressed to a dead or unknown site, a daemon exhausting its
     retransmissions towards a peer ([ip#n]), or a site abandoning a
-    FETCH / import request ([site#n], exporter name). *)
+    FETCH / import request ([site#n], exporter name).  Each [who]
+    appears once, at its first suspicion; {!dead_letters} counts every
+    packet. *)
 
 val stats : t -> Tyco_support.Stats.t
 (** What the run counts, always on, under the names an export
@@ -217,14 +219,17 @@ val inject_packet : t -> src_ip:int -> Tyco_net.Packet.t -> unit
     site on [src_ip] had sent it. *)
 
 val packet_trace : t -> (int * Tyco_net.Packet.t) list
-(** The most recent packets (up to [packet_log_capacity]) with their
-    send timestamps, chronological — the observable migration
-    behaviour of a run (shipments, fetches, name-service traffic).
-    [tycosh --trace] prints it. *)
+(** With [config.tracing], the most recent packets sent (up to
+    [trace_capacity]), cross-node and same-node alike, with their send
+    timestamps, chronological — the observable migration behaviour of
+    a run (shipments, fetches, name-service traffic).  [tycosh --trace]
+    and the interactive shell's [:trace] print it.  Without tracing,
+    [[]]. *)
 
 val packet_trace_dropped : t -> int
-(** Packets evicted from the bounded {!packet_trace} ring.  [0] means
-    the log is complete. *)
+(** Packets evicted from the bounded {!packet_trace} ring, so on a
+    traced run kept + dropped = {!packets_sent} + {!same_node_fast}.
+    [0] means the log is complete; always [0] without tracing. *)
 
 val tracer : t -> Tyco_support.Trace.t
 (** The run's causal-trace collector — the disabled singleton unless

@@ -52,6 +52,7 @@ type host = {
   dead_letters : Stats.Counter.t;
   mutable outs : (int * Output.event) list; (* newest first *)
   mutable suspected : (int * string) list; (* newest first *)
+  suspects : (string, unit) Hashtbl.t; (* who [suspected] names *)
   mutable busy_until : int; (* completion time of the latest quantum *)
 }
 
@@ -72,6 +73,7 @@ let host ?quantum ?(retry = Site.default_retry)
     dead_letters;
     outs = [];
     suspected = [];
+    suspects = Hashtbl.create 8;
     busy_until = 0 }
 
 let connect h tp = h.tp <- tp
@@ -79,7 +81,16 @@ let outputs h = List.rev h.outs
 let suspected h = List.rev h.suspected
 let dead_letters h = Stats.Counter.value h.dead_letters
 let busy_until h = h.busy_until
-let suspect h who = h.suspected <- (h.tp.now (), who) :: h.suspected
+
+(* Once per suspect, at its first suspicion: a peer that keeps sending
+   to a dead or unknown site grows the dead-letter count, not the
+   list. *)
+let suspect h who =
+  if not (Hashtbl.mem h.suspects who) then begin
+    Hashtbl.add h.suspects who ();
+    h.suspected <- (h.tp.now (), who) :: h.suspected
+  end
+
 let record_output h e = h.outs <- (h.tp.now (), e) :: h.outs
 
 (* A loaded site as the daemon schedules it.  A migration marks the

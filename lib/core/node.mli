@@ -62,13 +62,16 @@ val outputs : host -> (int * Output.event) list
 
 val suspected : host -> (int * string) list
 (** [(time, who)], in order: dead or unknown destination sites,
-    abandoned requests, and whatever the engine adds with {!suspect}. *)
+    abandoned requests, and whatever the engine adds with {!suspect}.
+    Each [who] appears once, at the time it was first suspected. *)
 
 val dead_letters : host -> int
 val busy_until : host -> int
 
 val suspect : host -> string -> unit
-(** Record a suspicion at the current time. *)
+(** Record a suspicion at the current time, unless [who] is already
+    suspected: a repeated suspicion (another dead letter, packet for a
+    dead site or timed-out batch) adds nothing. *)
 
 val record_output : host -> Output.event -> unit
 

@@ -61,18 +61,24 @@ type lifecycle = {
 let default_lifecycle =
   { lc_lease_ns = 0; lc_refresh_ns = 0; lc_code_cache = 256 }
 
-type fetch_req = {
-  fr_ref : Netref.t;
-  fr_span : Trace.span; (* request's causal span, reused by retries *)
-  mutable fr_tries : int;
-}
+(* What an outstanding request waits for: a FETCH the code of the class
+   its reference names; an import the name service's answer for
+   [site.name], to spawn block [cont] with it and the [captured]
+   values. *)
+type awaits =
+  | Class of Netref.t
+  | Import of {
+      site : string;
+      name : string;
+      is_class : bool;
+      cont : int;
+      captured : Value.t list;
+    }
 
-type import_req = {
-  ir_cont : int;
-  ir_captured : Value.t list;
-  ir_key : string * string;
-  ir_span : Trace.span;
-  mutable ir_tries : int;
+type req = {
+  rq_span : Trace.span; (* request's causal span, reused by retries *)
+  mutable rq_tries : int;
+  rq_awaits : awaits;
 }
 
 (* A fetched class and the last virtual time this site used it. *)
@@ -120,9 +126,8 @@ type t = {
      gone [lc_lease_ns] unused *)
   cache_due : Netref.t Heap.t;
   fetch_pending : Value.t array list Netref.Tbl.t;
-  fetch_reqs : (int, fetch_req) Hashtbl.t;
-  (* import (name service) state *)
-  import_reqs : (int, import_req) Hashtbl.t;
+  (* outstanding FETCH and import requests, by request id *)
+  reqs : (int, req) Hashtbl.t;
   (* requests already answered or abandoned: late duplicate replies
      (a retransmission artifact) are dropped instead of raising.
      [done_order] remembers completion times so entries older than the
@@ -140,7 +145,6 @@ type t = {
      code — only the mapping is evicted, not the linked program area) *)
   obj_code_cache : (int * int * int, int) Lru.t;
   grp_code_cache : (int * int * int, int) Lru.t;
-  mutable outputs : Output.event list; (* newest first *)
   mutable inputs : int list; (* pending io!readi data, in order *)
   mutable alive : bool;
   stats : Stats.t;
@@ -167,7 +171,6 @@ let site_id t = t.site_id
 let ip t = t.ip
 let vm t = t.vm
 let alive t = t.alive
-let outputs t = List.rev t.outputs
 let stats t = t.stats
 
 (* How long an answered request's id stays in the dedup set: past every
@@ -227,8 +230,7 @@ let create ?(annotations = no_annotations) ?(inputs = [])
     fetch_cache = Netref.Tbl.create 8;
     cache_due = Heap.create ();
     fetch_pending = Netref.Tbl.create 8;
-    fetch_reqs = Hashtbl.create 8;
-    import_reqs = Hashtbl.create 8;
+    reqs = Hashtbl.create 8;
     done_reqs = Hashtbl.create 8;
     done_order = Dq.create ();
     next_req = 0;
@@ -237,7 +239,6 @@ let create ?(annotations = no_annotations) ?(inputs = [])
     on_suspect;
     obj_code_cache = Lru.create ~capacity:cache_cap;
     grp_code_cache = Lru.create ~capacity:cache_cap;
-    outputs = [];
     inputs;
     alive = true;
     stats;
@@ -409,11 +410,7 @@ let rtti_of_export t x =
 (* Request deadlines (FETCH and name-service lookups).                 *)
 
 let emit_failure t label detail =
-  let event =
-    { Output.site = t.name; label; args = [ Output.Ostr detail ] }
-  in
-  t.outputs <- event :: t.outputs;
-  t.on_output event
+  t.on_output { Output.site = t.name; label; args = [ Output.Ostr detail ] }
 
 (* Deadline of the [tries]-th send: exponential backoff with a
    deterministic per-request jitter that desynchronizes retry bursts
@@ -426,76 +423,79 @@ let rto t ~req_id ~tries =
   in
   base + ((req_id * 7919 + tries * 104729) mod ((r.r_timeout_ns / 4) + 1))
 
-let send_fetch_req t req_id ~ctx (r : Netref.t) =
-  send t ~ctx
-    (Packet.Pfetch_req
-       { cls = r; req_id; requester_site = t.site_id; requester_ip = t.ip })
-
-let rec arm_fetch_deadline t req_id =
+(* Send (or re-send) a request, then arm its deadline. *)
+let rec send_req t req_id rq =
+  send t ~ctx:rq.rq_span
+    (match rq.rq_awaits with
+    | Class cls ->
+        Packet.Pfetch_req
+          { cls; req_id; requester_site = t.site_id; requester_ip = t.ip }
+    | Import { site; name; is_class; _ } ->
+        Packet.Pns_lookup
+          { site_name = site; id_name = name; want_class = is_class; req_id;
+            requester_site = t.site_id; requester_ip = t.ip });
   match t.schedule with
   | None -> ()
-  | Some sched -> (
-      match Hashtbl.find_opt t.fetch_reqs req_id with
-      | None -> ()
-      | Some fr ->
-          sched ~delay:(rto t ~req_id ~tries:fr.fr_tries) (fun () ->
-              fetch_deadline t req_id))
+  | Some sched ->
+      sched ~delay:(rto t ~req_id ~tries:rq.rq_tries) (fun () ->
+          deadline t req_id)
 
-and fetch_deadline t req_id =
+(* A request still unanswered at its deadline is re-sent, or after
+   [r_max_tries] sends given up: it fails as an output, and its
+   exporter is suspected. *)
+and deadline t req_id =
   if t.alive then
-    match Hashtbl.find_opt t.fetch_reqs req_id with
+    match Hashtbl.find_opt t.reqs req_id with
     | None -> () (* answered in the meantime *)
-    | Some fr ->
-        if fr.fr_tries >= t.retry.r_max_tries then begin
-          Hashtbl.remove t.fetch_reqs req_id;
-          mark_done t req_id;
-          Netref.Tbl.remove t.fetch_pending fr.fr_ref;
-          Stats.Counter.incr t.c_timeouts;
-          emit_failure t "fetch-failed" (Format.asprintf "%a" Netref.pp fr.fr_ref);
-          t.on_suspect (Printf.sprintf "site#%d" fr.fr_ref.Netref.site_id)
-        end
-        else begin
-          fr.fr_tries <- fr.fr_tries + 1;
-          Stats.Counter.incr t.c_retries;
-          send_fetch_req t req_id ~ctx:fr.fr_span fr.fr_ref;
-          arm_fetch_deadline t req_id
-        end
+    | Some rq when rq.rq_tries < t.retry.r_max_tries ->
+        rq.rq_tries <- rq.rq_tries + 1;
+        Stats.Counter.incr t.c_retries;
+        send_req t req_id rq
+    | Some rq ->
+        Hashtbl.remove t.reqs req_id;
+        mark_done t req_id;
+        Stats.Counter.incr t.c_timeouts;
+        let label, detail, suspect =
+          match rq.rq_awaits with
+          | Class r ->
+              (* the instantiations parked on the class go with it *)
+              Netref.Tbl.remove t.fetch_pending r;
+              ( "fetch-failed",
+                Format.asprintf "%a" Netref.pp r,
+                Printf.sprintf "site#%d" r.Netref.site_id )
+          | Import { site; name; _ } ->
+              ("import-failed", Printf.sprintf "%s.%s" site name, site)
+        in
+        emit_failure t label detail;
+        t.on_suspect suspect
 
-let send_import_req t req_id ~ctx ~site ~name ~is_class =
-  send t ~ctx
-    (Packet.Pns_lookup
-       { site_name = site; id_name = name; want_class = is_class; req_id;
-         requester_site = t.site_id; requester_ip = t.ip })
+let start_req t ~sp awaits =
+  let req_id = fresh_req t in
+  let rq =
+    { rq_span = packet_span t ~parent:sp; rq_tries = 1; rq_awaits = awaits }
+  in
+  Hashtbl.replace t.reqs req_id rq;
+  send_req t req_id rq
 
-let rec arm_import_deadline t req_id ~is_class =
-  match t.schedule with
-  | None -> ()
-  | Some sched -> (
-      match Hashtbl.find_opt t.import_reqs req_id with
-      | None -> ()
-      | Some ir ->
-          sched ~delay:(rto t ~req_id ~tries:ir.ir_tries) (fun () ->
-              import_deadline t req_id ~is_class))
-
-and import_deadline t req_id ~is_class =
-  if t.alive then
-    match Hashtbl.find_opt t.import_reqs req_id with
-    | None -> ()
-    | Some ir ->
-        let site, name = ir.ir_key in
-        if ir.ir_tries >= t.retry.r_max_tries then begin
-          Hashtbl.remove t.import_reqs req_id;
-          mark_done t req_id;
-          Stats.Counter.incr t.c_timeouts;
-          emit_failure t "import-failed" (Printf.sprintf "%s.%s" site name);
-          t.on_suspect site
-        end
-        else begin
-          ir.ir_tries <- ir.ir_tries + 1;
-          Stats.Counter.incr t.c_retries;
-          send_import_req t req_id ~ctx:ir.ir_span ~site ~name ~is_class;
-          arm_import_deadline t req_id ~is_class
-        end
+(* The request a reply answers, retired; [None] when no request of the
+   reply's kind is outstanding under its id.  That is a late duplicate
+   of a request answered or abandoned, which retransmission makes
+   normal: with the dedup record pruned past the retry horizon, any id
+   below the allocation watermark gets the same benefit of the doubt.
+   Only an id this site never issued raises. *)
+let answer t req_id ~fetch =
+  match Hashtbl.find_opt t.reqs req_id with
+  | Some { rq_awaits; _ }
+    when fetch = (match rq_awaits with Class _ -> true | Import _ -> false) ->
+      Hashtbl.remove t.reqs req_id;
+      mark_done t req_id;
+      Some rq_awaits
+  | _ ->
+      if not (Hashtbl.mem t.done_reqs req_id) && req_id >= t.next_req then
+        perr "%s reply for unknown request %d"
+          (if fetch then "fetch" else "name service")
+          req_id;
+      None
 
 (* ------------------------------------------------------------------ *)
 (* Outgoing remote operations (drained after each VM quantum).         *)
@@ -516,12 +516,7 @@ let start_fetch t ~sp (r : Netref.t) (args : Value.t array) =
       Netref.Tbl.replace t.fetch_pending r (args :: pending);
       if pending = [] then begin
         Stats.Counter.incr t.c_fetches;
-        let req_id = fresh_req t in
-        let ctx = packet_span t ~parent:sp in
-        Hashtbl.replace t.fetch_reqs req_id
-          { fr_ref = r; fr_span = ctx; fr_tries = 1 };
-        send_fetch_req t req_id ~ctx r;
-        arm_fetch_deadline t req_id
+        start_req t ~sp (Class r)
       end
 
 (* [sp] is the span of the VM thread that pushed the op: every packet
@@ -561,13 +556,7 @@ let handle_remote_op t (op : Machine.remote_op) (sp : Trace.span) =
            { site_name = t.name; id_name = x; nref;
              rtti = rtti_of_export t x })
   | Machine.Rimport { site; name; is_class; cont; captured } ->
-      let req_id = fresh_req t in
-      let ctx = packet_span t ~parent:sp in
-      Hashtbl.replace t.import_reqs req_id
-        { ir_cont = cont; ir_captured = captured; ir_key = (site, name);
-          ir_span = ctx; ir_tries = 1 };
-      send_import_req t req_id ~ctx ~site ~name ~is_class;
-      arm_import_deadline t req_id ~is_class
+      start_req t ~sp (Import { site; name; is_class; cont; captured })
 
 (* ------------------------------------------------------------------ *)
 (* Incoming packets.                                                   *)
@@ -645,61 +634,47 @@ let handle_packet_inner t ~ctx (p : Packet.t) =
              group;
              index = c.Value.cls_index;
              env_captures })
-  | Packet.Pfetch_rep { req_id; _ } when not (Hashtbl.mem t.fetch_reqs req_id) ->
-      (* a late duplicate of an already-answered (or abandoned) FETCH:
-         retransmission makes these normal, not a protocol violation.
-         With the dedup record pruned past the retry horizon, any id
-         below the allocation watermark gets the same benefit of the
-         doubt; only an id this site never issued raises. *)
-      if not (Hashtbl.mem t.done_reqs req_id) && req_id >= t.next_req then
-        perr "fetch reply for unknown request %d" req_id
-  | Packet.Pfetch_rep { req_id; code; code_key; group; index; env_captures; _ } ->
-      let nref =
-        match Hashtbl.find_opt t.fetch_reqs req_id with
-        | Some fr -> fr.fr_ref
-        | None -> assert false (* previous arm catches this *)
-      in
-      Hashtbl.remove t.fetch_reqs req_id;
-      mark_done t req_id;
-      let area_grp =
-        link_once t ~ctx t.grp_code_cache t.c_cache_evictions code_key code
-          (fun (o : Link.offsets) -> group + o.Link.grp_off)
-      in
-      let g = Link.group (Machine.area t.vm) area_grp in
-      let ncap = Array.length g.Block.grp_captures in
-      let k = Array.length g.Block.grp_classes in
-      if List.length env_captures <> ncap then
-        perr "fetch reply capture arity mismatch";
-      let shared = Array.make (ncap + k) (Value.Vint 0) in
-      List.iteri (fun i w -> shared.(i) <- of_wire t w) env_captures;
-      for i = 0 to k - 1 do
-        shared.(ncap + i) <-
-          Value.Vclass { Value.cls_group = area_grp; cls_index = i; cls_env = shared }
-      done;
-      if index < 0 || index >= k then perr "fetch reply class index out of range";
-      let cls =
-        match shared.(ncap + index) with
-        | Value.Vclass c -> c
-        | _ -> assert false
-      in
-      Netref.Tbl.replace t.fetch_cache nref { cc_cls = cls; cc_used = now_of t };
-      if t.leases then
-        Heap.push t.cache_due (now_of t + t.lifecycle.lc_lease_ns) nref;
-      let pending =
-        Option.value ~default:[] (Netref.Tbl.find_opt t.fetch_pending nref)
-      in
-      Netref.Tbl.remove t.fetch_pending nref;
-      List.iter
-        (fun args -> Machine.instantiate_args t.vm cls args)
-        (List.rev pending)
+  | Packet.Pfetch_rep { req_id; code; code_key; group; index; env_captures; _ } -> (
+      match answer t req_id ~fetch:true with
+      | Some (Class nref) ->
+          let area_grp =
+            link_once t ~ctx t.grp_code_cache t.c_cache_evictions code_key code
+              (fun (o : Link.offsets) -> group + o.Link.grp_off)
+          in
+          let g = Link.group (Machine.area t.vm) area_grp in
+          let ncap = Array.length g.Block.grp_captures in
+          let k = Array.length g.Block.grp_classes in
+          if List.length env_captures <> ncap then
+            perr "fetch reply capture arity mismatch";
+          let shared = Array.make (ncap + k) (Value.Vint 0) in
+          List.iteri (fun i w -> shared.(i) <- of_wire t w) env_captures;
+          for i = 0 to k - 1 do
+            shared.(ncap + i) <-
+              Value.Vclass
+                { Value.cls_group = area_grp; cls_index = i; cls_env = shared }
+          done;
+          if index < 0 || index >= k then
+            perr "fetch reply class index out of range";
+          let cls =
+            match shared.(ncap + index) with
+            | Value.Vclass c -> c
+            | _ -> assert false
+          in
+          Netref.Tbl.replace t.fetch_cache nref
+            { cc_cls = cls; cc_used = now_of t };
+          if t.leases then
+            Heap.push t.cache_due (now_of t + t.lifecycle.lc_lease_ns) nref;
+          let pending =
+            Option.value ~default:[] (Netref.Tbl.find_opt t.fetch_pending nref)
+          in
+          Netref.Tbl.remove t.fetch_pending nref;
+          List.iter
+            (fun args -> Machine.instantiate_args t.vm cls args)
+            (List.rev pending)
+      | Some (Import _) | None -> ())
   | Packet.Pns_reply { req_id; result; rtti; _ } -> (
-      match Hashtbl.find_opt t.import_reqs req_id with
-      | None ->
-          if not (Hashtbl.mem t.done_reqs req_id) && req_id >= t.next_req then
-            perr "name service reply for unknown request %d" req_id
-      | Some { ir_cont = cont; ir_captured = captured; ir_key = key; _ } -> (
-          Hashtbl.remove t.import_reqs req_id;
-          mark_done t req_id;
+      match answer t req_id ~fetch:false with
+      | Some (Import { site; name; cont; captured; _ }) -> (
           match result with
           | None -> perr "name service reported unresolvable import"
           | Some r ->
@@ -713,16 +688,18 @@ let handle_packet_inner t ~ctx (p : Packet.t) =
                  in
                  List.iter
                    (fun (k, expect) ->
-                     if k = key && not (Rtti.compatible expect remote) then
+                     if k = (site, name) && not (Rtti.compatible expect remote)
+                     then
                        perr
                          "type mismatch on import %s.%s: expected %s, \
                           exporter provides %s"
-                         (fst key) (snd key)
+                         site name
                          (Format.asprintf "%a" Rtti.pp expect)
                          (Format.asprintf "%a" Rtti.pp remote))
                    t.annotations.a_import_expect);
               let v = of_wire t (Packet.Wref r) in
-              Machine.spawn t.vm ~block:cont ~env:(v :: captured)))
+              Machine.spawn t.vm ~block:cont ~env:(v :: captured))
+      | Some (Class _) | None -> ())
   | Packet.Prelease { chans; classes; _ } ->
       (* an importer used these where this site could not see it: renew
          whatever is still live (a refresh racing the reclamation sweep
@@ -868,13 +845,9 @@ let io_handler t label args =
         Machine.inject_msg t.vm k "val" [ Value.Vint v ]
     | [ Value.Vchan _ ], [] -> ()
     | _ -> perr "io!readi expects one local reply channel"
-  else begin
-    let event =
+  else
+    t.on_output
       { Output.site = t.name; label; args = List.map Output.of_vm_value args }
-    in
-    t.outputs <- event :: t.outputs;
-    t.on_output event
-  end
 
 let start t =
   let io = Machine.builtin_chan t.vm "io" (io_handler t) in
@@ -886,9 +859,7 @@ let deliver ?(ctx = Trace.null_span) ?(now = 0) t p =
 let busy t =
   t.alive && (Machine.runnable t.vm || not (Dq.is_empty t.inbox))
 
-let outstanding t =
-  if t.alive then Hashtbl.length t.fetch_reqs + Hashtbl.length t.import_reqs
-  else 0
+let outstanding t = if t.alive then Hashtbl.length t.reqs else 0
 
 (* Costs (virtual ns) of the non-VM work a site does in a quantum. *)
 let packet_handling_cost = 800

@@ -101,12 +101,14 @@ val create :
   t
 (** [send] hands a packet to the node's daemon together with the
     packet's causal span ({!Tyco_support.Trace.null_span} when tracing
-    is off); [on_output] observes I/O port events (they are also
-    recorded locally).  [schedule] provides virtual timers: when
-    present, outstanding FETCH and import requests are given deadlines
-    per [retry] (without it, the seed behaviour: requests wait
-    forever).  [on_suspect] hears the description of the peer each time
-    a request is abandoned.  [trace] is the run's event collector
+    is off); [on_output] receives every output event: the I/O port's,
+    and the ["fetch-failed"], ["import-failed"] and ["stale-ref"]
+    failures (the site keeps no copy).  [schedule] provides virtual
+    timers: when present, outstanding FETCH and import requests are
+    given deadlines per [retry] (without it, the seed behaviour:
+    requests wait forever).  [on_suspect] hears the description of the
+    peer each time a request is abandoned: the exporter's ["site#N"]
+    for a FETCH, the site name for an import.  [trace] is the run's event collector
     (default {!Tyco_support.Trace.disabled}); the site registers a
     track named after itself and emits its VM and protocol events
     there. *)
@@ -129,7 +131,9 @@ val busy : t -> bool
 (** Has runnable threads or unprocessed incoming packets. *)
 
 val outstanding : t -> int
-(** In-flight fetch and name-service requests originated here. *)
+(** In-flight fetch and name-service requests originated here: one
+    table holds both, each entry with its span, its tries and what it
+    waits for ([0] once the site is dead). *)
 
 val pump : ?now:int -> t -> quantum:int -> int
 (** One execution quantum: drain the incoming queue, run up to
@@ -144,7 +148,6 @@ val kill : t -> unit
     discarded. *)
 
 val alive : t -> bool
-val outputs : t -> Output.event list
 
 val stats : t -> Tyco_support.Stats.t
 (** Shared with the VM's registry.  Besides the machine's counters it

@@ -9,8 +9,10 @@ let check = Alcotest.check
 
 let term src = Term.of_ast (Sugar.desugar (Parser.parse_proc src))
 
+(* parsed and run, not type-checked: the ill-typed cases of "stuck on
+   dynamic errors" must reach [Network.Stuck] *)
 let outputs_of ?max_steps src =
-  Interp.outputs_of_source ?max_steps src
+  Interp.outputs ?max_steps (Parser.parse_program src)
 
 let out_testable =
   let pp ppf (s, l, vs) =

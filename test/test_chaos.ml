@@ -136,14 +136,30 @@ let unreliable_transport_loses () =
 let dead_letters_counted () =
   let cluster = Cluster.create () in
   let dst = Netref.make ~kind:Netref.Channel ~heap_id:0 ~site_id:99 ~ip:1 in
-  Cluster.inject_packet cluster ~src_ip:0
-    (Packet.Pmsg { dst; label = "x"; args = [] });
+  let inject () =
+    Cluster.inject_packet cluster ~src_ip:0
+      (Packet.Pmsg { dst; label = "x"; args = [] })
+  in
+  inject ();
   Cluster.run cluster;
   check Alcotest.int "dead letter counted" 1 (Cluster.dead_letters cluster);
   check Alcotest.bool "phantom site recorded" true
     (List.exists
        (fun (_, who) -> who = "site#99")
-       (Cluster.suspected_failures cluster))
+       (Cluster.suspected_failures cluster));
+  (* every further packet for the phantom is a dead letter, but the
+     suspicion is recorded once *)
+  for _ = 1 to 999 do
+    inject ()
+  done;
+  Cluster.run cluster;
+  check Alcotest.int "every dead letter counted" 1000
+    (Cluster.dead_letters cluster);
+  check Alcotest.int "phantom suspected once" 1
+    (List.length
+       (List.filter
+          (fun (_, who) -> who = "site#99")
+          (Cluster.suspected_failures cluster)))
 
 (* ------------------------------------------------------------------ *)
 (* Dedup window (Node.admit) unit behaviour                            *)
@@ -240,8 +256,9 @@ let flush_deadline_deterministic () =
    cross-node placement, every logical packet is counted exactly once —
    as a fabric packet or as a same-node delivery, never both, never
    twice — in every transport mode, and the registry a metrics export
-   writes counts them the same way.  (The packet log records both
-   kinds, so packets + same_node = log kept + log dropped.) *)
+   writes counts them the same way.  (The packet log of these traced
+   runs records both kinds, so packets + same_node = log kept + log
+   dropped.) *)
 let mixed_placement_counting () =
   let src =
     {| site a { export new p
@@ -259,6 +276,7 @@ let mixed_placement_counting () =
   let clean =
     events (Api.run_program ~placement:(fun n -> placement n) (Api.parse src))
   in
+  let traced = { Cluster.default_config with Cluster.tracing = true } in
   let packet_counts = ref [] in
   List.iter
     (fun (name, config) ->
@@ -288,10 +306,9 @@ let mixed_placement_counting () =
         (Output.same_multiset clean (events r));
       if config.Cluster.ns_mode = Cluster.Centralized then
         packet_counts := (name, Cluster.packets_sent cl) :: !packet_counts)
-    [ ("unreliable", Cluster.default_config);
-      ("reliable", { Cluster.default_config with Cluster.reliable = true });
-      ( "replicated NS",
-        { Cluster.default_config with Cluster.ns_mode = Cluster.Replicated } )
+    [ ("unreliable", traced);
+      ("reliable", { traced with Cluster.reliable = true });
+      ("replicated NS", { traced with Cluster.ns_mode = Cluster.Replicated })
     ];
   (* the logical packet count is a property of the program and its
      name-service deployment, not of the transport mode: any
@@ -328,6 +345,41 @@ let replicated_ns_reliable () =
       (Cluster.name_service_pending r.Api.cluster)
   done
 
+(* An import of a name its site never exports: the lookup parks at the
+   name service, and the client's deadline re-sends it until its tries
+   run out.  Then the import fails as an output, the exporter's site is
+   suspected, and no request is left outstanding.  (Type checking would
+   reject the program, so it is off.) *)
+let import_deadline () =
+  let src =
+    {| site server { export new p p?(x) = io!printi[x] }
+       site client { import q from server in q![1] } |}
+  in
+  let config = { Cluster.default_config with Cluster.reliable = true } in
+  let r = Api.run_program ~config ~typecheck:false (Api.parse src) in
+  let cl = r.Api.cluster in
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.int ev_testable))
+    "import-failed at the last deadline"
+    [ ( 254_199_309,
+        { Output.site = "client"; label = "import-failed";
+          args = [ Output.Ostr "server.q" ] } ) ]
+    r.Api.outputs;
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.string))
+    "server suspected" [ (254_199_309, "server") ]
+    (Cluster.suspected_failures cl);
+  let client = Cluster.site cl "client" in
+  check Alcotest.int "five retries" 5
+    (Stats.counter_value (Site.stats client) "retries");
+  check Alcotest.int "one timeout" 1
+    (Stats.counter_value (Site.stats client) "timeouts");
+  List.iter
+    (fun s ->
+      check Alcotest.int (Site.name s ^ ": nothing outstanding") 0
+        (Site.outstanding s))
+    (Cluster.sites cl)
+
 let tests =
   [ ("chaos: outputs preserved (3 seeds)", `Quick, chaos_preserves_outputs);
     ("chaos: deterministic", `Quick, chaos_is_deterministic);
@@ -344,4 +396,5 @@ let tests =
     ("mixed placement: packets counted once", `Quick,
      mixed_placement_counting);
     ("replicated NS: reliable under 30% drop", `Quick,
-     replicated_ns_reliable) ]
+     replicated_ns_reliable);
+    ("import deadline: gives up and suspects", `Quick, import_deadline) ]

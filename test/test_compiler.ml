@@ -360,7 +360,54 @@ let disasm_readable () =
   in
   check Alcotest.bool "trmsg shown" true (has "trmsg");
   check Alcotest.bool "trobj shown" true (has "trobj");
-  check Alcotest.bool "newc shown" true (has "newc")
+  check Alcotest.bool "newc shown" true (has "newc");
+  (* one instruction printer: each line of the indexed listing, minus
+     its index, is the assembly's line for that instruction *)
+  let lines s = List.map String.trim (String.split_on_char '\n' s) in
+  let listed u =
+    List.filter_map
+      (fun l ->
+        match String.index_opt l ':' with
+        | Some i when i > 0 && int_of_string_opt (String.sub l 0 i) <> None ->
+            Some (String.trim (String.sub l (i + 1) (String.length l - i - 1)))
+        | _ -> None)
+      (lines (Disasm.to_string u))
+  in
+  let assembled u =
+    let in_block = ref false in
+    List.filter_map
+      (fun l ->
+        if String.starts_with ~prefix:"block " l then begin
+          in_block := true;
+          None
+        end
+        else if l = "}" then begin
+          in_block := false;
+          None
+        end
+        else if !in_block then Some l
+        else None)
+      (lines (Asm.print u))
+  in
+  let units =
+    Compile.compile_program
+      (Parser.parse_program
+         {| site a { export new p (p?(x) = io!printi[x] | export def K(v) = p![v] in K[0]) }
+            site b { import p from a in import K from a in (p![1] | K[2]) } |})
+  in
+  let all = List.concat_map (fun (_, u) -> listed u) units in
+  List.iter
+    (fun op ->
+      check Alcotest.bool (op ^ " listed") true
+        (List.exists (String.starts_with ~prefix:(op ^ " ")) all))
+    [ "instof"; "exportc"; "import"; "importc" ];
+  List.iter
+    (fun (site, u) ->
+      check Alcotest.int (site ^ ": every instruction listed")
+        (Block.instr_count u) (List.length (listed u));
+      check (Alcotest.list Alcotest.string) (site ^ ": listing = assembly")
+        (assembled u) (listed u))
+    units
 
 let stats_consistent () =
   let u = compile (List.nth sources 3) in

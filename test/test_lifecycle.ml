@@ -203,8 +203,10 @@ let stale_ref_is_visible () =
     (Stats.counter_value (Site.stats client) "stale_refs");
   let stale_events =
     List.filter
-      (fun (e : Output.event) -> String.equal e.Output.label "stale-ref")
-      (Site.outputs client)
+      (fun ((_, e) : int * Output.event) ->
+        String.equal e.Output.site "client"
+        && String.equal e.Output.label "stale-ref")
+      (Cluster.outputs cluster)
   in
   check Alcotest.int "one stale-ref output" 1 (List.length stale_events);
   (* a second copy of the same packet behaves identically *)

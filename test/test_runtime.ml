@@ -587,10 +587,12 @@ let heartbeat_tests =
 let tests = tests @ heartbeat_tests
 
 (* ------------------------------------------------------------------ *)
-(* Packet trace                                                        *)
+(* Packet trace: kept by traced runs only                              *)
+
+let traced = { Cluster.default_config with Cluster.tracing = true }
 
 let rpc_packet_trace () =
-  let r = run (List.assoc "rpc" paper_programs) in
+  let r = run ~config:traced (List.assoc "rpc" paper_programs) in
   let trace = List.map snd (Cluster.packet_trace r.Api.cluster) in
   let count pred = List.length (List.filter pred trace) in
   check Alcotest.int "two shipments"
@@ -610,7 +612,7 @@ let rpc_packet_trace () =
   check Alcotest.bool "monotone" true (mono (Cluster.packet_trace r.Api.cluster))
 
 let fetch_packet_trace () =
-  let r = run (List.assoc "applet-fetch" paper_programs) in
+  let r = run ~config:traced (List.assoc "applet-fetch" paper_programs) in
   let trace = List.map snd (Cluster.packet_trace r.Api.cluster) in
   let count pred = List.length (List.filter pred trace) in
   check Alcotest.int "one fetch request"

@@ -130,7 +130,15 @@ let tracing_off_by_default () =
   check Alcotest.bool "collector disabled" false (Trace.enabled (tracer r));
   check Alcotest.int "no events" 0 (List.length (Trace.events (tracer r)));
   check Alcotest.bool "fresh_span is null" true
-    (Trace.is_null (Trace.fresh_span (tracer r) ~parent:Trace.null_span))
+    (Trace.is_null (Trace.fresh_span (tracer r) ~parent:Trace.null_span));
+  (* the packet log is part of tracing: a run that sends packets keeps
+     none of them *)
+  check Alcotest.bool "packets sent" true
+    (Cluster.packets_sent r.Api.cluster > 0);
+  check Alcotest.int "no packet kept" 0
+    (List.length (Cluster.packet_trace r.Api.cluster));
+  check Alcotest.int "no packet dropped" 0
+    (Cluster.packet_trace_dropped r.Api.cluster)
 
 (* ------------------------------------------------------------------ *)
 (* Determinism: the trace is a reproducible artifact                   *)
@@ -385,9 +393,7 @@ let report_breakdown_populated () =
 (* Bounded packet log                                                  *)
 
 let packet_log_bounded () =
-  let config =
-    { Cluster.default_config with Cluster.packet_log_capacity = 2 }
-  in
+  let config = { traced_config with Cluster.trace_capacity = 2 } in
   let r = run ~config fetch_src in
   check Alcotest.bool "log bounded" true
     (List.length (Cluster.packet_trace r.Api.cluster) <= 2);
