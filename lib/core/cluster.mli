@@ -196,8 +196,10 @@ val suspected_failures : t -> (int * string) list
     packet addressed to a dead or unknown site, a daemon exhausting its
     retransmissions towards a peer ([ip#n]), or a site abandoning a
     FETCH / import request ([site#n], exporter name).  Each [who]
-    appears once, at its first suspicion; {!dead_letters} counts every
-    packet. *)
+    appears once, at its first suspicion, and the list holds at most
+    {!Node.max_suspects} (1,024) entries: a suspicion past the cap is
+    only counted, in ["suspects_unlisted"] ({!stats}).
+    {!dead_letters} counts every packet. *)
 
 val stats : t -> Tyco_support.Stats.t
 (** What the run counts, always on, under the names an export
@@ -209,7 +211,9 @@ val stats : t -> Tyco_support.Stats.t
     ["dupes_suppressed"], ["forwarded_envelopes"] (frames that
     followed a node that moved); distributions ["wire_ns"],
     ["retransmit_ns"], ["batch_fill"], ["flush_wait_ns"].  The
-    daemons: ["deliveries"], ["dead_letters"] ({!Node.host}). *)
+    daemons: ["deliveries"], ["dead_letters"] and
+    ["suspects_unlisted"], the suspicions past {!Node.max_suspects}
+    that {!suspected_failures} does not list ({!Node.host}). *)
 
 val dead_letters : t -> int
 (** Packets addressed to site ids this cluster never loaded. *)

@@ -50,6 +50,7 @@ type host = {
   tr_on : bool; (* cached [Trace.enabled tracer] *)
   deliveries : Stats.Counter.t;
   dead_letters : Stats.Counter.t;
+  suspects_unlisted : Stats.Counter.t;
   mutable outs : (int * Output.event) list; (* newest first *)
   mutable suspected : (int * string) list; (* newest first *)
   suspects : (string, unit) Hashtbl.t; (* who [suspected] names *)
@@ -61,6 +62,7 @@ let host ?quantum ?(retry = Site.default_retry)
     ?(tracer = Trace.disabled) ?(stats = Stats.create ()) () =
   let deliveries = Stats.counter stats "deliveries" in
   let dead_letters = Stats.counter stats "dead_letters" in
+  let suspects_unlisted = Stats.counter stats "suspects_unlisted" in
   { tp = unconnected;
     pumps = quantum <> None;
     quantum = Option.value quantum ~default:0;
@@ -71,6 +73,7 @@ let host ?quantum ?(retry = Site.default_retry)
     tr_on = Trace.enabled tracer;
     deliveries;
     dead_letters;
+    suspects_unlisted;
     outs = [];
     suspected = [];
     suspects = Hashtbl.create 8;
@@ -82,14 +85,24 @@ let suspected h = List.rev h.suspected
 let dead_letters h = Stats.Counter.value h.dead_letters
 let busy_until h = h.busy_until
 
+(* The most suspects a host lists.  Names come from peers (a packet
+   for site id N suspects "site#N"), so without a cap a peer that sends
+   to N unknown site ids would grow the list, and every report built
+   from it, by N. *)
+let max_suspects = 1024
+
 (* Once per suspect, at its first suspicion: a peer that keeps sending
    to a dead or unknown site grows the dead-letter count, not the
-   list. *)
+   list.  Past [max_suspects] a new name is only counted, in
+   [suspects_unlisted]; it is not remembered, so a further suspicion
+   of it counts again. *)
 let suspect h who =
-  if not (Hashtbl.mem h.suspects who) then begin
-    Hashtbl.add h.suspects who ();
-    h.suspected <- (h.tp.now (), who) :: h.suspected
-  end
+  if not (Hashtbl.mem h.suspects who) then
+    if Hashtbl.length h.suspects < max_suspects then begin
+      Hashtbl.add h.suspects who ();
+      h.suspected <- (h.tp.now (), who) :: h.suspected
+    end
+    else Stats.Counter.incr h.suspects_unlisted
 
 let record_output h e = h.outs <- (h.tp.now (), e) :: h.outs
 

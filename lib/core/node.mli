@@ -50,8 +50,9 @@ val host :
     through the transport; without it the engine's own loop pumps the
     sites and the daemon only delivers.  [timers] gives sites virtual
     timers for their request deadlines.  The daemon counts in [stats]:
-    ["deliveries"], the packets it hands to a live site, and
-    ["dead_letters"], the dead-letter book. *)
+    ["deliveries"], the packets it hands to a live site,
+    ["dead_letters"], the dead-letter book, and ["suspects_unlisted"],
+    the suspicions {!suspect} did not list. *)
 
 val connect : host -> transport -> unit
 (** Give the host its transport; engines call it once, right after
@@ -63,15 +64,23 @@ val outputs : host -> (int * Output.event) list
 val suspected : host -> (int * string) list
 (** [(time, who)], in order: dead or unknown destination sites,
     abandoned requests, and whatever the engine adds with {!suspect}.
-    Each [who] appears once, at the time it was first suspected. *)
+    Each [who] appears once, at the time it was first suspected, and
+    the list holds at most {!max_suspects} entries. *)
 
 val dead_letters : host -> int
 val busy_until : host -> int
 
+val max_suspects : int
+(** 1024: the most suspects a host lists.  Suspect names come from
+    peers (a packet for an unknown site id), so the cap bounds the list
+    and every report built from it whatever a peer sends. *)
+
 val suspect : host -> string -> unit
 (** Record a suspicion at the current time, unless [who] is already
     suspected: a repeated suspicion (another dead letter, packet for a
-    dead site or timed-out batch) adds nothing. *)
+    dead site or timed-out batch) adds nothing.  Once the host lists
+    {!max_suspects}, a new [who] only adds one to its
+    ["suspects_unlisted"] counter, every time it is suspected. *)
 
 val record_output : host -> Output.event -> unit
 

@@ -53,14 +53,17 @@ type result = {
       (** packets for a site the receiving node does not host *)
   suspected : (int * string) list;
       (** node by node, the failures each node's daemon suspected (a
-          dead letter suspects its site), read after the join; the
-          times read 0, as there is no virtual clock *)
+          dead letter suspects its site), read after the join, at most
+          {!Node.max_suspects} (1,024) per node; the times read 0, as
+          there is no virtual clock *)
   metrics : Tyco_support.Metrics.t;
       (** with [run ~metrics:true], the nodes' registries merged after
           the domains join: each node counts ["packets"] and ["bytes"]
           (encoded, without the length prefix) it queued for peers,
-          and its daemon ["deliveries"] and ["dead_letters"]
-          ({!Node.host}); ["parks"] is added at the merge.  Empty
+          and its daemon ["deliveries"], ["dead_letters"] and
+          ["suspects_unlisted"] (the suspicions past the cap that
+          [suspected] does not list; {!Node.host}); ["parks"] is added
+          at the merge.  Empty
           otherwise. *)
   nodes : int;
   sites : Site.t list;

@@ -106,6 +106,14 @@ let check_distinct loc what xs =
       Hashtbl.add seen x ())
     xs
 
+(* [check_site] takes the site-level constructs; [check] meets one only
+   below an object, a definition or a conditional. *)
+let nested loc what =
+  err loc
+    "'%s' is allowed only at site level, not inside a method, a definition \
+     body or a branch"
+    what
+
 (* Bind the classes of a [def] block: fresh parameter types, bodies
    checked under monomorphic recursion, then everything generalized
    against the outer environment. *)
@@ -224,9 +232,9 @@ and check env g (p : Ast.proc) : unit =
       check env g a;
       check env g b
   | Ast.Plet _ -> err loc "internal: 'let' must be desugared before inference"
-  | Ast.Pexport_new _ | Ast.Pexport_def _ | Ast.Pimport_name _
-  | Ast.Pimport_class _ ->
-      err loc "internal: site-level construct not handled here"
+  | Ast.Pexport_new _ -> nested loc "export new"
+  | Ast.Pexport_def _ -> nested loc "export def"
+  | Ast.Pimport_name _ | Ast.Pimport_class _ -> nested loc "import"
 
 (* Site-level checking handles export/import, which are only meaningful
    at the top of a site body (they translate to network-level binders,

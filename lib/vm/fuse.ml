@@ -61,6 +61,14 @@ type operand =
 type op =
   | Exprs of { n : int; cost : int; vals : operand array }
   | Branch of { n : int; cost : int; cond : Value.t array -> bool; target : int }
+  | Call of { n : int; cost : int; args : operand array; target : operand }
+  | Send of {
+      n : int;
+      cost : int;
+      lid : int;
+      args : operand array;
+      target : operand;
+    }
   | Ins of { cost : int; ins : Instr.t }
 
 let[@inline] get env = function
@@ -146,6 +154,17 @@ let cond_fn = function
 
 exception Unfollowable
 
+(* A call fuses with its run, [stack] (top first), when the run holds
+   exactly its [argc] arguments and, on top, a target that reads no
+   expression. *)
+let call_run stack argc =
+  List.compare_length_with stack (argc + 1) = 0
+  && match stack with Leaf (Slot _ | Const _) :: _ -> true | _ -> false
+
+let call_operands = function
+  | Leaf target :: args -> (Array.of_list (List.rev_map operand args), target)
+  | _ -> assert false
+
 let fused (code : Instr.t array) =
   let n = Array.length code in
   let is_target = Array.make (n + 1) false in
@@ -211,6 +230,16 @@ let fused (code : Instr.t array) =
             (Branch
                { n = !run_n + 1; cost = !run_cost + cost;
                  cond = cond_fn (List.hd !stack); target });
+          reset ()
+      | Instr.Instof argc when call_run !stack argc ->
+          let args, target = call_operands !stack in
+          emit
+            (Call { n = !run_n + 1; cost = !run_cost + cost; args; target });
+          reset ()
+      | Instr.Trmsg { lid; argc; _ } when call_run !stack argc ->
+          let args, target = call_operands !stack in
+          emit
+            (Send { n = !run_n + 1; cost = !run_cost + cost; lid; args; target });
           reset ()
       | _ ->
           flush ();

@@ -6,8 +6,10 @@
     ([Push_*], [Load], [Binop], [Unop]) becomes one {!Exprs} op that
     computes the values the run leaves on the operand stack straight
     from the frame, with its constants boxed once; a [Jump_if_false]
-    on such a run's single value becomes one {!Branch}; every other
-    instruction stays one {!Ins}.
+    on such a run's single value becomes one {!Branch}; an [instof] or
+    a [trmsg] that consumes the whole run, the target on top being a
+    frame slot or a constant, becomes one {!Call} or {!Send}; every
+    other instruction stays one {!Ins}.
 
     Each op carries the number of byte-code instructions it covers and
     the sum of their {!Tyco_compiler.Instr.cost}, so instruction counts,
@@ -38,8 +40,8 @@ val unop : Tyco_syntax.Ast.unop -> Value.t -> Value.t
 
 (** {1 Fused ops} *)
 
-(** A value an {!Exprs} op pushes: a frame slot, a constant, or a
-    fused expression over the frame. *)
+(** A value an {!Exprs} op pushes, or a {!Call} or {!Send} passes: a
+    frame slot, a constant, or a fused expression over the frame. *)
 type operand =
   | Slot of int
   | Const of Value.t
@@ -50,6 +52,18 @@ type op =
       (** Push [vals], in order. *)
   | Branch of { n : int; cost : int; cond : Value.t array -> bool; target : int }
       (** Go on when [cond] holds, else to op [target]. *)
+  | Call of { n : int; cost : int; args : operand array; target : operand }
+      (** [instof (Array.length args)] on the values [args] and, on
+          top, [target]. *)
+  | Send of {
+      n : int;
+      cost : int;
+      lid : int;
+      args : operand array;
+      target : operand;
+    }
+      (** [trmsg] of interned label [lid] with the values [args] to
+          [target]. *)
   | Ins of { cost : int; ins : Tyco_compiler.Instr.t }
       (** One instruction ([n = 1]) on the operand stack; its jump
           targets are op indices. *)

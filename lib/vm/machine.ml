@@ -164,23 +164,42 @@ let enqueue t ~parent ~block frame =
 let spawn t ~block ~env =
   enqueue t ~parent:t.cur_span ~block (frame_for t ~block ~init:env)
 
-(* The frame [args..][extra..][padding..] of a method or class body:
-   the [n] arguments are read from [src] at [off] — the operand stack on
-   the [trmsg]/[instof] paths, a message's own array otherwise — and
-   [extra] is the closure environment.  One allocation; no argument
-   array is cut out first. *)
-let spawn_call t ~parent ~block src off n (extra : Value.t array) =
+(* A fresh frame of [size] slots.  Up to 8 slots it is an array
+   literal, allocated inline on the minor heap, where [Array.make] is a
+   C call. *)
+let new_frame size =
+  let z = Value.Vint 0 in
+  match size with
+  | 0 -> [||]
+  | 1 -> [| z |]
+  | 2 -> [| z; z |]
+  | 3 -> [| z; z; z |]
+  | 4 -> [| z; z; z; z |]
+  | 5 -> [| z; z; z; z; z |]
+  | 6 -> [| z; z; z; z; z; z |]
+  | 7 -> [| z; z; z; z; z; z; z |]
+  | 8 -> [| z; z; z; z; z; z; z; z |]
+  | _ -> Array.make size z
+
+(* The frame [args..][extra..][padding..] of a method or class body
+   whose block has [nslots] slots, for [n] arguments: [extra], the
+   closure environment, is copied in, and the caller fills the
+   arguments.  One allocation; no argument array is cut out first. *)
+let callee_frame nslots n (extra : Value.t array) =
   let ne = Array.length extra in
-  let frame =
-    Array.make
-      (max (program t block).nslots (n + ne))
-      (Value.Vint 0)
-  in
-  for i = 0 to n - 1 do
-    Array.unsafe_set frame i (Array.unsafe_get src (off + i))
-  done;
+  let frame = new_frame (if nslots > n + ne then nslots else n + ne) in
   for i = 0 to ne - 1 do
     Array.unsafe_set frame (n + i) (Array.unsafe_get extra i)
+  done;
+  frame
+
+(* Spawn a method or class body on the [n] arguments read from [src]
+   at [off]: the operand stack on the [trmsg]/[instof] paths, a
+   message's own array otherwise. *)
+let spawn_call t ~parent ~block src off n (extra : Value.t array) =
+  let frame = callee_frame (program t block).nslots n extra in
+  for i = 0 to n - 1 do
+    Array.unsafe_set frame i (Array.unsafe_get src (off + i))
   done;
   enqueue t ~parent ~block frame
 
@@ -211,12 +230,16 @@ let fire_method t (obj : Value.obj) ~parent ~lid src off n =
 let fire_args t obj ~parent ~lid (args : Value.t array) =
   fire_method t obj ~parent ~lid args 0 (Array.length args)
 
-(* A message meets the single object parked at [chan]. *)
-let fire_obj1 t (chan : Value.chan) obj ~lid src off n =
+(* A message takes the single object parked at [chan]. *)
+let unpark_obj1 t (chan : Value.chan) =
   chan.Value.ch_state <- Value.Empty;
   if t.tr_on then
     Trace.emit t.tr ~ts:t.clock ~track:t.track ~span:t.cur_span
-      Trace.Obj_unpark;
+      Trace.Obj_unpark
+
+(* A message meets the single object parked at [chan]. *)
+let fire_obj1 t (chan : Value.chan) obj ~lid src off n =
+  unpark_obj1 t chan;
   fire_method t obj ~parent:t.cur_span ~lid src off n
 
 (* Hot path: label already interned (Trmsg operand, parked message).
@@ -365,6 +388,23 @@ let push_remote t op =
   Stats.Counter.incr t.c_remote;
   Dq.push_back t.remote (op, t.cur_span)
 
+(* [trmsg] and [instof] of the [argc] arguments at stack index [base]
+   to [target]: the byte-code's own paths. *)
+let trmsg t target ~lid base argc =
+  match target with
+  | Value.Vchan ({ Value.ch_state = Value.Obj1 obj; _ } as c) ->
+      fire_obj1 t c obj ~lid t.ostack base argc
+  | Value.Vchan c -> inject_msg_id t c ~lid (args_at t base argc)
+  | Value.Vnetref r ->
+      push_remote t (Rmsg (r, Link.label_name t.area lid, args_at t base argc))
+  | v -> err "trmsg target is %s, not a channel" (Value.type_name v)
+
+let instof t target base argc =
+  match target with
+  | Value.Vclass c -> instantiate_at t c t.ostack base argc
+  | Value.Vclassref r -> push_remote t (Rfetch (r, args_at t base argc))
+  | v -> err "instof target is %s, not a class" (Value.type_name v)
+
 (* Execute one instruction on the operand stack and return the index of
    the next op: [pc] is this op's index, and jump targets are op
    indices. *)
@@ -401,15 +441,7 @@ let exec_ins t env pc (ins : Instr.t) =
       pc + 1
   | Instr.Trmsg { lid; argc; _ } ->
       let target = pop_op t in
-      let base = pop_base t argc in
-      (match target with
-      | Value.Vchan ({ Value.ch_state = Value.Obj1 obj; _ } as c) ->
-          fire_obj1 t c obj ~lid t.ostack base argc
-      | Value.Vchan c -> inject_msg_id t c ~lid (args_at t base argc)
-      | Value.Vnetref r ->
-          push_remote t
-            (Rmsg (r, Link.label_name t.area lid, args_at t base argc))
-      | v -> err "trmsg target is %s, not a channel" (Value.type_name v));
+      trmsg t target ~lid (pop_base t argc) argc;
       pc + 1
   | Instr.Trobj mt_id -> (
       let mt = Link.mtable t.area mt_id in
@@ -441,11 +473,7 @@ let exec_ins t env pc (ins : Instr.t) =
       pc + 1
   | Instr.Instof argc ->
       let target = pop_op t in
-      let base = pop_base t argc in
-      (match target with
-      | Value.Vclass c -> instantiate_at t c t.ostack base argc
-      | Value.Vclassref r -> push_remote t (Rfetch (r, args_at t base argc))
-      | v -> err "instof target is %s, not a class" (Value.type_name v));
+      instof t target (pop_base t argc) argc;
       pc + 1
   | Instr.Export_name x -> (
       match pop_op t with
@@ -481,6 +509,88 @@ let[@inline] operand env = function
   | Fuse.Const v -> v
   | Fuse.Fn f -> f env
 
+(* The byte-code's path for a fused call: its run pushes the arguments
+   and the call pops them, leaving them at the returned stack index. *)
+let push_args t env (args : Fuse.operand array) =
+  let base = t.osp in
+  for i = 0 to Array.length args - 1 do
+    push_op t (operand env (Array.unsafe_get args i))
+  done;
+  t.osp <- base;
+  base
+
+(* The frame size of [block] once it is fused, else [-1]: a fused call
+   to a block not yet fused takes the byte-code's path, so the block is
+   fused, and can raise, exactly where the byte-code fuses it. *)
+let fused_nslots t block =
+  let progs = t.progs in
+  if block < Array.length progs then
+    let p = Array.unsafe_get progs block in
+    if p != unfused then p.nslots else -1
+  else -1
+
+(* The frame of a callee whose block has [nslots] slots, the arguments
+   evaluated in order straight into it: nothing goes through the
+   operand stack, and a raising argument leaves nothing changed. *)
+let call_frame env (args : Fuse.operand array) nslots extra =
+  let frame = callee_frame nslots (Array.length args) extra in
+  for i = 0 to Array.length args - 1 do
+    Array.unsafe_set frame i (operand env (Array.unsafe_get args i))
+  done;
+  frame
+
+(* A fused [instof].  A local class of the call's arity whose block is
+   fused runs with the arguments evaluated into its frame, counted and
+   queued as [instantiate_at] does; any other target takes the
+   byte-code's path. *)
+let call t env args target =
+  let n = Array.length args in
+  match target with
+  | Value.Vclass c ->
+      let g = Link.group t.area c.Value.cls_group in
+      let sig_ = g.Block.grp_classes.(c.Value.cls_index) in
+      let block = sig_.Block.cls_block in
+      let nslots =
+        if sig_.Block.cls_nparams = n then fused_nslots t block else -1
+      in
+      if nslots >= 0 then begin
+        let frame = call_frame env args nslots c.Value.cls_env in
+        Stats.Counter.incr t.c_insts;
+        enqueue t ~parent:t.cur_span ~block frame
+      end
+      else instof t target (push_args t env args) n
+  | _ -> instof t target (push_args t env args) n
+
+(* The block of [obj]'s method [lid] if it takes [n] arguments, else
+   [-1]. *)
+let method_block t (obj : Value.obj) ~lid n =
+  let mt = obj.Value.obj_mtable in
+  let idx = Link.method_entry t.area mt ~lid in
+  if idx < 0 then -1
+  else
+    let entry = (Link.mtable t.area mt).Block.mt_entries.(idx) in
+    if entry.Block.me_nparams = n then entry.Block.me_block else -1
+
+(* A fused [trmsg].  A local channel holding one object whose method
+   takes the call's arity and is fused fires that method with the
+   arguments evaluated into its frame, and only then empties the
+   channel, counted and queued as [fire_obj1] does; any other target
+   takes the byte-code's path. *)
+let send t env ~lid args target =
+  let n = Array.length args in
+  match target with
+  | Value.Vchan ({ Value.ch_state = Value.Obj1 obj; _ } as c) ->
+      let block = method_block t obj ~lid n in
+      let nslots = if block >= 0 then fused_nslots t block else -1 in
+      if nslots >= 0 then begin
+        let frame = call_frame env args nslots obj.Value.obj_env in
+        unpark_obj1 t c;
+        Stats.Counter.incr t.c_comm;
+        enqueue t ~parent:t.cur_span ~block frame
+      end
+      else trmsg t target ~lid (push_args t env args) n
+  | _ -> trmsg t target ~lid (push_args t env args) n
+
 (* Execute one thread to completion: the one step loop, over the
    block's fused ops.  A top-level tail-recursive function threading
    [executed]/[cost] as parameters: an inner [let rec] would allocate
@@ -504,6 +614,12 @@ let rec exec t (ops : Fuse.op array) env pc executed cost =
         exec t ops env
           (if cond env then pc + 1 else target)
           (executed + n) (cost + c)
+    | Fuse.Call { n; cost = c; args; target } ->
+        call t env args (operand env target);
+        exec t ops env (pc + 1) (executed + n) (cost + c)
+    | Fuse.Send { n; cost = c; lid; args; target } ->
+        send t env ~lid args (operand env target);
+        exec t ops env (pc + 1) (executed + n) (cost + c)
     | Fuse.Ins { cost = c; ins } ->
         exec t ops env (exec_ins t env pc ins) (executed + 1) (cost + c)
 

@@ -10,16 +10,21 @@
 
     It runs each block as fused ops ({!Fuse}), built the first time a
     thread of the block is spawned: a run of expression instructions
-    is one op that computes its values straight from the frame, and
+    is one op that computes its values straight from the frame, a run
+    that ends in the [instof] or [trmsg] consuming it one call op, and
     every other instruction is one op.  Each op counts the byte-code
     instructions it covers and their summed cost, so {!run}'s counts
-    and virtual time are those of the byte-code.  A spawn
-    ([instof], or a message meeting an object) builds the new thread's
-    frame in one allocation, straight from the operand stack or the
-    message.  Every spawn still gets a fresh frame and thread record:
-    reusing them on self-tail-calls allocated less but raised a
-    parallel workload's heap high-water mark (DESIGN.md, "Fused step
-    loop").
+    and virtual time are those of the byte-code.  A spawn ([instof],
+    or a message meeting an object) builds the new thread's frame in
+    one allocation, inline on the minor heap up to 8 slots.  A call op
+    whose target is a local class, or a local channel holding one
+    object, whose body takes the call's arity and is already fused
+    evaluates the arguments straight into that frame; every other
+    target takes the byte-code's path, through the operand stack,
+    with the same counts, thread order, trace events and errors.  Every spawn still gets a fresh frame and
+    thread record: reusing them on self-tail-calls allocated less but
+    raised a parallel workload's heap high-water mark (DESIGN.md,
+    "Fused step loop").
 
     It is deliberately network-blind: instructions whose target is a
     network reference — [trmsg]/[trobj] on a remote name, [instof] on a

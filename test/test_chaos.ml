@@ -380,6 +380,24 @@ let import_deadline () =
         (Site.outstanding s))
     (Cluster.sites cl)
 
+(* A peer sending to 5,000 distinct unknown site ids: every packet is a
+   dead letter, the suspect list stops at its cap, and the suspicions
+   past it are counted. *)
+let phantom_suspects_bounded () =
+  let cluster = Cluster.create () in
+  for site_id = 100 to 5_099 do
+    let dst = Netref.make ~kind:Netref.Channel ~heap_id:0 ~site_id ~ip:1 in
+    Cluster.inject_packet cluster ~src_ip:0
+      (Packet.Pmsg { dst; label = "x"; args = [] })
+  done;
+  Cluster.run cluster;
+  check Alcotest.int "every dead letter counted" 5_000
+    (Cluster.dead_letters cluster);
+  check Alcotest.int "suspects listed up to the cap" Node.max_suspects
+    (List.length (Cluster.suspected_failures cluster));
+  check Alcotest.int "the rest counted" (5_000 - Node.max_suspects)
+    (Stats.counter_value (Cluster.stats cluster) "suspects_unlisted")
+
 let tests =
   [ ("chaos: outputs preserved (3 seeds)", `Quick, chaos_preserves_outputs);
     ("chaos: deterministic", `Quick, chaos_is_deterministic);
@@ -397,4 +415,5 @@ let tests =
      mixed_placement_counting);
     ("replicated NS: reliable under 30% drop", `Quick,
      replicated_ns_reliable);
-    ("import deadline: gives up and suspects", `Quick, import_deadline) ]
+    ("import deadline: gives up and suspects", `Quick, import_deadline);
+    ("phantom suspects bounded", `Quick, phantom_suspects_bounded) ]

@@ -556,6 +556,40 @@ let par_domains4_traced () =
   check Alcotest.bool "flow start" true (has json "\"ph\":\"s\"");
   check Alcotest.bool "flow finish" true (has json "\"ph\":\"f\"")
 
+(* Flipped, truncated and extended copies of a traced run's archive,
+   shaped like the packet and rtti properties: [deserialize] raises
+   [Wire.Malformed] or decodes, and whatever decodes rebuilds a
+   collector. *)
+let archive_malformed_only =
+  let blob = lazy (Trace.serialize (tracer (run fetch_src))) in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"mangled archives raise only Malformed"
+       ~count:2000
+       QCheck2.Gen.(
+         let* () = unit in
+         let s = Lazy.force blob in
+         let n = String.length s in
+         oneof
+           [ map
+               (fun flips ->
+                 let b = Bytes.of_string s in
+                 List.iter
+                   (fun (i, x) ->
+                     Bytes.set_uint8 b (i mod n)
+                       (Bytes.get_uint8 b (i mod n) lxor x))
+                   flips;
+                 Bytes.to_string b)
+               (list_size (int_range 1 3) (pair nat (int_range 1 255)));
+             map (fun k -> String.sub s 0 (k mod n)) nat;
+             map
+               (fun extra -> s ^ extra)
+               (string_size ~gen:char (int_range 1 16)) ])
+       (fun s ->
+         (match Trace.deserialize s with
+          | ar -> ignore (Trace.of_archive ar)
+          | exception Tyco_support.Wire.Malformed _ -> ());
+         true))
+
 let tests =
   [ ("tracing off by default", `Quick, tracing_off_by_default);
     ("trace deterministic", `Quick, trace_deterministic);
@@ -576,4 +610,5 @@ let tests =
     ( "parallel: domains 1 trace bit-identical",
       `Quick,
       par_domains1_trace_bit_identical );
-    ("parallel: domains 4 traced", `Quick, par_domains4_traced) ]
+    ("parallel: domains 4 traced", `Quick, par_domains4_traced);
+    archive_malformed_only ]

@@ -530,9 +530,40 @@ let rtti_malformed_only =
           with Tyco_support.Wire.Malformed _ -> ());
          true))
 
+(* An export or import below a method, a definition or a branch is the
+   programmer's mistake: a type error that names the construct. *)
+let nested_site_constructs () =
+  List.iter
+    (fun (what, src) ->
+      match Infer.check_program (Parser.parse_program src) with
+      | _ -> Alcotest.failf "%s: accepted" what
+      | exception Infer.Error e ->
+          let msg = e.Infer.msg in
+          let mentions sub =
+            let n = String.length sub in
+            let rec at i =
+              i + n <= String.length msg
+              && (String.sub msg i n = sub || at (i + 1))
+            in
+            at 0
+          in
+          check Alcotest.bool (what ^ " named: " ^ msg) true
+            (mentions ("'" ^ what ^ "'") && mentions "site level");
+          check Alcotest.bool (what ^ " not internal: " ^ msg) false
+            (mentions "internal"))
+    [ ( "export def",
+        {| site a { export new p (p?(x) = io!printi[x] | export def K(v) = p![v] in K[0]) }
+           site b { import p from a in import K from a in (p![1] | K[2]) } |} );
+      ( "import",
+        {| site a { export new p p?(x) = io!printi[x] }
+           site b { if true then (import p from a in p![1]) else nil } |} );
+      ( "export new",
+        {| site a { def K(v) = export new p (p?(x) = io!printi[x] | p![v]) in K[1] } |} ) ]
+
 let tests =
   tests
   @ [ ( "rtti rejects impossible counts",
         `Quick,
         rtti_rejects_impossible_counts );
-      rtti_malformed_only ]
+      rtti_malformed_only;
+      ("nested site-level constructs", `Quick, nested_site_constructs) ]

@@ -182,11 +182,11 @@ let vm_errors () =
     [ ("printb", [ Value.Vbool false ]) ]
     outs
 
-(* Hand-written blocks the fuser cannot follow (an expression popping a
-   value pushed before a [newc], a [binop] on an empty stack) or can
-   only follow by splitting at a jump target run as the byte-code
-   would: same output, same instruction count and cost, same error. *)
-let run_asm text =
+(* The entry thread's frame is [io; env vm..]: [env] gets the machine
+   before the thread is spawned, so a test can make channels on it or
+   keep it.  Returns the (instructions, cost) of the run, the io events
+   and the counters [threads], [insts], [comm_local] and [msgs_parked]. *)
+let run_asm ?(env = fun _ -> []) text =
   let area, entry = Link.of_unit (Tyco_compiler.Asm.parse text) in
   let vm = Machine.create area in
   let outs = ref [] in
@@ -194,17 +194,24 @@ let run_asm text =
     Machine.builtin_chan vm "io" (fun label args ->
         outs := (label, args) :: !outs)
   in
-  Machine.spawn_entry vm ~entry ~io;
+  Machine.spawn vm ~block:entry ~env:(Value.Vchan io :: env vm);
   let counts = Machine.run vm ~budget:1000 in
-  (counts, List.rev !outs)
+  let count name = Stats.Counter.value (Stats.counter (Machine.stats vm) name) in
+  ( counts,
+    List.rev !outs,
+    List.map count [ "threads"; "insts"; "comm_local"; "msgs_parked" ] )
 
+(* Hand-written blocks the fuser cannot follow (an expression popping a
+   value pushed before a [newc], a [binop] on an empty stack) or can
+   only follow by splitting at a jump target run as the byte-code
+   would: same output, same instruction count and cost, same error. *)
 let fuser_fallback () =
   let unit_of body =
     Printf.sprintf "unit entry=b0\nblock b0 \"entry\" params=1 slots=2 {\n%s\n}\n"
       body
   in
   (* pushi 1 is flushed at newc; add then needs it back *)
-  let counts, outs =
+  let counts, outs, _ =
     run_asm
       (unit_of "pushi 1\nnewc 1\npushi 2\nadd\nload 0\ntrmsg printi/1")
   in
@@ -212,7 +219,7 @@ let fuser_fallback () =
   check Alcotest.(pair int int) "counts and cost" (6, 1 + 6 + 1 + 2 + 1 + 12)
     counts;
   (* a jump into the middle of a run: 5 stays on the stack *)
-  let counts, outs =
+  let counts, outs, _ =
     run_asm
       (unit_of
          "pushb true\njmpf 3\npushi 5\npushi 7\nload 0\ntrmsg printi/1")
@@ -471,6 +478,255 @@ let thread_granularity () =
   in
   check Alcotest.bool "several threads ran" true (threads >= 4)
 
+(* ------------------------------------------------------------------ *)
+(* Calls and sends, pinned                                             *)
+
+(* [instof] and [trmsg] on every kind of target, as hand-written
+   assembly: each case is pinned to one line recording its io events,
+   (instructions, cost) and counters — or its error — plus the remote
+   ops it queued, the state it left the channel [ch] in and whether a
+   thread is still queued.  The figures were read off the byte-code
+   stepped one instruction at a time. *)
+
+let group_asm ?(caps = "[0]") ~slots classes =
+  Printf.sprintf "group g0 caps=%s slots=%s {\n%s\n}\n" caps slots
+    (String.concat "\n" classes)
+
+(* A unit whose entry block b0, with a frame of [slots] slots, runs
+   [code]; then blocks b1.. given as (params, slots, code), and the
+   method tables and groups. *)
+let unit_asm ?(tables = "") (slots, code) blocks =
+  String.concat "\n"
+    (Printf.sprintf "unit entry=b0\nblock b0 \"entry\" params=1 slots=%d {\n%s\n}"
+       slots code
+    :: List.mapi
+         (fun i (params, slots, code) ->
+           Printf.sprintf "block b%d \"b%d\" params=%d slots=%d {\n%s\n}"
+             (i + 1) (i + 1) params slots code)
+         blocks
+    @ [ tables ])
+
+let call_case ?(chan = false) ?(refs = []) text =
+  let vm = ref None and ch = ref None in
+  let env m =
+    vm := Some m;
+    (if chan then begin
+       let c = Machine.new_chan m "ch" in
+       ch := Some c;
+       [ Value.Vchan c ]
+     end
+     else [])
+    @ refs
+  in
+  let counters m =
+    List.map
+      (fun name -> Stats.Counter.value (Stats.counter (Machine.stats m) name))
+      [ "threads"; "insts"; "comm_local"; "msgs_parked" ]
+  in
+  let show args = String.concat ", " (List.map (Fmt.str "%a" Value.pp) args) in
+  let ints counts = String.concat ", " (List.map string_of_int counts) in
+  let ran =
+    match run_asm ~env text with
+    | (instrs, cost), outs, counts ->
+        Printf.sprintf "%s | %d instrs, cost %d | %s"
+          (if outs = [] then "-"
+           else
+             String.concat " "
+               (List.map (fun (l, args) -> Printf.sprintf "%s[%s]" l (show args)) outs))
+          instrs cost (ints counts)
+    | exception Machine.Error m ->
+        Printf.sprintf "error: %s | %s" m (ints (counters (Option.get !vm)))
+  in
+  let m = Option.get !vm in
+  let rec remote acc =
+    match Machine.pop_remote_op m with
+    | Some (Machine.Rmsg (_, l, args)) ->
+        remote (Printf.sprintf "rmsg %s[%s]" l (show (Array.to_list args)) :: acc)
+    | Some (Machine.Rfetch (_, args)) ->
+        remote (Printf.sprintf "rfetch[%s]" (show (Array.to_list args)) :: acc)
+    | Some _ -> remote ("other" :: acc)
+    | None -> List.rev acc
+  in
+  let state =
+    match !ch with
+    | None -> []
+    | Some c -> (
+        match c.Value.ch_state with
+        | Value.Empty -> [ "ch empty" ]
+        | Value.Msg1 _ -> [ "ch msg1" ]
+        | Value.Msgs q -> [ Printf.sprintf "ch msgs %d" (Tyco_support.Dq.length q) ]
+        | Value.Obj1 _ -> [ "ch obj1" ]
+        | Value.Objs q -> [ Printf.sprintf "ch objs %d" (Tyco_support.Dq.length q) ]
+        | Value.Builtin _ -> [ "ch builtin" ])
+  in
+  String.concat " | "
+    ((ran :: remote []) @ state
+    @ if Machine.runnable m then [ "runnable" ] else [])
+
+(* A class printing its [k] arguments, called with [k] of them: 1, 9,
+   3, 27, ... *)
+let instof_k k =
+  let args =
+    List.init k (fun i ->
+        if i mod 2 = 0 then Printf.sprintf "pushi %d" (i + 1)
+        else Printf.sprintf "pushi %d\npushi %d\nsub" (10 * i) i)
+  in
+  let body =
+    if k = 0 then "pushi 7\nload 0\ntrmsg printi/1"
+    else
+      String.concat "\n"
+        (List.init k (fun i -> Printf.sprintf "load %d\nload %d\ntrmsg printi/1" i k))
+  in
+  unit_asm
+    (2, String.concat "\n" (("defgroup g0" :: args) @ [ "load 1"; Printf.sprintf "instof %d" k ]))
+    ~tables:(group_asm ~slots:"[1]" [ Printf.sprintf "K -> b1/%d" k ])
+    [ (k, k + 2, body) ]
+
+let pinned_calls () =
+  let pin name expected text = check Alcotest.string name expected text in
+  List.iter
+    (fun (k, expected) ->
+      pin (Printf.sprintf "instof %d" k) expected (call_case (instof_k k)))
+    [ ( 0, "printi[7] | 6 instrs, cost 33 | 2, 1, 0, 0" );
+      ( 1, "printi[1] | 7 instrs, cost 34 | 2, 1, 0, 0" );
+      ( 3, "printi[1] printi[9] printi[3] | 17 instrs, cost 67 | 2, 1, 0, 0" );
+      ( 9,
+        "printi[1] printi[9] printi[3] printi[27] printi[5] printi[45] printi[7] printi[63] printi[9] | 47 instrs, cost 166 | 2, 1, 0, 0" ) ];
+  (* one op, the recursive call, calls the same class three times *)
+  pin "same class twice"
+    "printi[3] printi[2] printi[1] | 45 instrs, cost 128 | 5, 4, 0, 0"
+    (call_case
+       (unit_asm (2, "defgroup g0\npushi 3\nload 1\ninstof 1")
+          ~tables:(group_asm ~slots:"[1]" [ "Loop -> b1/1" ])
+          [ ( 1, 3,
+              "load 0\npushi 0\neq\njmpf 5\njmp 13\nload 0\nload 1\n\
+               trmsg printi/1\nload 0\npushi 1\nsub\nload 2\ninstof 1" ) ]));
+  (* Apply's one op calls A, C, B, A, A: C has A's index in another
+     group *)
+  let apply_calls =
+    String.concat "\n"
+      (List.mapi
+         (fun i slot -> Printf.sprintf "load %d\npushi %d\nload 1\ninstof 2" slot (i + 1))
+         [ 2; 4; 3; 2; 2 ])
+  in
+  pin "two classes in turn"
+    "printi[1] printi[1002] printi[103] printi[4] printi[5] | 56 instrs, cost 217 | 11, 10, 0, 0"
+    (call_case
+       (unit_asm
+          (6, "defgroup g0\ndefgroup g1\n" ^ apply_calls)
+          ~tables:
+            (group_asm ~slots:"[1,2,3]"
+               [ "Apply -> b1/2"; "A -> b2/1"; "B -> b3/1" ]
+            ^ "group g1 caps=[0] slots=[5,4] {\nZ -> b4/1\nC -> b5/1\n}\n")
+          [ (2, 6, "load 1\nload 0\ninstof 1");
+            (1, 5, "load 0\nload 1\ntrmsg printi/1");
+            (1, 5, "load 0\npushi 100\nadd\nload 1\ntrmsg printi/1");
+            (1, 4, "load 0\nload 1\ntrmsg printi/1");
+            (1, 4, "load 0\npushi 1000\nadd\nload 1\ntrmsg printi/1") ]));
+  pin "wrong arity"
+    "error: site: class 'K2': expected 2 argument(s), got 1 | 1, 0, 0, 0"
+    (call_case
+       (unit_asm (2, "defgroup g0\npushi 1\nload 1\ninstof 1")
+          ~tables:(group_asm ~slots:"[1]" [ "K2 -> b1/2" ])
+          [ (2, 4, "load 0\nload 2\ntrmsg printi/1") ]));
+  (* K's block is fused by its first call, so the second call's op
+     checks the arity itself *)
+  pin "wrong arity to a fused class"
+    "error: site: class 'K': expected 1 argument(s), got 2 | 1, 1, 0, 0 | runnable"
+    (call_case
+       (unit_asm
+          (2, "defgroup g0\npushi 1\nload 1\ninstof 1\npushi 1\npushi 2\nload 1\ninstof 2")
+          ~tables:(group_asm ~slots:"[1]" [ "K -> b1/1" ])
+          [ (1, 3, "load 0\nload 1\ntrmsg printi/1") ]));
+  pin "int target, argument divides by zero"
+    "error: division by zero | 1, 0, 0, 0"
+    (call_case
+       (unit_asm (1, "pushi 1\npushi 0\ndiv\npushi 5\ninstof 1") []));
+  pin "int target"
+    "error: instof target is int, not a class | 1, 0, 0, 0"
+    (call_case (unit_asm (1, "pushi 1\npushi 5\ninstof 1") []));
+  pin "class reference"
+    "- | 5 instrs, cost 15 | 1, 0, 0, 0 | rfetch[3]"
+    (call_case
+       ~refs:
+         [ Value.Vclassref
+             (Netref.make ~kind:Netref.Class ~heap_id:0 ~site_id:9 ~ip:9) ]
+       (unit_asm (2, "pushi 1\npushi 2\nadd\nload 1\ninstof 1") []));
+  (* method tables over an entry frame [io; ch]: mt0 prints v, mt1
+     prints v + 100 *)
+  let objects =
+    "mtable mt0 caps=[0] {\nval -> b1/1\n}\nmtable mt1 caps=[0] {\nval -> b2/1\n}\n"
+  in
+  let printers =
+    [ (1, 2, "load 0\nload 1\ntrmsg printi/1");
+      (1, 2, "load 0\npushi 100\nadd\nload 1\ntrmsg printi/1") ]
+  in
+  let send code = call_case ~chan:true (unit_asm (2, code) ~tables:objects printers) in
+  pin "trmsg to one object"
+    "printi[5] | 8 instrs, cost 41 | 2, 0, 1, 0 | ch empty"
+    (send "load 1\ntrobj mt0\npushi 5\nload 1\ntrmsg val/1");
+  pin "trmsg to an object without the method"
+    "error: site: no method 'nope' at object (protocol error) | 1, 0, 0, 0 | ch empty"
+    (send "load 1\ntrobj mt0\npushi 5\nload 1\ntrmsg nope/1");
+  pin "trmsg with the wrong arity"
+    "error: site: method 'val': expected 1 argument(s), got 2 | 1, 0, 0, 0 | ch empty"
+    (send "load 1\ntrobj mt0\npushi 5\npushi 6\nload 1\ntrmsg val/2");
+  pin "trmsg with the wrong arity to a fused method"
+    "error: site: method 'val': expected 1 argument(s), got 2 | 1, 0, 1, 0 | ch empty | runnable"
+    (send
+       "load 1\ntrobj mt0\npushi 5\nload 1\ntrmsg val/1\n\
+        load 1\ntrobj mt0\npushi 5\npushi 6\nload 1\ntrmsg val/2");
+  pin "trmsg to an empty channel"
+    "- | 3 instrs, cost 14 | 1, 0, 0, 1 | ch msg1"
+    (send "pushi 5\nload 1\ntrmsg val/1");
+  pin "trmsg to a parked message"
+    "- | 6 instrs, cost 28 | 1, 0, 0, 2 | ch msgs 2"
+    (send "pushi 5\nload 1\ntrmsg val/1\npushi 6\nload 1\ntrmsg val/1");
+  pin "trmsg to two parked objects"
+    "printi[105] | 12 instrs, cost 57 | 2, 0, 1, 0 | ch obj1"
+    (send "load 1\ntrobj mt1\nload 1\ntrobj mt0\npushi 5\nload 1\ntrmsg val/1");
+  pin "trmsg to io"
+    "printi[4] | 3 instrs, cost 14 | 1, 0, 0, 0 | ch empty"
+    (send "pushi 4\nload 0\ntrmsg printi/1");
+  pin "trmsg to an int"
+    "error: trmsg target is int, not a channel | 1, 0, 0, 0 | ch empty"
+    (send "pushi 4\npushi 1\ntrmsg val/1");
+  pin "trmsg to a network reference"
+    "- | 5 instrs, cost 17 | 1, 0, 0, 0 | rmsg val[12]"
+    (call_case
+       ~refs:
+         [ Value.Vnetref
+             (Netref.make ~kind:Netref.Channel ~heap_id:0 ~site_id:9 ~ip:9) ]
+       (unit_asm (2, "pushi 4\npushi 3\nmul\nload 1\ntrmsg val/1") []));
+  (* Sender(n, ch) sends val[10 / n] to ch and calls Sender[n - 1, ch];
+     the method prints and re-parks its object under mt1, so Sender's
+     one send op meets mt0 once and then mt1, whose method is fused by
+     then, until 10 / 0 raises *)
+  let sender =
+    unit_asm (3, "defgroup g0\nload 1\ntrobj mt0\npushi 4\nload 1\nload 2\ninstof 2")
+      ~tables:
+        ("mtable mt0 caps=[0,1] {\nval -> b1/1\n}\n\
+          mtable mt1 caps=[1,2] {\nval -> b1/1\n}\n"
+        ^ group_asm ~caps:"[]" ~slots:"[2]" [ "Sender -> b2/2" ])
+      [ (1, 3, "load 0\nload 1\ntrmsg printi/1\nload 2\ntrobj mt1");
+        ( 2, 3,
+          "pushi 10\nload 0\ndiv\nload 1\ntrmsg val/1\nload 0\npushi 1\nsub\n\
+           load 1\nload 2\ninstof 2" ) ]
+  in
+  pin "one send op, a raising argument on a fused method"
+    "error: division by zero | 10, 5, 4, 0 | ch obj1"
+    (call_case ~chan:true sender);
+  (* runs longer than the call: the first value stays on the stack *)
+  pin "instof under a longer run"
+    "printi[1] | 8 instrs, cost 35 | 2, 1, 0, 0"
+    (call_case
+       (unit_asm (2, "defgroup g0\npushi 9\npushi 1\nload 1\ninstof 1")
+          ~tables:(group_asm ~slots:"[1]" [ "K -> b1/1" ])
+          [ (1, 3, "load 0\nload 1\ntrmsg printi/1") ]));
+  pin "trmsg under a longer run"
+    "printi[4] | 4 instrs, cost 15 | 1, 0, 0, 0"
+    (call_case (unit_asm (1, "pushi 9\npushi 4\nload 0\ntrmsg printi/1") []))
+
 let tests =
   [ ("msg then obj", `Quick, msg_then_obj);
     ("obj then msg", `Quick, obj_then_msg);
@@ -492,4 +748,5 @@ let tests =
     ("run budget respected", `Quick, budget_respected);
     ("thread granularity", `Quick, thread_granularity);
     ("fuser fallback", `Quick, fuser_fallback);
-    fused_expressions ]
+    fused_expressions;
+    ("pinned calls and sends", `Quick, pinned_calls) ]
